@@ -10,6 +10,7 @@ for external tooling.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -71,6 +72,10 @@ def _check_theta(diags, obj, path):
         _err(diags, path, f"theta.entries must be a flat row-major list of {n * n} numbers")
         return None
     ok = True
+    for i, v in enumerate(entries):
+        if isinstance(v, float) and not math.isfinite(v):
+            _err(diags, f"{path}/entries/{i}", f"theta entries must be finite, got {v}")
+            ok = False
     for j in range(n):
         if entries[j * n + j] != 0:
             _err(diags, path, f"theta diagonal entry ({j},{j}) must be exactly zero")

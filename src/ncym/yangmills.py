@@ -242,6 +242,8 @@ class Connection:
         self.A = tuple(A)
         self.proj = proj
         self.validate()
+        # (A, proj, Curvature) of the last curvature() call; see curvature()
+        self._curvature = None
 
     def validate(self):
         if len(self.A) != self.n:
@@ -384,6 +386,16 @@ class SplittingReport:
 
 
 def curvature(c: Connection) -> Curvature:
+    """F_ij for i < j, memoised on ``c`` while ``c.A`` and ``c.proj`` are the same objects.
+
+    minimize evaluates ym_value at each trial point and ym_gradient at the
+    accepted one, so the memo spares the second curvature per iteration.  The
+    key is object identity (the memo holds the keyed objects, so their ids are
+    not reused); rebinding ``c.A`` or ``c.proj`` recomputes.
+    """
+    memo = c._curvature
+    if memo is not None and memo[0] is c.A and memo[1] is c.proj:
+        return memo[2]
     c.validate()
     table = {}
     for i in range(1, c.n + 1):
@@ -391,7 +403,9 @@ def curvature(c: Connection) -> Curvature:
         for j in range(i + 1, c.n + 1):
             aj = c.A[j - 1]
             table[(i, j)] = aj.derive(i) - ai.derive(j) + (ai @ aj) - (aj @ ai)
-    return Curvature(c.theta, c.q, table)
+    f = Curvature(c.theta, c.q, table)
+    c._curvature = (c.A, c.proj, f)
+    return f
 
 
 def ym_value(c: Connection) -> float:

@@ -46,6 +46,17 @@ def test_validate_nonzero_diagonal():
     assert diags[0].path == "/payload/theta"
 
 
+def test_nonfinite_theta_rejected(tmp_path, capsys):
+    conf = torus_ym_config(theta={"n": 2, "entries": [0.0, math.inf, -math.inf, 0.0]})
+    diags = cfg.validate(json.dumps(conf))
+    assert [d.path for d in diags] == ["/payload/theta/entries/1", "/payload/theta/entries/2"]
+    path = write(tmp_path, "inf.json", conf)
+    out = tmp_path / "rep.json"
+    assert cli.main(["run", path, "--output", str(out)]) == 1
+    assert not out.exists()
+    capsys.readouterr()
+
+
 def test_validate_missing_seed_on_random():
     conf = torus_ym_config(connection={"random": {"radius": 1}})
     diags = cfg.validate(json.dumps(conf))

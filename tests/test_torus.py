@@ -3,8 +3,10 @@
 import cmath
 import json
 import math
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncym import (
     CANONICAL_EPS,
@@ -19,7 +21,7 @@ from ncym import (
     tensor_embed,
     trace,
 )
-from ncym import sampling
+from ncym import sampling, torus
 
 COEFF_TOL = 1e-12
 
@@ -67,6 +69,9 @@ def test_theta_validation():
         ThetaMatrix([[0.0, 0.2], [0.2, 0.0]])
     t = ThetaMatrix([[0.0, -0.0], [0.0, 0.0]])
     assert t.entries[0][1] == 0.0
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            ThetaMatrix([[0.0, bad], [-bad, 0.0]])
 
 
 def test_defining_relation(theta2):
@@ -273,3 +278,109 @@ def test_serialization_round_trip(theta2):
     b = TorusElement.from_payload(theta, back["coeffs"])
     assert theta == theta2
     assert b.coeffs == a.coeffs  # bit-exact round trip
+
+
+# -- array kernels against the dict loop ------------------------------------
+
+
+def kernel_tolerance(a, b):
+    """Rounding bound, fixed from float64, for two evaluations of a * b.
+
+    1e-13 is about 450 ulp per unit of |a|_1 |b|_1; each phase e(x) also carries
+    an error of order ulp(x), and |x| <= X = sum |theta| max|r| max|s|.
+    """
+    th = a.theta
+    theta_l1 = sum(abs(v) for row in th.entries for v in row) / 2
+    r_max = max((abs(x) for r in a.coeffs for x in r), default=0)
+    s_max = max((abs(x) for s in b.coeffs for x in s), default=0)
+    return 1e-13 * (1.0 + theta_l1 * r_max * s_max) * a.l1() * b.l1()
+
+
+@st.composite
+def operand_pairs(draw):
+    """(a, b) over a random skew theta (sometimes 0), n in 1..4, dense or wide support."""
+    n = draw(st.integers(1, 4))
+    zero = draw(st.booleans())
+    upper = {
+        (j, k): 0.0 if zero else draw(st.floats(-1.0, 1.0, allow_nan=False))
+        for j in range(n)
+        for k in range(j + 1, n)
+    }
+    theta = ThetaMatrix.from_upper(n, upper)
+
+    def element():
+        radius = draw(st.sampled_from([1, 2, 3, 12, 60]))
+        index = st.tuples(*[st.integers(-radius, radius)] * n)
+        keys = draw(st.lists(index, max_size=40, unique=True))
+        values = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+        return TorusElement(theta, {k: draw(values) for k in keys})
+
+    return element(), element()
+
+
+@settings(max_examples=300, deadline=None)
+@given(operand_pairs())
+def test_array_kernels_match_dict_loop(pair):
+    a, b = pair
+    ref = torus._star_product_loop(a, b)
+    tol = kernel_tolerance(a, b)
+    assert coeff_distance(torus._star_product_vectorized(a, b), ref) <= tol
+    if a.coeffs and b.coeffs:
+        (ra, ca), (rb, cb) = torus._terms(a), torus._terms(b)
+        assert coeff_distance(torus._star_product_sorted(a.theta, ra, ca, rb, cb), ref) <= tol
+        # called directly, the dense box also runs on wide supports, up to a size
+        # that keeps its arrays at a few MB
+        if torus._dense_box_work(ra, rb) <= 10**6:
+            assert coeff_distance(torus._star_product_box(a.theta, ra, ca, rb, cb), ref) <= tol
+
+
+def disc(theta, radius, gen):
+    return TorusElement(
+        theta,
+        {
+            (i, j): complex(gen.normal(), gen.normal())
+            for i in range(-radius, radius + 1)
+            for j in range(-radius, radius + 1)
+            if i * i + j * j <= radius * radius
+        },
+    )
+
+
+def refuse(*args):
+    raise AssertionError("this kernel must not be chosen here")
+
+
+def test_dense_operands_take_dense_box(theta2, monkeypatch):
+    gen = sampling.rng(19)
+    a, b = disc(theta2, 6, gen), disc(theta2, 5, gen)
+    monkeypatch.setattr(torus, "_star_product_sorted", refuse)
+    assert coeff_distance(mul(a, b), torus._star_product_loop(a, b)) <= kernel_tolerance(a, b)
+
+
+def test_far_term_takes_sorted_kernel_in_bounded_memory(theta2, monkeypatch):
+    gen = sampling.rng(20)
+    patch = disc(theta2, 4, gen)
+    a = patch + TorusElement.monomial(theta2, (0, 10**6), 0.5)
+    assert len(a.coeffs) * len(patch.coeffs) > torus._VECTOR_CUTOFF
+    monkeypatch.setattr(torus, "_star_product_box", refuse)
+    tracemalloc.start()
+    try:
+        prod = mul(a, patch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert coeff_distance(prod, torus._star_product_loop(a, patch)) <= kernel_tolerance(a, patch)
+
+
+@pytest.mark.parametrize("radius", [1, 3])
+def test_nan_coefficient_survives_product(theta2, radius):
+    # discs of 5 terms (25 pairs) run the dict loop, of 29 terms (841 pairs) an
+    # array kernel; dense operands like these would otherwise take the dense box
+    gen = sampling.rng(21)
+    a, b = disc(theta2, radius, gen), disc(theta2, radius, gen)
+    assert (len(a.coeffs) * len(b.coeffs) > torus._VECTOR_CUTOFF) == (radius == 3)
+    a = TorusElement(theta2, {**a.coeffs, (1, 0): complex(math.nan, 0.0)})
+    nan_keys = {r for r, c in mul(a, b).coeffs.items() if cmath.isnan(c)}
+    assert nan_keys
+    assert nan_keys == {r for r, c in torus._star_product_loop(a, b).coeffs.items() if cmath.isnan(c)}

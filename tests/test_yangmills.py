@@ -90,6 +90,15 @@ def test_explicit_curvature_and_ym_value():
         assert abs(brute.real - ym) < 1e-9
 
 
+def test_curvature_memo_follows_rebound_potentials():
+    c = example_connection()
+    f = curvature(c)
+    assert curvature(c) is f
+    c.A = Connection.flat(c.theta, 1).A
+    assert all(m.is_zero() for _, m in curvature(c).items())
+    assert ym_value(c) == 0.0
+
+
 def test_ym_quadratic_scaling():
     th = theta2()
     u1 = TorusElement.generator(th, 1)
