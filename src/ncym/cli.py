@@ -14,8 +14,7 @@ import logging
 import os
 import sys
 import time
-
-import numpy as np
+from dataclasses import asdict
 
 from . import __version__, config as cfg, finite, sampling, torus, yangmills as ym
 from .errors import ComputeError, ConfigInvalid, NcymError
@@ -29,78 +28,43 @@ CONVENTIONS = {
 }
 
 
-def _build_connection(theta, q, block, proj=None):
-    if "A" in block:
-        a = [ym.TorusMatrix.from_payload(theta, m) for m in block["A"]]
-        return ym.Connection(theta, q, a, proj)
-    r = block["random"]
-    gen = sampling.rng(int(r["seed"]))
-    return ym.random_connection(
-        theta,
-        q,
-        gen,
-        radius=int(r.get("radius", 2)),
-        terms=int(r.get("terms", 4)),
-        amplitude=float(r.get("amplitude", 0.1)),
-        proj=proj,
-    )
+def _connection(m: cfg.TorusModule) -> ym.Connection:
+    proj = None if m.proj is None else ym.Projection(m.proj)
+    rnd = m.connection
+    if isinstance(rnd, cfg.RandomConnection):
+        gen = sampling.rng(rnd.seed)
+        return ym.random_connection(m.theta, m.q, gen, rnd.radius, rnd.terms, rnd.amplitude, proj)
+    return ym.Connection(m.theta, m.q, m.connection, proj)
 
 
-def _resolve_triple(ref) -> finite.FiniteTriple:
-    if "trivial" in ref:
-        return finite.trivial_triple()
-    if "case" in ref:
-        case = ref["case"]
-        p, q = int(case["p"]), int(case["q"])
-        mu = np.array([complex(re, im) for re, im in case["mu"]]).reshape(p, q)
-        return finite.matrix_case_triple(p, q, mu)
-    if "payload" in ref:
-        return finite.FiniteTriple.from_payload(ref["payload"])
-    with open(ref["path"], "r") as fh:
-        return finite.FiniteTriple.from_payload(json.load(fh))
+def _triple(ref: cfg.TripleRef) -> finite.FiniteTriple:
+    if ref.case is not None:
+        return finite.matrix_case_triple(*ref.case)
+    if ref.path is not None:
+        with open(ref.path, "r") as fh:
+            return finite.FiniteTriple.from_payload(json.load(fh))
+    if ref.payload is not None:
+        return finite.FiniteTriple.from_payload(ref.payload)
+    return finite.trivial_triple()
 
 
-def _run_torus_ym(payload):
-    theta = torus.ThetaMatrix.from_payload(payload["theta"])
-    q = int(payload["q"])
-    proj = None
-    if payload.get("proj") is not None:
-        proj = ym.Projection(ym.TorusMatrix.from_payload(theta, payload["proj"]))
-    c = _build_connection(theta, q, payload["connection"], proj)
-    samples = int(payload.get("samples", 100))
-    seed = int(payload.get("seed", 0))
-    tols = payload.get("tolerances", {})
-    compat_tol = float(tols.get("compat", ym.COMPAT_TOL))
-    deviation = ym.compatibility_deviation(c, samples, seed)
+def _run_torus_ym(spec: cfg.TorusYm):
+    c = _connection(spec.module)
+    deviation = ym.compatibility_deviation(c, spec.samples, spec.seed)
     results = {
         "ym": ym.ym_value(c),
         "gradient_norm": ym.gradient_norm(c),
         "compatibility_deviation": deviation,
     }
-    if proj is not None:
-        results["projection_idempotency_defect"] = proj.idempotency_defect()
-    checks = {"compatible": deviation <= compat_tol}
-    return results, checks, {"compat": compat_tol}
+    if c.proj is not None:
+        results["projection_idempotency_defect"] = c.proj.idempotency_defect()
+    checks = {"compatible": deviation <= spec.compat_tol}
+    return results, checks, {"compat": spec.compat_tol}
 
 
-def _run_torus_minimize(payload):
-    theta = torus.ThetaMatrix.from_payload(payload["theta"])
-    q = int(payload["q"])
-    proj = None
-    if payload.get("proj") is not None:
-        proj = ym.Projection(ym.TorusMatrix.from_payload(theta, payload["proj"]))
-    c0 = _build_connection(theta, q, payload["connection"], proj)
-    max_iters = int(payload.get("max_iters", 10000))
-    grad_tol = float(payload.get("grad_tol", 1e-8))
-    c, trace = ym.minimize(
-        c0,
-        max_iters=max_iters,
-        grad_tol=grad_tol,
-        armijo=float(payload.get("armijo", 1e-4)),
-        shrink=float(payload.get("shrink", 0.5)),
-        initial_step=float(payload.get("initial_step", 1.0)),
-        precondition=bool(payload.get("precondition", True)),
-    )
+def _run_torus_minimize(spec: cfg.TorusMinimize):
+    options = {name: value for name, value in vars(spec).items() if name != "module"}
+    c, trace = ym.minimize(_connection(spec.module), **options)
     results = {
         "initial_ym": trace[0],
         "terminal_ym": trace[-1],
@@ -109,22 +73,16 @@ def _run_torus_minimize(payload):
         "trace": trace,
     }
     checks = {
-        "converged": results["terminal_gradient_norm"] <= grad_tol,
+        "converged": results["terminal_gradient_norm"] <= spec.grad_tol,
         "monotone_trace": all(b <= a for a, b in zip(trace, trace[1:])),
     }
-    return results, checks, {"grad_tol": grad_tol}
+    return results, checks, {"grad_tol": spec.grad_tol}
 
 
-def _run_torus_product(payload):
-    theta = torus.ThetaMatrix.from_payload(payload["theta"])
-    phi = torus.ThetaMatrix.from_payload(payload["phi"])
-    c1 = _build_connection(theta, int(payload["q1"]), payload["connection1"])
-    c2 = _build_connection(phi, int(payload["q2"]), payload["connection2"])
-    samples = int(payload.get("samples", 20))
-    seed = int(payload.get("seed", 0))
-    tol = float(payload.get("tol", 1e-8))
+def _run_torus_product(spec: cfg.TorusProduct):
+    c1, c2 = _connection(spec.first), _connection(spec.second)
     rep = ym.additivity_report(c1, c2)
-    split = ym.critical_splitting_check(c1, c2, samples, seed, tol)
+    split = ym.critical_splitting_check(c1, c2, spec.samples, spec.seed, spec.tol)
     results = dict(rep.to_payload())
     results["splitting"] = {
         "necessary": split.necessary,
@@ -134,37 +92,27 @@ def _run_torus_product(payload):
         "subadditive": ym.subadditivity_check(c1, c2),
         "splitting_implication": (not split.product_critical) or split.necessary,
     }
-    return results, checks, {"tol": tol}
+    return results, checks, {"tol": spec.tol}
 
 
-def _run_finite_forms(payload):
-    if "case" in payload:
-        case = payload["case"]
-        p, q = int(case["p"]), int(case["q"])
-        mu = np.array([complex(re, im) for re, im in case["mu"]]).reshape(p, q)
-        triple = finite.matrix_case_triple(p, q, mu)
-        case_tag = finite.classify_matrix_case(p, q, mu).value
-    else:
-        triple = _resolve_triple(payload["triple"])
-        case_tag = None
+def _run_finite_forms(spec: cfg.FiniteForms):
+    triple = _triple(spec.triple)
+    case = finite.classify_matrix_case(*spec.triple.case).value if spec.classify else None
     rep = finite.form_report(triple)
     results = rep.to_payload()
-    if case_tag is not None:
-        results["case"] = case_tag
+    if case is not None:
+        results["case"] = case
     checks = {"quotient_consistent": rep.dim_omega2 == rep.dim_pi_omega2 - rep.dim_junk}
     return results, checks, {"rank_tol": finite.RANK_TOL}
 
 
-def _run_finite_product(payload):
-    t1 = _resolve_triple(payload["t1"])
-    t2 = _resolve_triple(payload["t2"])
-    if t1.gamma is None and payload.get("auto_double", True):
+def _run_finite_product(spec: cfg.FiniteProduct):
+    t1, t2 = _triple(spec.t1), _triple(spec.t2)
+    if t1.gamma is None and spec.auto_double:
         t1 = finite.double_odd(t1)
-    samples = int(payload.get("samples", 100))
-    seed = int(payload["seed"])
     dec = finite.decomposition_check(t1, t2)
     hyp = finite.hypothesis_check(t1, t2)
-    orth = finite.orthogonality_check(t1, t2, samples, seed)
+    orth = finite.orthogonality_check(t1, t2, spec.samples, spec.seed)
     results = {"decomposition_dims": dec.dims, "hypothesis_dims": hyp.dims}
     if t1.gamma is not None and t2.gamma is not None:
         results["unitary_equivalence_defect"] = finite.unitary_equivalence_defect(t1, t2)
@@ -179,21 +127,10 @@ def _run_finite_product(payload):
     return results, checks, {"rank_tol": finite.RANK_TOL, "contain_tol": finite.CONTAIN_TOL}
 
 
-def _run_constants(payload):
-    n = int(payload["n"])
-    results = {"n": n, "dixmier": ym.dixmier_torus_constant(n)}
-    gamma = payload.get("gamma")
-    if gamma is not None:
-        alpha, beta = ym.gamma_constants(
-            float(gamma["k"]),
-            float(gamma["l"]),
-            int(gamma["m"]),
-            int(gamma["n"]),
-            float(gamma["tr_d1"]),
-            float(gamma["tr_d2"]),
-        )
-        results["alpha"] = alpha
-        results["beta"] = beta
+def _run_constants(spec: cfg.Constants):
+    results = {"n": spec.n, "dixmier": ym.dixmier_torus_constant(spec.n)}
+    if spec.gamma is not None:
+        results["alpha"], results["beta"] = ym.gamma_constants(**asdict(spec.gamma))
     return results, {}, {}
 
 
@@ -211,10 +148,10 @@ def run(experiment: cfg.ExperimentConfig) -> dict:
     """Execute one experiment and return its report document."""
     start = time.monotonic()
     try:
-        results, checks, tolerances = _RUNNERS[experiment.kind](experiment.payload)
+        results, checks, tolerances = _RUNNERS[experiment.kind](experiment.spec)
     except NcymError:
         raise
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, ArithmeticError) as exc:
         raise ComputeError(f"{type(exc).__name__}: {exc}") from exc
     return {
         "schema_version": cfg.SCHEMA_VERSION,
@@ -230,7 +167,8 @@ def run(experiment: cfg.ExperimentConfig) -> dict:
 
 
 def _emit(report: dict, output_path: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2)
+    """Write the report as JSON; ``ValueError`` if it holds a NaN or infinity."""
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     if output_path:
         with open(output_path, "w") as fh:
             fh.write(text + "\n")
@@ -239,8 +177,16 @@ def _emit(report: dict, output_path: str | None) -> None:
         print(text)
 
 
+def _fail(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 1
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("NCYM_LOG", "WARNING").upper())
+    level = os.environ.get("NCYM_LOG", "WARNING").upper()
+    if not isinstance(logging.getLevelName(level), int):
+        return _fail(f"NCYM_LOG must name a log level such as DEBUG or INFO, got {level!r}")
+    logging.basicConfig(level=level)
     parser = argparse.ArgumentParser(prog="ncym", description="noncommutative Yang-Mills workbench")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -257,53 +203,34 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command == "constants":
-        try:
-            report = run(cfg.ExperimentConfig("constants", {"n": args.n}))
-        except NcymError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        _emit(report, None)
+    try:
+        if args.command == "constants":
+            experiment = cfg.ExperimentConfig("constants", {"n": args.n})
+        else:
+            with open(args.config, "r") as fh:
+                doc = cfg.load(fh.read())
+            if getattr(args, "seed", None) is not None and isinstance(doc.get("payload"), dict):
+                doc["payload"]["seed"] = args.seed
+            experiment = cfg.from_document(doc)
+    except OSError as exc:
+        return _fail(f"cannot read config: {exc}")
+    except ConfigInvalid as exc:
+        out = sys.stdout if args.command == "validate" else sys.stderr
+        for d in exc.diagnostics:
+            print(f"{d.severity}: {d.path}: {d.message}", file=out)
+        return 1
+    if args.command == "validate":
         return 0
 
     try:
-        with open(args.config, "r") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 1
-
-    if args.command == "validate":
-        diags = cfg.validate(text)
-        for d in diags:
-            print(f"{d.severity}: {d.path}: {d.message}")
-        return 0 if not diags else 1
-
-    try:
-        experiment = cfg.parse(text)
-    except ConfigInvalid as exc:
-        for d in exc.diagnostics:
-            print(f"error: {d.path}: {d.message}", file=sys.stderr)
-        return 1
-
-    if args.seed is not None:
-        experiment.payload["seed"] = args.seed
-    output = args.output or experiment.output_path
-
-    try:
         report = run(experiment)
-    except ConfigInvalid as exc:
-        for d in exc.diagnostics:
-            print(f"error: {d.path}: {d.message}", file=sys.stderr)
-        return 1
     except NcymError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    _emit(report, output)
-    if any(v is False for v in report["checks"].values()):
-        return 2
-    return 0
+        return _fail(exc)
+    try:
+        _emit(report, getattr(args, "output", None) or experiment.output_path)
+    except (OSError, ValueError) as exc:
+        return _fail(f"report not written: {exc}")
+    return 2 if any(v is False for v in report["checks"].values()) else 0
 
 
 if __name__ == "__main__":

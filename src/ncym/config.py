@@ -1,31 +1,27 @@
-"""Experiment configs: schema, validation diagnostics, parsing.
+"""Experiment configs: one frozen spec per experiment kind, read once.
 
-One JSON document describes one experiment.  ``validate`` returns a list of
-diagnostics (empty iff the document is well-formed and satisfies the domain
-invariants); ``parse`` raises ``ConfigInvalid`` carrying the same list.  The
-schema document shipped at ``config_schema.json`` is the versioned reference
-for external tooling.
+A config is a JSON object ``{"kind", "payload", "output_path"}``.  Building an
+``ExperimentConfig`` reads the payload into the spec of its kind, the one
+definition of its fields: a scalar field is read by its annotated type within
+the bounds in its metadata, and defaults to the dataclass default.  An invalid
+document raises ``ConfigInvalid`` with a path-addressed ``Diagnostic`` for
+every bad or unknown field.  The payload is kept as given and echoed into the
+report.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from importlib import resources
+import sys
+from dataclasses import dataclass, field, fields
 
+from . import torus, yangmills as ym
 from .errors import ConfigInvalid
 
 SCHEMA_VERSION = "1"
 
-KINDS = (
-    "torus_ym",
-    "torus_minimize",
-    "torus_product",
-    "finite_forms",
-    "finite_product",
-    "constants",
-)
+_REQUIRED = object()
 
 
 @dataclass
@@ -34,306 +30,380 @@ class Diagnostic:
     path: str
     message: str
 
-    def to_payload(self):
-        return {"severity": self.severity, "path": self.path, "message": self.message}
+
+def _is_finite(v) -> bool:
+    """A number within the float range; abs() compares a huge int exactly, not as a float."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+class _Node:
+    """A JSON object or list at ``path`` whose reads add a ``Diagnostic`` per bad field.
+
+    A read returns the field's value, its default when the key is absent, or
+    None when the field is bad.  Every node goes on ``nodes``, so that object
+    keys no read asked for can be reported once reading is over.
+    """
+
+    def __init__(self, value, path: str, diags: list, nodes: list):
+        self.value, self.path, self.diags, self.nodes = value, path, diags, nodes
+        self.used: set = set()
+        nodes.append(self)
+
+    def error(self, message: str, key=None) -> None:
+        path = self.path if key is None else f"{self.path}/{key}"
+        self.diags.append(Diagnostic("error", path, message))
+
+    def read(self, key, ok, want: str, default=_REQUIRED):
+        self.used.add(key)
+        if isinstance(self.value, dict) and key not in self.value:
+            if default is _REQUIRED:
+                self.error(f"missing, must be {want}", key)
+                return None
+            return default
+        value = self.value[key]
+        if ok(value):
+            return value
+        self.error(f"must be {want}, got {json.dumps(value, default=repr)[:40]}", key)
+        return None
+
+    def int(self, key, default=_REQUIRED, lo=-math.inf):
+        want = "an integer" + (f" >= {lo}" if lo > -math.inf else "")
+        return self.read(key, lambda v: type(v) is int and v >= lo, want, default)
+
+    def number(self, key, default=_REQUIRED, above=-math.inf, below=math.inf):
+        """A finite number strictly between the bounds, as a float."""
+        want = "a finite number" + (f" > {above}" if above > -math.inf else "")
+        want += f" and < {below}" if below < math.inf else ""
+        value = self.read(key, lambda v: _is_finite(v) and above < v < below, want, default)
+        return None if value is None else float(value)
+
+    def flag(self, key, default=_REQUIRED):
+        return self.read(key, lambda v: isinstance(v, bool), "true or false", default)
+
+    def object(self, key, optional=False):
+        """The object at key as a node; an optional one may be absent or null, read as None."""
+        default = None if optional else _REQUIRED
+        value = self.read(key, lambda v: isinstance(v, dict) or v is default, "an object", default)
+        return None if value is None else _Node(value, f"{self.path}/{key}", self.diags, self.nodes)
+
+    def items(self, key, read, length=None):
+        """``read(node, i)`` for each item of the list at key; None if it or any item is bad."""
+        want = "a list" if length is None else f"a list of {length} items"
+        value = self.read(key, lambda v: isinstance(v, list) and length in (None, len(v)), want)
+        if value is None:
+            return None
+        node = _Node(value, f"{self.path}/{key}", self.diags, self.nodes)
+        out = [read(node, i) for i in range(len(value))]
+        return None if any(v is None for v in out) else out
+
+    def choice(self, *keys):
+        """The one key of ``keys`` this object carries; None, with an error, unless exactly one."""
+        self.used.update(keys)
+        present = [k for k in keys if k in self.value]
+        if len(present) == 1:
+            return present[0]
+        self.error(f"exactly one of {', '.join(keys)} required")
+        return None
+
+
+def _field(default=_REQUIRED, **bounds):
+    """A scalar spec field: its default and the bounds its reader checks."""
+    return field(default=default, metadata=bounds)
+
+
+def _read_fields(cls, node, **given):
+    """``cls`` with each field not ``given`` read from ``node`` by its annotated type."""
+    readers = {"int": _Node.int, "float": _Node.number, "bool": _Node.flag}
+    for f in fields(cls):
+        if f.name not in given:
+            given[f.name] = readers[f.type](node, f.name, f.default, **f.metadata)
+    return cls(**given)
+
+
+# -- specs ---------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RandomConnection:
+    """A seeded ``yangmills.random_connection`` draw."""
+
+    seed: int = _field(lo=0)
+    radius: int = _field(2, lo=0)
+    terms: int = _field(4, lo=1)
+    amplitude: float = _field(0.1, above=0)
+
+
+@dataclass(frozen=True)
+class TorusModule:
+    """A connection, n potentials or a random draw, on A_theta^q (cut by ``proj`` if given)."""
+
+    theta: torus.ThetaMatrix
+    q: int
+    connection: tuple | RandomConnection
+    proj: ym.TorusMatrix | None
+
+
+@dataclass(frozen=True)
+class TorusYm:
+    module: TorusModule
+    compat_tol: float  # payload tolerances.compat
+    seed: int = _field(0, lo=0)
+    samples: int = _field(100, lo=1)
+
+
+@dataclass(frozen=True)
+class TorusMinimize:
+    """The module's connection and the keyword arguments of ``yangmills.minimize``."""
+
+    module: TorusModule
+    max_iters: int = _field(10000, lo=1)
+    grad_tol: float = _field(1e-8, above=0)
+    armijo: float = _field(1e-4, above=0)
+    # a factor of 1 or more never ends a backtracking search
+    shrink: float = _field(0.5, above=0, below=1)
+    initial_step: float = _field(1.0, above=0)
+    precondition: bool = _field(True)
+
+
+@dataclass(frozen=True)
+class TorusProduct:
+    first: TorusModule  # theta, q1, connection1
+    second: TorusModule  # phi, q2, connection2
+    seed: int = _field(0, lo=0)
+    samples: int = _field(20, lo=1)
+    tol: float = _field(1e-8, above=0)
+
+
+@dataclass(frozen=True)
+class TripleRef:
+    """Where a finite triple comes from: at most one field set, none for the trivial triple."""
+
+    case: tuple | None = None  # the (p, q, mu) of finite.matrix_case_triple, mu row-major
+    path: str | None = None
+    payload: dict | None = None
+
+
+@dataclass(frozen=True)
+class FiniteForms:
+    triple: TripleRef
+    classify: bool  # a top-level case: the report names its coupling class
+
+
+@dataclass(frozen=True)
+class FiniteProduct:
+    t1: TripleRef
+    t2: TripleRef
+    seed: int = _field(lo=0)
+    samples: int = _field(100, lo=1)
+    auto_double: bool = _field(True)
+
+
+@dataclass(frozen=True)
+class Gamma:
+    """The arguments of ``yangmills.gamma_constants``."""
+
+    k: float = _field(above=0)
+    l: float = _field(above=0)
+    m: int = _field(lo=1)
+    n: int = _field(lo=1)
+    tr_d1: float = _field()
+    tr_d2: float = _field()
+
+
+@dataclass(frozen=True)
+class Constants:
+    gamma: Gamma | None
+    n: int = _field(lo=1)
+
+
+# -- readers -------------------------------------------------------------------
+# A reader may return a partial spec once it has reported a diagnostic: such a
+# spec is discarded, never run.
+
+
+def _theta(parent, key):
+    """``{n, entries}``, entries row-major; ``ThetaMatrix`` checks the skew-symmetry."""
+    node = parent.object(key)
+    n = None if node is None else node.int("n", lo=1)
+    entries = None if node is None else node.items("entries", _Node.number, n and n * n)
+    if n is None or entries is None:
+        return None
+    try:
+        return torus.ThetaMatrix([entries[i * n : (i + 1) * n] for i in range(n)])
+    except ValueError as exc:
+        node.error(str(exc))
+        return None
+
+
+def _matrix(parent, key, theta, q, optional=False):
+    """``{q, entries}``: q*q row-major elements, each a list of ``{r, re, im}`` terms."""
+    node = parent.object(key, optional)
+    if node is None:
+        return None
+    size = node.int("q", lo=1)
+    if None not in (size, q) and size != q:
+        node.error(f"must equal the rank {q}", "q")
+    n = None if theta is None else theta.n
+
+    def term(seq, i):
+        rec = seq.object(i)
+        if rec is None:
+            return None
+        r, re, im = rec.items("r", _Node.int, n), rec.number("re"), rec.number("im")
+        return None if None in (r, re, im) else (tuple(r), complex(re, im))
+
+    elems = node.items("entries", lambda seq, i: seq.items(i, term), size and size * size)
+    if theta is None or elems is None or size != q:
+        return None
+    rows = [[torus.TorusElement(theta, dict(elems[i * q + j])) for j in range(q)] for i in range(q)]
+    return ym.TorusMatrix(theta, rows)
+
+
+def _module(node, theta_key, q_key, connection_key, proj_key=None) -> TorusModule:
+    theta = _theta(node, theta_key)
+    q = node.int(q_key, lo=1)
+    conn = node.object(connection_key)
+    which = None if conn is None else conn.choice("A", "random")
+    connection = None
+    if which == "A":
+        n = None if theta is None else theta.n
+        potentials = conn.items("A", lambda seq, i: _matrix(seq, i, theta, q), n)
+        connection = None if potentials is None else tuple(potentials)
+    elif which == "random":
+        random = conn.object("random")
+        connection = None if random is None else _read_fields(RandomConnection, random)
+    proj = None if proj_key is None else _matrix(node, proj_key, theta, q, optional=True)
+    return TorusModule(theta, q, connection, proj)
+
+
+def _case(parent, key):
+    """``{p, q, mu}``, mu a row-major list of p*q [re, im] pairs."""
+    node = parent.object(key)
+    if node is None:
+        return None
+    p, q = node.int("p", lo=1), node.int("q", lo=1)
+    length = None if p is None or q is None else p * q
+    mu = node.items("mu", lambda seq, i: seq.items(i, _Node.number, 2), length)
+    return None if mu is None else (p, q, tuple(complex(re, im) for re, im in mu))
+
+
+def _triple(parent, key):
+    """Exactly one of ``case``, ``path``, ``payload`` (an inline triple) or ``"trivial": true``."""
+    node = parent.object(key)
+    which = None if node is None else node.choice("case", "path", "payload", "trivial")
+    if which == "case":
+        return TripleRef(case=_case(node, "case"))
+    if which == "path":
+        return TripleRef(path=node.read("path", lambda v: isinstance(v, str), "a string"))
+    if which == "payload":
+        return TripleRef(payload=node.read("payload", lambda v: isinstance(v, dict), "an object"))
+    if which == "trivial":
+        node.read("trivial", lambda v: v is True, "true")
+    return TripleRef()
+
+
+def _torus_ym(node) -> TorusYm:
+    module = _module(node, "theta", "q", "connection", "proj")
+    tols = node.object("tolerances", optional=True)
+    compat = ym.COMPAT_TOL if tols is None else tols.number("compat", ym.COMPAT_TOL, above=0)
+    return _read_fields(TorusYm, node, module=module, compat_tol=compat)
+
+
+def _finite_forms(node) -> FiniteForms | None:
+    which = node.choice("triple", "case")
+    if which == "case":
+        return FiniteForms(TripleRef(case=_case(node, "case")), classify=True)
+    return None if which is None else FiniteForms(_triple(node, "triple"), classify=False)
+
+
+def _constants(node) -> Constants:
+    gamma = node.object("gamma", optional=True)
+    gamma = None if gamma is None else _read_fields(Gamma, gamma)
+    return _read_fields(Constants, node, gamma=gamma)
+
+
+_READERS = {
+    "torus_ym": _torus_ym,
+    "torus_minimize": lambda node: _read_fields(
+        TorusMinimize, node, module=_module(node, "theta", "q", "connection", "proj")
+    ),
+    "torus_product": lambda node: _read_fields(
+        TorusProduct,
+        node,
+        first=_module(node, "theta", "q1", "connection1"),
+        second=_module(node, "phi", "q2", "connection2"),
+    ),
+    "finite_forms": _finite_forms,
+    "finite_product": lambda node: _read_fields(
+        FiniteProduct, node, t1=_triple(node, "t1"), t2=_triple(node, "t2")
+    ),
+    "constants": _constants,
+}
+KINDS = tuple(_READERS)
+
+
+def _read_spec(kind, payload, output_path):
+    diags, nodes = [], []
+    root = _Node({"kind": kind, "payload": payload, "output_path": output_path}, "", diags, nodes)
+    kind = root.read("kind", lambda v: v in KINDS, f"one of {', '.join(KINDS)}")
+    root.read("output_path", lambda v: v is None or isinstance(v, str), "a string")
+    payload = root.object("payload")
+    spec = None if kind is None or payload is None else _READERS[kind](payload)
+    for node in nodes:
+        if isinstance(node.value, dict):
+            for key in node.value:
+                if key not in node.used:
+                    node.error("unknown field", key)
+    if diags:
+        raise ConfigInvalid(diags)
+    return spec
 
 
 @dataclass
 class ExperimentConfig:
+    """One experiment: kind, payload as given, and the spec read from it (or ``ConfigInvalid``)."""
+
     kind: str
     payload: dict
     output_path: str | None = None
+    spec: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.spec = _read_spec(self.kind, self.payload, self.output_path)
 
 
-def schema() -> dict:
-    with resources.files("ncym").joinpath("config_schema.json").open("r") as fh:
-        return json.load(fh)
-
-
-# -- field-level validators --------------------------------------------------
-
-
-def _err(diags, path, message):
-    diags.append(Diagnostic("error", path, message))
-
-
-def _check_theta(diags, obj, path):
-    if not isinstance(obj, dict):
-        _err(diags, path, "theta must be an object with fields n, entries")
-        return None
-    n = obj.get("n")
-    entries = obj.get("entries")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        _err(diags, path, "theta.n must be a positive integer")
-        return None
-    if not isinstance(entries, list) or len(entries) != n * n or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in entries
-    ):
-        _err(diags, path, f"theta.entries must be a flat row-major list of {n * n} numbers")
-        return None
-    ok = True
-    for i, v in enumerate(entries):
-        if isinstance(v, float) and not math.isfinite(v):
-            _err(diags, f"{path}/entries/{i}", f"theta entries must be finite, got {v}")
-            ok = False
-    for j in range(n):
-        if entries[j * n + j] != 0:
-            _err(diags, path, f"theta diagonal entry ({j},{j}) must be exactly zero")
-            ok = False
-        for k in range(j + 1, n):
-            if entries[j * n + k] != -entries[k * n + j]:
-                _err(diags, path, f"theta must be skew-symmetric, violated at ({j},{k})")
-                ok = False
-    return (n, entries) if ok else None
-
-
-def _check_element_payload(diags, payload, n, path):
-    if not isinstance(payload, list):
-        _err(diags, path, "element must be a list of {r, re, im} records")
-        return
-    for i, rec in enumerate(payload):
-        if not isinstance(rec, dict) or not {"r", "re", "im"} <= set(rec):
-            _err(diags, f"{path}/{i}", "record must carry fields r, re, im")
-            continue
-        r = rec["r"]
-        if not isinstance(r, list) or (n is not None and len(r) != n) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in r
-        ):
-            _err(diags, f"{path}/{i}/r", f"multi-index must be a list of {n} integers")
-
-
-def _check_matrix_payload(diags, payload, n, path, expect_q=None):
-    if not isinstance(payload, dict) or "q" not in payload or "entries" not in payload:
-        _err(diags, path, "matrix must be an object with fields q, entries")
-        return None
-    q = payload["q"]
-    if not isinstance(q, int) or isinstance(q, bool) or q < 1:
-        _err(diags, f"{path}/q", "q must be a positive integer")
-        return None
-    if expect_q is not None and q != expect_q:
-        _err(diags, f"{path}/q", f"q must equal {expect_q}")
-    entries = payload["entries"]
-    if not isinstance(entries, list) or len(entries) != q * q:
-        _err(diags, f"{path}/entries", f"expected {q * q} row-major element payloads")
-        return None
-    for i, e in enumerate(entries):
-        _check_element_payload(diags, e, n, f"{path}/entries/{i}")
-    return q
-
-
-def _check_connection_block(diags, obj, n, q, path):
-    if not isinstance(obj, dict):
-        _err(diags, path, "connection must be an object with field A or random")
-        return
-    has_a = "A" in obj
-    has_random = "random" in obj
-    if has_a == has_random:
-        _err(diags, path, "connection must carry exactly one of A, random")
-        return
-    if has_a:
-        a = obj["A"]
-        if not isinstance(a, list) or (n is not None and len(a) != n):
-            _err(diags, f"{path}/A", f"expected {n} potential matrices")
-            return
-        for j, m in enumerate(a):
-            _check_matrix_payload(diags, m, n, f"{path}/A/{j}", expect_q=q)
-    else:
-        r = obj["random"]
-        if not isinstance(r, dict):
-            _err(diags, f"{path}/random", "random must be an object")
-            return
-        if "seed" not in r or not isinstance(r["seed"], int) or isinstance(r["seed"], bool):
-            _err(diags, f"{path}/random/seed", "random payload requires an explicit integer seed")
-        radius = r.get("radius", 2)
-        if not isinstance(radius, int) or isinstance(radius, bool) or radius < 0:
-            _err(diags, f"{path}/random/radius", "radius must be a nonnegative integer")
-        amp = r.get("amplitude", 0.1)
-        if not isinstance(amp, (int, float)) or isinstance(amp, bool) or amp <= 0:
-            _err(diags, f"{path}/random/amplitude", "amplitude must be positive")
-
-
-def _check_positive_number(diags, obj, key, path, default_ok=True):
-    if key not in obj:
-        if not default_ok:
-            _err(diags, f"{path}/{key}", "missing required positive number")
-        return
-    v = obj[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or v <= 0:
-        _err(diags, f"{path}/{key}", "must be a positive number")
-
-
-def _check_seed(diags, obj, path, required=False):
-    if "seed" not in obj:
-        if required:
-            _err(diags, f"{path}/seed", "explicit integer seed required")
-        return
-    if not isinstance(obj["seed"], int) or isinstance(obj["seed"], bool):
-        _err(diags, f"{path}/seed", "seed must be an integer")
-
-
-def _check_triple_ref(diags, obj, path):
-    if not isinstance(obj, dict):
-        _err(diags, path, "triple reference must be an object")
-        return
-    keys = [k for k in ("path", "payload", "case", "trivial") if k in obj]
-    if len(keys) != 1:
-        _err(diags, path, "exactly one of path, payload, case, trivial required")
-        return
-    if "path" in obj and not isinstance(obj["path"], str):
-        _err(diags, f"{path}/path", "path must be a string")
-    if "case" in obj:
-        case = obj["case"]
-        if not isinstance(case, dict):
-            _err(diags, f"{path}/case", "case must be an object with p, q, mu")
-            return
-        p = case.get("p")
-        q = case.get("q")
-        if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-            _err(diags, f"{path}/case/p", "p must be a positive integer")
-        if not isinstance(q, int) or isinstance(q, bool) or q < 1:
-            _err(diags, f"{path}/case/q", "q must be a positive integer")
-        mu = case.get("mu")
-        if not isinstance(mu, list) or (
-            isinstance(p, int) and isinstance(q, int) and len(mu) != p * q
-        ):
-            _err(diags, f"{path}/case/mu", "mu must be a row-major list of p*q [re, im] pairs")
-        elif not all(
-            isinstance(x, list) and len(x) == 2 and all(isinstance(v, (int, float)) for v in x)
-            for x in mu
-        ):
-            _err(diags, f"{path}/case/mu", "mu entries must be [re, im] number pairs")
-    if "payload" in obj and not isinstance(obj["payload"], dict):
-        _err(diags, f"{path}/payload", "inline triple payload must be an object")
-
-
-# -- kind-level validation ----------------------------------------------------
-
-
-def _validate_torus_common(diags, payload, path):
-    theta = _check_theta(diags, payload.get("theta"), f"{path}/theta")
-    n = theta[0] if theta else None
-    q = payload.get("q")
-    if not isinstance(q, int) or isinstance(q, bool) or q < 1:
-        _err(diags, f"{path}/q", "q must be a positive integer")
-        q = None
-    if "connection" not in payload:
-        _err(diags, f"{path}/connection", "missing connection block")
-    else:
-        _check_connection_block(diags, payload["connection"], n, q, f"{path}/connection")
-    if "proj" in payload and payload["proj"] is not None:
-        _check_matrix_payload(diags, payload["proj"], n, f"{path}/proj", expect_q=q)
-    _check_seed(diags, payload, path)
-    if "samples" in payload:
-        v = payload["samples"]
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            _err(diags, f"{path}/samples", "samples must be a positive integer")
-    tols = payload.get("tolerances")
-    if tols is not None:
-        if not isinstance(tols, dict):
-            _err(diags, f"{path}/tolerances", "tolerances must be an object")
-        else:
-            for key in tols:
-                _check_positive_number(diags, tols, key, f"{path}/tolerances")
-
-
-def _validate_payload(diags, kind, payload, path="/payload"):
-    if kind in ("torus_ym", "torus_minimize"):
-        _validate_torus_common(diags, payload, path)
-        if kind == "torus_minimize":
-            if "max_iters" in payload:
-                v = payload["max_iters"]
-                if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                    _err(diags, f"{path}/max_iters", "max_iters must be a positive integer")
-            for key in ("grad_tol", "armijo", "shrink", "initial_step"):
-                _check_positive_number(diags, payload, key, path)
-    elif kind == "torus_product":
-        for side, tkey, qkey, ckey in (
-            ("1", "theta", "q1", "connection1"),
-            ("2", "phi", "q2", "connection2"),
-        ):
-            theta = _check_theta(diags, payload.get(tkey), f"{path}/{tkey}")
-            n = theta[0] if theta else None
-            q = payload.get(qkey)
-            if not isinstance(q, int) or isinstance(q, bool) or q < 1:
-                _err(diags, f"{path}/{qkey}", "rank must be a positive integer")
-                q = None
-            if ckey not in payload:
-                _err(diags, f"{path}/{ckey}", "missing connection block")
-            else:
-                _check_connection_block(diags, payload[ckey], n, q, f"{path}/{ckey}")
-        _check_seed(diags, payload, path)
-        _check_positive_number(diags, payload, "tol", path)
-    elif kind == "finite_forms":
-        keys = [k for k in ("triple", "case") if k in payload]
-        if len(keys) != 1:
-            _err(diags, path, "exactly one of triple, case required")
-        elif "triple" in payload:
-            _check_triple_ref(diags, payload["triple"], f"{path}/triple")
-        else:
-            _check_triple_ref(diags, {"case": payload["case"]}, path)
-    elif kind == "finite_product":
-        for key in ("t1", "t2"):
-            if key not in payload:
-                _err(diags, f"{path}/{key}", "missing triple reference")
-            else:
-                _check_triple_ref(diags, payload[key], f"{path}/{key}")
-        _check_seed(diags, payload, path, required=True)
-        if "samples" in payload:
-            v = payload["samples"]
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                _err(diags, f"{path}/samples", "samples must be a positive integer")
-    elif kind == "constants":
-        n = payload.get("n")
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            _err(diags, f"{path}/n", "n must be a positive integer")
-        gamma = payload.get("gamma")
-        if gamma is not None:
-            if not isinstance(gamma, dict):
-                _err(diags, f"{path}/gamma", "gamma must be an object")
-            else:
-                _check_positive_number(diags, gamma, "k", f"{path}/gamma", default_ok=False)
-                _check_positive_number(diags, gamma, "l", f"{path}/gamma", default_ok=False)
-                for key in ("m", "n"):
-                    v = gamma.get(key)
-                    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                        _err(diags, f"{path}/gamma/{key}", "rank must be a positive integer")
-                for key in ("tr_d1", "tr_d2"):
-                    v = gamma.get(key)
-                    if not isinstance(v, (int, float)) or isinstance(v, bool):
-                        _err(diags, f"{path}/gamma/{key}", "must be a number")
-
-
-def validate_obj(obj) -> list[Diagnostic]:
-    diags: list[Diagnostic] = []
-    if not isinstance(obj, dict):
-        _err(diags, "", "config must be a JSON object")
-        return diags
-    kind = obj.get("kind")
-    if kind not in KINDS:
-        _err(diags, "/kind", f"kind must be one of {', '.join(KINDS)}")
-        return diags
-    if "output_path" in obj and obj["output_path"] is not None and not isinstance(obj["output_path"], str):
-        _err(diags, "/output_path", "output_path must be a string")
-    payload = obj.get("payload")
-    if not isinstance(payload, dict):
-        _err(diags, "/payload", "missing payload object")
-        return diags
-    _validate_payload(diags, kind, payload)
-    return diags
-
-
-def validate(config_text: str) -> list[Diagnostic]:
-    """Diagnostics for a config document; empty iff it parses and validates."""
+def load(config_text: str) -> dict:
+    """The JSON object of a config document; ``ConfigInvalid`` if it is none."""
     try:
-        obj = json.loads(config_text)
+        doc = json.loads(config_text)
     except json.JSONDecodeError as exc:
-        return [Diagnostic("error", "", f"not valid JSON: {exc}")]
-    return validate_obj(obj)
+        raise ConfigInvalid([Diagnostic("error", "", f"not valid JSON: {exc}")]) from None
+    if not isinstance(doc, dict):
+        raise ConfigInvalid([Diagnostic("error", "", "config must be a JSON object")])
+    return doc
+
+
+def from_document(doc: dict) -> ExperimentConfig:
+    """The experiment of a loaded document, whose other top-level keys are unknown fields."""
+    known = ("kind", "payload", "output_path")
+    diags = [Diagnostic("error", f"/{key}", "unknown field") for key in doc if key not in known]
+    try:
+        config = ExperimentConfig(doc.get("kind"), doc.get("payload"), doc.get("output_path"))
+    except ConfigInvalid as exc:
+        diags += exc.diagnostics
+    if diags:
+        raise ConfigInvalid(diags)
+    return config
 
 
 def parse(config_text: str) -> ExperimentConfig:
-    diags = validate(config_text)
-    if diags:
-        raise ConfigInvalid(diags)
-    obj = json.loads(config_text)
-    return ExperimentConfig(obj["kind"], obj["payload"], obj.get("output_path"))
+    return from_document(load(config_text))
+
+
+def validate(config_text: str) -> list[Diagnostic]:
+    """Diagnostics for a config document; empty iff ``parse`` accepts it."""
+    try:
+        parse(config_text)
+    except ConfigInvalid as exc:
+        return exc.diagnostics
+    return []

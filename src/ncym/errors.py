@@ -50,7 +50,7 @@ class ZeroMu(NcymError):
 
 
 class ConfigInvalid(NcymError):
-    """Experiment config failed schema or invariant validation."""
+    """Experiment config failed validation; carries every path-addressed diagnostic."""
 
     def __init__(self, diagnostics):
         self.diagnostics = list(diagnostics)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from ncym import cli, config as cfg
 from ncym import matrix_case_triple
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 def write(tmp_path, name, obj):
     path = tmp_path / name
@@ -222,3 +224,218 @@ def test_seed_override(tmp_path):
     d2 = json.loads((tmp_path / "s2.json").read_text())
     assert d1["config"]["payload"]["seed"] == 11
     assert d2["config"]["payload"]["seed"] == 12
+
+
+def torus_minimize_config(**overrides):
+    payload = {
+        "theta": {"n": 2, "entries": [0.0, 0.3, -0.3, 0.0]},
+        "q": 1,
+        "connection": {"random": {"seed": 3, "radius": 1, "amplitude": 0.05, "terms": 2}},
+    }
+    payload.update(overrides)
+    return {"kind": "torus_minimize", "payload": payload}
+
+
+def finite_product_config(**overrides):
+    payload = {
+        "t1": {"case": {"p": 1, "q": 1, "mu": [[1.0, 0.0]]}},
+        "t2": {"trivial": True},
+        "seed": 5,
+    }
+    payload.update(overrides)
+    return {"kind": "finite_product", "payload": payload}
+
+
+def explicit_potential(record):
+    """A torus_ym connection whose first potential has the single term ``record``."""
+    return {"A": [{"q": 1, "entries": [[record]]}, {"q": 1, "entries": [[]]}]}
+
+
+def run_and_capture(tmp_path, capsys, conf, *extra):
+    """Exit code and stderr lines of ``ncym run`` on conf; asserts no report was written."""
+    out = tmp_path / "rep.json"
+    code = cli.main(["run", write(tmp_path, "conf.json", conf), "--output", str(out), *extra])
+    assert not out.exists()
+    return code, capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize(
+    "conf, path",
+    [
+        (
+            torus_ym_config(connection={"random": {"seed": 7, "amplitude": math.inf}}),
+            "/payload/connection/random/amplitude",
+        ),
+        (
+            {
+                "kind": "constants",
+                "payload": {
+                    "n": 2,
+                    "gamma": {"k": 2, "l": 2, "m": 1, "n": 1, "tr_d1": math.nan, "tr_d2": 1},
+                },
+            },
+            "/payload/gamma/tr_d1",
+        ),
+        (torus_ym_config(tolerances={"compat": math.inf}), "/payload/tolerances/compat"),
+        # an integer past the float range: float() of it would overflow
+        (
+            torus_ym_config(connection={"random": {"seed": 7, "amplitude": 10**400}}),
+            "/payload/connection/random/amplitude",
+        ),
+        (torus_minimize_config(grad_tol=math.nan), "/payload/grad_tol"),
+        (
+            torus_ym_config(
+                connection=explicit_potential({"r": [1, 0], "re": 0.5, "im": -math.inf})
+            ),
+            "/payload/connection/A/0/entries/0/0/im",
+        ),
+        (
+            {
+                "kind": "finite_forms",
+                "payload": {"case": {"p": 1, "q": 1, "mu": [[math.nan, 0.0]]}},
+            },
+            "/payload/case/mu/0/0",
+        ),
+    ],
+    ids=["amplitude", "gamma", "tolerance", "huge-int", "grad_tol", "element", "mu"],
+)
+def test_nonfinite_numbers_rejected(tmp_path, capsys, conf, path):
+    assert [d.path for d in cfg.validate(json.dumps(conf))] == [path]
+    code, err = run_and_capture(tmp_path, capsys, conf)
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: must be a finite number")
+
+
+@pytest.mark.parametrize(
+    "conf, extra, path",
+    [
+        (
+            torus_ym_config(connection={"random": {"seed": 7, "terms": 0}}),
+            [],
+            "/payload/connection/random/terms",
+        ),
+        (
+            torus_ym_config(connection={"random": {"seed": 7, "terms": -2}}),
+            [],
+            "/payload/connection/random/terms",
+        ),
+        (torus_minimize_config(precondition="no"), [], "/payload/precondition"),
+        (torus_minimize_config(shrink=1.0), [], "/payload/shrink"),
+        (finite_product_config(auto_double="yes"), [], "/payload/auto_double"),
+        (finite_product_config(t2={"trivial": False}), [], "/payload/t2/trivial"),
+        (finite_product_config(t2={"trivial": 1}), [], "/payload/t2/trivial"),
+        (
+            {"kind": "finite_forms", "payload": {"case": {"p": 1, "q": 1, "mu": [[True, False]]}}},
+            [],
+            "/payload/case/mu/0/0",
+        ),
+        (
+            {
+                "kind": "torus_product",
+                "payload": {
+                    "theta": {"n": 2, "entries": [0.0, 0.3, -0.3, 0.0]},
+                    "q1": 1,
+                    "connection1": {"random": {"seed": 1}},
+                    "phi": {"n": 2, "entries": [0.0, -0.2, 0.2, 0.0]},
+                    "q2": 1,
+                    "connection2": {"random": {"seed": 2}},
+                    "samples": 0,
+                },
+            },
+            [],
+            "/payload/samples",
+        ),
+        (torus_minimize_config(max_iter=1), [], "/payload/max_iter"),
+        (torus_ym_config(tolerances={"compat": 1e-10, "rel": 1e-3}), [], "/payload/tolerances/rel"),
+        (dict(torus_ym_config(), outputpath="rep.json"), [], "/outputpath"),
+        (torus_minimize_config(), ["--seed", "3"], "/payload/seed"),
+        (
+            torus_ym_config(connection=explicit_potential({"r": [1, 0], "re": "x", "im": 0.0})),
+            [],
+            "/payload/connection/A/0/entries/0/0/re",
+        ),
+        (
+            torus_ym_config(connection=explicit_potential({"r": [1, 0], "re": None, "im": 0.0})),
+            [],
+            "/payload/connection/A/0/entries/0/0/re",
+        ),
+    ],
+    ids=[
+        "terms-0",
+        "terms-negative",
+        "precondition-string",
+        "shrink-1",
+        "auto_double-string",
+        "trivial-false",
+        "trivial-int",
+        "mu-booleans",
+        "product-samples-0",
+        "unknown-payload-key",
+        "unknown-tolerance-key",
+        "unknown-top-level-key",
+        "seed-override-without-payload-seed",
+        "element-re-string",
+        "element-re-null",
+    ],
+)
+def test_misread_fields_rejected(tmp_path, capsys, conf, extra, path):
+    code, err = run_and_capture(tmp_path, capsys, conf, *extra)
+    assert code == 1
+    assert err and all(line.startswith("error: /") for line in err)
+    assert err[0].startswith(f"error: {path}: ")
+
+
+def test_validate_collects_every_diagnostic():
+    conf = torus_minimize_config(
+        connection={"random": {"seed": -1, "terms": 0}}, precondition="no", max_iter=1
+    )
+    paths = sorted(d.path for d in cfg.validate(json.dumps(conf)))
+    assert paths == [
+        "/payload/connection/random/seed",
+        "/payload/connection/random/terms",
+        "/payload/max_iter",
+        "/payload/precondition",
+    ]
+
+
+def test_unknown_log_level_is_an_input_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("NCYM_LOG", "verbose")
+    code, err = run_and_capture(tmp_path, capsys, torus_ym_config())
+    assert code == 1
+    assert len(err) == 1 and "NCYM_LOG" in err[0]
+
+
+@pytest.mark.parametrize(
+    "conf, message",
+    [
+        # coefficients of 1e200 overflow the curvature: the report would carry NaN
+        (
+            torus_ym_config(connection={"random": {"seed": 7, "amplitude": 1e200}}),
+            "error: report not written",
+        ),
+        (
+            {
+                "kind": "constants",
+                "payload": {
+                    "n": 2,
+                    "gamma": {"k": 1e3, "l": 2, "m": 1, "n": 1, "tr_d1": 1, "tr_d2": 1},
+                },
+            },
+            "error: OverflowError",
+        ),
+    ],
+    ids=["nan-report", "overflow"],
+)
+def test_nonfinite_results_exit_1(tmp_path, capsys, conf, message):
+    assert cfg.validate(json.dumps(conf)) == []
+    code, err = run_and_capture(tmp_path, capsys, conf)
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith(message)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+def test_sample_configs(path):
+    text = path.read_text()
+    assert cfg.validate(text) == []
+    report = cli.run(cfg.parse(text))
+    assert report["checks"] and all(v is True for v in report["checks"].values())
