@@ -40,12 +40,11 @@ def _connection(m: cfg.TorusModule) -> ym.Connection:
 def _triple(ref: cfg.TripleRef) -> finite.FiniteTriple:
     if ref.case is not None:
         return finite.matrix_case_triple(*ref.case)
+    matrices = ref.payload
     if ref.path is not None:
         with open(ref.path, "r") as fh:
-            return finite.FiniteTriple.from_payload(json.load(fh))
-    if ref.payload is not None:
-        return finite.FiniteTriple.from_payload(ref.payload)
-    return finite.trivial_triple()
+            matrices = cfg.read_triple(json.load(fh), ref.path)
+    return finite.trivial_triple() if matrices is None else finite.FiniteTriple(**vars(matrices))
 
 
 def _run_torus_ym(spec: cfg.TorusYm):
@@ -110,21 +109,11 @@ def _run_finite_product(spec: cfg.FiniteProduct):
     t1, t2 = _triple(spec.t1), _triple(spec.t2)
     if t1.gamma is None and spec.auto_double:
         t1 = finite.double_odd(t1)
-    dec = finite.decomposition_check(t1, t2)
-    hyp = finite.hypothesis_check(t1, t2)
-    orth = finite.orthogonality_check(t1, t2, spec.samples, spec.seed)
-    results = {"decomposition_dims": dec.dims, "hypothesis_dims": hyp.dims}
+    rep = finite.product_check(t1, t2, spec.samples, spec.seed)
+    results = {"decomposition_dims": rep.decomposition_dims, "hypothesis_dims": rep.hypothesis_dims}
     if t1.gamma is not None and t2.gamma is not None:
         results["unitary_equivalence_defect"] = finite.unitary_equivalence_defect(t1, t2)
-    checks = {
-        "omega1_ok": dec.omega1_ok,
-        "numerator_ok": dec.numerator_ok,
-        "denominator_ok": dec.denominator_ok,
-        "intersection_zero": dec.intersection_zero,
-        "hypothesis_holds": hyp.holds,
-        "orthogonality": orth,
-    }
-    return results, checks, {"rank_tol": finite.RANK_TOL, "contain_tol": finite.CONTAIN_TOL}
+    return results, rep.checks, {"rank_tol": finite.RANK_TOL, "contain_tol": finite.CONTAIN_TOL}
 
 
 def _run_constants(spec: cfg.Constants):

@@ -86,10 +86,18 @@ class _Node:
         value = self.read(key, lambda v: isinstance(v, dict) or v is default, "an object", default)
         return None if value is None else _Node(value, f"{self.path}/{key}", self.diags, self.nodes)
 
-    def items(self, key, read, length=None):
-        """``read(node, i)`` for each item of the list at key; None if it or any item is bad."""
+    def items(self, key, read, length=None, optional=False):
+        """``read(node, i)`` for each item of the list at key; None if it or any item is bad.
+
+        An optional list may be absent or null, read as None.
+        """
+        default = None if optional else _REQUIRED
         want = "a list" if length is None else f"a list of {length} items"
-        value = self.read(key, lambda v: isinstance(v, list) and length in (None, len(v)), want)
+
+        def ok(v):
+            return v is default or isinstance(v, list) and length in (None, len(v))
+
+        value = self.read(key, ok, want, default)
         if value is None:
             return None
         node = _Node(value, f"{self.path}/{key}", self.diags, self.nodes)
@@ -175,12 +183,22 @@ class TorusProduct:
 
 
 @dataclass(frozen=True)
+class TripleMatrices:
+    """The arguments of ``finite.FiniteTriple``, each matrix a tuple of complex rows."""
+
+    dim_h: int
+    algebra_basis: tuple
+    D: tuple
+    gamma: tuple | None
+
+
+@dataclass(frozen=True)
 class TripleRef:
     """Where a finite triple comes from: at most one field set, none for the trivial triple."""
 
     case: tuple | None = None  # the (p, q, mu) of finite.matrix_case_triple, mu row-major
-    path: str | None = None
-    payload: dict | None = None
+    path: str | None = None  # a file holding a triple payload, read by read_triple at run time
+    payload: TripleMatrices | None = None
 
 
 @dataclass(frozen=True)
@@ -276,15 +294,36 @@ def _module(node, theta_key, q_key, connection_key, proj_key=None) -> TorusModul
     return TorusModule(theta, q, connection, proj)
 
 
+def _pairs(parent, key, length, optional=False):
+    """A list of ``length`` finite ``[re, im]`` pairs, as a tuple of complex."""
+    pairs = parent.items(key, lambda seq, i: seq.items(i, _Node.number, 2), length, optional)
+    return None if pairs is None else tuple(complex(re, im) for re, im in pairs)
+
+
 def _case(parent, key):
     """``{p, q, mu}``, mu a row-major list of p*q [re, im] pairs."""
     node = parent.object(key)
     if node is None:
         return None
     p, q = node.int("p", lo=1), node.int("q", lo=1)
-    length = None if p is None or q is None else p * q
-    mu = node.items("mu", lambda seq, i: seq.items(i, _Node.number, 2), length)
-    return None if mu is None else (p, q, tuple(complex(re, im) for re, im in mu))
+    mu = _pairs(node, "mu", None if p is None or q is None else p * q)
+    return None if mu is None else (p, q, mu)
+
+
+def _triple_matrices(node) -> TripleMatrices:
+    """``{dim_h, algebra_basis, D, gamma}``, each matrix dim_h^2 row-major [re, im] pairs.
+
+    ``gamma`` may be absent or null (an odd triple).
+    """
+    d = node.int("dim_h", lo=1)
+
+    def matrix(parent, key, optional=False):
+        flat = _pairs(parent, key, d and d * d, optional)
+        return None if flat is None or d is None else tuple(flat[i * d : (i + 1) * d] for i in range(d))
+
+    basis = node.items("algebra_basis", matrix)
+    basis = None if basis is None else tuple(basis)
+    return TripleMatrices(d, basis, matrix(node, "D"), matrix(node, "gamma", optional=True))
 
 
 def _triple(parent, key):
@@ -296,7 +335,8 @@ def _triple(parent, key):
     if which == "path":
         return TripleRef(path=node.read("path", lambda v: isinstance(v, str), "a string"))
     if which == "payload":
-        return TripleRef(payload=node.read("payload", lambda v: isinstance(v, dict), "an object"))
+        payload = node.object("payload")
+        return TripleRef(payload=None if payload is None else _triple_matrices(payload))
     if which == "trivial":
         node.read("trivial", lambda v: v is True, "true")
     return TripleRef()
@@ -342,13 +382,10 @@ _READERS = {
 KINDS = tuple(_READERS)
 
 
-def _read_spec(kind, payload, output_path):
+def _read(obj: dict, path: str, reader):
+    """``reader`` of the object at ``path``; ``ConfigInvalid`` if a field is bad or unknown."""
     diags, nodes = [], []
-    root = _Node({"kind": kind, "payload": payload, "output_path": output_path}, "", diags, nodes)
-    kind = root.read("kind", lambda v: v in KINDS, f"one of {', '.join(KINDS)}")
-    root.read("output_path", lambda v: v is None or isinstance(v, str), "a string")
-    payload = root.object("payload")
-    spec = None if kind is None or payload is None else _READERS[kind](payload)
+    result = reader(_Node(obj, path, diags, nodes))
     for node in nodes:
         if isinstance(node.value, dict):
             for key in node.value:
@@ -356,7 +393,21 @@ def _read_spec(kind, payload, output_path):
                     node.error("unknown field", key)
     if diags:
         raise ConfigInvalid(diags)
-    return spec
+    return result
+
+
+def _experiment(root):
+    kind = root.read("kind", lambda v: v in KINDS, f"one of {', '.join(KINDS)}")
+    root.read("output_path", lambda v: v is None or isinstance(v, str), "a string")
+    payload = root.object("payload")
+    return None if kind is None or payload is None else _READERS[kind](payload)
+
+
+def read_triple(doc, source: str) -> TripleMatrices:
+    """The triple payload ``doc`` read from the file ``source``; diagnostics at ``<source>:/...``."""
+    if not isinstance(doc, dict):
+        raise ConfigInvalid([Diagnostic("error", source, "must be an object")])
+    return _read(doc, f"{source}:", _triple_matrices)
 
 
 @dataclass
@@ -369,7 +420,8 @@ class ExperimentConfig:
     spec: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.spec = _read_spec(self.kind, self.payload, self.output_path)
+        doc = {"kind": self.kind, "payload": self.payload, "output_path": self.output_path}
+        self.spec = _read(doc, "", _experiment)
 
 
 def load(config_text: str) -> dict:

@@ -5,8 +5,22 @@ Computes the degree-1 and degree-2 form spaces
     pi(Omega^2) = span{a [D, b] [D, c]},
     junk = span{ sum [D, b_j][D, c_j] : sum b_j [D, c_j] = 0 },
 their dimensions and the quotient Omega^2 = pi(Omega^2) / junk, as well as
-product triples D = D1 (x) 1 + gamma1 (x) D2 and the decomposition /
-hypothesis / orthogonality checks for them.
+product triples D = D1 (x) 1 + gamma1 (x) D2 and one pass of the
+decomposition / hypothesis / orthogonality checks for them (``product_check``).
+
+The junk is one projection. Over the pairs (b_i, c_j) of algebra basis
+elements stack the rows R = vec(b_i [D, c_j]) and P = vec([D, b_i][D, c_j]).
+A relation is a row vector z over the pairs with z R = 0, that is z U = 0 for
+U an orthonormal basis of the column space of R; these z are the row space of
+1 - U U*, so
+
+    junk = row space of P - U (U* P).
+
+In terms of the relation map m: (b, c) -> b [D, c], m = R^T, U = V^T for V
+its leading rank right singular vectors, and the junk is the row space of
+P - V^T (conj(V) P). The nonzero singular values of P - U (U* P) equal those
+of (kernel basis of m) P, so the rank cut against the largest product norm
+is the one the kernel images would get.
 
 All subspaces live in the dim_h^2-dimensional operator space with the
 Frobenius inner product; ranks are decided by SVD with relative threshold
@@ -26,6 +40,8 @@ from .errors import AlreadyEven, InvalidTriple, MissingGrading, ZeroMu
 RANK_TOL = 1e-10
 CONTAIN_TOL = 1e-9
 STRUCT_TOL = 1e-12
+#: bound on |Trace(xi* eta)| for unit xi, eta in the sampled orthogonality check
+ORTH_TOL = 1e-10
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -162,18 +178,11 @@ class FiniteTriple:
                 if np.linalg.norm(g @ a - a @ g) > STRUCT_TOL * max(1.0, np.linalg.norm(a)):
                     raise InvalidTriple("gamma does not commute with the algebra")
 
-    # -- serialization: matrices as row-major [re, im] pair arrays --------
+    # -- serialization: matrices as row-major [re, im] pairs (``config.read_triple``) --
 
     @staticmethod
     def _matrix_payload(m: np.ndarray):
         return [[float(v.real), float(v.imag)] for v in m.reshape(-1)]
-
-    @staticmethod
-    def _matrix_from_payload(payload, d: int) -> np.ndarray:
-        flat = np.array([complex(re, im) for re, im in payload])
-        if flat.size != d * d:
-            raise InvalidTriple("matrix payload has wrong length")
-        return flat.reshape(d, d)
 
     def to_payload(self) -> dict:
         payload = {
@@ -184,16 +193,6 @@ class FiniteTriple:
         if self.gamma is not None:
             payload["gamma"] = self._matrix_payload(self.gamma)
         return payload
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "FiniteTriple":
-        d = int(payload["dim_h"])
-        basis = [cls._matrix_from_payload(a, d) for a in payload["algebra_basis"]]
-        dmat = cls._matrix_from_payload(payload["D"], d)
-        gamma = payload.get("gamma")
-        if gamma is not None:
-            gamma = cls._matrix_from_payload(gamma, d)
-        return cls(d, basis, dmat, gamma)
 
 
 # -- fixtures ---------------------------------------------------------------
@@ -276,37 +275,29 @@ def pi_omega2_space(t: FiniteTriple) -> OperatorSubspace:
 
 
 def junk_space(t: FiniteTriple) -> OperatorSubspace:
-    """Images [D,b][D,c] of the relations sum b [D, c] = 0.
+    """Images [D,b][D,c] of the relations sum b [D, c] = 0: the row space of P - U (U* P).
 
-    Assembles the linear map (b, c) -> b [D, c] on basis pairs, extracts its
-    kernel by SVD thresholding, and pushes each kernel vector through
-    (b, c) -> [D, b] [D, c].
+    R, P and U as in the module docstring, one row per basis pair (b_i, c_j).
     """
-    basis = t.algebra_basis
-    coms = _commutators(t)
-    nb = len(basis)
-    rows = [(b @ dc).reshape(-1) for b in basis for dc in coms]
-    m = np.array(rows, dtype=complex).T  # (d^2, nb^2): x -> sum x_ij vec(b_i [D,c_j])
-    _, sv, vh = np.linalg.svd(m, full_matrices=True)
-    smax = sv[0] if sv.size else 0.0
-    rank = int(np.sum(sv > RANK_TOL * smax)) if sv.size else 0
-    kernel = vh[rank:].conj()  # rows x satisfy m @ x = 0
-    products = [[coms[i] @ coms[j] for j in range(nb)] for i in range(nb)]
-    images = []
-    for x in kernel:
-        acc = np.zeros((t.dim_h, t.dim_h), dtype=complex)
-        for idx, coeff in enumerate(x):
-            if coeff == 0:
-                continue
-            i, j = divmod(idx, nb)
-            acc += coeff * products[i][j]
-        images.append(acc)
+    dd = t.dim_h * t.dim_h
+    basis = np.array(t.algebra_basis)
+    coms = np.array(_commutators(t))
+    rel = (basis[:, None] @ coms[None, :]).reshape(-1, dd)
+    prods = (coms[:, None] @ coms[None, :]).reshape(-1, dd)
+    u, sv, _ = np.linalg.svd(rel, full_matrices=False)
+    u = u[:, : int(np.sum(sv > RANK_TOL * sv[0]))]
+    images = prods - u @ (u.conj().T @ prods)
     # cancellation sets the noise floor: rank cut against the raw product size
-    scale = max((float(np.linalg.norm(p)) for row in products for p in row), default=0.0)
-    basis_rows = _orthonormal_rows([im.reshape(-1) for im in images], scale=scale)
-    if basis_rows.shape[0] == 0:
-        return OperatorSubspace(t.dim_h * t.dim_h, basis_rows.reshape(0, t.dim_h * t.dim_h))
-    return OperatorSubspace(t.dim_h * t.dim_h, basis_rows)
+    scale = float(np.linalg.norm(prods, axis=1).max())
+    return OperatorSubspace(dd, _orthonormal_rows(images, scale=scale))
+
+
+def _forms(t: FiniteTriple):
+    """Omega^1, pi(Omega^2) and junk of t; ``InvalidTriple`` if the junk escapes pi(Omega^2)."""
+    omega1, pi2, junk = omega1_space(t), pi_omega2_space(t), junk_space(t)
+    if not contains_subspace(pi2, junk):
+        raise InvalidTriple("junk space escaped pi(Omega^2); rank tolerances inconsistent")
+    return omega1, pi2, junk
 
 
 @dataclass
@@ -335,11 +326,7 @@ def form_report(t: FiniteTriple) -> FormReport:
     The projector acts on pi(Omega^2) coordinates (in its orthonormal basis)
     and projects onto the orthogonal complement of the junk.
     """
-    omega1 = omega1_space(t)
-    pi2 = pi_omega2_space(t)
-    junk = junk_space(t)
-    if not contains_subspace(pi2, junk):
-        raise InvalidTriple("junk space escaped pi(Omega^2); rank tolerances inconsistent")
+    omega1, pi2, junk = _forms(t)
     d2 = pi2.dim
     if junk.dim:
         coords = pi2.basis.conj() @ junk.basis.T  # (d2, dim_junk)
@@ -455,23 +442,17 @@ def unitary_equivalence_defect(t1: FiniteTriple, t2: FiniteTriple) -> float:
 # -- product decomposition checks ---------------------------------------------
 
 
-def _embedded_legs(t1: FiniteTriple, t2: FiniteTriple):
+def _embedded_legs(t1: FiniteTriple, t2: FiniteTriple, forms1, forms2):
     """Embedded span generators for the product form decompositions.
 
-    The gamma1 twist sits where the product Leibniz rule puts it:
-    second-slot 1-forms ride with gamma1 on the first slot.
+    ``forms1``, ``forms2`` are the factors' (Omega^1, pi(Omega^2), junk). The
+    gamma1 twist sits where the product Leibniz rule puts it: second-slot
+    1-forms ride with gamma1 on the first slot.
     """
-    if t1.gamma is None:
-        raise MissingGrading("first factor must be even for the decomposition checks")
-    d1, d2 = t1.dim_h, t2.dim_h
-    o1_1 = omega1_space(t1).matrices(d1)
-    o1_2 = omega1_space(t2).matrices(d2)
-    p2_1 = pi_omega2_space(t1).matrices(d1)
-    p2_2 = pi_omega2_space(t2).matrices(d2)
-    j_1 = junk_space(t1).matrices(d1)
-    j_2 = junk_space(t2).matrices(d2)
+    o1_1, p2_1, j_1 = (s.matrices(t1.dim_h) for s in forms1)
+    o1_2, p2_2, j_2 = (s.matrices(t2.dim_h) for s in forms2)
     g1 = t1.gamma
-    legs = {
+    return {
         "omega1_first": [np.kron(w, b) for w in o1_1 for b in t2.algebra_basis],
         "omega1_second": [np.kron(g1 @ a, w) for a in t1.algebra_basis for w in o1_2],
         "pi2_first": [np.kron(v, b) for v in p2_1 for b in t2.algebra_basis],
@@ -480,144 +461,102 @@ def _embedded_legs(t1: FiniteTriple, t2: FiniteTriple):
         "junk_first": [np.kron(jm, b) for jm in j_1 for b in t2.algebra_basis],
         "junk_second": [np.kron(a, jm) for a in t1.algebra_basis for jm in j_2],
     }
-    return legs
 
 
 @dataclass
-class DecompositionReport:
-    omega1_ok: bool
-    numerator_ok: bool
-    denominator_ok: bool
-    intersection_zero: bool
-    dims: dict
+class ProductReport:
+    """The six verdicts of ``product_check`` and the dimensions behind them."""
 
-    def all_ok(self) -> bool:
-        return self.omega1_ok and self.numerator_ok and self.denominator_ok and self.intersection_zero
+    checks: dict
+    decomposition_dims: dict
+    hypothesis_dims: dict
 
 
-def decomposition_check(t1: FiniteTriple, t2: FiniteTriple) -> DecompositionReport:
-    """Verify the product-triple form decompositions by explicit spans.
+def product_check(t1: FiniteTriple, t2: FiniteTriple, samples: int = 100, seed: int = 0) -> ProductReport:
+    """Decomposition, hypothesis and orthogonality checks of the product triple.
 
-    omega1_ok: Omega^1 of the product equals the direct sum of the embedded
-    factor legs; numerator_ok: pi(Omega^2) equals (pi2 legs sum) (+) the
-    twisted Omega^1 (x) Omega^1 leg; denominator_ok: the product junk equals
-    the sum of embedded factor junks; intersection_zero: junk meets the
-    Omega^1 (x) Omega^1 leg trivially.
+    The product, each factor's and the product's form spaces and the embedded
+    legs are built once. Checks:
+
+    - omega1_ok: Omega^1 of the product is the direct sum of the embedded
+      factor legs;
+    - numerator_ok: pi(Omega^2) is (pi2 legs sum) (+) the twisted
+      Omega^1 (x) Omega^1 leg;
+    - denominator_ok: the product junk is the sum of the embedded factor junks;
+    - intersection_zero: the junk meets the Omega^1 (x) Omega^1 leg trivially;
+    - hypothesis_holds: dim Omega^2(product) equals
+      dim((pi2 legs sum) / (junk legs sum)) + dim Omega^1_1 * dim Omega^1_2;
+    - orthogonality: Trace(xi* eta) = 0 for ``samples`` draws of xi from the
+      cross leg and eta from the pi2 legs; the trace/grading argument makes
+      the pairing vanish identically.
+
+    ``MissingGrading`` if t1 is odd; ``InvalidTriple`` if a junk space
+    escapes pi(Omega^2) or the junk legs escape the pi2 legs.
     """
     prod = product_triple(t1, t2, auto_double=False)
     dim = prod.dim_h
     amb = dim * dim
-    legs = _embedded_legs(t1, t2)
+    forms1, forms2 = _forms(t1), _forms(t2)
+    o1_prod, pi2_prod, junk_prod = _forms(prod)
+    legs = _embedded_legs(t1, t2, forms1, forms2)
 
-    o1_prod = omega1_space(prod)
-    leg1 = OperatorSubspace.span(legs["omega1_first"], dim)
-    leg2 = OperatorSubspace.span(legs["omega1_second"], dim)
+    def span(*names):
+        return OperatorSubspace.span([m for name in names for m in legs[name]], dim)
+
+    leg1, leg2 = span("omega1_first"), span("omega1_second")
     o1_sum = subspace_sum(amb, leg1, leg2)
-    omega1_ok = subspaces_equal(o1_prod, o1_sum) and o1_sum.dim == leg1.dim + leg2.dim
-
-    pi2_prod = pi_omega2_space(prod)
-    num_first = OperatorSubspace.span(legs["pi2_first"] + legs["pi2_second"], dim)
-    num_cross = OperatorSubspace.span(legs["one_one"], dim)
-    num_sum = subspace_sum(amb, num_first, num_cross)
-    numerator_ok = (
-        subspaces_equal(pi2_prod, num_sum)
-        and num_sum.dim == num_first.dim + num_cross.dim
-    )
-
-    junk_prod = junk_space(prod)
-    junk_sum = OperatorSubspace.span(legs["junk_first"] + legs["junk_second"], dim)
-    denominator_ok = subspaces_equal(junk_prod, junk_sum)
-
-    intersection_zero = intersection_dim(junk_prod, num_cross) == 0
-
-    dims = {
+    num_legs, cross = span("pi2_first", "pi2_second"), span("one_one")
+    num_sum = subspace_sum(amb, num_legs, cross)
+    junk_legs = span("junk_first", "junk_second")
+    if not contains_subspace(num_legs, junk_legs):
+        raise InvalidTriple("embedded junk legs escape the embedded pi(Omega^2) legs")
+    omega2 = pi2_prod.dim - junk_prod.dim
+    quotient = num_legs.dim - junk_legs.dim
+    d1, d2 = forms1[0].dim, forms2[0].dim
+    checks = {
+        "omega1_ok": subspaces_equal(o1_prod, o1_sum) and o1_sum.dim == leg1.dim + leg2.dim,
+        "numerator_ok": subspaces_equal(pi2_prod, num_sum) and num_sum.dim == num_legs.dim + cross.dim,
+        "denominator_ok": subspaces_equal(junk_prod, junk_legs),
+        "intersection_zero": intersection_dim(junk_prod, cross) == 0,
+        "hypothesis_holds": omega2 == quotient + d1 * d2,
+        "orthogonality": _orthogonal(cross, num_legs, samples, seed),
+    }
+    decomposition_dims = {
         "omega1_product": o1_prod.dim,
         "omega1_leg_first": leg1.dim,
         "omega1_leg_second": leg2.dim,
         "pi_omega2_product": pi2_prod.dim,
-        "pi_omega2_legs": num_first.dim,
-        "omega1_x_omega1": num_cross.dim,
+        "pi_omega2_legs": num_legs.dim,
+        "omega1_x_omega1": cross.dim,
         "junk_product": junk_prod.dim,
-        "junk_legs": junk_sum.dim,
+        "junk_legs": junk_legs.dim,
     }
-    return DecompositionReport(omega1_ok, numerator_ok, denominator_ok, intersection_zero, dims)
-
-
-@dataclass
-class HypothesisReport:
-    holds: bool
-    dims: dict
-
-
-def hypothesis_check(t1: FiniteTriple, t2: FiniteTriple) -> HypothesisReport:
-    """Dimension test of the two-form splitting for the product triple.
-
-    Compares dim Omega^2(product) against
-    dim( (pi2 legs sum) / (junk legs sum) ) + dim Omega^1_1 * dim Omega^1_2.
-    """
-    prod = product_triple(t1, t2, auto_double=False)
-    dim = prod.dim_h
-    amb = dim * dim
-    legs = _embedded_legs(t1, t2)
-    rep = form_report(prod)
-
-    num_first = OperatorSubspace.span(legs["pi2_first"] + legs["pi2_second"], dim)
-    junk_sum = OperatorSubspace.span(legs["junk_first"] + legs["junk_second"], dim)
-    if not contains_subspace(num_first, junk_sum):
-        raise InvalidTriple("embedded junk legs escape the embedded pi(Omega^2) legs")
-    quotient = num_first.dim - junk_sum.dim
-    d1 = omega1_space(t1).dim
-    d2 = omega1_space(t2).dim
-    cross = OperatorSubspace.span(legs["one_one"], dim)
-    rhs = quotient + d1 * d2
-    dims = {
-        "omega2_product": rep.dim_omega2,
-        "pi_omega2_product": rep.dim_pi_omega2,
-        "junk_product": rep.dim_junk,
-        "pi_omega2_legs": num_first.dim,
-        "junk_legs": junk_sum.dim,
+    hypothesis_dims = {
+        "omega2_product": omega2,
+        "pi_omega2_product": pi2_prod.dim,
+        "junk_product": junk_prod.dim,
+        "pi_omega2_legs": num_legs.dim,
+        "junk_legs": junk_legs.dim,
         "quotient_legs": quotient,
         "omega1_1": d1,
         "omega1_2": d2,
         "omega1_x_omega1": cross.dim,
-        "rhs": rhs,
+        "rhs": quotient + d1 * d2,
     }
-    return HypothesisReport(rep.dim_omega2 == rhs, dims)
+    return ProductReport(checks, decomposition_dims, hypothesis_dims)
 
 
-def orthogonality_check(
-    t1: FiniteTriple,
-    t2: FiniteTriple,
-    samples: int = 100,
-    seed: int = 0,
-    weight=None,
-    tol: float = 1e-10,
-) -> bool:
-    """Sampled orthogonality of the twisted Omega^1 (x) Omega^1 leg.
-
-    Draws xi from the gamma1-twisted cross leg and eta from the embedded
-    pi(Omega^2) legs and checks Trace(xi* eta W) = 0; W defaults to the
-    identity, for which the trace/grading argument makes the pairing vanish
-    identically.
-    """
-    prod = product_triple(t1, t2, auto_double=False)
-    dim = prod.dim_h
-    legs = _embedded_legs(t1, t2)
-    cross = OperatorSubspace.span(legs["one_one"], dim)
-    other = OperatorSubspace.span(legs["pi2_first"] + legs["pi2_second"], dim)
+def _orthogonal(cross: OperatorSubspace, other: OperatorSubspace, samples: int, seed: int) -> bool:
+    """|Trace(xi* eta)| <= ORTH_TOL for unit random combinations xi of cross, eta of other."""
     if cross.dim == 0 or other.dim == 0:
         return True
-    w = np.eye(dim, dtype=complex) if weight is None else np.asarray(weight, dtype=complex)
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    xs = cross.matrices(dim)
-    ys = other.matrices(dim)
     for _ in range(samples):
-        cx = gen.normal(size=len(xs)) + 1j * gen.normal(size=len(xs))
-        cy = gen.normal(size=len(ys)) + 1j * gen.normal(size=len(ys))
-        xi = sum(c * m for c, m in zip(cx, xs))
-        eta = sum(c * m for c, m in zip(cy, ys))
+        cx = gen.normal(size=cross.dim) + 1j * gen.normal(size=cross.dim)
+        cy = gen.normal(size=other.dim) + 1j * gen.normal(size=other.dim)
+        xi, eta = cx @ cross.basis, cy @ other.basis
         xi = xi / max(np.linalg.norm(xi), 1e-300)
         eta = eta / max(np.linalg.norm(eta), 1e-300)
-        if abs(np.trace(xi.conj().T @ eta @ w)) > tol:
+        if abs(np.vdot(xi, eta)) > ORTH_TOL:
             return False
     return True

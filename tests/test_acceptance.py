@@ -27,16 +27,14 @@ from ncym import (
     cli,
     critical_splitting_check,
     curvature,
-    decomposition_check,
     directional_derivative,
     dixmier_torus_constant,
     form_report,
     gamma_constants,
-    hypothesis_check,
     matrix_case_triple,
     minimize,
     mul,
-    orthogonality_check,
+    product_check,
     product_connection,
     random_connection,
     random_perturbation,
@@ -307,10 +305,11 @@ def test_criterion_12_product_triple_structure():
         dev = unitary_equivalence_defect(t1, t2)
         worst_unitary = max(worst_unitary, dev)
         ok = ok and dev <= 1e-12
-        dec = decomposition_check(t1, t2)
-        ok = ok and dec.omega1_ok and dec.numerator_ok and dec.denominator_ok and dec.intersection_zero
-        ok = ok and hypothesis_check(t1, t2).holds
-        ok = ok and orthogonality_check(t1, t2, samples=100, seed=3)
+        checks = product_check(t1, t2, samples=100, seed=3).checks
+        ok = ok and checks["omega1_ok"] and checks["numerator_ok"]
+        ok = ok and checks["denominator_ok"] and checks["intersection_zero"]
+        ok = ok and checks["hypothesis_holds"]
+        ok = ok and checks["orthogonality"]
     assert report(12, "product-triple-structure", ok, f"worst unitary defect {worst_unitary:.2e}")
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ncym import cli, config as cfg
-from ncym import matrix_case_triple
+from ncym import ConfigInvalid, matrix_case_triple
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -383,6 +383,49 @@ def test_misread_fields_rejected(tmp_path, capsys, conf, extra, path):
     assert code == 1
     assert err and all(line.startswith("error: /") for line in err)
     assert err[0].startswith(f"error: {path}: ")
+
+
+TRIPLE_1 = matrix_case_triple(1, 1, [[1.0]]).to_payload()
+
+
+@pytest.mark.parametrize(
+    "triple, path",
+    [
+        ({"foo": 1}, "/dim_h"),
+        ({"dim_h": 1, "algebra_basis": [[["x", 0]]], "D": [[0, 0]]}, "/algebra_basis/0/0/0"),
+        ({"dim_h": 2, "algebra_basis": [[[1, 0]] * 4], "D": [[0, 0]]}, "/D"),
+        ({"dim_h": 1, "algebra_basis": [[[1, 0]]], "D": [[0, 0]], "gamma": [[1, None]]}, "/gamma/0/1"),
+        (dict(TRIPLE_1, Gamma=TRIPLE_1["gamma"]), "/Gamma"),
+    ],
+    ids=["missing-dim_h", "string-entry", "short-D", "bad-gamma", "unknown-key"],
+)
+def test_triple_payload_fields_rejected(tmp_path, capsys, triple, path):
+    """An inline triple payload is read at parse time, a triple file at run time, by one reader."""
+    inline = {"kind": "finite_forms", "payload": {"triple": {"payload": triple}}}
+    inline_path = f"/payload/triple/payload{path}"
+    assert cfg.validate(json.dumps(inline))[0].path == inline_path
+    assert cli.main(["validate", write(tmp_path, "inline.json", inline)]) == 1
+    assert capsys.readouterr().out.startswith(f"error: {inline_path}: ")
+    code, err = run_and_capture(tmp_path, capsys, inline)
+    assert code == 1 and err[0].startswith(f"error: {inline_path}: ")
+
+    tpath = write(tmp_path, "triple.json", triple)
+    from_file = {"kind": "finite_forms", "payload": {"triple": {"path": tpath}}}
+    assert cfg.validate(json.dumps(from_file)) == []
+    code, err = run_and_capture(tmp_path, capsys, from_file)
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith(f"error: invalid config: {tpath}:{path}: ")
+
+
+def test_triple_payload_gamma_optional():
+    odd = {k: v for k, v in TRIPLE_1.items() if k != "gamma"}
+    for triple in (odd, dict(odd, gamma=None)):
+        spec = cfg.ExperimentConfig("finite_forms", {"triple": {"payload": triple}}).spec
+        assert spec.triple.payload.gamma is None
+        report = cli.run(cfg.ExperimentConfig("finite_forms", {"triple": {"payload": triple}}))
+        assert report["results"]["dim_omega2"] == 2
+    with pytest.raises(ConfigInvalid):
+        cfg.read_triple([TRIPLE_1], "triple.json")
 
 
 def test_validate_collects_every_diagnostic():

@@ -14,20 +14,19 @@ from ncym import (
     MissingGrading,
     ZeroMu,
     classify_matrix_case,
-    decomposition_check,
     double_odd,
     form_report,
-    hypothesis_check,
     junk_space,
     matrix_case_triple,
     omega1_space,
-    orthogonality_check,
     pi_omega2_space,
+    product_check,
     product_triple,
     trivial_triple,
     unitary_equivalence_defect,
 )
-from ncym.finite import OperatorSubspace, intersection_dim
+from ncym import config as cfg
+from ncym.finite import RANK_TOL, OperatorSubspace, intersection_dim, subspaces_equal
 
 
 def diagonal_sigma1_triple():
@@ -95,6 +94,84 @@ def test_diagonal_sigma1_junk_oracle():
     assert rep.dim_omega1 == 2
     assert rep.dim_pi_omega2 == 2
     assert rep.dim_omega2 == 2
+
+
+def reference_junk(t):
+    """The junk by its definition, the slow way.
+
+    The kernel of the relation map (b, c) -> b [D, c] comes from a full SVD,
+    and each kernel vector x is pushed through (b, c) -> [D, b][D, c] pair by
+    pair: image_x = sum_ij x_ij [D, b_i][D, c_j]. The rank cut is RANK_TOL
+    against the largest product norm, as in ``junk_space``.
+    """
+    dd = t.dim_h * t.dim_h
+    coms = [t.D @ b - b @ t.D for b in t.algebra_basis]
+    nb = len(coms)
+    m = np.array([(b @ dc).reshape(-1) for b in t.algebra_basis for dc in coms]).T
+    _, sv, vh = np.linalg.svd(m, full_matrices=True)
+    kernel = vh[int(np.sum(sv > RANK_TOL * sv[0])):].conj()  # m @ x = 0 for each row x
+    if len(kernel) == 0:
+        return OperatorSubspace(dd, np.zeros((0, dd)))
+    images = np.zeros((len(kernel), dd), dtype=complex)
+    scale = 0.0
+    for i in range(nb):
+        for j in range(nb):
+            prod = (coms[i] @ coms[j]).reshape(-1)
+            images += np.outer(kernel[:, i * nb + j], prod)
+            scale = max(scale, float(np.linalg.norm(prod)))
+    _, s, vh = np.linalg.svd(images, full_matrices=False)
+    return OperatorSubspace(dd, vh[: int(np.sum(s > RANK_TOL * scale))])
+
+
+def rotated(t, seed):
+    """t conjugated by a random unitary: the same triple with complex matrices."""
+    gen = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(gen.normal(size=(t.dim_h, t.dim_h)) + 1j * gen.normal(size=(t.dim_h, t.dim_h)))
+    conj = lambda m: None if m is None else u @ m @ u.conj().T  # noqa: E731
+    return FiniteTriple(t.dim_h, [conj(a) for a in t.algebra_basis], conj(t.D), conj(t.gamma))
+
+
+UNITARY2 = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / np.sqrt(2.0)
+JUNK_FIXTURES = {
+    "case1(1,1)": lambda: matrix_case_triple(1, 1, [[1.5]]),
+    "case1(2,2)": lambda: matrix_case_triple(2, 2, 0.7 * UNITARY2),
+    "case2(2,2)": lambda: matrix_case_triple(2, 2, np.diag([1.0, 2.0j])),
+    "case2(3,2)": lambda: matrix_case_triple(3, 2, [[1.0, 0.5j], [0.0, 2.0], [0.3, 0.0]]),
+    "case2(2,3)": lambda: matrix_case_triple(2, 3, [[1.0, 0.0, 0.3], [0.5j, 2.0, 0.0]]),
+    "case3(2,1)": lambda: matrix_case_triple(2, 1, [[0.6], [0.8j]]),
+    "case3(1,2)": lambda: matrix_case_triple(1, 2, [[0.6, 0.8j]]),
+    "case3(3,2)": lambda: matrix_case_triple(3, 2, [[1.0, 0.0], [0.0, 1.0j], [0.0, 0.0]]),
+    "case3(2,3)": lambda: matrix_case_triple(2, 3, [[1.0, 0.0, 0.0], [0.0, 1.0j, 0.0]]),
+    "doubled-odd": lambda: double_odd(
+        FiniteTriple(2, [np.eye(2), np.diag([1.0, 0.0])], np.array([[0.0, 1.0], [1.0, 0.0]]))
+    ),
+    "product(1,1)x(1,1)": lambda: product_triple(
+        matrix_case_triple(1, 1, [[1.0]]), matrix_case_triple(1, 1, [[2.0j]])
+    ),
+    "product(2,1)x(1,1)": lambda: product_triple(
+        matrix_case_triple(2, 1, [[0.6], [0.8j]]), matrix_case_triple(1, 1, [[1.0]])
+    ),
+    "product(2,2)x(1,1)": lambda: product_triple(
+        matrix_case_triple(2, 2, np.diag([1.0, 2.0])), matrix_case_triple(1, 1, [[1.0j]])
+    ),
+    "product(2,1)x(2,1)": lambda: product_triple(
+        matrix_case_triple(2, 1, [[0.6], [0.8j]]), matrix_case_triple(2, 1, [[1.0], [0.0]])
+    ),
+    "product(2,2)x(2,1)": lambda: product_triple(
+        matrix_case_triple(2, 2, 0.7 * UNITARY2), matrix_case_triple(2, 1, [[0.6j], [0.8]])
+    ),
+}
+
+
+@pytest.mark.parametrize("rotate", [False, True], ids=["plain", "rotated"])
+@pytest.mark.parametrize("name", list(JUNK_FIXTURES))
+def test_junk_space_matches_brute_force_reference(name, rotate):
+    t = JUNK_FIXTURES[name]()
+    if rotate:
+        t = rotated(t, seed=len(name))
+    junk, ref = junk_space(t), reference_junk(t)
+    assert junk.dim == ref.dim
+    assert subspaces_equal(junk, ref)
 
 
 @pytest.mark.parametrize(
@@ -322,11 +399,11 @@ def test_product_requires_grading_or_doubling():
 )
 def test_decomposition_and_hypothesis(make1, make2):
     t1, t2 = make1(), make2()
-    dec = decomposition_check(t1, t2)
-    assert dec.omega1_ok and dec.numerator_ok and dec.denominator_ok and dec.intersection_zero
-    hyp = hypothesis_check(t1, t2)
-    assert hyp.holds
-    assert orthogonality_check(t1, t2, samples=40, seed=0)
+    checks = product_check(t1, t2, samples=40, seed=0).checks
+    assert checks["omega1_ok"] and checks["numerator_ok"]
+    assert checks["denominator_ok"] and checks["intersection_zero"]
+    assert checks["hypothesis_holds"]
+    assert checks["orthogonality"]
 
 
 def test_decomposition_with_grading_outside_algebra():
@@ -341,31 +418,32 @@ def test_decomposition_with_grading_outside_algebra():
     alg = OS.span(t1.algebra_basis, t1.dim_h)
     assert not alg.contains(g)
     t2 = matrix_case_triple(1, 1, [[1.0]])
-    dec = decomposition_check(t1, t2)
-    assert dec.omega1_ok and dec.numerator_ok and dec.denominator_ok and dec.intersection_zero
-    assert hypothesis_check(t1, t2).holds
-    assert orthogonality_check(t1, t2, samples=40, seed=2)
+    checks = product_check(t1, t2, samples=40, seed=2).checks
+    assert checks["omega1_ok"] and checks["numerator_ok"]
+    assert checks["denominator_ok"] and checks["intersection_zero"]
+    assert checks["hypothesis_holds"]
+    assert checks["orthogonality"]
 
 
 def test_numerator_sum_need_not_be_direct():
     # the two pi(Omega^2) legs overlap, yet the check passes (sum, not direct sum)
     t1 = matrix_case_triple(1, 1, [[1.0]])
     t2 = matrix_case_triple(1, 1, [[1.0]])
-    from ncym.finite import _embedded_legs
+    from ncym.finite import _embedded_legs, _forms
 
-    legs = _embedded_legs(t1, t2)
+    legs = _embedded_legs(t1, t2, _forms(t1), _forms(t2))
     dim = t1.dim_h * t2.dim_h
     first = OperatorSubspace.span(legs["pi2_first"], dim)
     second = OperatorSubspace.span(legs["pi2_second"], dim)
     assert intersection_dim(first, second) > 0
-    assert decomposition_check(t1, t2).numerator_ok
+    assert product_check(t1, t2).checks["numerator_ok"]
 
 
 def test_orthogonality_seed_independent():
     t1 = matrix_case_triple(1, 1, [[1.0]])
     t2 = matrix_case_triple(2, 2, np.diag([1.0, 2.0]))
-    a = orthogonality_check(t1, t2, samples=30, seed=1)
-    b = orthogonality_check(t1, t2, samples=30, seed=999)
+    a = product_check(t1, t2, samples=30, seed=1).checks["orthogonality"]
+    b = product_check(t1, t2, samples=30, seed=999).checks["orthogonality"]
     assert a == b == True
 
 
@@ -373,13 +451,13 @@ def test_decomposition_requires_even_first_factor():
     odd = FiniteTriple(2, [np.eye(2, dtype=complex), np.diag([1.0, 0.0]).astype(complex)],
                        np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
     with pytest.raises(MissingGrading):
-        decomposition_check(odd, trivial_triple())
+        product_check(odd, trivial_triple())
 
 
 def test_triple_serialization_round_trip():
     t = matrix_case_triple(2, 1, [[1.0], [0.5 + 0.25j]])
     payload = json.loads(json.dumps(t.to_payload()))
-    back = FiniteTriple.from_payload(payload)
+    back = FiniteTriple(**vars(cfg.read_triple(payload, "triple.json")))
     assert back.dim_h == t.dim_h
     assert np.array_equal(back.D, t.D)
     assert np.array_equal(back.gamma, t.gamma)
