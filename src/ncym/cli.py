@@ -49,7 +49,7 @@ def _triple(ref: cfg.TripleRef) -> finite.FiniteTriple:
 
 def _run_torus_ym(spec: cfg.TorusYm):
     c = _connection(spec.module)
-    deviation = ym.compatibility_deviation(c, spec.samples, spec.seed)
+    deviation = ym.compatibility_deviation(c)
     results = {
         "ym": ym.ym_value(c),
         "gradient_norm": ym.gradient_norm(c),
@@ -109,7 +109,7 @@ def _run_finite_product(spec: cfg.FiniteProduct):
     t1, t2 = _triple(spec.t1), _triple(spec.t2)
     if t1.gamma is None and spec.auto_double:
         t1 = finite.double_odd(t1)
-    rep = finite.product_check(t1, t2, spec.samples, spec.seed)
+    rep = finite.product_check(t1, t2)
     results = {"decomposition_dims": rep.decomposition_dims, "hypothesis_dims": rep.hypothesis_dims}
     if t1.gamma is not None and t2.gamma is not None:
         results["unitary_equivalence_defect"] = finite.unitary_equivalence_defect(t1, t2)

@@ -155,6 +155,7 @@ class TorusModule:
 class TorusYm:
     module: TorusModule
     compat_tol: float  # payload tolerances.compat
+    # accepted and unused: the compatibility verdict is exact, not sampled
     seed: int = _field(0, lo=0)
     samples: int = _field(100, lo=1)
 
@@ -211,6 +212,7 @@ class FiniteForms:
 class FiniteProduct:
     t1: TripleRef
     t2: TripleRef
+    # accepted and unused: the orthogonality verdict is exact, not sampled
     seed: int = _field(lo=0)
     samples: int = _field(100, lo=1)
     auto_double: bool = _field(True)

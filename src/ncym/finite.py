@@ -40,7 +40,7 @@ from .errors import AlreadyEven, InvalidTriple, MissingGrading, ZeroMu
 RANK_TOL = 1e-10
 CONTAIN_TOL = 1e-9
 STRUCT_TOL = 1e-12
-#: bound on |Trace(xi* eta)| for unit xi, eta in the sampled orthogonality check
+#: bound on the largest |Trace(xi* eta)| over unit xi, eta in the orthogonality check
 ORTH_TOL = 1e-10
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -266,9 +266,8 @@ def omega1_space(t: FiniteTriple) -> OperatorSubspace:
     return OperatorSubspace.span(prods, t.dim_h)
 
 
-def pi_omega2_space(t: FiniteTriple) -> OperatorSubspace:
-    """span{a [D, b] [D, c]} = span{omega [D, c] : omega in Omega^1}."""
-    omega1 = omega1_space(t)
+def pi_omega2_space(t: FiniteTriple, omega1: OperatorSubspace) -> OperatorSubspace:
+    """span{a [D, b] [D, c]} = span{omega [D, c] : omega in Omega^1}, given Omega^1 of t."""
     coms = _commutators(t)
     prods = [w @ dc for w in omega1.matrices(t.dim_h) for dc in coms]
     return OperatorSubspace.span(prods, t.dim_h)
@@ -294,7 +293,8 @@ def junk_space(t: FiniteTriple) -> OperatorSubspace:
 
 def _forms(t: FiniteTriple):
     """Omega^1, pi(Omega^2) and junk of t; ``InvalidTriple`` if the junk escapes pi(Omega^2)."""
-    omega1, pi2, junk = omega1_space(t), pi_omega2_space(t), junk_space(t)
+    omega1 = omega1_space(t)
+    pi2, junk = pi_omega2_space(t, omega1), junk_space(t)
     if not contains_subspace(pi2, junk):
         raise InvalidTriple("junk space escaped pi(Omega^2); rank tolerances inconsistent")
     return omega1, pi2, junk
@@ -472,7 +472,7 @@ class ProductReport:
     hypothesis_dims: dict
 
 
-def product_check(t1: FiniteTriple, t2: FiniteTriple, samples: int = 100, seed: int = 0) -> ProductReport:
+def product_check(t1: FiniteTriple, t2: FiniteTriple) -> ProductReport:
     """Decomposition, hypothesis and orthogonality checks of the product triple.
 
     The product, each factor's and the product's form spaces and the embedded
@@ -486,9 +486,9 @@ def product_check(t1: FiniteTriple, t2: FiniteTriple, samples: int = 100, seed: 
     - intersection_zero: the junk meets the Omega^1 (x) Omega^1 leg trivially;
     - hypothesis_holds: dim Omega^2(product) equals
       dim((pi2 legs sum) / (junk legs sum)) + dim Omega^1_1 * dim Omega^1_2;
-    - orthogonality: Trace(xi* eta) = 0 for ``samples`` draws of xi from the
-      cross leg and eta from the pi2 legs; the trace/grading argument makes
-      the pairing vanish identically.
+    - orthogonality: Trace(xi* eta) = 0 for every xi in the cross leg and
+      eta in the pi2 legs, as the trace/grading argument says; decided
+      exactly by ``_orthogonal``.
 
     ``MissingGrading`` if t1 is odd; ``InvalidTriple`` if a junk space
     escapes pi(Omega^2) or the junk legs escape the pi2 legs.
@@ -519,7 +519,7 @@ def product_check(t1: FiniteTriple, t2: FiniteTriple, samples: int = 100, seed: 
         "denominator_ok": subspaces_equal(junk_prod, junk_legs),
         "intersection_zero": intersection_dim(junk_prod, cross) == 0,
         "hypothesis_holds": omega2 == quotient + d1 * d2,
-        "orthogonality": _orthogonal(cross, num_legs, samples, seed),
+        "orthogonality": _orthogonal(cross, num_legs),
     }
     decomposition_dims = {
         "omega1_product": o1_prod.dim,
@@ -546,17 +546,12 @@ def product_check(t1: FiniteTriple, t2: FiniteTriple, samples: int = 100, seed: 
     return ProductReport(checks, decomposition_dims, hypothesis_dims)
 
 
-def _orthogonal(cross: OperatorSubspace, other: OperatorSubspace, samples: int, seed: int) -> bool:
-    """|Trace(xi* eta)| <= ORTH_TOL for unit random combinations xi of cross, eta of other."""
+def _orthogonal(cross: OperatorSubspace, other: OperatorSubspace) -> bool:
+    """max |Trace(xi* eta)| over unit xi in cross, eta in other is at most ORTH_TOL.
+
+    Both bases are orthonormal rows, so that maximum is the spectral norm of
+    conj(cross.basis) @ other.basis.T.
+    """
     if cross.dim == 0 or other.dim == 0:
         return True
-    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    for _ in range(samples):
-        cx = gen.normal(size=cross.dim) + 1j * gen.normal(size=cross.dim)
-        cy = gen.normal(size=other.dim) + 1j * gen.normal(size=other.dim)
-        xi, eta = cx @ cross.basis, cy @ other.basis
-        xi = xi / max(np.linalg.norm(xi), 1e-300)
-        eta = eta / max(np.linalg.norm(eta), 1e-300)
-        if abs(np.vdot(xi, eta)) > ORTH_TOL:
-            return False
-    return True
+    return float(np.linalg.norm(cross.basis.conj() @ other.basis.T, 2)) <= ORTH_TOL

@@ -305,7 +305,7 @@ def test_criterion_12_product_triple_structure():
         dev = unitary_equivalence_defect(t1, t2)
         worst_unitary = max(worst_unitary, dev)
         ok = ok and dev <= 1e-12
-        checks = product_check(t1, t2, samples=100, seed=3).checks
+        checks = product_check(t1, t2).checks
         ok = ok and checks["omega1_ok"] and checks["numerator_ok"]
         ok = ok and checks["denominator_ok"] and checks["intersection_zero"]
         ok = ok and checks["hypothesis_holds"]

@@ -151,7 +151,7 @@ def test_validate_finite_product_requires_seed():
     assert any(d.path == "/payload/seed" for d in diags)
 
 
-def test_run_torus_product():
+def torus_product_config():
     payload = {
         "theta": {"n": 2, "entries": [0.0, 0.3, -0.3, 0.0]},
         "q1": 1,
@@ -163,7 +163,11 @@ def test_run_torus_product():
         "samples": 5,
         "tol": 1e-6,
     }
-    report = cli.run(cfg.ExperimentConfig("torus_product", payload))
+    return {"kind": "torus_product", "payload": payload}
+
+
+def test_run_torus_product():
+    report = cli.run(cfg.ExperimentConfig("torus_product", torus_product_config()["payload"]))
     assert report["checks"]["subadditive"] is True
     assert report["checks"]["splitting_implication"] is True
     assert abs(report["results"]["defect"]) < 1e-9 * (1 + report["results"]["ym_product"])
@@ -215,7 +219,7 @@ def test_report_determinism(tmp_path):
 
 
 def test_seed_override(tmp_path):
-    conf = torus_ym_config()
+    conf = torus_product_config()
     path = write(tmp_path, "seed.json", conf)
     out1, out2 = str(tmp_path / "s1.json"), str(tmp_path / "s2.json")
     assert cli.main(["run", path, "--output", out1, "--seed", "11"]) == 0
@@ -224,6 +228,31 @@ def test_seed_override(tmp_path):
     d2 = json.loads((tmp_path / "s2.json").read_text())
     assert d1["config"]["payload"]["seed"] == 11
     assert d2["config"]["payload"]["seed"] == 12
+
+
+def test_torus_ym_ignores_seed_and_samples():
+    # the compatibility verdict and value are exact: nothing is sampled
+    reports = []
+    for seed, samples in ((3, 20), (11, 7)):
+        payload = torus_ym_config(seed=seed, samples=samples)["payload"]
+        reports.append(cli.run(cfg.ExperimentConfig("torus_ym", payload)))
+    assert reports[0]["results"] == reports[1]["results"]
+    assert reports[0]["checks"] == reports[1]["checks"] == {"compatible": True}
+
+
+def test_corner_module_torus_ym_compatible(tmp_path):
+    # p = diag(1, 0); the non-skew U1 sits on the (1 - p) block, outside the module
+    u1 = [{"r": [1, 0], "re": 1.0, "im": 0.0}]
+    conf = torus_ym_config(
+        q=2,
+        connection={"A": [{"q": 2, "entries": [[], [], [], u1]}, {"q": 2, "entries": [[], [], [], []]}]},
+        proj={"q": 2, "entries": [[{"r": [0, 0], "re": 1.0, "im": 0.0}], [], [], []]},
+    )
+    out = tmp_path / "rep.json"
+    assert cli.main(["run", write(tmp_path, "corner.json", conf), "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["checks"] == {"compatible": True}
+    assert report["results"]["compatibility_deviation"] == 0.0
 
 
 def torus_minimize_config(**overrides):

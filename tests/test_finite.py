@@ -26,7 +26,16 @@ from ncym import (
     unitary_equivalence_defect,
 )
 from ncym import config as cfg
-from ncym.finite import RANK_TOL, OperatorSubspace, intersection_dim, subspaces_equal
+from ncym.finite import (
+    ORTH_TOL,
+    RANK_TOL,
+    OperatorSubspace,
+    _embedded_legs,
+    _forms,
+    _orthogonal,
+    intersection_dim,
+    subspaces_equal,
+)
 
 
 def diagonal_sigma1_triple():
@@ -59,7 +68,7 @@ def test_triple_validation():
 def test_zero_dirac_gives_zero_spaces():
     t = FiniteTriple(2, [np.eye(2, dtype=complex), np.diag([1.0, 0.0]).astype(complex)], np.zeros((2, 2)))
     assert omega1_space(t).dim == 0
-    assert pi_omega2_space(t).dim == 0
+    assert pi_omega2_space(t, omega1_space(t)).dim == 0
     assert junk_space(t).dim == 0
     rep = form_report(t)
     assert (rep.dim_omega1, rep.dim_pi_omega2, rep.dim_junk, rep.dim_omega2) == (0, 0, 0, 0)
@@ -298,12 +307,13 @@ def test_pi_omega2_monotone_in_algebra_span():
     d = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     small = FiniteTriple(2, [np.eye(2, dtype=complex)], d)
     large = diagonal_sigma1_triple()
-    assert pi_omega2_space(small).dim <= pi_omega2_space(large).dim
+    small_dim, large_dim = (pi_omega2_space(t, omega1_space(t)).dim for t in (small, large))
+    assert small_dim <= large_dim
 
 
 def test_case_two_junk_is_everything():
     t = matrix_case_triple(2, 2, np.diag([1.0, 2.0]))
-    pi2 = pi_omega2_space(t)
+    pi2 = pi_omega2_space(t, omega1_space(t))
     junk = junk_space(t)
     assert junk.dim == pi2.dim > 0
 
@@ -399,7 +409,7 @@ def test_product_requires_grading_or_doubling():
 )
 def test_decomposition_and_hypothesis(make1, make2):
     t1, t2 = make1(), make2()
-    checks = product_check(t1, t2, samples=40, seed=0).checks
+    checks = product_check(t1, t2).checks
     assert checks["omega1_ok"] and checks["numerator_ok"]
     assert checks["denominator_ok"] and checks["intersection_zero"]
     assert checks["hypothesis_holds"]
@@ -418,7 +428,7 @@ def test_decomposition_with_grading_outside_algebra():
     alg = OS.span(t1.algebra_basis, t1.dim_h)
     assert not alg.contains(g)
     t2 = matrix_case_triple(1, 1, [[1.0]])
-    checks = product_check(t1, t2, samples=40, seed=2).checks
+    checks = product_check(t1, t2).checks
     assert checks["omega1_ok"] and checks["numerator_ok"]
     assert checks["denominator_ok"] and checks["intersection_zero"]
     assert checks["hypothesis_holds"]
@@ -439,12 +449,82 @@ def test_numerator_sum_need_not_be_direct():
     assert product_check(t1, t2).checks["numerator_ok"]
 
 
+# -- the sampled orthogonality check: the oracle for _orthogonal --
+
+
+def sampled_orthogonal(cross, other, samples=100, seed=0):
+    """|Trace(xi* eta)| <= ORTH_TOL for unit random combinations xi of cross, eta of other."""
+    if cross.dim == 0 or other.dim == 0:
+        return True
+    gen = np.random.default_rng(seed)
+    for _ in range(samples):
+        cx = gen.normal(size=cross.dim) + 1j * gen.normal(size=cross.dim)
+        cy = gen.normal(size=other.dim) + 1j * gen.normal(size=other.dim)
+        xi, eta = cx @ cross.basis, cy @ other.basis
+        xi = xi / max(np.linalg.norm(xi), 1e-300)
+        eta = eta / max(np.linalg.norm(eta), 1e-300)
+        if abs(np.vdot(xi, eta)) > ORTH_TOL:
+            return False
+    return True
+
+
+def cross_and_pi2_legs(t1, t2):
+    """The cross leg Omega^1 (x) Omega^1 and the sum of the pi2 legs, as product_check spans them."""
+    legs = _embedded_legs(t1, t2, _forms(t1), _forms(t2))
+    dim = t1.dim_h * t2.dim_h
+    cross = OperatorSubspace.span(legs["one_one"], dim)
+    return cross, OperatorSubspace.span(legs["pi2_first"] + legs["pi2_second"], dim)
+
+
+ORTHOGONALITY_PRODUCTS = {
+    "(1,1)x(1,1)": lambda: (matrix_case_triple(1, 1, [[1.0]]), matrix_case_triple(1, 1, [[1.0]])),
+    "(1,1)xtrivial": lambda: (matrix_case_triple(1, 1, [[1.0]]), trivial_triple()),
+    "(2,2)x(1,1)": lambda: (matrix_case_triple(2, 2, np.diag([1.0, 2.0])), matrix_case_triple(1, 1, [[1.0]])),
+    "(2,1)x(1,1)": lambda: (matrix_case_triple(2, 1, [[1.0], [0.0]]), matrix_case_triple(1, 1, [[1.0]])),
+    "(1,1)x(2,2)": lambda: (matrix_case_triple(1, 1, [[1.0]]), matrix_case_triple(2, 2, np.diag([1.0, 2.0]))),
+    "rotated (2,1)x(2,1)": lambda: (
+        rotated(matrix_case_triple(2, 1, [[1.0], [0.5]]), seed=3),
+        rotated(matrix_case_triple(2, 1, [[1.0], [0.0]]), seed=4),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(ORTHOGONALITY_PRODUCTS))
+def test_orthogonality_matches_sampled_check(name):
+    t1, t2 = ORTHOGONALITY_PRODUCTS[name]()
+    cross, pi2 = cross_and_pi2_legs(t1, t2)
+    assert cross.dim > 0 or name == "(1,1)xtrivial"
+    assert product_check(t1, t2).checks["orthogonality"]
+    assert _orthogonal(cross, pi2) and sampled_orthogonal(cross, pi2)
+
+
+@pytest.mark.parametrize(
+    "first, second, orthogonal",
+    [
+        # e1 + i e2 against itself: Trace(xi* eta) = 1, the bilinear pairing is 0
+        ([1.0, 1.0j, 0.0, 0.0], [1.0, 1.0j, 0.0, 0.0], False),
+        # e1 + i e2 against e1 - i e2: Trace(xi* eta) = 0, the bilinear pairing is 1
+        ([1.0, 1.0j, 0.0, 0.0], [1.0, -1.0j, 0.0, 0.0], True),
+        # one direction shared at angle 45 degrees
+        ([1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0], False),
+    ],
+    ids=["same-complex-line", "hermitian-orthogonal", "real-overlap"],
+)
+def test_orthogonality_verdict_on_subspace_pairs(first, second, orthogonal):
+    cross = OperatorSubspace(4, [np.divide(first, np.linalg.norm(first))])
+    # E21, orthogonal to every first vector, comes first: the overlap is off the diagonal
+    other = OperatorSubspace(4, [[0.0, 0.0, 1.0, 0.0], np.divide(second, np.linalg.norm(second))])
+    assert _orthogonal(cross, other) == sampled_orthogonal(cross, other) == orthogonal
+
+
 def test_orthogonality_seed_independent():
+    # the sampled check gives the exact verdict whatever its seed
     t1 = matrix_case_triple(1, 1, [[1.0]])
     t2 = matrix_case_triple(2, 2, np.diag([1.0, 2.0]))
-    a = product_check(t1, t2, samples=30, seed=1).checks["orthogonality"]
-    b = product_check(t1, t2, samples=30, seed=999).checks["orthogonality"]
-    assert a == b == True
+    cross, pi2 = cross_and_pi2_legs(t1, t2)
+    a = sampled_orthogonal(cross, pi2, samples=30, seed=1)
+    b = sampled_orthogonal(cross, pi2, samples=30, seed=999)
+    assert a == b == product_check(t1, t2).checks["orthogonality"] == True
 
 
 def test_decomposition_requires_even_first_factor():

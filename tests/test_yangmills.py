@@ -28,7 +28,7 @@ from ncym import (
     ym_value,
 )
 from ncym import sampling
-from ncym.yangmills import compatibility_deviation, hs_inner, pairing_with_gradient
+from ncym.yangmills import COMPAT_TOL, compatibility_deviation, hs_inner, pairing_with_gradient
 
 EIGHT_PI_SQ = 8.0 * math.pi ** 2
 
@@ -128,20 +128,129 @@ def test_compatibility_skew_true_nonskew_false():
     gen = sampling.rng(22)
     th = sampling.random_theta(2, gen)
     c = random_connection(th, 2, gen, radius=1, amplitude=0.5)
-    assert c.compatibility_defect() < 1e-12
-    assert check_compatibility(c, samples=30, seed=3)
+    assert compatibility_deviation(c) < 1e-12
+    assert check_compatibility(c)
     # A1 = U1 is not skew-adjoint
     u1 = TorusElement.generator(th, 1)
     bad = Connection(th, 1, [TorusMatrix.from_element(u1), TorusMatrix.zeros(th, 1)])
-    assert not check_compatibility(bad, samples=30, seed=3)
-    assert compatibility_deviation(bad, samples=30, seed=3) > 1e-3
+    assert not check_compatibility(bad)
+    assert compatibility_deviation(bad) > 1e-3
+
+
+# -- the sampled compatibility identity: the oracle for compatibility_deviation --
+
+
+def _apply_nabla(c, j, vec):
+    out = []
+    aj = c.A[j - 1]
+    for i in range(c.q):
+        acc = vec[i].derivation(j)
+        for k in range(c.q):
+            acc = acc + aj.entries[i][k] * vec[k]
+        out.append(acc)
+    return out
+
+
+def _vec_inner(xi, eta):
+    acc = TorusElement.zero(xi[0].theta)
+    for x, y in zip(xi, eta):
+        acc = acc + x.adjoint() * y
+    return acc
+
+
+def _project_vec(proj, vec):
+    if proj is None:
+        return vec
+    p = proj.p
+    return [
+        sum((p.entries[i][k] * vec[k] for k in range(len(vec))), TorusElement.zero(p.theta))
+        for i in range(len(vec))
+    ]
+
+
+def sampled_compatibility_deviation(c, samples=30, seed=0):
+    """Worst l1 deviation of <xi, nabla_j eta> + (nabla_j xi)* eta - delta_j <xi, eta>
+    over random module elements xi, eta, computed term by term."""
+    gen = sampling.rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        xi = _project_vec(c.proj, sampling.random_vector(c.theta, c.q, gen))
+        eta = _project_vec(c.proj, sampling.random_vector(c.theta, c.q, gen))
+        base = _vec_inner(xi, eta)
+        for j in range(1, c.n + 1):
+            lhs = _vec_inner(xi, _apply_nabla(c, j, eta)) + _vec_inner(_apply_nabla(c, j, xi), eta)
+            worst = max(worst, (lhs - base.derivation(j)).l1())
+    return worst
+
+
+def corner_connection(p_block, complement_block):
+    """p = diag(1, 0) on A_theta^2, A_1 = diag(p_block, complement_block), A_2 = 0."""
+    th = theta2()
+    z = TorusElement.zero(th)
+    proj = Projection(TorusMatrix.from_scalar_matrix(th, [[1.0, 0.0], [0.0, 0.0]]))
+    a1 = TorusMatrix(th, [[p_block, z], [z, complement_block]])
+    return Connection(th, 2, [a1, TorusMatrix.zeros(th, 2)], proj)
+
+
+def _free(skew):
+    gen = sampling.rng(22)
+    th = sampling.random_theta(2, gen)
+    if skew:
+        return random_connection(th, 2, gen, radius=1, amplitude=0.5)
+    u1 = TorusElement.generator(th, 1)
+    return Connection(th, 1, [TorusMatrix.from_element(u1), TorusMatrix.zeros(th, 1)])
+
+
+def _random_corner():
+    gen = sampling.rng(25)
+    th = sampling.random_theta(2, gen)
+    proj = Projection(TorusMatrix.from_scalar_matrix(th, [[0.5, 0.5], [0.5, 0.5]]))
+    return random_connection(th, 2, gen, radius=1, amplitude=0.5, proj=proj)
+
+
+COMPATIBILITY_CASES = {
+    "free-skew": (lambda: _free(True), True),
+    "free-nonskew-U1": (lambda: _free(False), False),
+    "grassmannian": (lambda: grassmannian_connection(theta2(), [[0.5, 0.5], [0.5, 0.5]]), True),
+    "random-with-proj": (_random_corner, True),
+    "corner-nonskew-complement": (
+        lambda: corner_connection(TorusElement.zero(theta2()), TorusElement.generator(theta2(), 1)),
+        True,
+    ),
+    "corner-nonskew-p-block": (
+        lambda: corner_connection(TorusElement.generator(theta2(), 1), TorusElement.zero(theta2())),
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(COMPATIBILITY_CASES))
+def test_compatibility_matches_sampled_identity(name):
+    make, compatible = COMPATIBILITY_CASES[name]
+    c = make()
+    sampled = sampled_compatibility_deviation(c, samples=30, seed=5)
+    assert check_compatibility(c) == (sampled <= COMPAT_TOL) == compatible
+    if compatible:
+        assert compatibility_deviation(c) < 1e-12
+    else:
+        assert compatibility_deviation(c) > 1e-3 and sampled > 1e-3
+
+
+def test_corner_module_ignores_complement_block():
+    # U1 on the (1 - p) block acts on no module element: the exact defect is 0,
+    # while max_j ||A_j + A_j*||_1 over the whole matrix is 2
+    th = theta2()
+    c = corner_connection(TorusElement.zero(th), TorusElement.generator(th, 1))
+    assert compatibility_deviation(c) == 0.0
+    assert sampled_compatibility_deviation(c, samples=10, seed=1) <= COMPAT_TOL
+    assert max((a + a.dagger()).l1() for a in c.A) == pytest.approx(2.0)
 
 
 def test_grassmannian_constant_projection_compatible():
     th = theta2()
     c = grassmannian_connection(th, [[0.5, 0.5], [0.5, 0.5]])
     assert c.proj is not None and c.proj.is_constant()
-    assert check_compatibility(c, samples=30, seed=4)
+    assert check_compatibility(c)
     assert ym_value(c) == 0.0
 
 
