@@ -64,12 +64,17 @@ def _run_torus_ym(spec: cfg.TorusYm):
 def _run_torus_minimize(spec: cfg.TorusMinimize):
     options = {name: value for name, value in vars(spec).items() if name != "module"}
     c, trace = ym.minimize(_connection(spec.module), **options)
+    # a run stopped at max_iters has not differentiated its last iterate
+    last_norm = ym.gradient_norm(c) if trace.reason == "max_iters" else trace.gradient_norms[-1]
     results = {
         "initial_ym": trace[0],
         "terminal_ym": trace[-1],
         "iterations": len(trace) - 1,
-        "terminal_gradient_norm": ym.gradient_norm(c),
-        "trace": trace,
+        "terminal_gradient_norm": last_norm,
+        "stop_reason": trace.reason,
+        "gradient_norms": trace.gradient_norms,
+        "steps": trace.steps,
+        "trace": list(trace),
     }
     checks = {
         "converged": results["terminal_gradient_norm"] <= spec.grad_tol,

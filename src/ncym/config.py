@@ -70,11 +70,10 @@ class _Node:
         want = "an integer" + (f" >= {lo}" if lo > -math.inf else "")
         return self.read(key, lambda v: type(v) is int and v >= lo, want, default)
 
-    def number(self, key, default=_REQUIRED, above=-math.inf, below=math.inf):
-        """A finite number strictly between the bounds, as a float."""
+    def number(self, key, default=_REQUIRED, above=-math.inf):
+        """A finite number strictly above the bound, as a float."""
         want = "a finite number" + (f" > {above}" if above > -math.inf else "")
-        want += f" and < {below}" if below < math.inf else ""
-        value = self.read(key, lambda v: _is_finite(v) and above < v < below, want, default)
+        value = self.read(key, lambda v: _is_finite(v) and above < v, want, default)
         return None if value is None else float(value)
 
     def flag(self, key, default=_REQUIRED):
@@ -167,10 +166,6 @@ class TorusMinimize:
     module: TorusModule
     max_iters: int = _field(10000, lo=1)
     grad_tol: float = _field(1e-8, above=0)
-    armijo: float = _field(1e-4, above=0)
-    # a factor of 1 or more never ends a backtracking search
-    shrink: float = _field(0.5, above=0, below=1)
-    initial_step: float = _field(1.0, above=0)
     precondition: bool = _field(True)
 
 

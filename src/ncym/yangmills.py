@@ -29,6 +29,7 @@ function of immutable inputs; independent seeds/sweeps can run concurrently.
 
 from __future__ import annotations
 
+import logging
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -46,6 +47,8 @@ from .torus import ThetaMatrix, TorusElement, product_theta, tensor_embed
 
 IDEMPOTENCY_TOL = 1e-12
 COMPAT_TOL = 1e-10
+
+log = logging.getLogger(__name__)
 
 
 class TorusMatrix:
@@ -388,10 +391,11 @@ class SplittingReport:
 def curvature(c: Connection) -> Curvature:
     """F_ij for i < j, memoised on ``c`` while ``c.A`` and ``c.proj`` are the same objects.
 
-    minimize evaluates ym_value at each trial point and ym_gradient at the
-    accepted one, so the memo spares the second curvature per iteration.  The
-    key is object identity (the memo holds the keyed objects, so their ids are
-    not reused); rebinding ``c.A`` or ``c.proj`` recomputes.
+    minimize evaluates ym_value at each candidate, then takes the gradient and
+    the line-search quartic at the accepted one, so the memo spares two
+    curvatures per iteration.  The key is object identity (the memo holds the
+    keyed objects, so their ids are not reused); rebinding ``c.A`` or
+    ``c.proj`` recomputes.
     """
     memo = c._curvature
     if memo is not None and memo[0] is c.A and memo[1] is c.proj:
@@ -562,63 +566,117 @@ def _inverse_laplacian(m: TorusMatrix) -> TorusMatrix:
     return TorusMatrix(m.theta, rows)
 
 
+class DescentTrace(list):
+    """YM at the start and after each accepted step of ``minimize``, with why it stopped.
+
+    ``reason`` is ``converged`` (gradient norm at most ``grad_tol``),
+    ``no_decrease`` (the line search found no step that lowers YM) or
+    ``max_iters``.  ``gradient_norms[k]`` is the unpreconditioned gradient norm
+    at the k-th iterate; a run stopped at ``max_iters`` has not differentiated
+    its last iterate, so there it is one entry shorter than the trace.
+    ``steps[k]`` is the step t from iterate k to k + 1.
+    """
+
+    def __init__(self, values, reason):
+        super().__init__(values)
+        self.reason = reason
+        self.gradient_norms = []
+        self.steps = []
+
+
+def line_quartic(c: Connection, d) -> tuple:
+    """Coefficients (c0, ..., c4) of YM(A - t d) = sum_k c_k t^k for potentials d.
+
+    F_ij(A - t d) = F0 - t F1 + t^2 F2 with F0 the (memoised) curvature of ``c``,
+    F1 = delta_i d_j - delta_j d_i + [A_i, d_j] + [d_i, A_j] and F2 = [d_i, d_j];
+    six ``hs_inner`` per pair i < j give the coefficients.
+    """
+    c0 = c1 = c2 = c3 = c4 = 0.0
+    for (i, j), f0 in curvature(c).items():
+        ai, aj, di, dj = c.A[i - 1], c.A[j - 1], d[i - 1], d[j - 1]
+        f1 = dj.derive(i) - di.derive(j) + (ai @ dj) - (dj @ ai) + (di @ aj) - (aj @ di)
+        f2 = (di @ dj) - (dj @ di)
+        c0 += hs_inner(f0, f0).real
+        c1 -= 2.0 * hs_inner(f0, f1).real
+        c2 += hs_inner(f1, f1).real + 2.0 * hs_inner(f0, f2).real
+        c3 -= 2.0 * hs_inner(f1, f2).real
+        c4 += hs_inner(f2, f2).real
+    return c0, c1, c2, c3, c4
+
+
+def _quartic_step(coeffs) -> float | None:
+    """The t > 0 among the stationary points of the quartic with the least value.
+
+    None when no stationary point lies at t > 0.  The stationary points are
+    the real parts of the roots of the derivative (a complex pair with a tiny
+    imaginary part is a near-double root); the derivative is scaled to a
+    largest coefficient of 1 first.
+    """
+    deriv = np.array([4.0 * coeffs[4], 3.0 * coeffs[3], 2.0 * coeffs[2], coeffs[1]])
+    scale = np.abs(deriv).max()
+    if scale == 0.0:
+        return None
+    ts = [t for t in np.roots(np.trim_zeros(deriv / scale, "f")).real if t > 0.0]
+    poly = np.array(coeffs[::-1])
+    return float(min(ts, key=lambda t: np.polyval(poly, t))) if ts else None
+
+
 def minimize(
     c0: Connection,
     max_iters: int = 10000,
     grad_tol: float = 1e-8,
-    armijo: float = 1e-4,
-    shrink: float = 0.5,
-    initial_step: float = 1.0,
     precondition: bool = True,
 ):
-    """Descent on the potentials with Armijo backtracking, skew-projected iterates.
+    """Descent on the potentials with an exact line search, skew-projected iterates.
 
-    The search direction is the negative gradient, by default rescaled
-    coefficient-wise by the inverse-Laplacian preconditioner (still a descent
-    direction; set ``precondition=False`` for the raw gradient).  Returns
-    (connection, trace) with trace the YM value at the start and after every
-    accepted step; the trace is non-increasing by construction and iteration
-    stops once the (unpreconditioned) gradient norm falls under ``grad_tol``.
-    Trial steps warm-start at min(initial_step, 4 * last accepted step).
+    The search direction d is the skew part of the gradient, by default
+    rescaled coefficient-wise by the inverse-Laplacian preconditioner (still a
+    descent direction; set ``precondition=False`` for the raw gradient).  YM
+    along the line A - t d is a quartic in t (``line_quartic``); the step is
+    its least positive stationary point, and the candidate skew_part(A - t d)
+    is accepted only if its YM is strictly below the current one.  Iteration
+    stops once the (unpreconditioned) gradient norm falls under ``grad_tol``,
+    when no step lowers YM, or after ``max_iters`` steps.
+
+    Returns (connection, trace) with trace a ``DescentTrace``: the YM value
+    at the start and after every accepted step (non-increasing by
+    construction), the stop reason, the gradient norms and the steps.  One
+    DEBUG line per step and one for the stop go to the ``ncym.yangmills``
+    logger.
     """
     c = c0
     f0 = ym_value(c)
     if not math.isfinite(f0):
         raise NonFiniteValue("YM not finite at the starting connection", iteration=0)
-    trace = [f0]
-    last_step = initial_step
+    trace = DescentTrace([f0], "max_iters")
     for it in range(max_iters):
         g = ym_gradient(c)
-        gn_sq = sum(m.frob_sq() for m in g.components)
-        if math.sqrt(gn_sq) <= grad_tol:
+        gn = g.norm()
+        trace.gradient_norms.append(gn)
+        if gn <= grad_tol:
+            trace.reason = "converged"
             break
-        if precondition:
-            direction = [_inverse_laplacian(m) for m in g.components]
-            slope = sum(hs_inner(gm, dm).real for gm, dm in zip(g.components, direction))
-        else:
-            direction = list(g.components)
-            slope = gn_sq
-        trial = min(initial_step, 4.0 * last_step)
-        accepted = None
-        while trial > 1e-18:
+        d = [skew_part(_inverse_laplacian(m) if precondition else m) for m in g.components]
+        coeffs = line_quartic(c, d)
+        if not all(map(math.isfinite, coeffs)):
+            raise NonFiniteValue(f"line-search quartic not finite at iteration {it}", iteration=it)
+        t = _quartic_step(coeffs)
+        f1 = math.inf  # stays when no stationary point lies at t > 0: no candidate
+        if t is not None:
             cand = Connection(
-                c.theta,
-                c.q,
-                [skew_part(a - m.scale(trial)) for a, m in zip(c.A, direction)],
-                c.proj,
+                c.theta, c.q, [skew_part(a - m.scale(t)) for a, m in zip(c.A, d)], c.proj
             )
             f1 = ym_value(cand)
             if not math.isfinite(f1):
                 raise NonFiniteValue(f"YM not finite at iteration {it}", iteration=it)
-            if f1 <= f0 - armijo * trial * 2.0 * slope:
-                accepted = (cand, f1)
-                break
-            trial *= shrink
-        if accepted is None:
-            break  # step underflow: gradient no longer numerically informative
-        c, f0 = accepted
+        if not f1 < f0:
+            trace.reason = "no_decrease"
+            break
+        log.debug("minimize iteration %d: ym %.6e, gradient norm %.3e, step %.6e", it, f0, gn, t)
+        c, f0 = cand, f1
         trace.append(f0)
-        last_step = trial
+        trace.steps.append(t)
+    log.debug("minimize stopped: %s after %d steps, ym %.6e", trace.reason, len(trace.steps), f0)
     return c, trace
 
 

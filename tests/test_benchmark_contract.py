@@ -49,3 +49,39 @@ def test_generated_configs_parse(name):
     work = workloads.WORKLOADS[name](SEED)
     for exp in (work.warmup,) + tuple(work.experiments):
         cfg.parse(exp.text)
+
+
+_quartic_step = ncym.yangmills._quartic_step
+
+
+def _oversized_step(coeffs):
+    """Ten times the line search's step: past the quartic's minimiser, so YM rises."""
+    return 10.0 * _quartic_step(coeffs)
+
+
+@pytest.mark.parametrize(
+    "grad_tol, step_rule, reason, rejected",
+    [
+        (1e-8, None, "converged", 0),
+        # the preconditioned direction drops below the coefficient floor: no candidate
+        (1e-300, None, "no_decrease", 0),
+        (1e-8, _oversized_step, "no_decrease", 1),
+    ],
+    ids=["converged", "direction-vanishes", "candidate-rejected"],
+)
+def test_tracer_counts_minimize_steps_and_rejections(monkeypatch, grad_tol, step_rule, reason, rejected):
+    """The tracer unpacks ``(connection, trace)``: its iterations are the accepted
+    steps, its backtracks the candidates ``minimize`` evaluated and rejected."""
+    if step_rule is not None:
+        monkeypatch.setattr(ncym.yangmills, "_quartic_step", step_rule)
+    theta = ncym.ThetaMatrix([[0.0, 0.3], [-0.3, 0.0]])
+    start = ncym.random_connection(theta, 1, ncym.sampling.rng(3), radius=1, terms=2, amplitude=0.05)
+    tracer = tracing.Tracer()
+    tracer.install(ncym, svd=False)
+    try:
+        _, trace = ncym.yangmills.minimize(start, grad_tol=grad_tol)
+    finally:
+        tracer.uninstall()
+    assert trace.reason == reason
+    assert tracer.counters["yangmills.minimize.iterations"] == len(trace.steps) == len(trace) - 1
+    assert tracer.counters["yangmills.minimize.backtracks"] == rejected

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncym import cli, config as cfg
+from ncym import cli, config as cfg, yangmills as ym
 from ncym import ConfigInvalid, matrix_case_triple
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -139,7 +139,25 @@ def test_run_torus_minimize():
     report = cli.run(cfg.ExperimentConfig("torus_minimize", payload))
     assert report["checks"]["converged"] is True
     assert report["checks"]["monotone_trace"] is True
-    assert report["results"]["terminal_ym"] <= report["results"]["initial_ym"]
+    res = report["results"]
+    assert res["terminal_ym"] <= res["initial_ym"]
+    assert res["stop_reason"] == "converged"
+    assert len(res["gradient_norms"]) == len(res["trace"]) == res["iterations"] + 1
+    assert len(res["steps"]) == res["iterations"]
+    assert res["terminal_gradient_norm"] == res["gradient_norms"][-1] <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "options, reason", [({"max_iters": 1}, "max_iters"), ({"grad_tol": 1e-300}, "no_decrease")]
+)
+def test_run_torus_minimize_unconverged(options, reason):
+    spec = cfg.ExperimentConfig("torus_minimize", torus_minimize_config(**options)["payload"])
+    res = cli.run(spec)["results"]
+    assert res["stop_reason"] == reason
+    assert len(res["steps"]) == res["iterations"] == len(res["trace"]) - 1
+    final, _ = ym.minimize(cli._connection(spec.spec.module), **options)
+    assert res["terminal_gradient_norm"] == pytest.approx(ym.gradient_norm(final), rel=1e-12)
+    assert res["terminal_gradient_norm"] > spec.spec.grad_tol
 
 
 def test_validate_finite_product_requires_seed():
@@ -349,7 +367,10 @@ def test_nonfinite_numbers_rejected(tmp_path, capsys, conf, path):
             "/payload/connection/random/terms",
         ),
         (torus_minimize_config(precondition="no"), [], "/payload/precondition"),
+        # the line search is exact: the backtracking fields are gone, not ignored
         (torus_minimize_config(shrink=1.0), [], "/payload/shrink"),
+        (torus_minimize_config(armijo=1e-4), [], "/payload/armijo"),
+        (torus_minimize_config(initial_step=1.0), [], "/payload/initial_step"),
         (finite_product_config(auto_double="yes"), [], "/payload/auto_double"),
         (finite_product_config(t2={"trivial": False}), [], "/payload/t2/trivial"),
         (finite_product_config(t2={"trivial": 1}), [], "/payload/t2/trivial"),
@@ -394,6 +415,8 @@ def test_nonfinite_numbers_rejected(tmp_path, capsys, conf, path):
         "terms-negative",
         "precondition-string",
         "shrink-1",
+        "armijo-removed",
+        "initial_step-removed",
         "auto_double-string",
         "trivial-false",
         "trivial-int",
@@ -412,6 +435,12 @@ def test_misread_fields_rejected(tmp_path, capsys, conf, extra, path):
     assert code == 1
     assert err and all(line.startswith("error: /") for line in err)
     assert err[0].startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("name", ["armijo", "shrink", "initial_step"])
+def test_removed_line_search_fields_are_unknown(name):
+    diags = cfg.validate(json.dumps(torus_minimize_config(**{name: 0.5})))
+    assert [(d.path, d.message) for d in diags] == [(f"/payload/{name}", "unknown field")]
 
 
 TRIPLE_1 = matrix_case_triple(1, 1, [[1.0]]).to_payload()
@@ -495,8 +524,15 @@ def test_unknown_log_level_is_an_input_error(tmp_path, capsys, monkeypatch):
             },
             "error: OverflowError",
         ),
+        # a finite start whose line-search quartic overflows
+        (
+            torus_minimize_config(
+                connection={"random": {"seed": 3, "radius": 1, "amplitude": 1e60, "terms": 2}}
+            ),
+            "error: line-search quartic not finite at iteration 0",
+        ),
     ],
-    ids=["nan-report", "overflow"],
+    ids=["nan-report", "overflow", "quartic-overflow"],
 )
 def test_nonfinite_results_exit_1(tmp_path, capsys, conf, message):
     assert cfg.validate(json.dumps(conf)) == []

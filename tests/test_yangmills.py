@@ -1,6 +1,7 @@
 """Curvature, the YM functional, gradients, criticality and descent."""
 
 import json
+import logging
 import math
 import warnings
 
@@ -28,7 +29,13 @@ from ncym import (
     ym_value,
 )
 from ncym import sampling
-from ncym.yangmills import COMPAT_TOL, compatibility_deviation, hs_inner, pairing_with_gradient
+from ncym.yangmills import (
+    COMPAT_TOL,
+    compatibility_deviation,
+    hs_inner,
+    line_quartic,
+    pairing_with_gradient,
+)
 
 EIGHT_PI_SQ = 8.0 * math.pi ** 2
 
@@ -391,6 +398,97 @@ def test_minimize_nonfinite_start_raises():
     c0 = Connection(th, 1, [TorusMatrix.zeros(th, 1), TorusMatrix.from_element(huge - huge.adjoint())])
     with pytest.raises(NonFiniteValue):
         minimize(c0, max_iters=3)
+
+
+def _line_start(n, q):
+    gen = sampling.rng(40 + 10 * n + q)
+    th = sampling.random_theta(n, gen)
+    return random_connection(th, q, gen, radius=1, terms=3, amplitude=0.4)
+
+
+LINE_CASES = {
+    "n2-q1": lambda: _line_start(2, 1),
+    "n2-q2": lambda: _line_start(2, 2),
+    "n3-q1": lambda: _line_start(3, 1),
+    "n3-q2": lambda: _line_start(3, 2),
+    "corner-constant-proj": _random_corner,
+}
+#: fixed before measuring: |quartic(t) - YM(A - t d)| <= QUARTIC_RTOL * sum_k |c_k| max(1, |t|)^4
+QUARTIC_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(LINE_CASES))
+def test_line_quartic_matches_ym_along_the_line(name):
+    c = LINE_CASES[name]()
+    d = random_perturbation(c, sampling.rng(41), radius=2, terms=3, skew=True).components
+    coeffs = line_quartic(c, d)
+    assert coeffs[4] > 0.0  # the directions do not commute: F2 is present
+    scale = sum(abs(x) for x in coeffs)
+    for t in (-1.0, -0.5, 0.25, 0.5, 1.0, 1.5, 2.0):
+        line = Connection(c.theta, c.q, [a - m.scale(t) for a, m in zip(c.A, d)], c.proj)
+        quartic = sum(x * t**k for k, x in enumerate(coeffs))
+        assert abs(quartic - ym_value(line)) <= QUARTIC_RTOL * scale * max(1.0, abs(t)) ** 4
+
+
+def _descent_start(seed):
+    gen = sampling.rng(seed)
+    th = sampling.random_theta(2, gen)
+    return random_connection(th, 1, gen, radius=2, amplitude=0.05)
+
+
+@pytest.mark.parametrize(
+    "seed, options, reason",
+    [
+        (5000, {}, "converged"),  # a criterion-05 start
+        (26, {"max_iters": 1}, "max_iters"),
+        # past convergence the preconditioned direction falls below the coefficient floor
+        (26, {"grad_tol": 1e-300}, "no_decrease"),
+    ],
+    ids=["converged", "max_iters", "no_decrease"],
+)
+def test_minimize_stop_reasons(seed, options, reason):
+    c, trace = minimize(_descent_start(seed), **options)
+    assert trace.reason == reason
+    assert trace[-1] == ym_value(c)
+    assert all(b < a for a, b in zip(trace, trace[1:]))
+    assert len(trace.steps) == len(trace) - 1 and all(t > 0 for t in trace.steps)
+    norms = trace.gradient_norms
+    grad_tol = options.get("grad_tol", 1e-8)
+    if reason == "max_iters":
+        assert len(trace) == 2 and len(norms) == 1
+    else:
+        assert len(norms) == len(trace)
+        assert norms[-1] == pytest.approx(gradient_norm(c), rel=1e-12)
+    assert all(gn > grad_tol for gn in norms[:-1])
+    assert (norms[-1] <= grad_tol) == (reason == "converged")
+    if reason == "no_decrease":
+        assert trace[-1] <= 1e-20
+
+
+def test_minimize_quartic_overflow_raises():
+    from ncym import NonFiniteValue
+
+    gen = sampling.rng(3)
+    th = sampling.random_theta(2, gen)
+    c0 = random_connection(th, 1, gen, radius=1, amplitude=1e60)
+    assert math.isfinite(ym_value(c0))
+    with pytest.raises(NonFiniteValue) as info:
+        minimize(c0)
+    assert info.value.iteration == 0
+
+
+def test_minimize_logs_each_iteration_at_debug(caplog):
+    c0 = _descent_start(26)
+    minimize(c0, max_iters=3)
+    assert [r for r in caplog.records if r.name.startswith("ncym")] == []
+    with caplog.at_level(logging.DEBUG, logger="ncym"):
+        _, trace = minimize(c0, max_iters=3)
+    records = [r for r in caplog.records if r.name == "ncym.yangmills"]
+    assert all(r.levelno == logging.DEBUG for r in records)
+    assert len(records) == len(trace.steps) + 1 == 4
+    for r, t in zip(records, trace.steps):
+        assert "gradient norm" in r.getMessage() and f"step {t:.6e}" in r.getMessage()
+    assert "stopped: max_iters after 3 steps" in records[-1].getMessage()
 
 
 def test_directional_derivative_rejects_bad_step():
