@@ -85,15 +85,17 @@ def _run_torus_minimize(spec: cfg.TorusMinimize):
 
 def _run_torus_product(spec: cfg.TorusProduct):
     c1, c2 = _connection(spec.first), _connection(spec.second)
-    rep = ym.additivity_report(c1, c2)
-    split = ym.critical_splitting_check(c1, c2, spec.samples, spec.seed, spec.tol)
+    # one product connection serves the report, the verdicts and the gradient
+    prod = ym.product_connection(c1, c2)
+    rep = ym.additivity_report(c1, c2, prod)
+    split = ym.critical_splitting_check(c1, c2, spec.samples, spec.seed, spec.tol, prod)
     results = dict(rep.to_payload())
     results["splitting"] = {
         "necessary": split.necessary,
         "product_critical": split.product_critical,
     }
     checks = {
-        "subadditive": ym.subadditivity_check(c1, c2),
+        "subadditive": ym.subadditivity_check(rep),
         "splitting_implication": (not split.product_critical) or split.necessary,
     }
     return results, checks, {"tol": spec.tol}

@@ -10,7 +10,8 @@ class ThetaMismatch(NcymError):
 
 
 class IndexOutOfRange(NcymError):
-    """Derivation index outside 1..n."""
+    """Generator or derivation index outside 1..n, or a multi-index entry too
+    large for the star-product kernels' int64 index arithmetic."""
 
 
 class ShapeMismatch(NcymError):

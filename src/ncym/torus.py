@@ -28,20 +28,25 @@ reordering in the test suite.
 
 Star-product kernels
 --------------------
-Products of at most ``_VECTOR_CUTOFF`` pairs of terms run a dict loop over
-the pairs; it is the reference the other kernels are tested against.  Larger
-products run the dense-box kernel, a twisted convolution: the cocycle
-exponent is w . s with w = r P (P = ``ThetaMatrix._pair_mat``), and row 0 of P
-is zero, so a's terms are grouped by their tail (r_1..r_{n-1}); each group
-modulates b, scattered into its dense bounding box, by the separable phases
-e(w_m s_m), convolves it along axis 0 with the group's r_0 row in one batched
-Toeplitz matmul, and one bincount adds every group into the output box.  Its
-cost follows the boxes, not the pair count, so operands that would make it do
-more than ``_DENSE_WORK_PER_PAIR`` box cells and multiply-adds per pair (a
-far-out term makes the box huge), or that carry a non-finite coefficient,
-take the sort-based kernel: per-pair phases and a group-by-sum over the
-output indices.  Every path drops exactly the sums with |c| < ``CANONICAL_EPS``;
-NaN is kept.
+Every product enters through ``TorusElement.__mul__`` (or ``mul``) and
+``_star_product``, which picks one of three array kernels.  Products of at
+most ``_VECTOR_CUTOFF`` pairs of terms run the small-product kernel: the
+per-pair exponents and phases as whole arrays, then one dict pass that sums
+the pairs in the order of the pair-by-pair dict loop, which the tests keep as
+the reference.  Larger products run the dense-box kernel, a twisted
+convolution: the cocycle exponent is w . s with w = r P (P =
+``ThetaMatrix._pair_mat``), and row 0 of P is zero, so a's terms are grouped
+by their tail (r_1..r_{n-1}); each group modulates b, scattered into its dense
+bounding box, by the separable phases e(w_m s_m), convolves it along axis 0
+with the group's r_0 row in one batched Toeplitz matmul, and one bincount adds
+every group into the output box.  Its cost follows the boxes, not the pair
+count, so operands that would make it do more than ``_DENSE_WORK_PER_PAIR``
+box cells and multiply-adds per pair (a far-out term makes the box huge), or
+that carry a non-finite coefficient, take the sort-based kernel: per-pair
+phases and a group-by-sum over the output indices.  All three hold the
+multi-indices in int64, so operands whose index sums could leave it raise
+``IndexOutOfRange``.  Every path drops exactly the sums with
+|c| < ``CANONICAL_EPS``; NaN is kept.
 
 All operations are pure functions of their inputs and values are never
 mutated after construction, so anything here may run concurrently on shared
@@ -51,6 +56,7 @@ elements.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -74,7 +80,7 @@ def phase(x: float) -> complex:
 class ThetaMatrix:
     """Real skew-symmetric n x n deformation matrix."""
 
-    __slots__ = ("n", "entries", "_phase_rows", "_pair_mat")
+    __slots__ = ("n", "entries", "_phase_rows", "_phase_terms", "_pair_mat")
 
     def __init__(self, entries):
         rows = tuple(tuple(float(v) + 0.0 for v in row) for row in entries)
@@ -95,6 +101,13 @@ class ThetaMatrix:
         # so cocycle sums skip structural zeros
         self._phase_rows = tuple(
             tuple((m, rows[m][k]) for m in range(k) if rows[m][k] != 0.0) for k in range(n)
+        )
+        # the same entries in the same order as arrays of k, of m and of theta[m][k]
+        flat = [(k, m, t) for k, row in enumerate(self._phase_rows) for m, t in row]
+        self._phase_terms = (
+            np.array([k for k, _, _ in flat], dtype=np.intp),
+            np.array([m for _, m, _ in flat], dtype=np.intp),
+            np.array([t for _, _, t in flat], dtype=float),
         )
         # P[k][m] = theta[m][k] for m < k, else 0: pair_exponent(r, s) = r P s^T
         pmat = np.zeros((n, n))
@@ -117,6 +130,8 @@ class ThetaMatrix:
         return cls(rows)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return isinstance(other, ThetaMatrix) and self.n == other.n and self.entries == other.entries
 
     def __hash__(self):
@@ -200,19 +215,31 @@ class TorusElement:
 
     # -- linear structure ----------------------------------------------
 
+    # The operands are canonical, so only the entries a sum touches can fall
+    # under the drop.  NaN fails ``abs(c) < CANONICAL_EPS`` and is kept, as in
+    # the constructor.
+
     def __add__(self, other):
         self._check(other)
         out = dict(self.coeffs)
         for r, c in other.coeffs.items():
-            out[r] = out.get(r, 0j) + c
-        return TorusElement(self.theta, out)
+            c = out.get(r, 0j) + c
+            if abs(c) < CANONICAL_EPS:
+                out.pop(r, None)
+            else:
+                out[r] = c
+        return TorusElement._raw(self.theta, out)
 
     def __sub__(self, other):
         self._check(other)
         out = dict(self.coeffs)
         for r, c in other.coeffs.items():
-            out[r] = out.get(r, 0j) - c
-        return TorusElement(self.theta, out)
+            c = out.get(r, 0j) - c
+            if abs(c) < CANONICAL_EPS:
+                out.pop(r, None)
+            else:
+                out[r] = c
+        return TorusElement._raw(self.theta, out)
 
     def __neg__(self):
         return TorusElement(self.theta, {r: -c for r, c in self.coeffs.items()})
@@ -310,10 +337,15 @@ class TorusElement:
         )
 
 
-#: pair-count threshold above which the star product leaves the dict loop for
-#: one of the two array kernels below (dense box or sort-based group-by); every
-#: path computes the same sums up to rounding.
+#: Products of at most this many pairs of terms run ``_star_product_small``,
+#: whose cost is a fixed number of numpy calls plus one dict pass over the
+#: pairs; larger ones run one of the two kernels below it (dense box or
+#: sort-based group-by).  Every path computes the same sums up to rounding.
 _VECTOR_CUTOFF = 512
+
+#: Largest multi-index entry the kernels can hold: they keep the operands'
+#: indices and every sum r + s in int64, which would wrap silently past it.
+_INDEX_LIMIT = 2**63 - 1
 
 #: The dense-box kernel runs while its work per pair of terms is at most this;
 #: its work is the output box's cell count plus the multiply-adds of its batched
@@ -329,48 +361,87 @@ _DENSE_WORK_PER_PAIR = 32
 
 
 def _star_product(a: TorusElement, b: TorusElement) -> TorusElement:
-    a._check(b)
-    if len(a.coeffs) * len(b.coeffs) > _VECTOR_CUTOFF:
-        return _star_product_vectorized(a, b)
-    return _star_product_loop(a, b)
+    """a * b by the kernel that suits the operands; an empty operand gives zero.
 
-
-def _star_product_loop(a: TorusElement, b: TorusElement) -> TorusElement:
-    """Pair-by-pair dict loop; the reference for the array kernels."""
-    th = a.theta
-    out = {}
-    for r, ar in a.coeffs.items():
-        for s, bs in b.coeffs.items():
-            key = tuple(ri + si for ri, si in zip(r, s))
-            out[key] = out.get(key, 0j) + ar * bs * phase(th.pair_exponent(r, s))
-    return TorusElement(th, out)
-
-
-def _terms(a: TorusElement):
-    """(multi-indices as an int64 (terms, n) array, coefficients as a complex array)."""
-    m = len(a.coeffs)
-    keys = np.array(list(a.coeffs.keys()), dtype=np.int64).reshape(m, a.theta.n)
-    return keys, np.fromiter(a.coeffs.values(), dtype=complex, count=m)
-
-
-def _star_product_vectorized(a: TorusElement, b: TorusElement) -> TorusElement:
-    """Product by one of the two array kernels, chosen from the operands.
-
-    The dense box runs while its work is at most ``_DENSE_WORK_PER_PAIR`` per
-    pair and every coefficient is finite (it multiplies each coefficient by
-    the box's empty cells, and NaN * 0 would spread NaN outside the product's
-    support); otherwise the sort-based kernel runs.  An empty operand gives
-    zero.
+    Products of at most ``_VECTOR_CUTOFF`` pairs run ``_star_product_small``.
+    Larger ones run the dense box while its work is at most
+    ``_DENSE_WORK_PER_PAIR`` per pair and every coefficient is finite (it
+    multiplies each coefficient by the box's empty cells, and NaN * 0 would
+    spread NaN outside the product's support), and the sort-based kernel
+    otherwise.  ``IndexOutOfRange`` if an entry of r + s could leave int64.
     """
+    a._check(b)
     th = a.theta
     if not a.coeffs or not b.coeffs:
         return TorusElement._raw(th, {})
-    ra, ca = _terms(a)
-    rb, cb = _terms(b)
-    dense = _dense_box_work(ra, rb) <= _DENSE_WORK_PER_PAIR * len(ca) * len(cb)
+    ra, ca, reach_a = _terms(a)
+    rb, cb, reach_b = _terms(b)
+    if reach_a + reach_b > _INDEX_LIMIT:
+        raise IndexOutOfRange(
+            f"multi-index entries up to {reach_a} and {reach_b} in magnitude: "
+            f"their sums may exceed {_INDEX_LIMIT}"
+        )
+    pairs = len(ca) * len(cb)
+    if pairs <= _VECTOR_CUTOFF:
+        return _star_product_small(th, ra, ca, rb, cb)
+    dense = _dense_box_work(ra, rb) <= _DENSE_WORK_PER_PAIR * pairs
     if dense and np.isfinite(ca).all() and np.isfinite(cb).all():
         return _star_product_box(th, ra, ca, rb, cb)
     return _star_product_sorted(th, ra, ca, rb, cb)
+
+
+def _terms(a: TorusElement):
+    """(int64 (terms, n) multi-index array, complex coefficient array, largest |r_k|).
+
+    The largest |r_k| is a Python int, taken before any int64 arithmetic.
+    """
+    m = len(a.coeffs)
+    flat = list(itertools.chain.from_iterable(a.coeffs))
+    reach = max(max(flat), -min(flat))
+    if reach > _INDEX_LIMIT:
+        raise IndexOutOfRange(f"multi-index entry {reach} in magnitude exceeds {_INDEX_LIMIT}")
+    keys = np.array(flat, dtype=np.int64).reshape(m, a.theta.n)
+    return keys, np.fromiter(a.coeffs.values(), dtype=complex, count=m), reach
+
+
+# inf and NaN coefficients carry through, as in Python's complex arithmetic;
+# callers that need finite results check them
+@np.errstate(over="ignore", invalid="ignore")
+def _star_product_small(th: ThetaMatrix, ra, ca, rb, cb) -> TorusElement:
+    """Per-pair phases from whole-array operations, then one dict pass.
+
+    The same arithmetic as the pair-by-pair dict loop kept in the tests: the
+    exponent sum_{m<k} Theta[m][k] r_k s_m adds (Theta[m][k] r_k) s_m in the
+    same order, the complex products are formed in real arithmetic with the
+    same formulas (numpy's complex multiply may contract to FMA, which would
+    make a * b and b * a differ at theta = 0), and the dict pass sums the
+    pairs in the loop's order.  Without a nonzero theta entry every phase is
+    1 and the phase step is skipped.
+    """
+    na, nb = len(ca), len(cb)
+    # (na, nb, 2, 2) real products of [re, im] x [re, im]
+    prod = ca.view(float).reshape(na, 1, 2, 1) * cb.view(float).reshape(1, nb, 1, 2)
+    vals = np.empty((na, nb, 2))
+    np.subtract(prod[..., 0, 0], prod[..., 1, 1], out=vals[..., 0])
+    np.add(prod[..., 0, 1], prod[..., 1, 0], out=vals[..., 1])
+    ks, ms, ts = th._phase_terms
+    if len(ts):
+        terms = (ra[:, None, ks] * ts) * rb[None, :, ms]
+        expo = terms[..., 0]
+        for i in range(1, len(ts)):
+            expo = expo + terms[..., i]
+        ph = np.exp(2j * math.pi * np.mod(expo, 1.0)).view(float).reshape(na, nb, 1, 2)
+        prod = vals[..., None] * ph
+        np.subtract(prod[..., 0, 0], prod[..., 1, 1], out=vals[..., 0])
+        np.add(prod[..., 0, 1], prod[..., 1, 0], out=vals[..., 1])
+    keys = (ra[:, None, :] + rb[None, :, :]).reshape(-1, th.n).tolist()
+    out = {}
+    get = out.get
+    for key, v in zip(map(tuple, keys), vals.view(complex).reshape(-1).tolist()):
+        out[key] = get(key, 0j) + v
+    if min(map(abs, out.values())) >= CANONICAL_EPS:  # NaN takes the filter below
+        return TorusElement._raw(th, out)
+    return TorusElement._raw(th, {r: c for r, c in out.items() if not abs(c) < CANONICAL_EPS})
 
 
 def _dense_box_work(ra, rb) -> int:
@@ -378,10 +449,10 @@ def _dense_box_work(ra, rb) -> int:
 
     The matmul does (groups) x (output extent along axis 0) x (cells of b's
     box) multiply-adds, and a has at most min(terms, tail cells of its box)
-    groups.
+    groups.  Extents are Python ints: a box can be wider than int64.
     """
-    ext_a = [int(x) for x in ra.max(0) - ra.min(0) + 1]
-    ext_b = [int(x) for x in rb.max(0) - rb.min(0) + 1]
+    ext_a = [hi - lo + 1 for hi, lo in zip(ra.max(0).tolist(), ra.min(0).tolist())]
+    ext_b = [hi - lo + 1 for hi, lo in zip(rb.max(0).tolist(), rb.min(0).tolist())]
     cells = math.prod(x + y - 1 for x, y in zip(ext_a, ext_b))
     groups = min(len(ra), math.prod(ext_a[1:]))
     return cells + groups * (ext_a[0] + ext_b[0] - 1) * math.prod(ext_b)

@@ -124,16 +124,25 @@ class TorusMatrix:
         return TorusMatrix(self.theta, [[a.scale(z) for a in row] for row in self.entries])
 
     def __matmul__(self, other):
+        """Entry (i, j) is the sum over k of entries[i][k] * other[k][j].
+
+        Only the pairs whose operands are both nonzero are multiplied, and each
+        sum starts from its first product (zero when there is none), so a
+        block-diagonal operand costs no star products off its blocks.  The
+        coefficients equal those of the literal sum from zero.
+        """
         self._check(other)
-        q = self.q
+        zero = TorusElement.zero(self.theta)
+        cols = list(zip(*other.entries))
         rows = []
-        for i in range(q):
+        for arow in self.entries:
             row = []
-            for j in range(q):
-                acc = TorusElement.zero(self.theta)
-                for k in range(q):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
+            for col in cols:
+                acc = None
+                for a, b in zip(arow, col):
+                    if a.coeffs and b.coeffs:
+                        acc = a * b if acc is None else acc + a * b
+                row.append(zero if acc is None else acc)
             rows.append(row)
         return TorusMatrix(self.theta, rows)
 
@@ -456,7 +465,10 @@ def directional_derivative(c: Connection, mu: Perturbation, h: float = 1e-4) -> 
 
 def pairing_with_gradient(c: Connection, mu: Perturbation) -> complex:
     """sum_k tau_q(G_k* mu_k): the curvature pairing entering the equation of motion."""
-    g = ym_gradient(c)
+    return _pairing(ym_gradient(c), mu)
+
+
+def _pairing(g: Perturbation, mu: Perturbation) -> complex:
     return sum((hs_inner(gk, mk) for gk, mk in zip(g.components, mu.components)), 0j)
 
 
@@ -725,8 +737,16 @@ def curvature_tau_sum(c: Connection) -> complex:
     return sum((m.tau() for _, m in f.items()), 0j)
 
 
-def additivity_report(c1: Connection, c2: Connection) -> AdditivityReport:
-    prod = product_connection(c1, c2)
+def additivity_report(c1: Connection, c2: Connection, prod: Connection | None = None) -> AdditivityReport:
+    """YM(nabla_1 (x) 1 + 1 (x) nabla_2) against q2 YM(nabla_1) + q1 YM(nabla_2).
+
+    ``prod`` is the product connection of ``c1`` and ``c2`` when the caller
+    has built it already (it is built here otherwise); its memoised curvature
+    then serves the caller's later gradient of the product.  One report
+    carries everything ``subadditivity_check`` decides.
+    """
+    if prod is None:
+        prod = product_connection(c1, c2)
     ym_product = ym_value(prod)
     ym1 = ym_value(c1)
     ym2 = ym_value(c2)
@@ -739,8 +759,11 @@ def additivity_report(c1: Connection, c2: Connection) -> AdditivityReport:
     return AdditivityReport(ym_product, ym1, ym2, alpha_tau, beta_tau, defect, xi, eta, cross)
 
 
-def subadditivity_check(c1: Connection, c2: Connection, slack: float = 1e-9) -> bool:
-    rep = additivity_report(c1, c2)
+def subadditivity_check(rep: AdditivityReport, slack: float = 1e-9) -> bool:
+    """sqrt(YM(product)) <= sqrt(alpha_tau YM(nabla_1)) + sqrt(beta_tau YM(nabla_2)) + slack.
+
+    Decided from the values in ``rep``, so no YM is evaluated again.
+    """
     lhs = math.sqrt(max(rep.ym_product, 0.0))
     rhs = math.sqrt(max(rep.alpha_tau * rep.ym1, 0.0)) + math.sqrt(max(rep.beta_tau * rep.ym2, 0.0))
     return lhs <= rhs + slack
@@ -752,29 +775,34 @@ def critical_splitting_check(
     samples: int = 20,
     seed: int = 0,
     tol: float = 1e-8,
+    prod: Connection | None = None,
 ) -> SplittingReport:
     """Necessary-condition and product-criticality verdicts for nabla_1 (x) nabla_2.
 
     When both factors are critical the product verdict is additionally decided
     by sampling the split bilinear condition
         q2 * tau-pairing(c1; mu1) + q1 * tau-pairing(c2; mu2) = 0
-    over random factor perturbations.
+    over random factor perturbations; each factor's gradient is computed once
+    for all samples.  ``prod`` is the product connection if already built, as
+    in ``additivity_report``.
     """
     if tol <= 0:
         raise DomainError("tolerance must be positive")
     crit1 = is_critical(c1, tol, samples, seed)
     crit2 = is_critical(c2, tol, samples, seed + 1)
     necessary = crit1 and crit2
-    prod = product_connection(c1, c2)
+    if prod is None:
+        prod = product_connection(c1, c2)
     product_critical = is_critical(prod, tol, samples, seed + 2)
     details = {"critical_1": crit1, "critical_2": crit2}
     if necessary:
+        g1, g2 = ym_gradient(c1), ym_gradient(c2)
         gen = sampling.rng(seed + 3)
         worst = 0.0
         for _ in range(samples):
             mu1 = random_perturbation(c1, gen)
             mu2 = random_perturbation(c2, gen)
-            val = c2.q * pairing_with_gradient(c1, mu1) + c1.q * pairing_with_gradient(c2, mu2)
+            val = c2.q * _pairing(g1, mu1) + c1.q * _pairing(g2, mu2)
             worst = max(worst, abs(val))
         details["bilinear_worst"] = worst
         product_critical = product_critical and worst <= tol

@@ -85,3 +85,25 @@ def test_tracer_counts_minimize_steps_and_rejections(monkeypatch, grad_tol, step
     assert trace.reason == reason
     assert tracer.counters["yangmills.minimize.iterations"] == len(trace.steps) == len(trace) - 1
     assert tracer.counters["yangmills.minimize.backtracks"] == rejected
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def test_torus_product_work_and_kernel_boundary(monkeypatch):
+    """A torus_product run builds one product connection and evaluates three YM
+    values, and every star product that reaches the kernels enters through
+    ``TorusElement.__mul__``, where the tracer counts ``torus.star``."""
+    entries = []
+    kernel = ncym.torus._star_product
+    monkeypatch.setattr(ncym.torus, "_star_product", lambda a, b: entries.append(1) or kernel(a, b))
+    experiment = cfg.parse((CONFIGS / "torus_product.json").read_text())
+    tracer = tracing.Tracer()
+    tracer.install(ncym, svd=False)
+    try:
+        ncym.cli.run(experiment)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["yangmills.product_connection"] == 1
+    assert tracer.calls["yangmills.ym_value"] == 3
+    assert tracer.calls[tracing.STAR] == len(entries) > 0

@@ -94,6 +94,18 @@ def test_run_flat_connection_reports_zero():
     assert report["results"]["ym"] == 0.0
 
 
+def test_index_sums_beyond_int64_exit_1(tmp_path, capsys):
+    """A1 A2 would carry the multi-index (2**63, 1), which int64 cannot hold."""
+
+    def potential(r):
+        return {"q": 1, "entries": [[{"r": r, "re": 0.5, "im": 0.0}]]}
+
+    conf = torus_ym_config(connection={"A": [potential([2**62, 1]), potential([2**62, 0])]})
+    code, err = run_and_capture(tmp_path, capsys, conf)
+    assert code == 1
+    assert err[0].startswith("error: multi-index entries up to 4611686018427387904 and ")
+
+
 def test_run_constants():
     report = cli.run(cfg.ExperimentConfig("constants", {"n": 2}))
     assert report["results"]["dixmier"] == pytest.approx(1.0 / (2.0 * math.pi), abs=1e-15)

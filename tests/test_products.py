@@ -23,8 +23,8 @@ from ncym import (
     subadditivity_check,
     ym_value,
 )
-from ncym import sampling
-from ncym.yangmills import compatibility_deviation
+from ncym import sampling, yangmills
+from ncym.yangmills import compatibility_deviation, pairing_with_gradient, random_perturbation
 
 EIGHT_PI_SQ = 8.0 * math.pi ** 2
 
@@ -100,7 +100,7 @@ def test_additivity_report_flat_pair():
     assert rep.ym_product == rep.ym1 == rep.ym2 == 0.0
     assert rep.alpha_tau == 3.0 and rep.beta_tau == 2.0
     assert rep.defect == 0.0 and rep.cross_term == 0.0
-    assert subadditivity_check(c1, c2)  # 0 <= 0
+    assert subadditivity_check(rep)  # 0 <= 0
 
 
 def test_additivity_instance_with_flat_factor():
@@ -126,7 +126,7 @@ def test_additivity_and_cross_term_random(seed):
 def test_subadditivity_sweep():
     for seed in range(25):
         c1, c2 = random_pair(300 + seed)
-        assert subadditivity_check(c1, c2)
+        assert subadditivity_check(additivity_report(c1, c2))
 
 
 def test_subadditivity_equality_flat_factor():
@@ -162,6 +162,27 @@ def test_splitting_minimizers_product_critical():
     rep = critical_splitting_check(c1, c2, samples=10, seed=2, tol=1e-6)
     assert rep.necessary
     assert rep.product_critical
+
+
+def test_splitting_differentiates_each_factor_once(monkeypatch):
+    """On a critical pair the bilinear samples reuse one gradient per factor."""
+    c1, c2 = random_pair(600, amplitude=0.05)  # gradient norms 7.0 and 6.7, under tol
+    seed, samples, tol = 3, 10, 20.0
+    calls = []
+    real = yangmills.ym_gradient
+    monkeypatch.setattr(yangmills, "ym_gradient", lambda c: calls.append(c) or real(c))
+    rep = critical_splitting_check(c1, c2, samples=samples, seed=seed, tol=tol)
+    assert rep.necessary
+    # is_critical differentiates c1, c2 and the product; then c1 and c2 once more
+    assert len(calls) == 5
+    gen = sampling.rng(seed + 3)
+    worst = 0.0
+    for _ in range(samples):
+        mu1 = random_perturbation(c1, gen)
+        mu2 = random_perturbation(c2, gen)
+        worst = max(worst, abs(c2.q * pairing_with_gradient(c1, mu1) + c1.q * pairing_with_gradient(c2, mu2)))
+    assert worst > 0.0
+    assert rep.details["bilinear_worst"] == worst
 
 
 def test_splitting_implication_never_violated():

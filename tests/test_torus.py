@@ -283,6 +283,17 @@ def test_serialization_round_trip(theta2):
 # -- array kernels against the dict loop ------------------------------------
 
 
+def star_product_loop(a, b):
+    """Pair-by-pair dict loop: the reference for the library's star-product kernels."""
+    th = a.theta
+    out = {}
+    for r, ar in a.coeffs.items():
+        for s, bs in b.coeffs.items():
+            key = tuple(ri + si for ri, si in zip(r, s))
+            out[key] = out.get(key, 0j) + ar * bs * torus.phase(th.pair_exponent(r, s))
+    return TorusElement(th, out)
+
+
 def kernel_tolerance(a, b):
     """Rounding bound, fixed from float64, for two evaluations of a * b.
 
@@ -322,11 +333,17 @@ def operand_pairs(draw):
 @given(operand_pairs())
 def test_array_kernels_match_dict_loop(pair):
     a, b = pair
-    ref = torus._star_product_loop(a, b)
+    ref = star_product_loop(a, b)
     tol = kernel_tolerance(a, b)
-    assert coeff_distance(torus._star_product_vectorized(a, b), ref) <= tol
+    assert coeff_distance(mul(a, b), ref) <= tol
     if a.coeffs and b.coeffs:
-        (ra, ca), (rb, cb) = torus._terms(a), torus._terms(b)
+        (ra, ca, _), (rb, cb, _) = torus._terms(a), torus._terms(b)
+        # every kernel runs on every pair here, whatever mul would choose
+        small = torus._star_product_small(a.theta, ra, ca, rb, cb)
+        assert coeff_distance(small, ref) <= tol
+        if not any(v for row in a.theta.entries for v in row):
+            # no phases at theta = 0: the small kernel does the loop's arithmetic
+            assert small.coeffs == ref.coeffs
         assert coeff_distance(torus._star_product_sorted(a.theta, ra, ca, rb, cb), ref) <= tol
         # called directly, the dense box also runs on wide supports, up to a size
         # that keeps its arrays at a few MB
@@ -354,7 +371,7 @@ def test_dense_operands_take_dense_box(theta2, monkeypatch):
     gen = sampling.rng(19)
     a, b = disc(theta2, 6, gen), disc(theta2, 5, gen)
     monkeypatch.setattr(torus, "_star_product_sorted", refuse)
-    assert coeff_distance(mul(a, b), torus._star_product_loop(a, b)) <= kernel_tolerance(a, b)
+    assert coeff_distance(mul(a, b), star_product_loop(a, b)) <= kernel_tolerance(a, b)
 
 
 def test_far_term_takes_sorted_kernel_in_bounded_memory(theta2, monkeypatch):
@@ -370,17 +387,39 @@ def test_far_term_takes_sorted_kernel_in_bounded_memory(theta2, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
-    assert coeff_distance(prod, torus._star_product_loop(a, patch)) <= kernel_tolerance(a, patch)
+    assert coeff_distance(prod, star_product_loop(a, patch)) <= kernel_tolerance(a, patch)
 
 
 @pytest.mark.parametrize("radius", [1, 3])
 def test_nan_coefficient_survives_product(theta2, radius):
-    # discs of 5 terms (25 pairs) run the dict loop, of 29 terms (841 pairs) an
-    # array kernel; dense operands like these would otherwise take the dense box
+    # discs of 5 terms (25 pairs) take the small-product kernel, of 29 terms (841
+    # pairs) the sort-based one; dense operands like these would otherwise take
+    # the dense box
     gen = sampling.rng(21)
     a, b = disc(theta2, radius, gen), disc(theta2, radius, gen)
     assert (len(a.coeffs) * len(b.coeffs) > torus._VECTOR_CUTOFF) == (radius == 3)
     a = TorusElement(theta2, {**a.coeffs, (1, 0): complex(math.nan, 0.0)})
     nan_keys = {r for r, c in mul(a, b).coeffs.items() if cmath.isnan(c)}
     assert nan_keys
-    assert nan_keys == {r for r, c in torus._star_product_loop(a, b).coeffs.items() if cmath.isnan(c)}
+    assert nan_keys == {r for r, c in star_product_loop(a, b).coeffs.items() if cmath.isnan(c)}
+
+
+#: multi-indices near the int64 limit of the kernels' index arithmetic
+BIG = 2**62
+
+
+@pytest.mark.parametrize("terms", [3, 30], ids=["9-pairs", "900-pairs"])
+def test_index_sums_at_the_int64_limit(theta2, terms):
+    assert (terms * terms > torus._VECTOR_CUTOFF) == (terms == 30)
+    a = TorusElement(theta2, {(BIG - i, 0): float(i + 1) for i in range(terms)})
+    # the largest entry of a sum is 2**62 + (2**62 - 1) = 2**63 - 1: still int64
+    below = TorusElement(theta2, {(BIG - 1 - i, 0): float(i + 1) for i in range(terms)})
+    prod = mul(a, below)
+    assert max(r[0] for r in prod.coeffs) == 2**63 - 1
+    assert prod.coeffs == star_product_loop(a, below).coeffs  # integer sums are exact
+    # one more would reach 2**63, which int64 wraps to -2**63
+    with pytest.raises(IndexOutOfRange, match="exceed"):
+        mul(a, a)
+    huge = TorusElement.monomial(theta2, (2**63, 0))
+    with pytest.raises(IndexOutOfRange, match="exceeds"):
+        mul(huge, TorusElement.one(theta2))

@@ -31,6 +31,7 @@ from ncym import (
 from ncym import sampling
 from ncym.yangmills import (
     COMPAT_TOL,
+    _kron_matrix,
     compatibility_deviation,
     hs_inner,
     line_quartic,
@@ -129,6 +130,61 @@ def test_hs_inner_matches_literal_trace():
             y = TorusMatrix(th, rows)
             literal = (x.dagger() @ y).tau()
             assert abs(hs_inner(x, y) - literal) < 1e-10
+
+
+def literal_matmul(x, y):
+    """(X Y)_ij as the literal sum over k of x_ik * y_kj, from zero."""
+    q = x.q
+    rows = []
+    for i in range(q):
+        row = []
+        for j in range(q):
+            acc = TorusElement.zero(x.theta)
+            for k in range(q):
+                acc = acc + x.entries[i][k] * y.entries[k][j]
+            row.append(acc)
+        rows.append(row)
+    return TorusMatrix(x.theta, rows)
+
+
+def random_matrix(th, q, gen, zero_share):
+    """q x q random entries, each replaced by zero with probability zero_share."""
+    rows = [
+        [
+            TorusElement.zero(th) if gen.random() < zero_share else sampling.random_element(th, gen, 2, 4)
+            for _ in range(q)
+        ]
+        for _ in range(q)
+    ]
+    return TorusMatrix(th, rows)
+
+
+def same_coefficients(x, y):
+    return all(a.coeffs == b.coeffs for ra, rb in zip(x.entries, y.entries) for a, b in zip(ra, rb))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_matmul_matches_literal_sum(q):
+    gen = sampling.rng(30 + q)
+    th = sampling.random_theta(2, gen)
+    for zero_share in (0.0, 0.4, 1.0):
+        for _ in range(5):
+            x, y = random_matrix(th, q, gen, zero_share), random_matrix(th, q, gen, zero_share)
+            assert same_coefficients(x @ y, literal_matmul(x, y))
+
+
+@pytest.mark.parametrize("q2", [2, 3])
+def test_matmul_matches_literal_sum_block_diagonal(q2):
+    """Operands a (x) 1_q2, as in the product modules, with most entries zero."""
+    gen = sampling.rng(40 + q2)
+    th, ph = sampling.random_theta(2, gen), sampling.random_theta(2, gen)
+    one = TorusMatrix.identity(ph, q2)
+    for _ in range(5):
+        x = _kron_matrix(random_matrix(th, 1, gen, 0.0), one)
+        y = _kron_matrix(random_matrix(th, 1, gen, 0.0), one)
+        z = _kron_matrix(TorusMatrix.identity(th, 1), random_matrix(ph, q2, gen, 0.3))
+        for a, b in ((x, y), (x, z), (z, x)):
+            assert same_coefficients(a @ b, literal_matmul(a, b))
 
 
 def test_compatibility_skew_true_nonskew_false():
