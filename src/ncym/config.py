@@ -166,7 +166,6 @@ class TorusMinimize:
     module: TorusModule
     max_iters: int = _field(10000, lo=1)
     grad_tol: float = _field(1e-8, above=0)
-    precondition: bool = _field(True)
 
 
 @dataclass(frozen=True)
@@ -208,7 +207,7 @@ class FiniteProduct:
     t1: TripleRef
     t2: TripleRef
     # accepted and unused: the orthogonality verdict is exact, not sampled
-    seed: int = _field(lo=0)
+    seed: int = _field(0, lo=0)
     samples: int = _field(100, lo=1)
     auto_double: bool = _field(True)
 

@@ -29,23 +29,22 @@ reordering in the test suite.
 Star-product kernels
 --------------------
 Every product enters through ``TorusElement.__mul__`` (or ``mul``) and
-``_star_product``, which picks one of three array kernels.  Products of at
-most ``_VECTOR_CUTOFF`` pairs of terms run the small-product kernel: the
-per-pair exponents and phases as whole arrays, then one dict pass that sums
-the pairs in the order of the pair-by-pair dict loop, which the tests keep as
-the reference.  Larger products run the dense-box kernel, a twisted
-convolution: the cocycle exponent is w . s with w = r P (P =
-``ThetaMatrix._pair_mat``), and row 0 of P is zero, so a's terms are grouped
-by their tail (r_1..r_{n-1}); each group modulates b, scattered into its dense
-bounding box, by the separable phases e(w_m s_m), convolves it along axis 0
-with the group's r_0 row in one batched Toeplitz matmul, and one bincount adds
-every group into the output box.  Its cost follows the boxes, not the pair
-count, so operands that would make it do more than ``_DENSE_WORK_PER_PAIR``
-box cells and multiply-adds per pair (a far-out term makes the box huge), or
-that carry a non-finite coefficient, take the sort-based kernel: per-pair
-phases and a group-by-sum over the output indices.  All three hold the
-multi-indices in int64, so operands whose index sums could leave it raise
-``IndexOutOfRange``.  Every path drops exactly the sums with
+``_star_product``, which picks one of two array kernels.  The dense-box
+kernel takes products of more than ``_VECTOR_CUTOFF`` pairs of terms whose
+box work is at most ``_DENSE_WORK_PER_PAIR`` per pair and whose coefficients
+are all finite.  It is a twisted convolution: the cocycle exponent is w . s
+with w = r P (P = ``ThetaMatrix._pair_mat``), and row 0 of P is zero, so a's
+terms are grouped by their tail (r_1..r_{n-1}); each group modulates b,
+scattered into its dense bounding box, by the separable phases e(w_m s_m),
+convolves it along axis 0 with the group's r_0 row in one batched Toeplitz
+matmul, and one bincount adds every group into the output box.  Its cost
+follows the boxes, not the pair count.  Every other product (few pairs, a
+far-out term that makes the box huge, a non-finite coefficient) runs the
+pairwise kernel: the per-pair exponents and phases as whole arrays, then one
+dict pass that sums the pairs in the order of the pair-by-pair dict loop,
+which the tests keep as the reference; its time and memory follow the pair
+count.  Both hold the multi-indices in int64, so operands whose index sums
+could leave it raise ``IndexOutOfRange``.  Both drop exactly the sums with
 |c| < ``CANONICAL_EPS``; NaN is kept.
 
 All operations are pure functions of their inputs and values are never
@@ -68,6 +67,13 @@ CANONICAL_EPS = 1e-15
 
 MONOMIAL_ORDER = "U^r = U_1^{r_1} U_2^{r_2} ... U_n^{r_n} (ascending index)"
 COCYCLE_CONVENTION = "sigma(r,s) = e(sum_{m<k} Theta[m][k]*r_k*s_m), e(x)=exp(2*pi*i*x)"
+
+
+def _trimmed(coeffs: dict) -> dict:
+    """coeffs without its entries of modulus below ``CANONICAL_EPS``; NaN is kept."""
+    if min(map(abs, coeffs.values()), default=CANONICAL_EPS) >= CANONICAL_EPS:
+        return coeffs
+    return {r: c for r, c in coeffs.items() if not abs(c) < CANONICAL_EPS}
 
 
 def phase(x: float) -> complex:
@@ -217,7 +223,9 @@ class TorusElement:
 
     # The operands are canonical, so only the entries a sum touches can fall
     # under the drop.  NaN fails ``abs(c) < CANONICAL_EPS`` and is kept, as in
-    # the constructor.
+    # the constructor.  Negation and the derivations keep every modulus at or
+    # above the operand's, so they drop nothing; a scale or the adjoint's
+    # phases can push one under.
 
     def __add__(self, other):
         self._check(other)
@@ -242,11 +250,11 @@ class TorusElement:
         return TorusElement._raw(self.theta, out)
 
     def __neg__(self):
-        return TorusElement(self.theta, {r: -c for r, c in self.coeffs.items()})
+        return TorusElement._raw(self.theta, {r: -c for r, c in self.coeffs.items()})
 
     def scale(self, z) -> "TorusElement":
         z = complex(z)
-        return TorusElement(self.theta, {r: z * c for r, c in self.coeffs.items()})
+        return TorusElement._raw(self.theta, _trimmed({r: z * c for r, c in self.coeffs.items()}))
 
     def __mul__(self, other):
         if isinstance(other, TorusElement):
@@ -272,7 +280,7 @@ class TorusElement:
         out = {}
         for r, c in self.coeffs.items():
             out[tuple(-x for x in r)] = c.conjugate() * phase(th.pair_exponent(r, r))
-        return TorusElement(th, out)
+        return TorusElement._raw(th, _trimmed(out))
 
     def trace(self) -> complex:
         """The tracial state: coefficient at the zero multi-index."""
@@ -288,7 +296,7 @@ class TorusElement:
         for r, c in self.coeffs.items():
             if r[i]:
                 out[r] = complex(0.0, two_pi * r[i]) * c
-        return TorusElement(self.theta, out)
+        return TorusElement._raw(self.theta, out)
 
     # -- inspection ------------------------------------------------------
 
@@ -337,10 +345,10 @@ class TorusElement:
         )
 
 
-#: Products of at most this many pairs of terms run ``_star_product_small``,
+#: Products of at most this many pairs of terms run ``_star_product_pairs``,
 #: whose cost is a fixed number of numpy calls plus one dict pass over the
-#: pairs; larger ones run one of the two kernels below it (dense box or
-#: sort-based group-by).  Every path computes the same sums up to rounding.
+#: pairs; larger ones may run the dense box.  Both kernels compute the same
+#: sums up to rounding.
 _VECTOR_CUTOFF = 512
 
 #: Largest multi-index entry the kernels can hold: they keep the operands'
@@ -349,26 +357,26 @@ _INDEX_LIMIT = 2**63 - 1
 
 #: The dense-box kernel runs while its work per pair of terms is at most this;
 #: its work is the output box's cell count plus the multiply-adds of its batched
-#: Toeplitz matmul, which also bound the size of every array it builds.  The
-#: sort-based kernel's time and memory follow the pair count instead.  Descent's
-#: products need 2-32 per pair, where the dense kernel is up to 8x faster, and
-#: break even near 30 (measured on a 2-core Xeon VM).  Box cells alone are not
-#: enough: a 100-term diagonal times a 2x200 strip has 0.75 cells but 101
-#: multiply-adds per pair, and the dense kernel is 4x slower there.  One far-out
-#: term (say U^(0,10**6) next to a dense patch) makes the box millions of cells
-#: for a few thousand pairs.
+#: Toeplitz matmul, which also bound the size of every array it builds.  Above
+#: it the pairwise kernel runs, whose time and memory follow the pair count.
+#: Descent's products need 2-32 per pair, where the dense kernel is up to 8x
+#: faster than a per-pair group-by (measured on a 2-core Xeon VM).  Box cells
+#: alone are not enough: a 100-term diagonal times a 2x200 strip has 0.75 cells
+#: but 101 multiply-adds per pair, and the dense kernel takes 1.4x the pairwise
+#: kernel's time there.  One far-out term (say U^(0,10**6) next to a dense
+#: patch) makes the box millions of cells for a few thousand pairs.
 _DENSE_WORK_PER_PAIR = 32
 
 
 def _star_product(a: TorusElement, b: TorusElement) -> TorusElement:
     """a * b by the kernel that suits the operands; an empty operand gives zero.
 
-    Products of at most ``_VECTOR_CUTOFF`` pairs run ``_star_product_small``.
-    Larger ones run the dense box while its work is at most
-    ``_DENSE_WORK_PER_PAIR`` per pair and every coefficient is finite (it
-    multiplies each coefficient by the box's empty cells, and NaN * 0 would
-    spread NaN outside the product's support), and the sort-based kernel
-    otherwise.  ``IndexOutOfRange`` if an entry of r + s could leave int64.
+    The dense box runs when there are more than ``_VECTOR_CUTOFF`` pairs, its
+    work is at most ``_DENSE_WORK_PER_PAIR`` per pair and every coefficient is
+    finite (it multiplies each coefficient by the box's empty cells, and
+    NaN * 0 would spread NaN outside the product's support);
+    ``_star_product_pairs`` runs otherwise.  ``IndexOutOfRange`` if an entry
+    of r + s could leave int64.
     """
     a._check(b)
     th = a.theta
@@ -382,12 +390,14 @@ def _star_product(a: TorusElement, b: TorusElement) -> TorusElement:
             f"their sums may exceed {_INDEX_LIMIT}"
         )
     pairs = len(ca) * len(cb)
-    if pairs <= _VECTOR_CUTOFF:
-        return _star_product_small(th, ra, ca, rb, cb)
-    dense = _dense_box_work(ra, rb) <= _DENSE_WORK_PER_PAIR * pairs
-    if dense and np.isfinite(ca).all() and np.isfinite(cb).all():
+    if (
+        pairs > _VECTOR_CUTOFF
+        and _dense_box_work(ra, rb) <= _DENSE_WORK_PER_PAIR * pairs
+        and np.isfinite(ca).all()
+        and np.isfinite(cb).all()
+    ):
         return _star_product_box(th, ra, ca, rb, cb)
-    return _star_product_sorted(th, ra, ca, rb, cb)
+    return _star_product_pairs(th, ra, ca, rb, cb)
 
 
 def _terms(a: TorusElement):
@@ -407,16 +417,17 @@ def _terms(a: TorusElement):
 # inf and NaN coefficients carry through, as in Python's complex arithmetic;
 # callers that need finite results check them
 @np.errstate(over="ignore", invalid="ignore")
-def _star_product_small(th: ThetaMatrix, ra, ca, rb, cb) -> TorusElement:
+def _star_product_pairs(th: ThetaMatrix, ra, ca, rb, cb) -> TorusElement:
     """Per-pair phases from whole-array operations, then one dict pass.
 
-    The same arithmetic as the pair-by-pair dict loop kept in the tests: the
-    exponent sum_{m<k} Theta[m][k] r_k s_m adds (Theta[m][k] r_k) s_m in the
-    same order, the complex products are formed in real arithmetic with the
-    same formulas (numpy's complex multiply may contract to FMA, which would
-    make a * b and b * a differ at theta = 0), and the dict pass sums the
-    pairs in the loop's order.  Without a nonzero theta entry every phase is
-    1 and the phase step is skipped.
+    Runs every product the dense box does not take; its time and memory
+    follow the pair count.  The same arithmetic as the pair-by-pair dict loop
+    kept in the tests: the exponent sum_{m<k} Theta[m][k] r_k s_m adds
+    (Theta[m][k] r_k) s_m in the same order, the complex products are formed
+    in real arithmetic with the same formulas (numpy's complex multiply may
+    contract to FMA, which would make a * b and b * a differ at theta = 0),
+    and the dict pass sums the pairs in the loop's order.  Without a nonzero
+    theta entry every phase is 1 and the phase step is skipped.
     """
     na, nb = len(ca), len(cb)
     # (na, nb, 2, 2) real products of [re, im] x [re, im]
@@ -439,9 +450,7 @@ def _star_product_small(th: ThetaMatrix, ra, ca, rb, cb) -> TorusElement:
     get = out.get
     for key, v in zip(map(tuple, keys), vals.view(complex).reshape(-1).tolist()):
         out[key] = get(key, 0j) + v
-    if min(map(abs, out.values())) >= CANONICAL_EPS:  # NaN takes the filter below
-        return TorusElement._raw(th, out)
-    return TorusElement._raw(th, {r: c for r, c in out.items() if not abs(c) < CANONICAL_EPS})
+    return TorusElement._raw(th, _trimmed(out))
 
 
 def _dense_box_work(ra, rb) -> int:
@@ -472,7 +481,7 @@ def _star_product_box(th: ThetaMatrix, ra, ca, rb, cb) -> TorusElement:
     ext_a = ra.max(0) - loa + 1
     ext_b = rb.max(0) - lob + 1
     ext = ext_a + ext_b - 1
-    # output cells are numbered with axis 0 fastest, the order the sort kernel emits
+    # output cells are numbered with axis 0 fastest
     stride = np.cumprod(np.concatenate(([1], ext[:-1])))
     dense_b = np.zeros(tuple(ext_b), dtype=complex)
     dense_b[tuple((rb - lob).T)] = cb
@@ -511,39 +520,6 @@ def _star_product_box(th: ThetaMatrix, ra, ca, rb, cb) -> TorusElement:
     kept = np.flatnonzero(~(np.abs(sums) < CANONICAL_EPS))
     keys = np.stack(np.unravel_index(kept, tuple(ext), order="F"), axis=1) + (loa + lob)
     return TorusElement._raw(th, dict(zip(map(tuple, keys.tolist()), sums[kept].tolist())))
-
-
-def _star_product_sorted(th: ThetaMatrix, ra, ca, rb, cb) -> TorusElement:
-    """Per-pair phases, then a sort-based group-by-sum over the output indices."""
-    n = th.n
-    expo = (ra.astype(float) @ th._pair_mat) @ rb.astype(float).T
-    vals = np.outer(ca, cb)
-    nz = expo != 0.0  # keep exact unit phases exact
-    if nz.any():
-        vals[nz] *= np.exp(2j * math.pi * np.mod(expo[nz], 1.0))
-    keys = (ra[:, None, :] + rb[None, :, :]).reshape(-1, n)
-    vals = vals.reshape(-1)
-    max_abs = int(np.abs(keys).max(initial=0))
-    if max_abs < (1 << 15) and 16 * n <= 62:
-        # pack each multi-index into one int64 for a fast 1-d group-by
-        shifts = 16 * np.arange(n, dtype=np.int64)
-        packed = (keys + (1 << 15)) @ (np.int64(1) << shifts)
-        uniq, inv = np.unique(packed, return_inverse=True)
-        sums = np.bincount(inv, weights=vals.real, minlength=len(uniq)) + 1j * np.bincount(
-            inv, weights=vals.imag, minlength=len(uniq)
-        )
-        keep = ~(np.abs(sums) < CANONICAL_EPS)  # NaN is kept, as in the dict loop
-        dec = ((uniq[keep, None] >> shifts) & 0xFFFF) - (1 << 15)
-        out = dict(zip(map(tuple, dec.tolist()), sums[keep].tolist()))
-    else:
-        uniq, inv = np.unique(keys, axis=0, return_inverse=True)
-        inv = inv.reshape(-1)
-        sums = np.bincount(inv, weights=vals.real, minlength=len(uniq)) + 1j * np.bincount(
-            inv, weights=vals.imag, minlength=len(uniq)
-        )
-        keep = ~(np.abs(sums) < CANONICAL_EPS)
-        out = dict(zip(map(tuple, uniq[keep].tolist()), sums[keep].tolist()))
-    return TorusElement._raw(th, out)
 
 
 # Module-level operation names mirroring the algebra interface.

@@ -637,13 +637,12 @@ def minimize(
     c0: Connection,
     max_iters: int = 10000,
     grad_tol: float = 1e-8,
-    precondition: bool = True,
 ):
     """Descent on the potentials with an exact line search, skew-projected iterates.
 
-    The search direction d is the skew part of the gradient, by default
-    rescaled coefficient-wise by the inverse-Laplacian preconditioner (still a
-    descent direction; set ``precondition=False`` for the raw gradient).  YM
+    The search direction d is the skew part of the gradient rescaled
+    coefficient-wise by the inverse-Laplacian preconditioner (still a descent
+    direction; the raw gradient spreads the support until memory runs out).  YM
     along the line A - t d is a quartic in t (``line_quartic``); the step is
     its least positive stationary point, and the candidate skew_part(A - t d)
     is accepted only if its YM is strictly below the current one.  Iteration
@@ -668,7 +667,7 @@ def minimize(
         if gn <= grad_tol:
             trace.reason = "converged"
             break
-        d = [skew_part(_inverse_laplacian(m) if precondition else m) for m in g.components]
+        d = [skew_part(_inverse_laplacian(m)) for m in g.components]
         coeffs = line_quartic(c, d)
         if not all(map(math.isfinite, coeffs)):
             raise NonFiniteValue(f"line-search quartic not finite at iteration {it}", iteration=it)

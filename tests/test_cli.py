@@ -172,13 +172,16 @@ def test_run_torus_minimize_unconverged(options, reason):
     assert res["terminal_gradient_norm"] > spec.spec.grad_tol
 
 
-def test_validate_finite_product_requires_seed():
+def test_validate_finite_product_seed_optional():
+    # the seed is accepted and unused, so a config without it validates and runs
     conf = {
         "kind": "finite_product",
         "payload": {"t1": {"trivial": True}, "t2": {"trivial": True}},
     }
-    diags = cfg.validate(json.dumps(conf))
-    assert any(d.path == "/payload/seed" for d in diags)
+    assert cfg.validate(json.dumps(conf)) == []
+    spec = cfg.parse(json.dumps(conf))
+    assert spec.spec.seed == 0
+    assert all(cli.run(spec)["checks"].values())
 
 
 def torus_product_config():
@@ -449,7 +452,7 @@ def test_misread_fields_rejected(tmp_path, capsys, conf, extra, path):
     assert err[0].startswith(f"error: {path}: ")
 
 
-@pytest.mark.parametrize("name", ["armijo", "shrink", "initial_step"])
+@pytest.mark.parametrize("name", ["armijo", "shrink", "initial_step", "precondition"])
 def test_removed_line_search_fields_are_unknown(name):
     diags = cfg.validate(json.dumps(torus_minimize_config(**{name: 0.5})))
     assert [(d.path, d.message) for d in diags] == [(f"/payload/{name}", "unknown field")]

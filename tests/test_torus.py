@@ -230,6 +230,9 @@ def test_canonical_form_drops_tiny(theta2):
     assert set(a.coeffs) == {(0, 0)}
     b = TorusElement.monomial(theta2, (1, 1), 1.0)
     assert (b - b).coeffs == {}
+    # a scale drops what it pushes under the floor and keeps NaN, as the constructor does
+    c = TorusElement(theta2, {(0, 0): 1.0, (1, 0): 1e-3, (0, 1): complex(math.nan, 0.0)})
+    assert set(c.scale(1e-13).coeffs) == {(0, 0), (0, 1)}
 
 
 def test_product_theta_and_embedding():
@@ -338,13 +341,12 @@ def test_array_kernels_match_dict_loop(pair):
     assert coeff_distance(mul(a, b), ref) <= tol
     if a.coeffs and b.coeffs:
         (ra, ca, _), (rb, cb, _) = torus._terms(a), torus._terms(b)
-        # every kernel runs on every pair here, whatever mul would choose
-        small = torus._star_product_small(a.theta, ra, ca, rb, cb)
-        assert coeff_distance(small, ref) <= tol
+        # both kernels run on every pair here, whatever mul would choose
+        pairs = torus._star_product_pairs(a.theta, ra, ca, rb, cb)
+        assert coeff_distance(pairs, ref) <= tol
         if not any(v for row in a.theta.entries for v in row):
-            # no phases at theta = 0: the small kernel does the loop's arithmetic
-            assert small.coeffs == ref.coeffs
-        assert coeff_distance(torus._star_product_sorted(a.theta, ra, ca, rb, cb), ref) <= tol
+            # no phases at theta = 0: the pairwise kernel does the loop's arithmetic
+            assert pairs.coeffs == ref.coeffs
         # called directly, the dense box also runs on wide supports, up to a size
         # that keeps its arrays at a few MB
         if torus._dense_box_work(ra, rb) <= 10**6:
@@ -370,11 +372,11 @@ def refuse(*args):
 def test_dense_operands_take_dense_box(theta2, monkeypatch):
     gen = sampling.rng(19)
     a, b = disc(theta2, 6, gen), disc(theta2, 5, gen)
-    monkeypatch.setattr(torus, "_star_product_sorted", refuse)
+    monkeypatch.setattr(torus, "_star_product_pairs", refuse)
     assert coeff_distance(mul(a, b), star_product_loop(a, b)) <= kernel_tolerance(a, b)
 
 
-def test_far_term_takes_sorted_kernel_in_bounded_memory(theta2, monkeypatch):
+def test_far_term_takes_pairwise_kernel_in_bounded_memory(theta2, monkeypatch):
     gen = sampling.rng(20)
     patch = disc(theta2, 4, gen)
     a = patch + TorusElement.monomial(theta2, (0, 10**6), 0.5)
@@ -391,13 +393,14 @@ def test_far_term_takes_sorted_kernel_in_bounded_memory(theta2, monkeypatch):
 
 
 @pytest.mark.parametrize("radius", [1, 3])
-def test_nan_coefficient_survives_product(theta2, radius):
-    # discs of 5 terms (25 pairs) take the small-product kernel, of 29 terms (841
-    # pairs) the sort-based one; dense operands like these would otherwise take
-    # the dense box
+def test_nan_coefficient_survives_product(theta2, radius, monkeypatch):
+    # discs of 5 terms (25 pairs) and of 29 terms (841 pairs, above the cutoff)
+    # both take the pairwise kernel; dense operands like these would otherwise
+    # take the dense box
     gen = sampling.rng(21)
     a, b = disc(theta2, radius, gen), disc(theta2, radius, gen)
     assert (len(a.coeffs) * len(b.coeffs) > torus._VECTOR_CUTOFF) == (radius == 3)
+    monkeypatch.setattr(torus, "_star_product_box", refuse)
     a = TorusElement(theta2, {**a.coeffs, (1, 0): complex(math.nan, 0.0)})
     nan_keys = {r for r, c in mul(a, b).coeffs.items() if cmath.isnan(c)}
     assert nan_keys

@@ -436,16 +436,6 @@ def test_minimize_descends_to_flat():
     assert gradient_norm(c) <= 1e-8
 
 
-def test_minimize_unpreconditioned_still_descends():
-    # raw gradient descent is stiff (support spreads fast), so only a few steps
-    gen = sampling.rng(27)
-    th = sampling.random_theta(2, gen)
-    c0 = random_connection(th, 1, gen, radius=1, amplitude=0.05, terms=2)
-    c, trace = minimize(c0, max_iters=5, grad_tol=1e-8, precondition=False)
-    assert all(b <= a for a, b in zip(trace, trace[1:]))
-    assert trace[-1] < trace[0]
-
-
 def test_minimize_nonfinite_start_raises():
     from ncym import NonFiniteValue
 
