@@ -22,10 +22,19 @@ P - V^T (conj(V) P). The nonzero singular values of P - U (U* P) equal those
 of (kernel basis of m) P, so the rank cut against the largest product norm
 is the one the kernel images would get.
 
+Every operator stack is one complex ``(k, d, d)`` array: the algebra basis,
+a subspace's matrices, the form generators and the product legs. Products
+over basis pairs are one batched matmul (``_pair_products``), tensor products
+of two stacks one broadcast multiply (``_kron``).
+
 All subspaces live in the dim_h^2-dimensional operator space with the
 Frobenius inner product; ranks are decided by SVD with relative threshold
-``RANK_TOL`` and subspace equality means mutual containment with projection
-residual at most ``CONTAIN_TOL``.
+``RANK_TOL``. A stack lies in a subspace when each projection residual is at
+most ``CONTAIN_TOL`` (one projection per stack, ``OperatorSubspace.contains``);
+subspace equality is mutual containment. ``FiniteTriple`` checks closure under
+adjoint and product, and commutation with the grading, on its basis elements
+divided by their Frobenius norms, so these verdicts do not depend on the scale
+of the basis.
 """
 
 from __future__ import annotations
@@ -48,16 +57,13 @@ SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def _orthonormal_rows(vectors, rel_tol: float = RANK_TOL, scale: float | None = None) -> np.ndarray:
-    """Orthonormal basis (as rows) of the span of the given vectors.
+def _orthonormal_rows(m: np.ndarray, rel_tol: float = RANK_TOL, scale: float | None = None) -> np.ndarray:
+    """Orthonormal basis (as rows) of the row space of the 2-d array ``m``.
 
     ``scale`` overrides the reference magnitude for the rank cut; pass it when
-    the vectors arise from cancellations so roundoff residue is not mistaken
+    the rows arise from cancellations so roundoff residue is not mistaken
     for span (default: largest singular value).
     """
-    if len(vectors) == 0:
-        return np.zeros((0, 0), dtype=complex)
-    m = np.array(vectors, dtype=complex)
     if not m.any():
         return np.zeros((0, m.shape[1]), dtype=complex)
     _, s, vh = np.linalg.svd(m, full_matrices=False)
@@ -85,44 +91,35 @@ class OperatorSubspace:
 
     @classmethod
     def span(cls, matrices, dim_h: int) -> "OperatorSubspace":
-        vecs = [np.asarray(m, dtype=complex).reshape(-1) for m in matrices]
-        basis = _orthonormal_rows(vecs)
-        if basis.shape[0] == 0:
-            basis = np.zeros((0, dim_h * dim_h), dtype=complex)
-        return cls(dim_h * dim_h, basis)
+        """Span of a stack of dim_h x dim_h matrices."""
+        dd = dim_h * dim_h
+        return cls(dd, _orthonormal_rows(np.asarray(matrices, dtype=complex).reshape(-1, dd)))
 
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def project(self, vec: np.ndarray) -> np.ndarray:
-        if self.dim == 0:
-            return np.zeros_like(vec)
-        coords = self.basis.conj() @ vec
-        return self.basis.T @ coords
+    def contains(self, stack, tol: float = CONTAIN_TOL) -> bool:
+        """Whether every operator of ``stack`` has projection residual at most ``tol``.
 
-    def residual(self, matrix) -> float:
-        vec = np.asarray(matrix, dtype=complex).reshape(-1)
-        return float(np.linalg.norm(vec - self.project(vec)))
+        ``stack`` holds matrices or flattened vectors under any leading shape;
+        an empty stack is contained in every subspace.
+        """
+        vecs = np.asarray(stack, dtype=complex).reshape(-1, self.ambient_dim)
+        residual = vecs - (vecs @ self.basis.conj().T) @ self.basis
+        return bool(np.all(np.linalg.norm(residual, axis=1) <= tol))
 
-    def contains(self, matrix, tol: float = CONTAIN_TOL) -> bool:
-        return self.residual(matrix) <= tol
-
-    def matrices(self, dim_h: int):
-        return [self.basis[i].reshape(dim_h, dim_h) for i in range(self.dim)]
+    def matrices(self, dim_h: int) -> np.ndarray:
+        """The basis as a (dim, dim_h, dim_h) stack."""
+        return self.basis.reshape(-1, dim_h, dim_h)
 
 
 def subspace_sum(ambient_dim: int, *spaces) -> OperatorSubspace:
-    rows = [s.basis for s in spaces if s.dim > 0]
-    if not rows:
-        return OperatorSubspace(ambient_dim, np.zeros((0, ambient_dim), dtype=complex))
-    return OperatorSubspace(ambient_dim, _orthonormal_rows(np.vstack(rows)))
+    return OperatorSubspace(ambient_dim, _orthonormal_rows(np.vstack([s.basis for s in spaces])))
 
 
 def contains_subspace(big: OperatorSubspace, small: OperatorSubspace, tol: float = CONTAIN_TOL) -> bool:
-    return all(
-        float(np.linalg.norm(v - big.project(v))) <= tol for v in small.basis
-    )
+    return big.contains(small.basis, tol)
 
 
 def subspaces_equal(a: OperatorSubspace, b: OperatorSubspace, tol: float = CONTAIN_TOL) -> bool:
@@ -134,14 +131,22 @@ def intersection_dim(a: OperatorSubspace, b: OperatorSubspace) -> int:
 
 
 class FiniteTriple:
-    """Matrix spectral triple: algebra span, self-adjoint D, optional grading."""
+    """Matrix spectral triple: algebra span, self-adjoint D, optional grading.
+
+    ``algebra_basis`` is held as the (k, dim_h, dim_h) stack of the basis.
+    """
 
     def __init__(self, dim_h: int, algebra_basis, D, gamma=None):
-        self.dim_h = int(dim_h)
-        self.algebra_basis = [np.asarray(a, dtype=complex) for a in algebra_basis]
+        d = self.dim_h = int(dim_h)
+        basis = [np.asarray(a, dtype=complex) for a in algebra_basis]
         self.D = np.asarray(D, dtype=complex)
         self.gamma = None if gamma is None else np.asarray(gamma, dtype=complex)
-        self._alg_span = OperatorSubspace.span(self.algebra_basis, self.dim_h)
+        for a in basis + [self.D]:
+            if a.shape != (d, d):
+                raise InvalidTriple(f"matrix of shape {a.shape}, expected {(d, d)}")
+        if self.gamma is not None and self.gamma.shape != (d, d):
+            raise InvalidTriple("gamma has wrong shape")
+        self.algebra_basis = np.array(basis, dtype=complex).reshape(-1, d, d)
         self._validate()
 
     @property
@@ -149,34 +154,29 @@ class FiniteTriple:
         return self.gamma is not None
 
     def _validate(self):
-        d = self.dim_h
-        for a in self.algebra_basis + [self.D]:
-            if a.shape != (d, d):
-                raise InvalidTriple(f"matrix of shape {a.shape}, expected {(d, d)}")
-        if np.linalg.norm(self.D - self.D.conj().T) > STRUCT_TOL * max(1.0, np.linalg.norm(self.D)):
+        d, dirac, g = self.dim_h, self.D, self.gamma
+        if np.linalg.norm(dirac - dirac.conj().T) > STRUCT_TOL * max(1.0, np.linalg.norm(dirac)):
             raise InvalidTriple("D is not self-adjoint")
-        span = self._alg_span
+        norms = np.linalg.norm(self.algebra_basis, axis=(1, 2))
+        nonzero = norms > 0
+        unit = self.algebra_basis[nonzero] / norms[nonzero, None, None]
+        span = OperatorSubspace.span(unit, d)
         if not span.contains(np.eye(d)):
             raise InvalidTriple("algebra span does not contain the identity")
-        for a in self.algebra_basis:
-            if not span.contains(a.conj().T):
-                raise InvalidTriple("algebra span not closed under adjoint")
-            for b in self.algebra_basis:
-                if not span.contains(a @ b):
-                    raise InvalidTriple("algebra span not closed under product")
-        if self.gamma is not None:
-            g = self.gamma
-            if g.shape != (d, d):
-                raise InvalidTriple("gamma has wrong shape")
-            if np.linalg.norm(g - g.conj().T) > STRUCT_TOL:
-                raise InvalidTriple("gamma is not self-adjoint")
-            if np.linalg.norm(g @ g - np.eye(d)) > STRUCT_TOL:
-                raise InvalidTriple("gamma^2 != 1")
-            if np.linalg.norm(g @ self.D + self.D @ g) > STRUCT_TOL * max(1.0, np.linalg.norm(self.D)):
-                raise InvalidTriple("gamma does not anticommute with D")
-            for a in self.algebra_basis:
-                if np.linalg.norm(g @ a - a @ g) > STRUCT_TOL * max(1.0, np.linalg.norm(a)):
-                    raise InvalidTriple("gamma does not commute with the algebra")
+        if not span.contains(unit.conj().transpose(0, 2, 1)):
+            raise InvalidTriple("algebra span not closed under adjoint")
+        if not span.contains(_pair_products(unit, unit)):
+            raise InvalidTriple("algebra span not closed under product")
+        if g is None:
+            return
+        if np.linalg.norm(g - g.conj().T) > STRUCT_TOL:
+            raise InvalidTriple("gamma is not self-adjoint")
+        if np.linalg.norm(g @ g - np.eye(d)) > STRUCT_TOL:
+            raise InvalidTriple("gamma^2 != 1")
+        if np.linalg.norm(g @ dirac + dirac @ g) > STRUCT_TOL * max(1.0, np.linalg.norm(dirac)):
+            raise InvalidTriple("gamma does not anticommute with D")
+        if np.any(np.linalg.norm(g @ unit - unit @ g, axis=(1, 2)) > STRUCT_TOL):
+            raise InvalidTriple("gamma does not commute with the algebra")
 
     # -- serialization: matrices as row-major [re, im] pairs (``config.read_triple``) --
 
@@ -232,17 +232,10 @@ def matrix_case_triple(p: int, q: int, mu, graded: bool = True) -> FiniteTriple:
     """
     mu = np.asarray(mu, dtype=complex).reshape(p, q)
     d = p + q
-    basis = []
-    for i in range(p):
-        for j in range(p):
-            m = np.zeros((d, d), dtype=complex)
-            m[i, j] = 1.0
-            basis.append(m)
-    for i in range(q):
-        for j in range(q):
-            m = np.zeros((d, d), dtype=complex)
-            m[p + i, p + j] = 1.0
-            basis.append(m)
+    units = [(i, j) for i in range(p) for j in range(p)]
+    units += [(p + i, p + j) for i in range(q) for j in range(q)]
+    basis = np.zeros((len(units), d, d), dtype=complex)
+    basis[(np.arange(len(units)), *zip(*units))] = 1.0
     dirac = np.zeros((d, d), dtype=complex)
     dirac[:p, p:] = mu
     dirac[p:, :p] = mu.conj().T
@@ -255,22 +248,23 @@ def matrix_case_triple(p: int, q: int, mu, graded: bool = True) -> FiniteTriple:
 # -- form spaces -------------------------------------------------------------
 
 
-def _commutators(t: FiniteTriple):
-    return [t.D @ b - b @ t.D for b in t.algebra_basis]
+def _pair_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The stack of products a_i b_j over all pairs, a outer: shape (len(a) len(b), d, d)."""
+    return (a[:, None] @ b[None, :]).reshape(-1, *a.shape[1:])
+
+
+def _commutators(t: FiniteTriple) -> np.ndarray:
+    return t.D @ t.algebra_basis - t.algebra_basis @ t.D
 
 
 def omega1_space(t: FiniteTriple) -> OperatorSubspace:
     """span{a [D, b]} over algebra basis pairs."""
-    coms = _commutators(t)
-    prods = [a @ db for a in t.algebra_basis for db in coms]
-    return OperatorSubspace.span(prods, t.dim_h)
+    return OperatorSubspace.span(_pair_products(t.algebra_basis, _commutators(t)), t.dim_h)
 
 
 def pi_omega2_space(t: FiniteTriple, omega1: OperatorSubspace) -> OperatorSubspace:
     """span{a [D, b] [D, c]} = span{omega [D, c] : omega in Omega^1}, given Omega^1 of t."""
-    coms = _commutators(t)
-    prods = [w @ dc for w in omega1.matrices(t.dim_h) for dc in coms]
-    return OperatorSubspace.span(prods, t.dim_h)
+    return OperatorSubspace.span(_pair_products(omega1.matrices(t.dim_h), _commutators(t)), t.dim_h)
 
 
 def junk_space(t: FiniteTriple) -> OperatorSubspace:
@@ -279,10 +273,9 @@ def junk_space(t: FiniteTriple) -> OperatorSubspace:
     R, P and U as in the module docstring, one row per basis pair (b_i, c_j).
     """
     dd = t.dim_h * t.dim_h
-    basis = np.array(t.algebra_basis)
-    coms = np.array(_commutators(t))
-    rel = (basis[:, None] @ coms[None, :]).reshape(-1, dd)
-    prods = (coms[:, None] @ coms[None, :]).reshape(-1, dd)
+    coms = _commutators(t)
+    rel = _pair_products(t.algebra_basis, coms).reshape(-1, dd)
+    prods = _pair_products(coms, coms).reshape(-1, dd)
     u, sv, _ = np.linalg.svd(rel, full_matrices=False)
     u = u[:, : int(np.sum(sv > RANK_TOL * sv[0]))]
     images = prods - u @ (u.conj().T @ prods)
@@ -328,11 +321,8 @@ def form_report(t: FiniteTriple) -> FormReport:
     """
     omega1, pi2, junk = _forms(t)
     d2 = pi2.dim
-    if junk.dim:
-        coords = pi2.basis.conj() @ junk.basis.T  # (d2, dim_junk)
-        proj = np.eye(d2, dtype=complex) - coords @ coords.conj().T
-    else:
-        proj = np.eye(d2, dtype=complex)
+    coords = pi2.basis.conj() @ junk.basis.T  # (d2, dim_junk)
+    proj = np.eye(d2, dtype=complex) - coords @ coords.conj().T
     return FormReport(omega1.dim, d2, junk.dim, d2 - junk.dim, proj)
 
 
@@ -389,12 +379,17 @@ def classify_matrix_case(p: int, q: int, mu) -> MatrixCase:
 # -- products of triples ------------------------------------------------------
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The stack of Kronecker products a_i (x) b_j, a outer: (k, p, p), (l, q, q) -> (k l, p q, p q)."""
+    (k, p, _), (l, q, _) = a.shape, b.shape
+    return (a[:, None, :, None, :, None] * b[None, :, None, :, None, :]).reshape(k * l, p * q, p * q)
+
+
 def double_odd(t: FiniteTriple) -> FiniteTriple:
     """Make an odd triple even on H (x) C^2 with D (x) sigma1, grading 1 (x) sigma3."""
     if t.gamma is not None:
         raise AlreadyEven("triple already carries a grading")
-    eye2 = np.eye(2, dtype=complex)
-    basis = [np.kron(a, eye2) for a in t.algebra_basis]
+    basis = _kron(t.algebra_basis, np.eye(2, dtype=complex)[None])
     d = np.kron(t.D, SIGMA1)
     gamma = np.kron(np.eye(t.dim_h, dtype=complex), SIGMA3)
     return FiniteTriple(2 * t.dim_h, basis, d, gamma)
@@ -407,7 +402,7 @@ def product_triple(t1: FiniteTriple, t2: FiniteTriple, auto_double: bool = True)
             raise MissingGrading("first factor must be even (or allow auto-doubling)")
         t1 = double_odd(t1)
     eye2 = np.eye(t2.dim_h, dtype=complex)
-    basis = [np.kron(a, b) for a in t1.algebra_basis for b in t2.algebra_basis]
+    basis = _kron(t1.algebra_basis, t2.algebra_basis)
     d = np.kron(t1.D, eye2) + np.kron(t1.gamma, t2.D)
     gamma = None
     if t2.gamma is not None:
@@ -451,15 +446,15 @@ def _embedded_legs(t1: FiniteTriple, t2: FiniteTriple, forms1, forms2):
     """
     o1_1, p2_1, j_1 = (s.matrices(t1.dim_h) for s in forms1)
     o1_2, p2_2, j_2 = (s.matrices(t2.dim_h) for s in forms2)
-    g1 = t1.gamma
+    a1, a2, g1 = t1.algebra_basis, t2.algebra_basis, t1.gamma
     return {
-        "omega1_first": [np.kron(w, b) for w in o1_1 for b in t2.algebra_basis],
-        "omega1_second": [np.kron(g1 @ a, w) for a in t1.algebra_basis for w in o1_2],
-        "pi2_first": [np.kron(v, b) for v in p2_1 for b in t2.algebra_basis],
-        "pi2_second": [np.kron(a, v) for a in t1.algebra_basis for v in p2_2],
-        "one_one": [np.kron(g1 @ w1, w2) for w1 in o1_1 for w2 in o1_2],
-        "junk_first": [np.kron(jm, b) for jm in j_1 for b in t2.algebra_basis],
-        "junk_second": [np.kron(a, jm) for a in t1.algebra_basis for jm in j_2],
+        "omega1_first": _kron(o1_1, a2),
+        "omega1_second": _kron(g1 @ a1, o1_2),
+        "pi2_first": _kron(p2_1, a2),
+        "pi2_second": _kron(a1, p2_2),
+        "one_one": _kron(g1 @ o1_1, o1_2),
+        "junk_first": _kron(j_1, a2),
+        "junk_second": _kron(a1, j_2),
     }
 
 
@@ -501,7 +496,7 @@ def product_check(t1: FiniteTriple, t2: FiniteTriple) -> ProductReport:
     legs = _embedded_legs(t1, t2, forms1, forms2)
 
     def span(*names):
-        return OperatorSubspace.span([m for name in names for m in legs[name]], dim)
+        return OperatorSubspace.span(np.concatenate([legs[name] for name in names]), dim)
 
     leg1, leg2 = span("omega1_first"), span("omega1_second")
     o1_sum = subspace_sum(amb, leg1, leg2)

@@ -10,6 +10,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ncym
@@ -107,3 +108,27 @@ def test_torus_product_work_and_kernel_boundary(monkeypatch):
     assert tracer.calls["yangmills.product_connection"] == 1
     assert tracer.calls["yangmills.ym_value"] == 3
     assert tracer.calls[tracing.STAR] == len(entries) > 0
+
+
+def test_finite_product_work_and_kernel_boundary(monkeypatch):
+    """A finite_product run builds each of its three triples (two factors and
+    their product) and their form spaces once, and every SVD that reaches
+    LAPACK enters through ``np.linalg.svd``, where the tracer counts
+    ``finite.svd``. The SVDs are counted at numpy's gufuncs, below
+    ``np.linalg.svd``, so a call that bypasses it (``np.linalg.norm(x, 2)``, a
+    name bound at import) shows as a difference."""
+    entries = []
+    gufuncs = np.linalg._umath_linalg
+    for name in [n for n in dir(gufuncs) if n.startswith("svd")]:
+        kernel = getattr(gufuncs, name)
+        monkeypatch.setattr(gufuncs, name, lambda *a, _k=kernel, **kw: entries.append(1) or _k(*a, **kw))
+    experiment = cfg.parse((CONFIGS / "finite_product.json").read_text())
+    tracer = tracing.Tracer()
+    tracer.install(ncym, svd=True)
+    try:
+        ncym.cli.run(experiment)
+    finally:
+        tracer.uninstall()
+    for name in ("finite.triple_new", "finite.omega1", "finite.pi_omega2", "finite.junk"):
+        assert tracer.calls[name] == 3, name
+    assert tracer.calls[tracing.SVD] == len(entries) > 0

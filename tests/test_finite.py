@@ -27,12 +27,14 @@ from ncym import (
 )
 from ncym import config as cfg
 from ncym.finite import (
+    CONTAIN_TOL,
     ORTH_TOL,
     RANK_TOL,
     OperatorSubspace,
     _embedded_legs,
     _forms,
     _orthogonal,
+    contains_subspace,
     intersection_dim,
     subspaces_equal,
 )
@@ -46,23 +48,125 @@ def diagonal_sigma1_triple():
     return FiniteTriple(2, [e1, e2], d)
 
 
+#: the matrix units E11, E12, E21, E22 of M_2
+UNITS2 = np.eye(4, dtype=complex).reshape(4, 2, 2)
+
+
 def test_triple_validation():
     eye = np.eye(2, dtype=complex)
     nilp = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    with pytest.raises(InvalidTriple):
+    with pytest.raises(InvalidTriple, match="not closed under adjoint"):
         FiniteTriple(2, [eye, nilp], np.zeros((2, 2)))  # not adjoint-closed
-    with pytest.raises(InvalidTriple):
+    with pytest.raises(InvalidTriple, match="D is not self-adjoint"):
         FiniteTriple(2, [eye], np.array([[0.0, 1.0], [0.0, 0.0]]))  # D not self-adjoint
-    with pytest.raises(InvalidTriple):
+    with pytest.raises(InvalidTriple, match="does not contain the identity"):
         # span misses the identity
         FiniteTriple(2, [np.diag([1.0, 0.0]).astype(complex)], np.zeros((2, 2)))
-    with pytest.raises(InvalidTriple):
+    with pytest.raises(InvalidTriple, match="not closed under product"):
         # self-adjoint generating set whose span misses products
         tri = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]], dtype=complex)
         FiniteTriple(3, [np.eye(3, dtype=complex), tri], np.zeros((3, 3)))
     # bad grading
-    with pytest.raises(InvalidTriple):
+    with pytest.raises(InvalidTriple, match=r"gamma\^2 != 1"):
         FiniteTriple(2, [eye], np.zeros((2, 2)), gamma=np.diag([1.0, 2.0]))
+    with pytest.raises(InvalidTriple, match="gamma does not commute with the algebra"):
+        FiniteTriple(2, UNITS2, np.zeros((2, 2)), gamma=np.diag([1.0, -1.0]))
+
+
+def test_wrong_shapes_and_empty_basis_raise_invalid_triple():
+    eye = np.eye(2, dtype=complex)
+    with pytest.raises(InvalidTriple, match=r"matrix of shape \(3, 3\), expected \(2, 2\)"):
+        FiniteTriple(2, [eye, np.eye(3)], np.zeros((2, 2)))
+    with pytest.raises(InvalidTriple, match=r"matrix of shape \(4,\), expected \(2, 2\)"):
+        FiniteTriple(2, [eye], np.zeros(4))
+    with pytest.raises(InvalidTriple, match="gamma has wrong shape"):
+        FiniteTriple(2, [eye], np.zeros((2, 2)), gamma=np.eye(3))
+    with pytest.raises(InvalidTriple, match="does not contain the identity"):
+        FiniteTriple(2, [], np.zeros((2, 2)))
+
+
+SCALES = [1e-13, 1e-8, 1e-5, 1.0, 1e4, 1e8]
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_closed_basis_accepted_at_every_scale(scale):
+    t = rotated(matrix_case_triple(2, 2, 0.7 * UNITARY2), seed=1)
+    scaled = FiniteTriple(t.dim_h, [scale * a for a in t.algebra_basis], t.D, t.gamma)
+    a, b = form_report(t), form_report(scaled)
+    assert (a.dim_omega1, a.dim_pi_omega2, a.dim_junk) == (b.dim_omega1, b.dim_pi_omega2, b.dim_junk)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_unclosed_basis_rejected_at_every_scale(scale):
+    # span{1, s T} is the same space for every s, and T^2 lies outside it
+    tri = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]], dtype=complex)
+    with pytest.raises(InvalidTriple, match="not closed under product"):
+        FiniteTriple(3, [np.eye(3), scale * tri], np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_grading_outside_commutant_rejected_at_every_scale(scale):
+    with pytest.raises(InvalidTriple, match="gamma does not commute with the algebra"):
+        FiniteTriple(2, list(scale * UNITS2), np.zeros((2, 2)), gamma=np.diag([1.0, -1.0]))
+
+
+# -- membership: one stacked projection against the per-vector reference --
+
+
+def residual_loop(space, stack):
+    """The largest projection residual over the operators of ``stack``, one vector at a time."""
+    worst = 0.0
+    for vec in np.asarray(stack, dtype=complex).reshape(-1, space.ambient_dim):
+        proj = space.basis.T @ (space.basis.conj() @ vec) if space.dim else np.zeros_like(vec)
+        worst = max(worst, float(np.linalg.norm(vec - proj)))
+    return worst
+
+
+def random_subspace(gen, dim_h, dim):
+    mats = gen.normal(size=(dim, dim_h, dim_h)) + 1j * gen.normal(size=(dim, dim_h, dim_h))
+    return OperatorSubspace.span(mats, dim_h)
+
+
+def membership_stacks(gen, space, dim_h):
+    """Stacks of several leading shapes around ``space`` and whether each lies in it."""
+    coeffs = gen.normal(size=(2, 3, space.dim)) + 1j * gen.normal(size=(2, 3, space.dim))
+    inside = (coeffs @ space.basis).reshape(2, 3, dim_h, dim_h)
+    noise = gen.normal(size=inside.shape)
+    noise /= np.linalg.norm(noise, axis=(2, 3), keepdims=True)
+    one_off = inside.copy()
+    one_off[1, 2] += 1e-6 * noise[1, 2]
+    return {
+        "inside": (inside, True),
+        "near": (inside + 1e-11 * noise, True),
+        "off": (inside + 1e-6 * noise, False),
+        "one-off": (one_off, False),
+        "random": (gen.normal(size=(5, dim_h, dim_h)), False),
+        "single": (inside[0, 0], True),
+        "single-vector": (inside[0, 0].reshape(-1), True),
+        "empty": (np.zeros((0, dim_h, dim_h)), True),
+    }
+
+
+@pytest.mark.parametrize("dim", [0, 3], ids=["zero-subspace", "dim-3"])
+def test_contains_matches_per_vector_reference(dim):
+    gen = np.random.default_rng(11 + dim)
+    space = random_subspace(gen, 3, dim)
+    assert space.dim == dim
+    for name, (stack, expected) in membership_stacks(gen, space, 3).items():
+        verdict = space.contains(stack)
+        assert verdict == (residual_loop(space, stack) <= CONTAIN_TOL) == expected, name
+
+
+def test_contains_subspace_matches_per_vector_reference():
+    gen = np.random.default_rng(5)
+    big = random_subspace(gen, 3, 5)
+    inner = OperatorSubspace.span((gen.normal(size=(2, 5)) @ big.basis).reshape(2, 3, 3), 3)
+    zero = OperatorSubspace.span(np.zeros((0, 3, 3)), 3)
+    cases = [(inner, True), (random_subspace(gen, 3, 2), False), (zero, True), (big, True)]
+    for small, expected in cases:
+        assert contains_subspace(big, small) == (residual_loop(big, small.basis) <= CONTAIN_TOL) == expected
+    assert not contains_subspace(zero, inner)
+    assert subspaces_equal(zero, OperatorSubspace.span(np.zeros((4, 3, 3)), 3))
 
 
 def test_zero_dirac_gives_zero_spaces():
@@ -473,7 +577,7 @@ def cross_and_pi2_legs(t1, t2):
     legs = _embedded_legs(t1, t2, _forms(t1), _forms(t2))
     dim = t1.dim_h * t2.dim_h
     cross = OperatorSubspace.span(legs["one_one"], dim)
-    return cross, OperatorSubspace.span(legs["pi2_first"] + legs["pi2_second"], dim)
+    return cross, OperatorSubspace.span(np.concatenate([legs["pi2_first"], legs["pi2_second"]]), dim)
 
 
 ORTHOGONALITY_PRODUCTS = {
