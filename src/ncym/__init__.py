@@ -40,7 +40,6 @@ from .yangmills import (
     check_compatibility,
     critical_splitting_check,
     curvature,
-    directional_derivative,
     dixmier_torus_constant,
     gamma_constants,
     gradient_norm,
@@ -49,7 +48,6 @@ from .yangmills import (
     minimize,
     product_connection,
     random_connection,
-    random_perturbation,
     subadditivity_check,
     ym_gradient,
     ym_value,

@@ -85,14 +85,17 @@ def _run_torus_minimize(spec: cfg.TorusMinimize):
 
 def _run_torus_product(spec: cfg.TorusProduct):
     c1, c2 = _connection(spec.first), _connection(spec.second)
-    # one product connection serves the report, the verdicts and the gradient
+    # one product connection serves the report and, with a projection, the verdicts
     prod = ym.product_connection(c1, c2)
     rep = ym.additivity_report(c1, c2, prod)
-    split = ym.critical_splitting_check(c1, c2, spec.samples, spec.seed, spec.tol, prod)
+    split = ym.critical_splitting_check(c1, c2, spec.tol, prod)
     results = dict(rep.to_payload())
     results["splitting"] = {
         "necessary": split.necessary,
         "product_critical": split.product_critical,
+        "gradient_norm_1": split.gradient_norm_1,
+        "gradient_norm_2": split.gradient_norm_2,
+        "gradient_norm_product": split.gradient_norm_product,
     }
     checks = {
         "subadditive": ym.subadditivity_check(rep),
@@ -189,7 +192,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run one experiment config")
     p_run.add_argument("config", help="path to the JSON config")
     p_run.add_argument("--output", default=None, help="report path (overrides config output_path)")
-    p_run.add_argument("--seed", type=int, default=None, help="override payload seed")
 
     p_val = sub.add_parser("validate", help="validate a config, print diagnostics")
     p_val.add_argument("config", help="path to the JSON config")
@@ -197,7 +199,10 @@ def main(argv=None) -> int:
     p_const = sub.add_parser("constants", help="closed-form torus constants")
     p_const.add_argument("--n", type=int, required=True, help="torus dimension")
 
-    args = parser.parse_args(argv)
+    # an unknown option is an input error (exit 1), not argparse's usage exit 2
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        return _fail(f"unrecognized arguments: {' '.join(unknown)}")
 
     try:
         if args.command == "constants":
@@ -205,8 +210,6 @@ def main(argv=None) -> int:
         else:
             with open(args.config, "r") as fh:
                 doc = cfg.load(fh.read())
-            if getattr(args, "seed", None) is not None and isinstance(doc.get("payload"), dict):
-                doc["payload"]["seed"] = args.seed
             experiment = cfg.from_document(doc)
     except OSError as exc:
         return _fail(f"cannot read config: {exc}")

@@ -172,6 +172,7 @@ class TorusMinimize:
 class TorusProduct:
     first: TorusModule  # theta, q1, connection1
     second: TorusModule  # phi, q2, connection2
+    # accepted and unused: the splitting verdicts are exact, not sampled
     seed: int = _field(0, lo=0)
     samples: int = _field(20, lo=1)
     tol: float = _field(1e-8, above=0)

@@ -549,4 +549,4 @@ def _orthogonal(cross: OperatorSubspace, other: OperatorSubspace) -> bool:
     """
     if cross.dim == 0 or other.dim == 0:
         return True
-    return float(np.linalg.norm(cross.basis.conj() @ other.basis.T, 2)) <= ORTH_TOL
+    return float(np.linalg.svd(cross.basis.conj() @ other.basis.T, compute_uv=False)[0]) <= ORTH_TOL

@@ -1,4 +1,4 @@
-"""Seeded random draws used by the property sweeps and the samplers.
+"""Seeded random draws of thetas and torus elements: random connections and test oracles.
 
 All randomness flows through numpy's PCG64 generator seeded from an explicit
 integer; ``spawn`` hands out independent child streams so concurrent sweeps

@@ -32,7 +32,7 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -389,9 +389,18 @@ class AdditivityReport:
 
 @dataclass
 class SplittingReport:
+    """The splitting verdicts of ``critical_splitting_check`` and the numbers behind them.
+
+    ``bilinear`` is q2 ||G1|| + q1 ||G2||, the supremum of the split bilinear
+    condition over unit factor perturbations.
+    """
+
     necessary: bool
     product_critical: bool
-    details: dict = field(default_factory=dict)
+    gradient_norm_1: float
+    gradient_norm_2: float
+    gradient_norm_product: float
+    bilinear: float
 
 
 # -- curvature and the functional ---------------------------------------
@@ -454,24 +463,6 @@ def gradient_norm(c: Connection) -> float:
     return ym_gradient(c).norm()
 
 
-def directional_derivative(c: Connection, mu: Perturbation, h: float = 1e-4) -> float:
-    """Central difference (YM(c + h mu) - YM(c - h mu)) / (2h)."""
-    if h <= 0:
-        raise DomainError("central-difference step must be positive")
-    if len(mu.components) != c.n:
-        raise ShapeMismatch("perturbation has wrong number of components")
-    return (ym_value(c.perturb(mu, h)) - ym_value(c.perturb(mu, -h))) / (2.0 * h)
-
-
-def pairing_with_gradient(c: Connection, mu: Perturbation) -> complex:
-    """sum_k tau_q(G_k* mu_k): the curvature pairing entering the equation of motion."""
-    return _pairing(ym_gradient(c), mu)
-
-
-def _pairing(g: Perturbation, mu: Perturbation) -> complex:
-    return sum((hs_inner(gk, mk) for gk, mk in zip(g.components, mu.components)), 0j)
-
-
 # -- compatibility ------------------------------------------------------
 
 
@@ -503,29 +494,6 @@ def grassmannian_connection(theta: ThetaMatrix, scalars) -> Connection:
 
 # -- criticality and descent ---------------------------------------------
 
-#: finite-difference step used by the sampled criticality probe; smaller than
-#: the directional_derivative default so O(h^2) truncation of the cubic term
-#: sits well below tight tolerances at near-flat connections.
-CRITICAL_FD_STEP = 1e-6
-
-
-def random_perturbation(c: Connection, gen, radius=1, terms=3, skew=False, unit=True) -> Perturbation:
-    comps = []
-    for _ in range(c.n):
-        rows = [
-            [sampling.random_element(c.theta, gen, radius, terms) for _ in range(c.q)]
-            for _ in range(c.q)
-        ]
-        m = TorusMatrix(c.theta, rows)
-        if skew:
-            m = skew_part(m)
-        if c.proj is not None:
-            m = c.proj.p @ m @ c.proj.p
-        comps.append(m)
-    mu = Perturbation(comps)
-    return mu.normalized() if unit else mu
-
-
 def random_connection(theta, q, gen, radius=2, terms=4, amplitude=0.1, proj=None) -> Connection:
     """Random compatible (skew-adjoint) polynomial connection."""
     comps = []
@@ -541,18 +509,16 @@ def random_connection(theta, q, gen, radius=2, terms=4, amplitude=0.1, proj=None
     return Connection(theta, q, comps, proj)
 
 
-def is_critical(c: Connection, tol: float, samples: int = 20, seed: int = 0) -> bool:
-    """True iff the gradient norm and every sampled directional derivative sit under tol."""
+def is_critical(c: Connection, tol: float) -> bool:
+    """True iff 2 ||G|| <= tol.
+
+    By dYM(mu) = 2 Re tau_q(G* mu) (module docstring) and Cauchy-Schwarz,
+    2 ||G|| is the supremum of |dYM(mu)| over unit perturbations mu, attained
+    at mu = G / ||G||; the verdict bounds the derivative in every direction.
+    """
     if tol <= 0:
         raise DomainError("tolerance must be positive")
-    if gradient_norm(c) > tol:
-        return False
-    gen = sampling.rng(seed)
-    for _ in range(samples):
-        mu = random_perturbation(c, gen)
-        if abs(directional_derivative(c, mu, h=CRITICAL_FD_STEP)) > tol:
-            return False
-    return True
+    return 2.0 * gradient_norm(c) <= tol
 
 
 def _inverse_laplacian(m: TorusMatrix) -> TorusMatrix:
@@ -771,41 +737,40 @@ def subadditivity_check(rep: AdditivityReport, slack: float = 1e-9) -> bool:
 def critical_splitting_check(
     c1: Connection,
     c2: Connection,
-    samples: int = 20,
-    seed: int = 0,
     tol: float = 1e-8,
     prod: Connection | None = None,
 ) -> SplittingReport:
     """Necessary-condition and product-criticality verdicts for nabla_1 (x) nabla_2.
 
-    When both factors are critical the product verdict is additionally decided
-    by sampling the split bilinear condition
-        q2 * tau-pairing(c1; mu1) + q1 * tau-pairing(c2; mu2) = 0
-    over random factor perturbations; each factor's gradient is computed once
-    for all samples.  ``prod`` is the product connection if already built, as
-    in ``additivity_report``.
+    Exact rules in the factor gradient norms n1 = ||G1|| and n2 = ||G2||, each
+    computed once:
+
+    * ``necessary``: both factors are critical, 2 n1 <= tol and 2 n2 <= tol
+      (the rule of ``is_critical``);
+    * ``product_critical``: 2 ||G_prod|| <= tol, and when ``necessary`` also
+      the split bilinear condition q2 tau_q(G1* mu1) + q1 tau_q(G2* mu2) = 0
+      within tol for all unit mu1, mu2, decided by its supremum
+      q2 n1 + q1 n2 <= tol.
+
+    On free modules the mixed curvature of the product connection vanishes,
+    so its gradient is (G1 (x) 1, 1 (x) G2) and
+    ||G_prod||^2 = q2 n1^2 + q1 n2^2; no product gradient is taken.  When
+    either factor has a projection, ||G_prod|| is the literal gradient norm of
+    the product connection: ``prod`` if the caller has built it, as in
+    ``additivity_report``, built here otherwise.
     """
     if tol <= 0:
         raise DomainError("tolerance must be positive")
-    crit1 = is_critical(c1, tol, samples, seed)
-    crit2 = is_critical(c2, tol, samples, seed + 1)
-    necessary = crit1 and crit2
-    if prod is None:
-        prod = product_connection(c1, c2)
-    product_critical = is_critical(prod, tol, samples, seed + 2)
-    details = {"critical_1": crit1, "critical_2": crit2}
-    if necessary:
-        g1, g2 = ym_gradient(c1), ym_gradient(c2)
-        gen = sampling.rng(seed + 3)
-        worst = 0.0
-        for _ in range(samples):
-            mu1 = random_perturbation(c1, gen)
-            mu2 = random_perturbation(c2, gen)
-            val = c2.q * _pairing(g1, mu1) + c1.q * _pairing(g2, mu2)
-            worst = max(worst, abs(val))
-        details["bilinear_worst"] = worst
-        product_critical = product_critical and worst <= tol
-    return SplittingReport(necessary, product_critical, details)
+    n1, n2 = gradient_norm(c1), gradient_norm(c2)
+    q1, q2 = c1.q, c2.q
+    if c1.proj is None and c2.proj is None:
+        n_prod = math.sqrt(q2 * n1 * n1 + q1 * n2 * n2)
+    else:
+        n_prod = gradient_norm(product_connection(c1, c2) if prod is None else prod)
+    bilinear = q2 * n1 + q1 * n2
+    necessary = 2.0 * n1 <= tol and 2.0 * n2 <= tol
+    product_critical = 2.0 * n_prod <= tol and (bilinear <= tol or not necessary)
+    return SplittingReport(necessary, product_critical, n1, n2, n_prod, bilinear)
 
 
 # -- closed-form constants -------------------------------------------------

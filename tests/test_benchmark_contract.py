@@ -92,9 +92,10 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_torus_product_work_and_kernel_boundary(monkeypatch):
-    """A torus_product run builds one product connection and evaluates three YM
-    values, and every star product that reaches the kernels enters through
-    ``TorusElement.__mul__``, where the tracer counts ``torus.star``."""
+    """A torus_product run builds one product connection, evaluates three YM
+    values and differentiates only its two factors, and every star product that
+    reaches the kernels enters through ``TorusElement.__mul__``, where the
+    tracer counts ``torus.star``."""
     entries = []
     kernel = ncym.torus._star_product
     monkeypatch.setattr(ncym.torus, "_star_product", lambda a, b: entries.append(1) or kernel(a, b))
@@ -107,6 +108,7 @@ def test_torus_product_work_and_kernel_boundary(monkeypatch):
         tracer.uninstall()
     assert tracer.calls["yangmills.product_connection"] == 1
     assert tracer.calls["yangmills.ym_value"] == 3
+    assert tracer.calls["yangmills.ym_gradient"] == 2
     assert tracer.calls[tracing.STAR] == len(entries) > 0
 
 

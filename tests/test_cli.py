@@ -204,6 +204,11 @@ def test_run_torus_product():
     assert report["checks"]["subadditive"] is True
     assert report["checks"]["splitting_implication"] is True
     assert abs(report["results"]["defect"]) < 1e-9 * (1 + report["results"]["ym_product"])
+    # the numbers behind the splitting verdicts; q1 = q2 = 1
+    split = report["results"]["splitting"]
+    n1, n2 = split["gradient_norm_1"], split["gradient_norm_2"]
+    assert split["gradient_norm_product"] == math.sqrt(n1 * n1 + n2 * n2)
+    assert not split["necessary"] and not split["product_critical"]
 
 
 def test_main_exit_codes(tmp_path, capsys):
@@ -249,18 +254,6 @@ def test_report_determinism(tmp_path):
     t1 = strip_clock((tmp_path / "r1.json").read_text())
     t2 = strip_clock((tmp_path / "r2.json").read_text())
     assert t1 == t2
-
-
-def test_seed_override(tmp_path):
-    conf = torus_product_config()
-    path = write(tmp_path, "seed.json", conf)
-    out1, out2 = str(tmp_path / "s1.json"), str(tmp_path / "s2.json")
-    assert cli.main(["run", path, "--output", out1, "--seed", "11"]) == 0
-    assert cli.main(["run", path, "--output", out2, "--seed", "12"]) == 0
-    d1 = json.loads((tmp_path / "s1.json").read_text())
-    d2 = json.loads((tmp_path / "s2.json").read_text())
-    assert d1["config"]["payload"]["seed"] == 11
-    assert d2["config"]["payload"]["seed"] == 12
 
 
 def test_torus_ym_ignores_seed_and_samples():
@@ -413,7 +406,6 @@ def test_nonfinite_numbers_rejected(tmp_path, capsys, conf, path):
         (torus_minimize_config(max_iter=1), [], "/payload/max_iter"),
         (torus_ym_config(tolerances={"compat": 1e-10, "rel": 1e-3}), [], "/payload/tolerances/rel"),
         (dict(torus_ym_config(), outputpath="rep.json"), [], "/outputpath"),
-        (torus_minimize_config(), ["--seed", "3"], "/payload/seed"),
         (
             torus_ym_config(connection=explicit_potential({"r": [1, 0], "re": "x", "im": 0.0})),
             [],
@@ -440,7 +432,6 @@ def test_nonfinite_numbers_rejected(tmp_path, capsys, conf, path):
         "unknown-payload-key",
         "unknown-tolerance-key",
         "unknown-top-level-key",
-        "seed-override-without-payload-seed",
         "element-re-string",
         "element-re-null",
     ],
@@ -450,6 +441,16 @@ def test_misread_fields_rejected(tmp_path, capsys, conf, extra, path):
     assert code == 1
     assert err and all(line.startswith("error: /") for line in err)
     assert err[0].startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize(
+    "conf", [torus_product_config(), torus_minimize_config()], ids=["torus_product", "torus_minimize"]
+)
+def test_seed_option_unknown(tmp_path, capsys, conf):
+    # no kind reads a payload seed, so there is no --seed override
+    code, err = run_and_capture(tmp_path, capsys, conf, "--seed", "11")
+    assert code == 1
+    assert err == ["error: unrecognized arguments: --seed 11"]
 
 
 @pytest.mark.parametrize("name", ["armijo", "shrink", "initial_step", "precondition"])

@@ -3,10 +3,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncym import (
     Connection,
     DomainError,
+    Projection,
     ThetaMatrix,
     TorusElement,
     TorusMatrix,
@@ -16,6 +18,7 @@ from ncym import (
     curvature,
     dixmier_torus_constant,
     gamma_constants,
+    gradient_norm,
     is_critical,
     minimize,
     product_connection,
@@ -24,7 +27,7 @@ from ncym import (
     ym_value,
 )
 from ncym import sampling, yangmills
-from ncym.yangmills import compatibility_deviation, pairing_with_gradient, random_perturbation
+from ncym.yangmills import compatibility_deviation
 
 EIGHT_PI_SQ = 8.0 * math.pi ** 2
 
@@ -141,14 +144,14 @@ def test_subadditivity_equality_flat_factor():
 def test_splitting_flat_pair():
     th = ThetaMatrix([[0.0, 0.2], [-0.2, 0.0]])
     ph = ThetaMatrix([[0.0, 0.5], [-0.5, 0.0]])
-    rep = critical_splitting_check(Connection.flat(th, 1), Connection.flat(ph, 1), samples=10, seed=0, tol=1e-8)
+    rep = critical_splitting_check(Connection.flat(th, 1), Connection.flat(ph, 1), tol=1e-8)
     assert rep.necessary and rep.product_critical
 
 
 def test_splitting_noncritical_factor():
     th = ThetaMatrix([[0.0, 0.3], [-0.3, 0.0]])
     ph = ThetaMatrix([[0.0, 0.5], [-0.5, 0.0]])
-    rep = critical_splitting_check(example_connection(th), Connection.flat(ph, 1), samples=10, seed=1, tol=1e-3)
+    rep = critical_splitting_check(example_connection(th), Connection.flat(ph, 1), tol=1e-3)
     assert not rep.necessary
     assert not rep.product_critical
 
@@ -159,36 +162,70 @@ def test_splitting_minimizers_product_critical():
     ph = sampling.random_theta(2, gen)
     c1, _ = minimize(random_connection(th, 1, gen, radius=1, amplitude=0.05), grad_tol=1e-9)
     c2, _ = minimize(random_connection(ph, 1, gen, radius=1, amplitude=0.05), grad_tol=1e-9)
-    rep = critical_splitting_check(c1, c2, samples=10, seed=2, tol=1e-6)
+    rep = critical_splitting_check(c1, c2, tol=1e-6)
     assert rep.necessary
     assert rep.product_critical
 
 
 def test_splitting_differentiates_each_factor_once(monkeypatch):
-    """On a critical pair the bilinear samples reuse one gradient per factor."""
-    c1, c2 = random_pair(600, amplitude=0.05)  # gradient norms 7.0 and 6.7, under tol
-    seed, samples, tol = 3, 10, 20.0
+    """A free pair is decided from one gradient per factor, and the bilinear
+    supremum is q2 ||G1|| + q1 ||G2||."""
+    c1, c2 = random_pair(600, amplitude=0.05)  # gradient norms 7.0 and 6.7
+    tol = 20.0  # over twice either norm: both factors are critical
     calls = []
     real = yangmills.ym_gradient
     monkeypatch.setattr(yangmills, "ym_gradient", lambda c: calls.append(c) or real(c))
-    rep = critical_splitting_check(c1, c2, samples=samples, seed=seed, tol=tol)
+    rep = critical_splitting_check(c1, c2, tol=tol)
+    monkeypatch.undo()
+    assert calls == [c1, c2]
     assert rep.necessary
-    # is_critical differentiates c1, c2 and the product; then c1 and c2 once more
-    assert len(calls) == 5
-    gen = sampling.rng(seed + 3)
-    worst = 0.0
-    for _ in range(samples):
-        mu1 = random_perturbation(c1, gen)
-        mu2 = random_perturbation(c2, gen)
-        worst = max(worst, abs(c2.q * pairing_with_gradient(c1, mu1) + c1.q * pairing_with_gradient(c2, mu2)))
-    assert worst > 0.0
-    assert rep.details["bilinear_worst"] == worst
+    n1, n2 = gradient_norm(c1), gradient_norm(c2)
+    assert (rep.gradient_norm_1, rep.gradient_norm_2) == (n1, n2)
+    assert rep.bilinear == c2.q * n1 + c1.q * n2 > 0.0
+
+
+#: fixed before measuring: relative error of the product gradient identity
+PRODUCT_GRADIENT_RTOL = 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), q2=st.sampled_from([1, 2]))
+def test_product_gradient_norm_identity(seed, q2):
+    """On free modules ||G_prod||^2 = q2 ||G1||^2 + q1 ||G2||^2 (the mixed
+    curvature vanishes); the literal product gradient is the oracle."""
+    c1, c2 = random_pair(seed, q2=q2)
+    literal = gradient_norm(product_connection(c1, c2))
+    rep = critical_splitting_check(c1, c2, tol=1e-6)
+    identity = math.sqrt(q2 * rep.gradient_norm_1**2 + c1.q * rep.gradient_norm_2**2)
+    assert rep.gradient_norm_product == identity
+    assert abs(identity - literal) <= PRODUCT_GRADIENT_RTOL * literal
+
+
+def test_splitting_with_projection_takes_literal_product_gradient(monkeypatch):
+    """With a projection the product gradient is taken literally, of the
+    caller's product connection when one is passed."""
+    gen = sampling.rng(610)
+    th = sampling.random_theta(2, gen)
+    ph = sampling.random_theta(2, gen)
+    proj = Projection(TorusMatrix.from_scalar_matrix(th, [[0.5, 0.5], [0.5, 0.5]]))
+    c1 = random_connection(th, 2, gen, radius=1, amplitude=0.4, proj=proj)
+    c2 = random_connection(ph, 1, gen, radius=1, amplitude=0.4)
+    prod = product_connection(c1, c2)
+    calls = []
+    real = yangmills.ym_gradient
+    monkeypatch.setattr(yangmills, "ym_gradient", lambda c: calls.append(c) or real(c))
+    rep = critical_splitting_check(c1, c2, tol=1e-6, prod=prod)
+    monkeypatch.undo()
+    assert calls == [c1, c2, prod]
+    assert rep.gradient_norm_product == gradient_norm(prod) > 0.0
+    assert critical_splitting_check(c1, c2, tol=1e-6).gradient_norm_product == rep.gradient_norm_product
+    assert not rep.necessary and not rep.product_critical
 
 
 def test_splitting_implication_never_violated():
     for seed in range(6):
         c1, c2 = random_pair(500 + seed, amplitude=0.2)
-        rep = critical_splitting_check(c1, c2, samples=5, seed=seed, tol=1e-6)
+        rep = critical_splitting_check(c1, c2, tol=1e-6)
         assert (not rep.product_critical) or rep.necessary
 
 

@@ -18,13 +18,11 @@ from ncym import (
     TorusMatrix,
     check_compatibility,
     curvature,
-    directional_derivative,
     gradient_norm,
     grassmannian_connection,
     is_critical,
     minimize,
     random_connection,
-    random_perturbation,
     ym_gradient,
     ym_value,
 )
@@ -35,7 +33,7 @@ from ncym.yangmills import (
     compatibility_deviation,
     hs_inner,
     line_quartic,
-    pairing_with_gradient,
+    skew_part,
 )
 
 EIGHT_PI_SQ = 8.0 * math.pi ** 2
@@ -354,6 +352,33 @@ def test_module_preservation_enforced():
         Connection(th, 2, [offcorner, TorusMatrix.zeros(th, 2)], proj)
 
 
+# -- oracles: sampled directions and central differences ---------------------
+
+
+def random_perturbation(c, gen, radius=1, terms=3, skew=False):
+    """Random unit perturbation of ``c``'s potentials, compressed into its module."""
+    comps = []
+    for _ in range(c.n):
+        rows = [[sampling.random_element(c.theta, gen, radius, terms) for _ in range(c.q)] for _ in range(c.q)]
+        m = TorusMatrix(c.theta, rows)
+        if skew:
+            m = skew_part(m)
+        if c.proj is not None:
+            m = c.proj.p @ m @ c.proj.p
+        comps.append(m)
+    return Perturbation(comps).normalized()
+
+
+def directional_derivative(c, mu, h=1e-4):
+    """Central difference (YM(c + h mu) - YM(c - h mu)) / (2h)."""
+    return (ym_value(c.perturb(mu, h)) - ym_value(c.perturb(mu, -h))) / (2.0 * h)
+
+
+def pairing_with_gradient(c, mu):
+    """sum_k tau_q(G_k* mu_k), so that dYM(mu) = 2 Re of it."""
+    return sum((hs_inner(g, m) for g, m in zip(ym_gradient(c).components, mu.components)), 0j)
+
+
 def test_directional_derivative_basics():
     th = theta2()
     flat = Connection.flat(th, 1)
@@ -379,6 +404,38 @@ def test_gradient_matches_central_differences():
             if abs(fd - analytic) > 1e-6 * max(1.0, abs(fd)):
                 failures.append((n, q, fd, analytic))
     assert not failures
+
+
+def _sup_case(n, q):
+    gen = sampling.rng(70 + 10 * n + q)
+    return random_connection(sampling.random_theta(n, gen), q, gen, radius=2, amplitude=0.3)
+
+
+SUP_CASES = {
+    "n2-q1": lambda: _sup_case(2, 1),
+    "n2-q2": lambda: _sup_case(2, 2),
+    "n3-q1": lambda: _sup_case(3, 1),
+    "corner-constant-proj": _random_corner,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUP_CASES))
+def test_twice_gradient_norm_bounds_sampled_derivatives(name):
+    """2 ||G|| (the rule of ``is_critical``) bounds |dYM(mu)| over unit mu, and
+    mu = G / ||G|| attains it.  YM is a quartic along a line, so the central
+    difference is dYM(mu) plus exactly c3 h^2, c3 the cubic coefficient of
+    ``line_quartic``; rounding gets the relative 1e-6 of criterion 04."""
+    c = SUP_CASES[name]()
+    g = ym_gradient(c)
+    sup = 2.0 * g.norm()
+    gen = sampling.rng(71)
+    h = 1e-4
+    directions = [random_perturbation(c, gen) for _ in range(8)] + [g.normalized()]
+    for mu in directions:
+        fd = directional_derivative(c, mu, h)
+        slack = abs(line_quartic(c, mu.components)[3]) * h * h + 1e-6 * max(1.0, abs(fd))
+        assert abs(fd) <= sup + slack
+    assert abs(fd - sup) <= slack  # the last direction, G / ||G||
 
 
 def test_gradient_zero_cases():
@@ -411,12 +468,18 @@ def test_gradient_is_skew_for_skew_connection():
 
 
 def test_is_critical():
+    from ncym import DomainError
+
     th = theta2()
-    assert is_critical(Connection.flat(th, 1), tol=1e-8, samples=10, seed=0)
+    assert is_critical(Connection.flat(th, 1), tol=1e-8)
     c = example_connection(th)
-    assert not is_critical(c, tol=1e-3, samples=10, seed=0)
-    # verdict independent of the sampling seed
-    assert is_critical(c, 1e-3, 10, 1) == is_critical(c, 1e-3, 10, 2)
+    assert not is_critical(c, tol=1e-3)
+    # the rule is 2 ||G|| <= tol, with equality critical
+    sup = 2.0 * gradient_norm(c)
+    assert is_critical(c, sup)
+    assert not is_critical(c, math.nextafter(sup, 0.0))
+    with pytest.raises(DomainError):
+        is_critical(c, 0.0)
 
 
 def test_minimize_flat_immediate():
@@ -535,16 +598,6 @@ def test_minimize_logs_each_iteration_at_debug(caplog):
     for r, t in zip(records, trace.steps):
         assert "gradient norm" in r.getMessage() and f"step {t:.6e}" in r.getMessage()
     assert "stopped: max_iters after 3 steps" in records[-1].getMessage()
-
-
-def test_directional_derivative_rejects_bad_step():
-    from ncym import DomainError
-
-    th = theta2()
-    flat = Connection.flat(th, 1)
-    zero = Perturbation([TorusMatrix.zeros(th, 1), TorusMatrix.zeros(th, 1)])
-    with pytest.raises(DomainError):
-        directional_derivative(flat, zero, h=0.0)
 
 
 def test_degenerate_one_torus():
