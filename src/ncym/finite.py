@@ -8,19 +8,19 @@ their dimensions and the quotient Omega^2 = pi(Omega^2) / junk, as well as
 product triples D = D1 (x) 1 + gamma1 (x) D2 and one pass of the
 decomposition / hypothesis / orthogonality checks for them (``product_check``).
 
-The junk is one projection. Over the pairs (b_i, c_j) of algebra basis
-elements stack the rows R = vec(b_i [D, c_j]) and P = vec([D, b_i][D, c_j]).
-A relation is a row vector z over the pairs with z R = 0, that is z U = 0 for
-U an orthonormal basis of the column space of R; these z are the row space of
-1 - U U*, so
+Omega^1 and the junk come from the triple's one relation SVD
+(``FiniteTriple._relations``). Over the pairs (b_i, c_j) of algebra basis
+elements stack the rows R = vec(b_i [D, c_j]) and P = vec([D, b_i][D, c_j]),
+and cut the thin SVD R = U S V* at ``RANK_TOL``. Omega^1 is the row space of
+R, the kept rows of V*. A relation is a row vector z over the pairs with
+z R = 0, that is z U = 0 for the kept columns U, an orthonormal basis of the
+column space of R; these z are the row space of 1 - U U*, so
 
     junk = row space of P - U (U* P).
 
-In terms of the relation map m: (b, c) -> b [D, c], m = R^T, U = V^T for V
-its leading rank right singular vectors, and the junk is the row space of
-P - V^T (conj(V) P). The nonzero singular values of P - U (U* P) equal those
-of (kernel basis of m) P, so the rank cut against the largest product norm
-is the one the kernel images would get.
+The nonzero singular values of P - U (U* P) equal those of (kernel basis of
+the relation map (b, c) -> b [D, c]) P, so the rank cut against the largest
+product norm is the one the kernel images would get.
 
 Every operator stack is one complex ``(k, d, d)`` array: the algebra basis,
 a subspace's matrices, the form generators and the product legs. Products
@@ -39,8 +39,10 @@ of the basis.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -57,7 +59,14 @@ SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def _orthonormal_rows(m: np.ndarray, rel_tol: float = RANK_TOL, scale: float | None = None) -> np.ndarray:
+def _svd_cut(m: np.ndarray, scale: float | None = None):
+    """Views of the singular vectors (u, vh) of ``m`` kept by s > RANK_TOL * scale (default s[0])."""
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    rank = int(np.sum(s > RANK_TOL * (s[0] if scale is None else scale)))
+    return u[:, :rank], vh[:rank]
+
+
+def _orthonormal_rows(m: np.ndarray, scale: float | None = None) -> np.ndarray:
     """Orthonormal basis (as rows) of the row space of the 2-d array ``m``.
 
     ``scale`` overrides the reference magnitude for the rank cut; pass it when
@@ -66,12 +75,7 @@ def _orthonormal_rows(m: np.ndarray, rel_tol: float = RANK_TOL, scale: float | N
     """
     if not m.any():
         return np.zeros((0, m.shape[1]), dtype=complex)
-    _, s, vh = np.linalg.svd(m, full_matrices=False)
-    ref = s[0] if scale is None else max(scale, 0.0)
-    if ref == 0.0:
-        return np.zeros((0, m.shape[1]), dtype=complex)
-    rank = int(np.sum(s > rel_tol * ref))
-    return vh[:rank]
+    return _svd_cut(m, scale)[1]
 
 
 class OperatorSubspace:
@@ -99,15 +103,15 @@ class OperatorSubspace:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def contains(self, stack, tol: float = CONTAIN_TOL) -> bool:
-        """Whether every operator of ``stack`` has projection residual at most ``tol``.
+    def contains(self, stack) -> bool:
+        """Whether every operator of ``stack`` has projection residual at most ``CONTAIN_TOL``.
 
         ``stack`` holds matrices or flattened vectors under any leading shape;
         an empty stack is contained in every subspace.
         """
         vecs = np.asarray(stack, dtype=complex).reshape(-1, self.ambient_dim)
         residual = vecs - (vecs @ self.basis.conj().T) @ self.basis
-        return bool(np.all(np.linalg.norm(residual, axis=1) <= tol))
+        return bool(np.all(np.linalg.norm(residual, axis=1) <= CONTAIN_TOL))
 
     def matrices(self, dim_h: int) -> np.ndarray:
         """The basis as a (dim, dim_h, dim_h) stack."""
@@ -118,22 +122,27 @@ def subspace_sum(ambient_dim: int, *spaces) -> OperatorSubspace:
     return OperatorSubspace(ambient_dim, _orthonormal_rows(np.vstack([s.basis for s in spaces])))
 
 
-def contains_subspace(big: OperatorSubspace, small: OperatorSubspace, tol: float = CONTAIN_TOL) -> bool:
-    return big.contains(small.basis, tol)
+def contains_subspace(big: OperatorSubspace, small: OperatorSubspace) -> bool:
+    return big.contains(small.basis)
 
 
-def subspaces_equal(a: OperatorSubspace, b: OperatorSubspace, tol: float = CONTAIN_TOL) -> bool:
-    return contains_subspace(a, b, tol) and contains_subspace(b, a, tol)
+def subspaces_equal(a: OperatorSubspace, b: OperatorSubspace) -> bool:
+    return contains_subspace(a, b) and contains_subspace(b, a)
 
 
 def intersection_dim(a: OperatorSubspace, b: OperatorSubspace) -> int:
     return a.dim + b.dim - subspace_sum(a.ambient_dim, a, b).dim
 
 
+#: the commutators [D, b_i], and the kept columns of U and rows of V* (Omega^1) of R = U S V*
+_Relations = namedtuple("_Relations", "commutators left right")
+
+
 class FiniteTriple:
     """Matrix spectral triple: algebra span, self-adjoint D, optional grading.
 
     ``algebra_basis`` is held as the (k, dim_h, dim_h) stack of the basis.
+    A triple is validated once, at construction, and not changed after.
     """
 
     def __init__(self, dim_h: int, algebra_basis, D, gamma=None):
@@ -147,11 +156,22 @@ class FiniteTriple:
         if self.gamma is not None and self.gamma.shape != (d, d):
             raise InvalidTriple("gamma has wrong shape")
         self.algebra_basis = np.array(basis, dtype=complex).reshape(-1, d, d)
+        for name, m in (("algebra basis", self.algebra_basis), ("D", self.D), ("gamma", self.gamma)):
+            if m is not None and not np.all(np.isfinite(m)):
+                raise InvalidTriple(f"{name} has a non-finite entry")
         self._validate()
 
     @property
     def is_even(self) -> bool:
         return self.gamma is not None
+
+    @cached_property
+    def _relations(self) -> _Relations:
+        """The commutators and R's one thin SVD, cut; copies of the kept vectors only."""
+        coms = self.D @ self.algebra_basis - self.algebra_basis @ self.D
+        rel = _pair_products(self.algebra_basis, coms).reshape(-1, self.dim_h * self.dim_h)
+        u, vh = _svd_cut(rel)
+        return _Relations(coms, u.copy(), vh.copy())
 
     def _validate(self):
         d, dirac, g = self.dim_h, self.D, self.gamma
@@ -178,33 +198,32 @@ class FiniteTriple:
         if np.any(np.linalg.norm(g @ unit - unit @ g, axis=(1, 2)) > STRUCT_TOL):
             raise InvalidTriple("gamma does not commute with the algebra")
 
-    # -- serialization: matrices as row-major [re, im] pairs (``config.read_triple``) --
-
-    @staticmethod
-    def _matrix_payload(m: np.ndarray):
-        return [[float(v.real), float(v.imag)] for v in m.reshape(-1)]
-
     def to_payload(self) -> dict:
         payload = {
             "dim_h": self.dim_h,
-            "algebra_basis": [self._matrix_payload(a) for a in self.algebra_basis],
-            "D": self._matrix_payload(self.D),
+            "algebra_basis": [_matrix_payload(a) for a in self.algebra_basis],
+            "D": _matrix_payload(self.D),
         }
         if self.gamma is not None:
-            payload["gamma"] = self._matrix_payload(self.gamma)
+            payload["gamma"] = _matrix_payload(self.gamma)
         return payload
+
+
+def _matrix_payload(m: np.ndarray) -> list:
+    """A matrix as row-major [re, im] pairs, the format ``config.read_triple`` reads."""
+    return [[float(v.real), float(v.imag)] for v in m.reshape(-1)]
 
 
 # -- fixtures ---------------------------------------------------------------
 
 
-def trivial_triple(graded: bool = True) -> FiniteTriple:
-    """(C, C, D = 0), graded by 1 when asked."""
+def trivial_triple() -> FiniteTriple:
+    """(C, C, D = 0), graded by 1."""
     one = np.array([[1.0 + 0j]])
-    return FiniteTriple(1, [one], np.array([[0.0 + 0j]]), one if graded else None)
+    return FiniteTriple(1, [one], np.array([[0.0 + 0j]]), one)
 
 
-def matrix_case_triple(p: int, q: int, mu, graded: bool = True) -> FiniteTriple:
+def matrix_case_triple(p: int, q: int, mu) -> FiniteTriple:
     """The two-block matrix triple: algebra M_p + M_q, off-diagonal Dirac.
 
     H = C^p (+) C^q, D = [[0, mu], [mu*, 0]] with mu a p x q coupling block,
@@ -239,9 +258,7 @@ def matrix_case_triple(p: int, q: int, mu, graded: bool = True) -> FiniteTriple:
     dirac = np.zeros((d, d), dtype=complex)
     dirac[:p, p:] = mu
     dirac[p:, :p] = mu.conj().T
-    gamma = None
-    if graded:
-        gamma = np.diag([1.0] * p + [-1.0] * q).astype(complex)
+    gamma = np.diag([1.0] * p + [-1.0] * q).astype(complex)
     return FiniteTriple(d, basis, dirac, gamma)
 
 
@@ -253,18 +270,15 @@ def _pair_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None] @ b[None, :]).reshape(-1, *a.shape[1:])
 
 
-def _commutators(t: FiniteTriple) -> np.ndarray:
-    return t.D @ t.algebra_basis - t.algebra_basis @ t.D
-
-
 def omega1_space(t: FiniteTriple) -> OperatorSubspace:
-    """span{a [D, b]} over algebra basis pairs."""
-    return OperatorSubspace.span(_pair_products(t.algebra_basis, _commutators(t)), t.dim_h)
+    """span{a [D, b]} over algebra basis pairs: the row space of R."""
+    return OperatorSubspace(t.dim_h * t.dim_h, t._relations.right)
 
 
 def pi_omega2_space(t: FiniteTriple, omega1: OperatorSubspace) -> OperatorSubspace:
     """span{a [D, b] [D, c]} = span{omega [D, c] : omega in Omega^1}, given Omega^1 of t."""
-    return OperatorSubspace.span(_pair_products(omega1.matrices(t.dim_h), _commutators(t)), t.dim_h)
+    coms = t._relations.commutators
+    return OperatorSubspace.span(_pair_products(omega1.matrices(t.dim_h), coms), t.dim_h)
 
 
 def junk_space(t: FiniteTriple) -> OperatorSubspace:
@@ -273,11 +287,8 @@ def junk_space(t: FiniteTriple) -> OperatorSubspace:
     R, P and U as in the module docstring, one row per basis pair (b_i, c_j).
     """
     dd = t.dim_h * t.dim_h
-    coms = _commutators(t)
-    rel = _pair_products(t.algebra_basis, coms).reshape(-1, dd)
+    coms, u = t._relations.commutators, t._relations.left
     prods = _pair_products(coms, coms).reshape(-1, dd)
-    u, sv, _ = np.linalg.svd(rel, full_matrices=False)
-    u = u[:, : int(np.sum(sv > RANK_TOL * sv[0]))]
     images = prods - u @ (u.conj().T @ prods)
     # cancellation sets the noise floor: rank cut against the raw product size
     scale = float(np.linalg.norm(prods, axis=1).max())
@@ -302,15 +313,7 @@ class FormReport:
     junk_projector: np.ndarray
 
     def to_payload(self) -> dict:
-        return {
-            "dim_omega1": self.dim_omega1,
-            "dim_pi_omega2": self.dim_pi_omega2,
-            "dim_junk": self.dim_junk,
-            "dim_omega2": self.dim_omega2,
-            "junk_projector": [
-                [float(v.real), float(v.imag)] for v in np.asarray(self.junk_projector).reshape(-1)
-            ],
-        }
+        return {**vars(self), "junk_projector": _matrix_payload(self.junk_projector)}
 
 
 def form_report(t: FiniteTriple) -> FormReport:
@@ -395,12 +398,10 @@ def double_odd(t: FiniteTriple) -> FiniteTriple:
     return FiniteTriple(2 * t.dim_h, basis, d, gamma)
 
 
-def product_triple(t1: FiniteTriple, t2: FiniteTriple, auto_double: bool = True) -> FiniteTriple:
-    """D = D1 (x) 1 + gamma1 (x) D2 on H1 (x) H2; even iff t2 is even."""
+def product_triple(t1: FiniteTriple, t2: FiniteTriple) -> FiniteTriple:
+    """D = D1 (x) 1 + gamma1 (x) D2 on H1 (x) H2; even iff t2 is even. ``MissingGrading`` if t1 is odd."""
     if t1.gamma is None:
-        if not auto_double:
-            raise MissingGrading("first factor must be even (or allow auto-doubling)")
-        t1 = double_odd(t1)
+        raise MissingGrading("first factor has no grading; double it first (double_odd)")
     eye2 = np.eye(t2.dim_h, dtype=complex)
     basis = _kron(t1.algebra_basis, t2.algebra_basis)
     d = np.kron(t1.D, eye2) + np.kron(t1.gamma, t2.D)
@@ -425,9 +426,7 @@ def swap_unitary(t1: FiniteTriple, t2: FiniteTriple) -> np.ndarray:
 
 
 def unitary_equivalence_defect(t1: FiniteTriple, t2: FiniteTriple) -> float:
-    """|| U D U* - D' || for D' = D1 (x) gamma2 + 1 (x) D2."""
-    if t1.gamma is None or t2.gamma is None:
-        raise MissingGrading("both factors must be even")
+    """|| U D U* - D' || for D' = D1 (x) gamma2 + 1 (x) D2; ``MissingGrading`` unless both are even."""
     u = swap_unitary(t1, t2)
     d = np.kron(t1.D, np.eye(t2.dim_h)) + np.kron(t1.gamma, t2.D)
     d_alt = np.kron(t1.D, t2.gamma) + np.kron(np.eye(t1.dim_h), t2.D)
@@ -488,7 +487,7 @@ def product_check(t1: FiniteTriple, t2: FiniteTriple) -> ProductReport:
     ``MissingGrading`` if t1 is odd; ``InvalidTriple`` if a junk space
     escapes pi(Omega^2) or the junk legs escape the pi2 legs.
     """
-    prod = product_triple(t1, t2, auto_double=False)
+    prod = product_triple(t1, t2)
     dim = prod.dim_h
     amb = dim * dim
     forms1, forms2 = _forms(t1), _forms(t2)

@@ -47,6 +47,7 @@ from .torus import ThetaMatrix, TorusElement, product_theta, tensor_embed
 
 IDEMPOTENCY_TOL = 1e-12
 COMPAT_TOL = 1e-10
+SUBADDITIVITY_SLACK = 1e-9
 
 log = logging.getLogger(__name__)
 
@@ -225,10 +226,10 @@ def skew_part(m: TorusMatrix) -> TorusMatrix:
 class Projection:
     """Self-adjoint idempotent in M_q(A_Theta) carving out the module."""
 
-    def __init__(self, p: TorusMatrix, tol_idem: float = IDEMPOTENCY_TOL):
+    def __init__(self, p: TorusMatrix):
         defect = (p @ p - p).l1()
         sa = (p.dagger() - p).l1()
-        if defect > tol_idem or sa > tol_idem:
+        if defect > IDEMPOTENCY_TOL or sa > IDEMPOTENCY_TOL:
             raise InvalidConnection(
                 f"projection defects: idempotency {defect:.2e}, self-adjointness {sa:.2e}"
             )
@@ -239,7 +240,6 @@ class Projection:
                 stacklevel=2,
             )
         self.p = p
-        self.tol_idem = tol_idem
 
     def idempotency_defect(self) -> float:
         return (self.p @ self.p - self.p).l1()
@@ -274,7 +274,7 @@ class Connection:
             one = TorusMatrix.identity(self.theta, self.q)
             for j, a in enumerate(self.A, start=1):
                 defect = ((one - p) @ (p.derive(j) + a @ p)).l1()
-                if defect > self.proj.tol_idem * max(1.0, a.l1()):
+                if defect > IDEMPOTENCY_TOL * max(1.0, a.l1()):
                     raise InvalidConnection(
                         f"connection does not preserve the module: direction {j}, defect {defect:.2e}"
                     )
@@ -724,14 +724,14 @@ def additivity_report(c1: Connection, c2: Connection, prod: Connection | None = 
     return AdditivityReport(ym_product, ym1, ym2, alpha_tau, beta_tau, defect, xi, eta, cross)
 
 
-def subadditivity_check(rep: AdditivityReport, slack: float = 1e-9) -> bool:
+def subadditivity_check(rep: AdditivityReport) -> bool:
     """sqrt(YM(product)) <= sqrt(alpha_tau YM(nabla_1)) + sqrt(beta_tau YM(nabla_2)) + slack.
 
-    Decided from the values in ``rep``, so no YM is evaluated again.
+    The slack is ``SUBADDITIVITY_SLACK``; decided from ``rep``, so no YM is evaluated again.
     """
     lhs = math.sqrt(max(rep.ym_product, 0.0))
     rhs = math.sqrt(max(rep.alpha_tau * rep.ym1, 0.0)) + math.sqrt(max(rep.beta_tau * rep.ym2, 0.0))
-    return lhs <= rhs + slack
+    return lhs <= rhs + SUBADDITIVITY_SLACK
 
 
 def critical_splitting_check(

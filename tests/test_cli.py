@@ -140,6 +140,32 @@ def test_run_finite_product():
     assert report["results"]["unitary_equivalence_defect"] < 1e-12
 
 
+#: an odd triple: algebra span{1, diag(1, 0)} on C^2, D = sigma1, no grading
+ODD_TRIPLE = {
+    "dim_h": 2,
+    "algebra_basis": [[[1, 0], [0, 0], [0, 0], [1, 0]], [[1, 0], [0, 0], [0, 0], [0, 0]]],
+    "D": [[0, 0], [1, 0], [1, 0], [0, 0]],
+}
+
+
+@pytest.mark.parametrize("auto_double, code", [(False, 1), (None, 0)], ids=["off", "default"])
+def test_finite_product_odd_first_factor(tmp_path, capsys, auto_double, code):
+    """An odd t1 is doubled only by auto_double (on by default); without it the
+    product has no grading on its first factor and the run is an input error."""
+    payload = {"t1": {"payload": ODD_TRIPLE}, "t2": {"trivial": True}}
+    if auto_double is not None:
+        payload["auto_double"] = auto_double
+    conf = {"kind": "finite_product", "payload": payload}
+    out = tmp_path / "rep.json"
+    assert cli.main(["run", write(tmp_path, "conf.json", conf), "--output", str(out)]) == code
+    err = capsys.readouterr().err.splitlines()
+    if code:
+        assert not out.exists()
+        assert len(err) == 1 and err[0].startswith("error: ") and "grading" in err[0]
+    else:  # the doubled t1 is even, so the swap-unitary defect is reported
+        assert "unitary_equivalence_defect" in json.loads(out.read_text())["results"]
+
+
 def test_run_torus_minimize():
     payload = {
         "theta": {"n": 2, "entries": [0.0, 0.3, -0.3, 0.0]},

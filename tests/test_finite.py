@@ -85,6 +85,22 @@ def test_wrong_shapes_and_empty_basis_raise_invalid_triple():
         FiniteTriple(2, [], np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["algebra basis", "D", "gamma"])
+def test_nonfinite_entries_raise_invalid_triple(where, bad):
+    """A non-finite entry passes every norm-above-tolerance check, so it is rejected up front."""
+    eye = np.eye(2, dtype=complex)
+    basis, dirac, gamma = [eye, np.diag([1.0, -1.0])], np.array([[0.0, 1.0], [1.0, 0.0]]), None
+    if where == "algebra basis":
+        basis[1] = np.diag([1.0, bad])
+    elif where == "D":
+        dirac[0, 1] = dirac[1, 0] = bad
+    else:
+        basis, dirac, gamma = [eye], np.zeros((2, 2)), np.diag([1.0, bad])
+    with pytest.raises(InvalidTriple, match=f"{where} has a non-finite entry"):
+        FiniteTriple(2, basis, dirac, gamma)
+
+
 SCALES = [1e-13, 1e-8, 1e-5, 1.0, 1e4, 1e8]
 
 
@@ -429,6 +445,22 @@ def test_classify_mirrored_and_errors():
         classify_matrix_case(2, 2, np.zeros((2, 2)))
 
 
+def test_form_report_takes_one_relation_svd(monkeypatch):
+    """Omega^1 and the junk share the triple's one SVD of R: building a triple takes
+    one SVD (the span of its basis), its form report three (R, pi(Omega^2) and the
+    junk images), and the triple keeps copies of only the kept singular vectors."""
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    t = matrix_case_triple(2, 1, [[0.6], [0.8j]])
+    built = len(calls)
+    form_report(t)
+    assert (built, len(calls) - built) == (1, 3)
+    relations = t._relations
+    assert relations.left.base is None and relations.right.base is None
+    assert relations.right.shape[0] == omega1_space(t).dim == relations.left.shape[1]
+
+
 def test_form_report_projector_properties():
     t = matrix_case_triple(2, 1, [[1.0], [0.0]])
     rep = form_report(t)
@@ -496,9 +528,9 @@ def test_product_requires_grading_or_doubling():
     odd = FiniteTriple(2, [np.eye(2, dtype=complex), np.diag([1.0, 0.0]).astype(complex)],
                        np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
     t2 = trivial_triple()
-    with pytest.raises(MissingGrading):
-        product_triple(odd, t2, auto_double=False)
-    prod = product_triple(odd, t2)
+    with pytest.raises(MissingGrading, match="grading"):
+        product_triple(odd, t2)
+    prod = product_triple(double_odd(odd), t2)
     assert prod.dim_h == 4
 
 
