@@ -85,10 +85,8 @@ def _run_torus_minimize(spec: cfg.TorusMinimize):
 
 def _run_torus_product(spec: cfg.TorusProduct):
     c1, c2 = _connection(spec.first), _connection(spec.second)
-    # one product connection serves the report and, with a projection, the verdicts
-    prod = ym.product_connection(c1, c2)
-    rep = ym.additivity_report(c1, c2, prod)
-    split = ym.critical_splitting_check(c1, c2, spec.tol, prod)
+    rep = ym.additivity_report(c1, c2)
+    split = ym.critical_splitting_check(c1, c2, spec.tol)
     results = dict(rep.to_payload())
     results["splitting"] = {
         "necessary": split.necessary,
@@ -117,7 +115,7 @@ def _run_finite_forms(spec: cfg.FiniteForms):
 
 def _run_finite_product(spec: cfg.FiniteProduct):
     t1, t2 = _triple(spec.t1), _triple(spec.t2)
-    if t1.gamma is None and spec.auto_double:
+    if t1.gamma is None:
         t1 = finite.double_odd(t1)
     rep = finite.product_check(t1, t2)
     results = {"decomposition_dims": rep.decomposition_dims, "hypothesis_dims": rep.hypothesis_dims}

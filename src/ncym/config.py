@@ -210,7 +210,6 @@ class FiniteProduct:
     # accepted and unused: the orthogonality verdict is exact, not sampled
     seed: int = _field(0, lo=0)
     samples: int = _field(100, lo=1)
-    auto_double: bool = _field(True)
 
 
 @dataclass(frozen=True)

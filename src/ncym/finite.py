@@ -71,11 +71,12 @@ def _orthonormal_rows(m: np.ndarray, scale: float | None = None) -> np.ndarray:
 
     ``scale`` overrides the reference magnitude for the rank cut; pass it when
     the rows arise from cancellations so roundoff residue is not mistaken
-    for span (default: largest singular value).
+    for span (default: largest singular value).  The rows are a copy: a view
+    would keep the whole thin ``vh`` alive.
     """
     if not m.any():
         return np.zeros((0, m.shape[1]), dtype=complex)
-    return _svd_cut(m, scale)[1]
+    return _svd_cut(m, scale)[1].copy()
 
 
 class OperatorSubspace:

@@ -20,11 +20,22 @@ picks up e(Theta_{mk} * r_k * s_m) per pass.  Hence the product cocycle is
     sigma(r, s) = e( sum_{m < k} Theta[m][k] * r_k * s_m ),
 
 and the involution phase (from reversing the descending word of inverses) is
+sigma(r, r):
 
     (U^r)* = e( sum_{m < k} Theta[m][k] * r_k * r_m ) U^{-r}.
 
 Both formulas are regression-tested against step-by-step generator
 reordering in the test suite.
+
+One cocycle
+-----------
+Let P be the strictly lower part of Theta^T (``ThetaMatrix._pair_mat``),
+P[k][m] = Theta[m][k] for m < k.  Then sigma(r, s) = e(r P s^T) = e(w . s)
+with w = r P, and every phase in this module is formed that way: one matmul
+gives w for a whole array of terms, and the sum w . s runs over P's columns
+in order with elementwise multiplies and adds (``_exponents``).  The scalar
+per-term form of the exponent is kept only in the tests, as the oracle the
+array kernels are checked against.
 
 Star-product kernels
 --------------------
@@ -32,20 +43,21 @@ Every product enters through ``TorusElement.__mul__`` (or ``mul``) and
 ``_star_product``, which picks one of two array kernels.  The dense-box
 kernel takes products of more than ``_VECTOR_CUTOFF`` pairs of terms whose
 box work is at most ``_DENSE_WORK_PER_PAIR`` per pair and whose coefficients
-are all finite.  It is a twisted convolution: the cocycle exponent is w . s
-with w = r P (P = ``ThetaMatrix._pair_mat``), and row 0 of P is zero, so a's
-terms are grouped by their tail (r_1..r_{n-1}); each group modulates b,
-scattered into its dense bounding box, by the separable phases e(w_m s_m),
-convolves it along axis 0 with the group's r_0 row in one batched Toeplitz
-matmul, and one bincount adds every group into the output box.  Its cost
+are all finite.  It is a twisted convolution: row 0 of P is zero, so w = r P
+depends only on r's tail (r_1..r_{n-1}), and a's terms are grouped by their
+tail; each group modulates b, scattered into its dense bounding box, by the
+separable phases e(w_m s_m), convolves it along axis 0 with the group's r_0
+row in one batched Toeplitz matmul, and one bincount adds every group into
+the output box.  Its cost
 follows the boxes, not the pair count.  Every other product (few pairs, a
 far-out term that makes the box huge, a non-finite coefficient) runs the
 pairwise kernel: the per-pair exponents and phases as whole arrays, then one
 dict pass that sums the pairs in the order of the pair-by-pair dict loop,
 which the tests keep as the reference; its time and memory follow the pair
-count.  Both hold the multi-indices in int64, so operands whose index sums
-could leave it raise ``IndexOutOfRange``.  Both drop exactly the sums with
-|c| < ``CANONICAL_EPS``; NaN is kept.
+count.  The involution is one array pass of the same kind over the terms.
+All of them hold the multi-indices in int64, so operands whose indices (or,
+for a product, index sums) could leave it raise ``IndexOutOfRange``.  All
+drop exactly the values with |c| < ``CANONICAL_EPS``; NaN is kept.
 
 All operations are pure functions of their inputs and values are never
 mutated after construction, so anything here may run concurrently on shared
@@ -54,7 +66,6 @@ elements.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 
@@ -76,17 +87,10 @@ def _trimmed(coeffs: dict) -> dict:
     return {r: c for r, c in coeffs.items() if not abs(c) < CANONICAL_EPS}
 
 
-def phase(x: float) -> complex:
-    """e(x) = exp(2*pi*i*x), with x reduced mod 1 before exponentiation."""
-    if x == 0.0:
-        return 1.0 + 0.0j
-    return cmath.exp(2j * math.pi * (x % 1.0))
-
-
 class ThetaMatrix:
     """Real skew-symmetric n x n deformation matrix."""
 
-    __slots__ = ("n", "entries", "_phase_rows", "_phase_terms", "_pair_mat")
+    __slots__ = ("n", "entries", "_pair_mat")
 
     def __init__(self, entries):
         rows = tuple(tuple(float(v) + 0.0 for v in row) for row in entries)
@@ -103,24 +107,9 @@ class ThetaMatrix:
                     raise ValueError(f"theta must be skew-symmetric, violated at ({j},{k})")
         self.n = n
         self.entries = rows
-        # per-column list of (m, theta[m][k]) with m < k and nonzero entry,
-        # so cocycle sums skip structural zeros
-        self._phase_rows = tuple(
-            tuple((m, rows[m][k]) for m in range(k) if rows[m][k] != 0.0) for k in range(n)
-        )
-        # the same entries in the same order as arrays of k, of m and of theta[m][k]
-        flat = [(k, m, t) for k, row in enumerate(self._phase_rows) for m, t in row]
-        self._phase_terms = (
-            np.array([k for k, _, _ in flat], dtype=np.intp),
-            np.array([m for _, m, _ in flat], dtype=np.intp),
-            np.array([t for _, _, t in flat], dtype=float),
-        )
-        # P[k][m] = theta[m][k] for m < k, else 0: pair_exponent(r, s) = r P s^T
-        pmat = np.zeros((n, n))
-        for k in range(n):
-            for m in range(k):
-                pmat[k, m] = rows[m][k]
-        self._pair_mat = pmat
+        # the one cocycle: P[k][m] = theta[m][k] for m < k, else 0, and
+        # sigma(r, s) = e(r P s^T)
+        self._pair_mat = np.tril(np.array(rows).reshape(n, n).T, -1)
 
     @classmethod
     def zeros(cls, n: int) -> "ThetaMatrix":
@@ -146,28 +135,6 @@ class ThetaMatrix:
     def __repr__(self):
         return f"ThetaMatrix(n={self.n})"
 
-    def pair_exponent(self, r, s) -> float:
-        """sum_{m<k} Theta[m][k] * r_k * s_m  (the cocycle exponent)."""
-        x = 0.0
-        for k, rk in enumerate(r):
-            if rk == 0:
-                continue
-            for m, t in self._phase_rows[k]:
-                sm = s[m]
-                if sm:
-                    x += t * rk * sm
-        return x
-
-    def to_payload(self) -> dict:
-        return {"n": self.n, "entries": [v for row in self.entries for v in row]}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ThetaMatrix":
-        n = int(payload["n"])
-        flat = payload["entries"]
-        if len(flat) != n * n:
-            raise ValueError("theta payload has wrong length")
-        return cls([flat[i * n : (i + 1) * n] for i in range(n)])
 
 
 class TorusElement:
@@ -274,13 +241,21 @@ class TorusElement:
 
     # -- star structure ------------------------------------------------
 
+    @np.errstate(over="ignore", invalid="ignore")
     def adjoint(self) -> "TorusElement":
-        """Involution: (sum a_r U^r)* = sum conj(a_r) e(sum_{m<k} Th_mk r_k r_m) U^{-r}."""
+        """Involution: (sum a_r U^r)* = sum conj(a_r) sigma(r, r) U^{-r}.
+
+        One array pass: sigma(r, r) = e(w . r) with w = r P for every term,
+        conj(a_r) times it in ``_cmul``'s real arithmetic (NaN and inf carry
+        through, as in Python's complex arithmetic), and the dense box's exit.
+        ``IndexOutOfRange`` for an index entry past int64.
+        """
         th = self.theta
-        out = {}
-        for r, c in self.coeffs.items():
-            out[tuple(-x for x in r)] = c.conjugate() * phase(th.pair_exponent(r, r))
-        return TorusElement._raw(th, _trimmed(out))
+        if not self.coeffs:
+            return TorusElement._raw(th, {})
+        r, c, _ = _terms(self)
+        vals = _cmul(np.conj(c), _phases(_exponents(th, r, r)))
+        return _element(th, vals, lambda kept: -r[kept])
 
     def trace(self) -> complex:
         """The tracial state: coefficient at the zero multi-index."""
@@ -328,21 +303,6 @@ class TorusElement:
         body = " + ".join(f"({c:.3g})U^{list(r)}" for r, c in items)
         more = "" if len(self.coeffs) <= 4 else f" + ... ({len(self.coeffs)} terms)"
         return f"<{body or '0'}{more}>"
-
-    # -- serialization ----------------------------------------------------
-
-    def to_payload(self) -> list:
-        return [
-            {"r": list(r), "re": c.real, "im": c.imag}
-            for r, c in sorted(self.coeffs.items())
-        ]
-
-    @classmethod
-    def from_payload(cls, theta: ThetaMatrix, payload) -> "TorusElement":
-        return cls(
-            theta,
-            {tuple(int(x) for x in rec["r"]): complex(rec["re"], rec["im"]) for rec in payload},
-        )
 
 
 #: Products of at most this many pairs of terms run ``_star_product_pairs``,
@@ -414,6 +374,53 @@ def _terms(a: TorusElement):
     return keys, np.fromiter(a.coeffs.values(), dtype=complex, count=m), reach
 
 
+def _exponents(th: ThetaMatrix, r, s):
+    """The cocycle exponents w . s with w = r P, for int64 index arrays r and s.
+
+    r and s have shape (..., n) and broadcast against each other; the result
+    has their broadcast shape without the last axis.  w is one matmul over
+    r's rows.  The sum w . s runs over P's columns in order, with one
+    elementwise multiply and then adds: a BLAS dot could fuse a multiply-add
+    and change a bit.  P's last column is always zero and is left out of the
+    sum; any other zero column adds exact zeros, so the sum is the one over
+    the nonzero columns.
+    """
+    terms = (r.reshape(-1, th.n).astype(float) @ th._pair_mat).reshape(r.shape) * s
+    x = terms[..., 0]
+    for m in range(1, th.n - 1):
+        x = x + terms[..., m]
+    return x
+
+
+def _phases(x):
+    """e(x) for an array of exponents, with x reduced mod 1 first."""
+    return np.exp(2j * math.pi * np.mod(x, 1.0))
+
+
+def _cmul(x, y):
+    """x * y for contiguous complex arrays that broadcast, in real arithmetic.
+
+    The formulas are Python's, re = x.re y.re - x.im y.im and
+    im = x.re y.im + x.im y.re: numpy's complex multiply may contract to FMA,
+    which would make a * b and b * a differ at theta = 0.
+    """
+    prod = x.view(float).reshape(x.shape + (2, 1)) * y.view(float).reshape(y.shape + (1, 2))
+    out = np.empty(prod.shape[:-1])
+    np.subtract(prod[..., 0, 0], prod[..., 1, 1], out=out[..., 0])
+    np.add(prod[..., 0, 1], prod[..., 1, 0], out=out[..., 1])
+    return out.view(complex).reshape(out.shape[:-1])
+
+
+def _element(th: ThetaMatrix, vals, keys_at) -> TorusElement:
+    """sum_i vals[i] U^(key i) without the values of modulus under ``CANONICAL_EPS``.
+
+    NaN is kept.  ``keys_at`` maps the positions kept in the 1-d complex array
+    ``vals`` to their int64 (kept, n) multi-indices.
+    """
+    kept = (~(np.abs(vals) < CANONICAL_EPS)).nonzero()[0]
+    return TorusElement._raw(th, dict(zip(map(tuple, keys_at(kept).tolist()), vals[kept].tolist())))
+
+
 # inf and NaN coefficients carry through, as in Python's complex arithmetic;
 # callers that need finite results check them
 @np.errstate(over="ignore", invalid="ignore")
@@ -422,33 +429,17 @@ def _star_product_pairs(th: ThetaMatrix, ra, ca, rb, cb) -> TorusElement:
 
     Runs every product the dense box does not take; its time and memory
     follow the pair count.  The same arithmetic as the pair-by-pair dict loop
-    kept in the tests: the exponent sum_{m<k} Theta[m][k] r_k s_m adds
-    (Theta[m][k] r_k) s_m in the same order, the complex products are formed
-    in real arithmetic with the same formulas (numpy's complex multiply may
-    contract to FMA, which would make a * b and b * a differ at theta = 0),
-    and the dict pass sums the pairs in the loop's order.  Without a nonzero
-    theta entry every phase is 1 and the phase step is skipped.
+    kept in the tests, except for the order of the exponent's sum and numpy's
+    exp in place of cmath's: the complex products are formed by ``_cmul``, and
+    the dict pass sums the pairs in the loop's order.
     """
     na, nb = len(ca), len(cb)
-    # (na, nb, 2, 2) real products of [re, im] x [re, im]
-    prod = ca.view(float).reshape(na, 1, 2, 1) * cb.view(float).reshape(1, nb, 1, 2)
-    vals = np.empty((na, nb, 2))
-    np.subtract(prod[..., 0, 0], prod[..., 1, 1], out=vals[..., 0])
-    np.add(prod[..., 0, 1], prod[..., 1, 0], out=vals[..., 1])
-    ks, ms, ts = th._phase_terms
-    if len(ts):
-        terms = (ra[:, None, ks] * ts) * rb[None, :, ms]
-        expo = terms[..., 0]
-        for i in range(1, len(ts)):
-            expo = expo + terms[..., i]
-        ph = np.exp(2j * math.pi * np.mod(expo, 1.0)).view(float).reshape(na, nb, 1, 2)
-        prod = vals[..., None] * ph
-        np.subtract(prod[..., 0, 0], prod[..., 1, 1], out=vals[..., 0])
-        np.add(prod[..., 0, 1], prod[..., 1, 0], out=vals[..., 1])
+    vals = _cmul(ca.reshape(na, 1), cb.reshape(1, nb))
+    vals = _cmul(vals, _phases(_exponents(th, ra[:, None, :], rb[None, :, :])))
     keys = (ra[:, None, :] + rb[None, :, :]).reshape(-1, th.n).tolist()
     out = {}
     get = out.get
-    for key, v in zip(map(tuple, keys), vals.view(complex).reshape(-1).tolist()):
+    for key, v in zip(map(tuple, keys), vals.reshape(-1).tolist()):
         out[key] = get(key, 0j) + v
     return TorusElement._raw(th, _trimmed(out))
 
@@ -497,7 +488,7 @@ def _star_product_box(th: ThetaMatrix, ra, ca, rb, cb) -> TorusElement:
         if not w[:, m].any():
             continue
         s = np.arange(lob[m], lob[m] + ext_b[m], dtype=float)
-        ph = np.exp(2j * math.pi * np.mod(np.outer(w[:, m], s), 1.0))
+        ph = _phases(np.outer(w[:, m], s))
         mod = mod * ph.reshape((n_groups,) + (1,) * m + (-1,) + (1,) * (n - 1 - m))
 
     # rows[g, i] = a's coefficient at r_0 = loa_0 + i in group g; the extra last
@@ -517,9 +508,10 @@ def _star_product_box(th: ThetaMatrix, ra, ca, rb, cb) -> TorusElement:
     sums = np.bincount(cell, weights=conv.real.reshape(-1), minlength=volume) + 1j * np.bincount(
         cell, weights=conv.imag.reshape(-1), minlength=volume
     )
-    kept = np.flatnonzero(~(np.abs(sums) < CANONICAL_EPS))
-    keys = np.stack(np.unravel_index(kept, tuple(ext), order="F"), axis=1) + (loa + lob)
-    return TorusElement._raw(th, dict(zip(map(tuple, keys.tolist()), sums[kept].tolist())))
+    offset = loa + lob
+    return _element(
+        th, sums, lambda kept: np.stack(np.unravel_index(kept, tuple(ext), order="F"), axis=1) + offset
+    )
 
 
 # Module-level operation names mirroring the algebra interface.

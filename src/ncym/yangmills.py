@@ -181,26 +181,6 @@ class TorusMatrix:
             default=0.0,
         )
 
-    def to_payload(self):
-        return {
-            "q": self.q,
-            "entries": [a.to_payload() for row in self.entries for a in row],
-        }
-
-    @classmethod
-    def from_payload(cls, theta, payload):
-        q = int(payload["q"])
-        flat = payload["entries"]
-        if len(flat) != q * q:
-            raise ValueError("matrix payload has wrong length")
-        return cls(
-            theta,
-            [
-                [TorusElement.from_payload(theta, flat[i * q + j]) for j in range(q)]
-                for i in range(q)
-            ],
-        )
-
 
 def hs_inner(x: TorusMatrix, y: TorusMatrix) -> complex:
     """tau_q(X* Y) via the GNS identity tau(a* b) = sum_r conj(a_r) b_r.
@@ -292,26 +272,6 @@ class Connection:
             [a + m.scale(t) for a, m in zip(self.A, mu.components)],
             self.proj,
         )
-
-    def to_payload(self):
-        payload = {
-            "theta": self.theta.to_payload(),
-            "q": self.q,
-            "A": [a.to_payload() for a in self.A],
-        }
-        if self.proj is not None:
-            payload["proj"] = self.proj.p.to_payload()
-        return payload
-
-    @classmethod
-    def from_payload(cls, payload):
-        theta = ThetaMatrix.from_payload(payload["theta"])
-        q = int(payload["q"])
-        A = [TorusMatrix.from_payload(theta, m) for m in payload["A"]]
-        proj = None
-        if payload.get("proj") is not None:
-            proj = Projection(TorusMatrix.from_payload(theta, payload["proj"]))
-        return cls(theta, q, A, proj)
 
 
 class Curvature:
@@ -702,17 +662,13 @@ def curvature_tau_sum(c: Connection) -> complex:
     return sum((m.tau() for _, m in f.items()), 0j)
 
 
-def additivity_report(c1: Connection, c2: Connection, prod: Connection | None = None) -> AdditivityReport:
+def additivity_report(c1: Connection, c2: Connection) -> AdditivityReport:
     """YM(nabla_1 (x) 1 + 1 (x) nabla_2) against q2 YM(nabla_1) + q1 YM(nabla_2).
 
-    ``prod`` is the product connection of ``c1`` and ``c2`` when the caller
-    has built it already (it is built here otherwise); its memoised curvature
-    then serves the caller's later gradient of the product.  One report
-    carries everything ``subadditivity_check`` decides.
+    Builds the product connection once.  One report carries everything
+    ``subadditivity_check`` decides.
     """
-    if prod is None:
-        prod = product_connection(c1, c2)
-    ym_product = ym_value(prod)
+    ym_product = ym_value(product_connection(c1, c2))
     ym1 = ym_value(c1)
     ym2 = ym_value(c2)
     alpha_tau = float(c2.q)
@@ -734,12 +690,7 @@ def subadditivity_check(rep: AdditivityReport) -> bool:
     return lhs <= rhs + SUBADDITIVITY_SLACK
 
 
-def critical_splitting_check(
-    c1: Connection,
-    c2: Connection,
-    tol: float = 1e-8,
-    prod: Connection | None = None,
-) -> SplittingReport:
+def critical_splitting_check(c1: Connection, c2: Connection, tol: float = 1e-8) -> SplittingReport:
     """Necessary-condition and product-criticality verdicts for nabla_1 (x) nabla_2.
 
     Exact rules in the factor gradient norms n1 = ||G1|| and n2 = ||G2||, each
@@ -756,8 +707,7 @@ def critical_splitting_check(
     so its gradient is (G1 (x) 1, 1 (x) G2) and
     ||G_prod||^2 = q2 n1^2 + q1 n2^2; no product gradient is taken.  When
     either factor has a projection, ||G_prod|| is the literal gradient norm of
-    the product connection: ``prod`` if the caller has built it, as in
-    ``additivity_report``, built here otherwise.
+    the product connection, built here.
     """
     if tol <= 0:
         raise DomainError("tolerance must be positive")
@@ -766,7 +716,7 @@ def critical_splitting_check(
     if c1.proj is None and c2.proj is None:
         n_prod = math.sqrt(q2 * n1 * n1 + q1 * n2 * n2)
     else:
-        n_prod = gradient_norm(product_connection(c1, c2) if prod is None else prod)
+        n_prod = gradient_norm(product_connection(c1, c2))
     bilinear = q2 * n1 + q1 * n2
     necessary = 2.0 * n1 <= tol and 2.0 * n2 <= tol
     product_critical = 2.0 * n_prod <= tol and (bilinear <= tol or not necessary)

@@ -148,22 +148,15 @@ ODD_TRIPLE = {
 }
 
 
-@pytest.mark.parametrize("auto_double, code", [(False, 1), (None, 0)], ids=["off", "default"])
-def test_finite_product_odd_first_factor(tmp_path, capsys, auto_double, code):
-    """An odd t1 is doubled only by auto_double (on by default); without it the
-    product has no grading on its first factor and the run is an input error."""
-    payload = {"t1": {"payload": ODD_TRIPLE}, "t2": {"trivial": True}}
-    if auto_double is not None:
-        payload["auto_double"] = auto_double
-    conf = {"kind": "finite_product", "payload": payload}
+@pytest.mark.parametrize("t2", [{"trivial": True}], ids=["default"])
+def test_finite_product_odd_first_factor(tmp_path, capsys, t2):
+    """The CLI doubles an odd t1, so the product has a grading on its first factor."""
+    conf = {"kind": "finite_product", "payload": {"t1": {"payload": ODD_TRIPLE}, "t2": t2}}
     out = tmp_path / "rep.json"
-    assert cli.main(["run", write(tmp_path, "conf.json", conf), "--output", str(out)]) == code
-    err = capsys.readouterr().err.splitlines()
-    if code:
-        assert not out.exists()
-        assert len(err) == 1 and err[0].startswith("error: ") and "grading" in err[0]
-    else:  # the doubled t1 is even, so the swap-unitary defect is reported
-        assert "unitary_equivalence_defect" in json.loads(out.read_text())["results"]
+    assert cli.main(["run", write(tmp_path, "conf.json", conf), "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    # the doubled t1 is even, so the swap-unitary defect is reported
+    assert "unitary_equivalence_defect" in json.loads(out.read_text())["results"]
 
 
 def test_run_torus_minimize():

@@ -461,6 +461,25 @@ def test_form_report_takes_one_relation_svd(monkeypatch):
     assert relations.right.shape[0] == omega1_space(t).dim == relations.left.shape[1]
 
 
+def test_form_space_bases_own_their_data(monkeypatch):
+    """Every basis that _forms and product_check build is its own array: a view of
+    the kept rows would keep the whole thin SVD factor alive."""
+    built = []
+    init = OperatorSubspace.__init__
+
+    def record(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(OperatorSubspace, "__init__", record)
+    t1 = matrix_case_triple(2, 2, np.diag([1.0, 2.0]))
+    t2 = matrix_case_triple(2, 1, [[0.6], [0.8j]])
+    _forms(t1)
+    product_check(t1, t2)
+    assert len(built) > 10
+    assert all(space.basis.base is None for space in built)
+
+
 def test_form_report_projector_properties():
     t = matrix_case_triple(2, 1, [[1.0], [0.0]])
     rep = form_report(t)

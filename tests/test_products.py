@@ -202,23 +202,22 @@ def test_product_gradient_norm_identity(seed, q2):
 
 
 def test_splitting_with_projection_takes_literal_product_gradient(monkeypatch):
-    """With a projection the product gradient is taken literally, of the
-    caller's product connection when one is passed."""
+    """With a projection the product gradient is taken literally, of the one
+    product connection the check builds."""
     gen = sampling.rng(610)
     th = sampling.random_theta(2, gen)
     ph = sampling.random_theta(2, gen)
     proj = Projection(TorusMatrix.from_scalar_matrix(th, [[0.5, 0.5], [0.5, 0.5]]))
     c1 = random_connection(th, 2, gen, radius=1, amplitude=0.4, proj=proj)
     c2 = random_connection(ph, 1, gen, radius=1, amplitude=0.4)
-    prod = product_connection(c1, c2)
     calls = []
     real = yangmills.ym_gradient
     monkeypatch.setattr(yangmills, "ym_gradient", lambda c: calls.append(c) or real(c))
-    rep = critical_splitting_check(c1, c2, tol=1e-6, prod=prod)
+    rep = critical_splitting_check(c1, c2, tol=1e-6)
     monkeypatch.undo()
-    assert calls == [c1, c2, prod]
-    assert rep.gradient_norm_product == gradient_norm(prod) > 0.0
-    assert critical_splitting_check(c1, c2, tol=1e-6).gradient_norm_product == rep.gradient_norm_product
+    assert len(calls) == 3 and calls[:2] == [c1, c2]
+    assert calls[2].n == c1.n + c2.n and calls[2].q == c1.q * c2.q
+    assert rep.gradient_norm_product == gradient_norm(product_connection(c1, c2)) > 0.0
     assert not rep.necessary and not rep.product_critical
 
 

@@ -1,7 +1,6 @@
 """Algebra laws of the twisted Fourier arithmetic, against independent oracles."""
 
 import cmath
-import json
 import math
 import tracemalloc
 
@@ -24,6 +23,24 @@ from ncym import (
 from ncym import sampling, torus
 
 COEFF_TOL = 1e-12
+
+
+def cocycle_exponent(theta, r, s):
+    """sum_{m<k} Theta[m][k] r_k s_m, term by term from ``theta.entries``.
+
+    The scalar form of the cocycle exponent: the oracle for the library's
+    array form w . s with w = r P, with which it shares no code.
+    """
+    x = 0.0
+    for k in range(theta.n):
+        for m in range(k):
+            x += theta.entries[m][k] * r[k] * s[m]
+    return x
+
+
+def phase(x):
+    """e(x) = exp(2*pi*i*x), with x reduced mod 1 first."""
+    return cmath.exp(2j * math.pi * (x % 1.0))
 
 
 def coeff_distance(a, b):
@@ -113,8 +130,8 @@ def test_cocycle_identity():
     theta = sampling.random_theta(3, gen)
     for _ in range(200):
         r, s, t = (tuple(int(x) for x in gen.integers(-4, 5, size=3)) for _ in range(3))
-        lhs = theta.pair_exponent(r, s) + theta.pair_exponent(tuple(a + b for a, b in zip(r, s)), t)
-        rhs = theta.pair_exponent(s, t) + theta.pair_exponent(r, tuple(a + b for a, b in zip(s, t)))
+        lhs = cocycle_exponent(theta, r, s) + cocycle_exponent(theta, tuple(a + b for a, b in zip(r, s)), t)
+        rhs = cocycle_exponent(theta, s, t) + cocycle_exponent(theta, r, tuple(a + b for a, b in zip(s, t)))
         assert abs(lhs - rhs) < 1e-10
 
 
@@ -272,17 +289,6 @@ def test_tensor_embed_homomorphism():
         assert abs(trace(tensor_embed(a, b)) - trace(a) * trace(b)) < COEFF_TOL
 
 
-def test_serialization_round_trip(theta2):
-    gen = sampling.rng(18)
-    a = sampling.random_element(theta2, gen, radius=3, terms=6)
-    text = json.dumps({"theta": theta2.to_payload(), "coeffs": a.to_payload()})
-    back = json.loads(text)
-    theta = ThetaMatrix.from_payload(back["theta"])
-    b = TorusElement.from_payload(theta, back["coeffs"])
-    assert theta == theta2
-    assert b.coeffs == a.coeffs  # bit-exact round trip
-
-
 # -- array kernels against the dict loop ------------------------------------
 
 
@@ -293,8 +299,16 @@ def star_product_loop(a, b):
     for r, ar in a.coeffs.items():
         for s, bs in b.coeffs.items():
             key = tuple(ri + si for ri, si in zip(r, s))
-            out[key] = out.get(key, 0j) + ar * bs * torus.phase(th.pair_exponent(r, s))
+            out[key] = out.get(key, 0j) + ar * bs * phase(cocycle_exponent(th, r, s))
     return TorusElement(th, out)
+
+
+def adjoint_loop(a):
+    """Term-by-term involution: the reference for ``TorusElement.adjoint``."""
+    th = a.theta
+    return TorusElement(
+        th, {tuple(-x for x in r): c.conjugate() * phase(cocycle_exponent(th, r, r)) for r, c in a.coeffs.items()}
+    )
 
 
 def kernel_tolerance(a, b):
@@ -310,26 +324,80 @@ def kernel_tolerance(a, b):
     return 1e-13 * (1.0 + theta_l1 * r_max * s_max) * a.l1() * b.l1()
 
 
+def adjoint_tolerance(a):
+    """``kernel_tolerance`` for the involution: one phase per term, |x| <= sum |theta| max|r|^2."""
+    theta_l1 = sum(abs(v) for row in a.theta.entries for v in row) / 2
+    r_max = max((abs(x) for r in a.coeffs for x in r), default=0)
+    return 1e-13 * (1.0 + theta_l1 * r_max * r_max) * a.l1()
+
+
+def draw_theta(draw):
+    """A skew theta with n in 1..4: zero, random, or block diagonal as on a product torus."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["zero", "random", "product"] if n > 1 else ["zero", "random"]))
+
+    def skew(k):
+        entry = st.floats(-1.0, 1.0, allow_nan=False)
+        return ThetaMatrix.from_upper(k, {(j, l): draw(entry) for j in range(k) for l in range(j + 1, k)})
+
+    if kind == "zero":
+        return ThetaMatrix.zeros(n)
+    if kind == "product":
+        first = draw(st.integers(1, n - 1))
+        return product_theta(skew(first), skew(n - first))
+    return skew(n)
+
+
+def draw_element(draw, theta):
+    """Up to 40 terms, dense or wide support."""
+    radius = draw(st.sampled_from([1, 2, 3, 12, 60]))
+    index = st.tuples(*[st.integers(-radius, radius)] * theta.n)
+    keys = draw(st.lists(index, max_size=40, unique=True))
+    values = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+    return TorusElement(theta, {k: draw(values) for k in keys})
+
+
 @st.composite
 def operand_pairs(draw):
-    """(a, b) over a random skew theta (sometimes 0), n in 1..4, dense or wide support."""
-    n = draw(st.integers(1, 4))
-    zero = draw(st.booleans())
-    upper = {
-        (j, k): 0.0 if zero else draw(st.floats(-1.0, 1.0, allow_nan=False))
-        for j in range(n)
-        for k in range(j + 1, n)
-    }
-    theta = ThetaMatrix.from_upper(n, upper)
+    """(a, b) over one theta from ``draw_theta``."""
+    theta = draw_theta(draw)
+    return draw_element(draw, theta), draw_element(draw, theta)
 
-    def element():
-        radius = draw(st.sampled_from([1, 2, 3, 12, 60]))
-        index = st.tuples(*[st.integers(-radius, radius)] * n)
-        keys = draw(st.lists(index, max_size=40, unique=True))
-        values = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
-        return TorusElement(theta, {k: draw(values) for k in keys})
 
-    return element(), element()
+@st.composite
+def operands(draw):
+    return draw_element(draw, draw_theta(draw))
+
+
+@settings(max_examples=300, deadline=None)
+@given(operands())
+def test_adjoint_matches_term_loop(a):
+    ref = adjoint_loop(a)
+    star = a.adjoint()
+    assert coeff_distance(star, ref) <= adjoint_tolerance(a)
+    if not any(v for row in a.theta.entries for v in row):
+        # every phase is e(0) = 1: the same arithmetic as the loop
+        assert star.coeffs == ref.coeffs
+
+
+def test_nan_coefficient_survives_adjoint(theta2):
+    gen = sampling.rng(22)
+    a = disc(theta2, 2, gen)
+    a = TorusElement(theta2, {**a.coeffs, (1, -1): complex(math.nan, 0.0), (0, 2): complex(0.0, math.nan)})
+    star, ref = a.adjoint(), adjoint_loop(a)
+    assert set(star.coeffs) == set(ref.coeffs)
+    nan_keys = {r for r, c in star.coeffs.items() if cmath.isnan(c)}
+    assert nan_keys == {(-1, 1), (0, -2)}
+    assert nan_keys == {r for r, c in ref.coeffs.items() if cmath.isnan(c)}
+
+
+def test_adjoint_of_index_past_int64_raises(theta2):
+    top = 2**63 - 1
+    a = TorusElement(theta2, {(top, 0): 1.0, (-top, 1): 2.0})
+    assert set(a.adjoint().coeffs) == {(-top, 0), (top, -1)}
+    for r in [(2**63, 0), (0, -(2**63))]:
+        with pytest.raises(IndexOutOfRange, match="exceeds"):
+            TorusElement.monomial(theta2, r).adjoint()
 
 
 @settings(max_examples=300, deadline=None)

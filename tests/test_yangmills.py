@@ -1,6 +1,5 @@
 """Curvature, the YM functional, gradients, criticality and descent."""
 
-import json
 import logging
 import math
 import warnings
@@ -609,16 +608,3 @@ def test_degenerate_one_torus():
     assert gradient_norm(c) == 0.0
     _, trace = minimize(c)
     assert trace == [0.0]
-
-
-def test_connection_serialization_round_trip():
-    gen = sampling.rng(28)
-    th = sampling.random_theta(2, gen)
-    c = random_connection(th, 2, gen, radius=2, amplitude=0.3)
-    payload = json.loads(json.dumps(c.to_payload()))
-    back = Connection.from_payload(payload)
-    assert back.theta == c.theta and back.q == c.q
-    for a, b in zip(c.A, back.A):
-        for ra, rb in zip(a.entries, b.entries):
-            for x, y in zip(ra, rb):
-                assert x.coeffs == y.coeffs
