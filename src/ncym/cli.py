@@ -2,8 +2,10 @@
 
 One experiment per invocation; reports are JSON documents with a fixed key
 order so identical configs and seeds produce byte-identical payloads apart
-from the wall-clock field.  Exit codes: 0 success, 1 input error, 2 at least
-one check verdict false.
+from the wall-clock field, at a fixed BLAS thread count: the last bits of the
+finite reports depend on it (``tools/report_lines.py`` and the benchmark pin
+one thread).  Exit codes: 0 success, 1 input error, 2 at least one check
+verdict false.
 """
 
 from __future__ import annotations

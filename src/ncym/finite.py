@@ -29,12 +29,17 @@ of two stacks one broadcast multiply (``_kron``).
 
 All subspaces live in the dim_h^2-dimensional operator space with the
 Frobenius inner product; ranks are decided by SVD with relative threshold
-``RANK_TOL``. A stack lies in a subspace when each projection residual is at
+``RANK_TOL``. A span of a stack with at least twice as many rows as columns
+(the pi(Omega^2) generators, the junk images) takes the SVD of the stack's
+triangular QR factor, which has the same row space and singular values
+(``_orthonormal_rows``); R keeps its own thin SVD, whose U the junk needs.
+A stack lies in a subspace when each projection residual is at
 most ``CONTAIN_TOL`` (one projection per stack, ``OperatorSubspace.contains``);
 subspace equality is mutual containment. ``FiniteTriple`` checks closure under
 adjoint and product, and commutation with the grading, on its basis elements
-divided by their Frobenius norms, so these verdicts do not depend on the scale
-of the basis.
+divided by their Frobenius norms, and the self-adjointness of D and its
+anticommutation with the grading relative to the norm of D, so these verdicts
+do not depend on the scale of the basis or of D.
 """
 
 from __future__ import annotations
@@ -73,9 +78,20 @@ def _orthonormal_rows(m: np.ndarray, scale: float | None = None) -> np.ndarray:
     the rows arise from cancellations so roundoff residue is not mistaken
     for span (default: largest singular value).  The rows are a copy: a view
     would keep the whole thin ``vh`` alive.
+
+    A stack with at least twice as many rows as columns is first reduced to
+    the triangular factor T of m = Q T, which has the row space and the
+    singular values of ``m``; the SVD of the square T then never forms the
+    tall thin U. LAPACK's complex divide-and-conquer SVD takes this same QR step
+    itself once the rows exceed about 17/9 of the columns, so at a ratio of 2
+    or more ``vh`` and ``s`` are bit for bit those of the direct SVD. Below
+    that ratio they can differ by a rotation within degenerate singular
+    values, so shorter stacks go to the SVD as they are.
     """
     if not m.any():
         return np.zeros((0, m.shape[1]), dtype=complex)
+    if m.shape[0] >= 2 * m.shape[1]:
+        m = np.linalg.qr(m, mode="r")
     return _svd_cut(m, scale)[1].copy()
 
 
@@ -176,7 +192,7 @@ class FiniteTriple:
 
     def _validate(self):
         d, dirac, g = self.dim_h, self.D, self.gamma
-        if np.linalg.norm(dirac - dirac.conj().T) > STRUCT_TOL * max(1.0, np.linalg.norm(dirac)):
+        if np.linalg.norm(dirac - dirac.conj().T) > STRUCT_TOL * np.linalg.norm(dirac):
             raise InvalidTriple("D is not self-adjoint")
         norms = np.linalg.norm(self.algebra_basis, axis=(1, 2))
         nonzero = norms > 0
@@ -194,7 +210,7 @@ class FiniteTriple:
             raise InvalidTriple("gamma is not self-adjoint")
         if np.linalg.norm(g @ g - np.eye(d)) > STRUCT_TOL:
             raise InvalidTriple("gamma^2 != 1")
-        if np.linalg.norm(g @ dirac + dirac @ g) > STRUCT_TOL * max(1.0, np.linalg.norm(dirac)):
+        if np.linalg.norm(g @ dirac + dirac @ g) > STRUCT_TOL * np.linalg.norm(dirac):
             raise InvalidTriple("gamma does not anticommute with D")
         if np.any(np.linalg.norm(g @ unit - unit @ g, axis=(1, 2)) > STRUCT_TOL):
             raise InvalidTriple("gamma does not commute with the algebra")
@@ -341,9 +357,10 @@ class MatrixCase(Enum):
 
 
 def _proportional_to_identity(m: np.ndarray, tol: float = RANK_TOL) -> bool:
+    """Whether ``m`` is within ``tol * ||m||`` of a multiple of 1, so the verdict does not depend on its scale."""
     d = m.shape[0]
     c = np.trace(m) / d
-    return np.linalg.norm(m - c * np.eye(d)) <= tol * max(1.0, np.linalg.norm(m))
+    return np.linalg.norm(m - c * np.eye(d)) <= tol * np.linalg.norm(m)
 
 
 def classify_matrix_case(p: int, q: int, mu) -> MatrixCase:

@@ -118,7 +118,10 @@ def test_finite_product_work_and_kernel_boundary(monkeypatch):
     LAPACK enters through ``np.linalg.svd``, where the tracer counts
     ``finite.svd``. The SVDs are counted at numpy's gufuncs, below
     ``np.linalg.svd``, so a call that bypasses it (``np.linalg.norm(x, 2)``, a
-    name bound at import) shows as a difference."""
+    name bound at import) shows as a difference. QR factorizations are not
+    SVDs: the QR triangle that a tall span is reduced to runs through numpy's
+    qr gufuncs, is not counted as ``finite.svd``, and its time falls in the
+    span that called it (``finite.pi_omega2``, ``finite.junk``)."""
     entries = []
     gufuncs = np.linalg._umath_linalg
     for name in [n for n in dir(gufuncs) if n.startswith("svd")]:

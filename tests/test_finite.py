@@ -34,6 +34,7 @@ from ncym.finite import (
     _embedded_legs,
     _forms,
     _orthogonal,
+    _orthonormal_rows,
     contains_subspace,
     intersection_dim,
     subspaces_equal,
@@ -124,6 +125,19 @@ def test_unclosed_basis_rejected_at_every_scale(scale):
 def test_grading_outside_commutant_rejected_at_every_scale(scale):
     with pytest.raises(InvalidTriple, match="gamma does not commute with the algebra"):
         FiniteTriple(2, list(scale * UNITS2), np.zeros((2, 2)), gamma=np.diag([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_non_self_adjoint_dirac_rejected_at_every_scale(scale):
+    with pytest.raises(InvalidTriple, match="D is not self-adjoint"):
+        FiniteTriple(2, [np.eye(2)], scale * np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_dirac_commuting_with_grading_rejected_at_every_scale(scale):
+    sigma3 = np.diag([1.0, -1.0])
+    with pytest.raises(InvalidTriple, match="gamma does not anticommute with D"):
+        FiniteTriple(2, [np.eye(2)], scale * sigma3, gamma=sigma3)
 
 
 # -- membership: one stacked projection against the per-vector reference --
@@ -303,30 +317,47 @@ def test_junk_space_matches_brute_force_reference(name, rotate):
     assert subspaces_equal(junk, ref)
 
 
-@pytest.mark.parametrize(
-    "p,q,mu,case,omega2",
-    [
-        (1, 1, [[1.0]], MatrixCase.CASE1, 2),
-        (2, 2, np.eye(2), MatrixCase.CASE1, 8),
-        (2, 2, np.diag([1.0, 2.0]), MatrixCase.CASE2, 0),
-        # case 3: junk eats the block whose coupling product is not ~1, so
-        # dim Omega^2 = k^2 with k the size of the identity-coupled block
-        (2, 1, [[1.0], [0.0]], MatrixCase.CASE3, 1),
-        (3, 2, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], MatrixCase.CASE3, 4),
-        (3, 1, [[1.0], [0.0], [0.0]], MatrixCase.CASE3, 1),
-        (4, 2, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]], MatrixCase.CASE3, 4),
-        # mirrors (mu mu* ~ 1_p, p < q): the identity-coupled block is p
-        (1, 2, [[1.0, 0.0]], MatrixCase.CASE3, 1),
-        (1, 3, [[1.0, 0.0, 0.0]], MatrixCase.CASE3, 1),
-        (2, 3, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], MatrixCase.CASE3, 4),
-        (2, 4, [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]], MatrixCase.CASE3, 4),
-    ],
-)
+CASE_TABLE = [
+    (1, 1, [[1.0]], MatrixCase.CASE1, 2),
+    (2, 2, np.eye(2), MatrixCase.CASE1, 8),
+    (2, 2, np.diag([1.0, 2.0]), MatrixCase.CASE2, 0),
+    # case 3: junk eats the block whose coupling product is not ~1, so
+    # dim Omega^2 = k^2 with k the size of the identity-coupled block
+    (2, 1, [[1.0], [0.0]], MatrixCase.CASE3, 1),
+    (3, 2, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], MatrixCase.CASE3, 4),
+    (3, 1, [[1.0], [0.0], [0.0]], MatrixCase.CASE3, 1),
+    (4, 2, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]], MatrixCase.CASE3, 4),
+    # mirrors (mu mu* ~ 1_p, p < q): the identity-coupled block is p
+    (1, 2, [[1.0, 0.0]], MatrixCase.CASE3, 1),
+    (1, 3, [[1.0, 0.0, 0.0]], MatrixCase.CASE3, 1),
+    (2, 3, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], MatrixCase.CASE3, 4),
+    (2, 4, [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]], MatrixCase.CASE3, 4),
+]
+
+
+@pytest.mark.parametrize("p,q,mu,case,omega2", CASE_TABLE)
 def test_matrix_case_table(p, q, mu, case, omega2):
     assert classify_matrix_case(p, q, mu) is case
     rep = form_report(matrix_case_triple(p, q, mu))
     assert rep.dim_omega2 == omega2
     assert rep.dim_omega2 == rep.dim_pi_omega2 - rep.dim_junk
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-6, 1e-4, 1.0, 1e4, 1e8])
+def test_matrix_case_independent_of_coupling_scale(scale):
+    """Proportionality to 1 is judged relative to the product's norm, so every
+    coupling keeps its case under scaling, and the case agrees with the form
+    spaces: a random coupling is case 2 with dim Omega^2 = 0 at every scale."""
+    for p, q, mu, case, _ in CASE_TABLE:
+        assert classify_matrix_case(p, q, scale * np.asarray(mu)) is case, (p, q, mu)
+    # Case 1 needs p = q: the 2 x 2 product mu mu* is a rank-one projection
+    assert classify_matrix_case(2, 1, scale * np.array([[0.6], [0.8]])) is MatrixCase.CASE3
+    unitary = scale * 0.7 * UNITARY2
+    assert classify_matrix_case(2, 2, unitary) is MatrixCase.CASE1
+    assert form_report(matrix_case_triple(2, 2, unitary)).dim_omega2 == 8
+    generic = scale * (np.random.default_rng(3).standard_normal((2, 2, 2)) @ [1.0, 1.0j])
+    assert classify_matrix_case(2, 2, generic) is MatrixCase.CASE2
+    assert form_report(matrix_case_triple(2, 2, generic)).dim_omega2 == 0
 
 
 def _exact_row_basis(vectors):
@@ -459,6 +490,54 @@ def test_form_report_takes_one_relation_svd(monkeypatch):
     relations = t._relations
     assert relations.left.base is None and relations.right.base is None
     assert relations.right.shape[0] == omega1_space(t).dim == relations.left.shape[1]
+
+
+def _graded_stack(rows, cols, seed):
+    """A complex rows x cols stack of rank k = cols // 2 + 1 in random bases:
+    k // 2 + 1 singular values in [0.5, 1], the rest in [0.5e-4, 1e-4]."""
+    rng = np.random.default_rng(seed)
+    rank = cols // 2 + 1
+    left = np.linalg.qr(rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank)))[0]
+    right = np.linalg.qr(rng.standard_normal((cols, rank)) + 1j * rng.standard_normal((cols, rank)))[0]
+    sv = rng.uniform(0.5, 1.0, rank) * np.where(np.arange(rank) < rank // 2 + 1, 1.0, 1e-4)
+    return (left * sv) @ right.conj().T
+
+
+@pytest.mark.parametrize("rows,cols", [(8, 4), (18, 9), (27, 9), (50, 10), (64, 16), (100, 5), (361, 19)])
+def test_orthonormal_rows_of_tall_stacks_match_direct_svd(rows, cols):
+    """Stacks of at least twice as many rows as columns take the SVD of their QR
+    triangle. Against the direct thin SVD at every scale, with the default cut
+    and with an explicit ``scale`` that drops the small singular values: the same
+    rank, the same subspace, orthonormal rows; an all-zero stack spans nothing."""
+    base = _graded_stack(rows, cols, seed=rows * cols)
+    for magnitude in [1e-20, 1e-10, 1.0, 1e10, 1e20]:
+        m = magnitude * base
+        _, s, vh = np.linalg.svd(m, full_matrices=False)
+        for scale in (None, 1e7 * s[0]):
+            direct = vh[s > RANK_TOL * (s[0] if scale is None else scale)]
+            kept = _orthonormal_rows(m, scale)
+            assert kept.shape == direct.shape, (magnitude, scale)
+            assert kept.base is None
+            assert np.linalg.norm(kept @ kept.conj().T - np.eye(len(kept))) < 1e-12
+            assert subspaces_equal(OperatorSubspace(cols, kept), OperatorSubspace(cols, direct))
+    assert _orthonormal_rows(np.zeros((rows, cols), dtype=complex)).shape == (0, cols)
+
+
+def test_only_relation_stacks_reach_the_svd_tall(monkeypatch):
+    """Every span of a tall stack (here the pi(Omega^2) generators and the junk
+    images) goes to the SVD as its square QR triangle, so during
+    form_report and product_check the only SVD inputs with more rows than columns
+    are the relation stacks R, one per triple, whose thin U the junk needs."""
+    shapes = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda m, *a, **k: shapes.append(np.shape(m)) or svd(m, *a, **k))
+    t1 = matrix_case_triple(2, 2, np.diag([1.0, 2.0]))
+    t2 = matrix_case_triple(2, 1, [[0.6], [0.8j]])
+    form_report(t1)
+    form_report(t2)
+    product_check(t1, t2)
+    relations = [(len(t.algebra_basis) ** 2, t.dim_h**2) for t in (t1, t2, product_triple(t1, t2))]
+    assert sorted(shape for shape in shapes if shape[0] > shape[1]) == sorted(relations)
 
 
 def test_form_space_bases_own_their_data(monkeypatch):
