@@ -39,7 +39,10 @@ subspace equality is mutual containment. ``FiniteTriple`` checks closure under
 adjoint and product, and commutation with the grading, on its basis elements
 divided by their Frobenius norms, and the self-adjointness of D and its
 anticommutation with the grading relative to the norm of D, so these verdicts
-do not depend on the scale of the basis or of D.
+do not depend on the scale of the basis or of D. The form spaces are formed
+from D times the power of two that brings its largest part into [1/2, 1)
+(``_unit_scaled``), so they do not depend on the scale of D either, and
+``classify_matrix_case`` classifies mu / ||mu||, scaled the same way first.
 """
 
 from __future__ import annotations
@@ -62,6 +65,13 @@ ORTH_TOL = 1e-10
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+def _unit_scaled(m: np.ndarray) -> np.ndarray:
+    """The complex array m times the power of two that brings its largest real or
+    imaginary part into [1/2, 1): exact, by ``ldexp`` on the parts (0 stays 0)."""
+    parts = np.ascontiguousarray(m).view(float)
+    return np.ldexp(parts, -int(np.frexp(np.abs(parts).max())[1])).view(complex)
 
 
 def _svd_cut(m: np.ndarray, scale: float | None = None):
@@ -184,14 +194,22 @@ class FiniteTriple:
 
     @cached_property
     def _relations(self) -> _Relations:
-        """The commutators and R's one thin SVD, cut; copies of the kept vectors only."""
-        coms = self.D @ self.algebra_basis - self.algebra_basis @ self.D
+        """The commutators and R's one thin SVD, cut; copies of the kept vectors only.
+
+        The form spaces of D and of s D are the same for s > 0, so they are
+        formed from ``_unit_scaled(D)``, which keeps the products of
+        commutators in range however D is scaled.
+        """
+        dirac = _unit_scaled(self.D)
+        coms = dirac @ self.algebra_basis - self.algebra_basis @ dirac
         rel = _pair_products(self.algebra_basis, coms).reshape(-1, self.dim_h * self.dim_h)
         u, vh = _svd_cut(rel)
         return _Relations(coms, u.copy(), vh.copy())
 
     def _validate(self):
-        d, dirac, g = self.dim_h, self.D, self.gamma
+        # D's checks are relative to its norm, taken on _unit_scaled(D) so that
+        # the norm cannot overflow to inf and let every defect pass
+        d, dirac, g = self.dim_h, _unit_scaled(self.D), self.gamma
         if np.linalg.norm(dirac - dirac.conj().T) > STRUCT_TOL * np.linalg.norm(dirac):
             raise InvalidTriple("D is not self-adjoint")
         norms = np.linalg.norm(self.algebra_basis, axis=(1, 2))
@@ -381,8 +399,12 @@ def classify_matrix_case(p: int, q: int, mu) -> MatrixCase:
     in this module's normal form the same row reads q^2.
     """
     mu = np.asarray(mu, dtype=complex).reshape(p, q)
-    if np.linalg.norm(mu) <= RANK_TOL:
+    if not mu.any():
         raise ZeroMu("coupling matrix must be nonzero")
+    # the case of mu / ||mu||, so it does not depend on the scale of mu; scaled
+    # into range first so the norm neither overflows nor underflows
+    mu = _unit_scaled(mu)
+    mu = mu / np.linalg.norm(mu)
     left = _proportional_to_identity(mu @ mu.conj().T)    # mu mu*: p x p
     right = _proportional_to_identity(mu.conj().T @ mu)   # mu* mu: q x q
     if left and right:

@@ -59,6 +59,14 @@ All of them hold the multi-indices in int64, so operands whose indices (or,
 for a product, index sums) could leave it raise ``IndexOutOfRange``.  All
 drop exactly the values with |c| < ``CANONICAL_EPS``; NaN is kept.
 
+An element's int64 index array and complex coefficient array are built once,
+the first time a kernel takes it, and kept on the element read-only
+(``_terms``), so an operand that enters many products is converted once.
+Both kernels and ``_element`` turn index rows into dict keys column-wise,
+``zip(*idx.T.tolist())``.  ``product_theta`` returns the same object for the
+same factors as its last call, so every entry of a product connection shares
+one product theta and the theta checks between them are identity checks.
+
 All operations are pure functions of their inputs and values are never
 mutated after construction, so anything here may run concurrently on shared
 elements.
@@ -140,10 +148,12 @@ class ThetaMatrix:
 class TorusElement:
     """Finite twisted Fourier polynomial sum_r coeffs[r] * U^r."""
 
-    __slots__ = ("theta", "coeffs")
+    __slots__ = ("theta", "coeffs", "_arrays")
 
     def __init__(self, theta: ThetaMatrix, coeffs: dict):
         self.theta = theta
+        # (indices, coefficients, reach) once a kernel asks; see ``_terms``
+        self._arrays = None
         clean = {}
         n = theta.n
         for r, c in coeffs.items():
@@ -163,6 +173,7 @@ class TorusElement:
         el = object.__new__(cls)
         el.theta = theta
         el.coeffs = coeffs
+        el._arrays = None
         return el
 
     @classmethod
@@ -363,6 +374,18 @@ def _star_product(a: TorusElement, b: TorusElement) -> TorusElement:
 def _terms(a: TorusElement):
     """(int64 (terms, n) multi-index array, complex coefficient array, largest |r_k|).
 
+    Built by ``_term_arrays`` on the first call and kept on the element, which
+    never changes.  Past int64 every call raises ``IndexOutOfRange`` and
+    nothing is kept.
+    """
+    if a._arrays is None:
+        a._arrays = _term_arrays(a)
+    return a._arrays
+
+
+def _term_arrays(a: TorusElement):
+    """``_terms`` of a nonempty element, built from its dict; both arrays read-only.
+
     The largest |r_k| is a Python int, taken before any int64 arithmetic.
     """
     m = len(a.coeffs)
@@ -371,7 +394,10 @@ def _terms(a: TorusElement):
     if reach > _INDEX_LIMIT:
         raise IndexOutOfRange(f"multi-index entry {reach} in magnitude exceeds {_INDEX_LIMIT}")
     keys = np.array(flat, dtype=np.int64).reshape(m, a.theta.n)
-    return keys, np.fromiter(a.coeffs.values(), dtype=complex, count=m), reach
+    vals = np.fromiter(a.coeffs.values(), dtype=complex, count=m)
+    keys.flags.writeable = False
+    vals.flags.writeable = False
+    return keys, vals, reach
 
 
 def _exponents(th: ThetaMatrix, r, s):
@@ -418,7 +444,7 @@ def _element(th: ThetaMatrix, vals, keys_at) -> TorusElement:
     ``vals`` to their int64 (kept, n) multi-indices.
     """
     kept = (~(np.abs(vals) < CANONICAL_EPS)).nonzero()[0]
-    return TorusElement._raw(th, dict(zip(map(tuple, keys_at(kept).tolist()), vals[kept].tolist())))
+    return TorusElement._raw(th, dict(zip(zip(*keys_at(kept).T.tolist()), vals[kept].tolist())))
 
 
 # inf and NaN coefficients carry through, as in Python's complex arithmetic;
@@ -436,10 +462,10 @@ def _star_product_pairs(th: ThetaMatrix, ra, ca, rb, cb) -> TorusElement:
     na, nb = len(ca), len(cb)
     vals = _cmul(ca.reshape(na, 1), cb.reshape(1, nb))
     vals = _cmul(vals, _phases(_exponents(th, ra[:, None, :], rb[None, :, :])))
-    keys = (ra[:, None, :] + rb[None, :, :]).reshape(-1, th.n).tolist()
+    keys = (ra[:, None, :] + rb[None, :, :]).reshape(-1, th.n).T.tolist()
     out = {}
     get = out.get
-    for key, v in zip(map(tuple, keys), vals.reshape(-1).tolist()):
+    for key, v in zip(zip(*keys), vals.reshape(-1).tolist()):
         out[key] = get(key, 0j) + v
     return TorusElement._raw(th, _trimmed(out))
 
@@ -532,8 +558,22 @@ def derivation(j: int, a: TorusElement) -> TorusElement:
     return a.derivation(j)
 
 
+#: (theta, phi, psi) of the last ``product_theta`` call.  A ThetaMatrix never
+#: changes, so the only effect of this cache is that equal products are one object.
+_last_product = None
+
+
 def product_theta(theta: ThetaMatrix, phi: ThetaMatrix) -> ThetaMatrix:
-    """Block-diagonal deformation matrix of the (n+m)-torus A_Theta (x) A_Phi."""
+    """Block-diagonal deformation matrix of the (n+m)-torus A_Theta (x) A_Phi.
+
+    A call with factors equal to the last call's returns the last call's
+    object, so all the entries that one product connection embeds share one
+    theta.
+    """
+    global _last_product
+    last = _last_product
+    if last is not None and last[0] == theta and last[1] == phi:
+        return last[2]
     n, m = theta.n, phi.n
     rows = [[0.0] * (n + m) for _ in range(n + m)]
     for j in range(n):
@@ -542,7 +582,9 @@ def product_theta(theta: ThetaMatrix, phi: ThetaMatrix) -> ThetaMatrix:
     for j in range(m):
         for k in range(m):
             rows[n + j][n + k] = phi.entries[j][k]
-    return ThetaMatrix(rows)
+    psi = ThetaMatrix(rows)
+    _last_product = theta, phi, psi
+    return psi
 
 
 def tensor_embed(a: TorusElement, b: TorusElement) -> TorusElement:

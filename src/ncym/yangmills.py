@@ -253,8 +253,10 @@ class Connection:
                 raise InvalidConnection("projection shape or theta mismatch")
             one = TorusMatrix.identity(self.theta, self.q)
             for j, a in enumerate(self.A, start=1):
-                defect = ((one - p) @ (p.derive(j) + a @ p)).l1()
-                if defect > IDEMPOTENCY_TOL * max(1.0, a.l1()):
+                # the part of nabla_j p that leaves the module, against all of it
+                moved = p.derive(j) + a @ p
+                defect = ((one - p) @ moved).l1()
+                if defect > IDEMPOTENCY_TOL * moved.l1():
                     raise InvalidConnection(
                         f"connection does not preserve the module: direction {j}, defect {defect:.2e}"
                     )

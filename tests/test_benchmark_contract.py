@@ -112,6 +112,33 @@ def test_torus_product_work_and_kernel_boundary(monkeypatch):
     assert tracer.calls[tracing.STAR] == len(entries) > 0
 
 
+def test_torus_product_embeds_through_the_traced_name(monkeypatch):
+    """Every entry of the product connection is embedded through ``tensor_embed``,
+    where the tracer counts ``torus.tensor_embed``, and every entry of every
+    component shares the connection's one product theta."""
+    built = []
+    product = ncym.yangmills.product_connection
+
+    def keep(c1, c2):
+        built.append(product(c1, c2))
+        return built[-1]
+
+    monkeypatch.setattr(ncym.yangmills, "product_connection", keep)
+    experiment = cfg.parse((CONFIGS / "torus_product.json").read_text())
+    tracer = tracing.Tracer()
+    tracer.install(ncym, svd=False)
+    try:
+        ncym.cli.run(experiment)
+    finally:
+        tracer.uninstall()
+    (conn,) = built
+    mats = list(conn.A) + ([conn.proj.p] if conn.proj is not None else [])
+    entries = [e for m in mats for row in m.entries for e in row]
+    assert tracer.calls["torus.tensor_embed"] == len(entries) > 0
+    assert all(m.theta is conn.theta for m in mats)
+    assert all(e.theta is conn.theta for e in entries)
+
+
 def test_finite_product_work_and_kernel_boundary(monkeypatch):
     """A finite_product run builds each of its three triples (two factors and
     their product) and their form spaces once, and every SVD that reaches

@@ -127,13 +127,13 @@ def test_grading_outside_commutant_rejected_at_every_scale(scale):
         FiniteTriple(2, list(scale * UNITS2), np.zeros((2, 2)), gamma=np.diag([1.0, -1.0]))
 
 
-@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("scale", SCALES + [1e-300, 1e300])
 def test_non_self_adjoint_dirac_rejected_at_every_scale(scale):
     with pytest.raises(InvalidTriple, match="D is not self-adjoint"):
         FiniteTriple(2, [np.eye(2)], scale * np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("scale", SCALES + [1e-300, 1e300])
 def test_dirac_commuting_with_grading_rejected_at_every_scale(scale):
     sigma3 = np.diag([1.0, -1.0])
     with pytest.raises(InvalidTriple, match="gamma does not anticommute with D"):
@@ -343,11 +343,12 @@ def test_matrix_case_table(p, q, mu, case, omega2):
     assert rep.dim_omega2 == rep.dim_pi_omega2 - rep.dim_junk
 
 
-@pytest.mark.parametrize("scale", [1e-8, 1e-6, 1e-4, 1.0, 1e4, 1e8])
+@pytest.mark.parametrize("scale", [1e-150, 1e-11, 1e-8, 1e-6, 1e-4, 1.0, 1e4, 1e8, 1e150])
 def test_matrix_case_independent_of_coupling_scale(scale):
-    """Proportionality to 1 is judged relative to the product's norm, so every
-    coupling keeps its case under scaling, and the case agrees with the form
-    spaces: a random coupling is case 2 with dim Omega^2 = 0 at every scale."""
+    """The case is that of mu / ||mu||, so every coupling keeps its case under
+    scaling, also far below the rank cut and where ||mu||^2 would overflow, and
+    the case agrees with the form spaces: a random coupling is case 2 with
+    dim Omega^2 = 0 at every scale."""
     for p, q, mu, case, _ in CASE_TABLE:
         assert classify_matrix_case(p, q, scale * np.asarray(mu)) is case, (p, q, mu)
     # Case 1 needs p = q: the 2 x 2 product mu mu* is a rank-one projection

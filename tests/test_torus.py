@@ -14,11 +14,14 @@ from ncym import (
     ThetaMismatch,
     TorusElement,
     adjoint,
+    curvature,
     derivation,
     mul,
     product_theta,
+    random_connection,
     tensor_embed,
     trace,
+    ym_gradient,
 )
 from ncym import sampling, torus
 
@@ -494,3 +497,45 @@ def test_index_sums_at_the_int64_limit(theta2, terms):
     huge = TorusElement.monomial(theta2, (2**63, 0))
     with pytest.raises(IndexOutOfRange, match="exceeds"):
         mul(huge, TorusElement.one(theta2))
+
+
+# -- the term arrays kept on each element ---------------------------------------
+
+
+def test_term_arrays_built_once_per_operand(monkeypatch):
+    """Inside one curvature and one gradient, every element that reaches a
+    kernel has its arrays built once, however many products it enters."""
+    gen = sampling.rng(30)
+    th = sampling.random_theta(2, gen)
+    c = random_connection(th, 2, gen, radius=1, terms=3, amplitude=0.3)
+    asked, built = [], []  # the elements themselves, so no id is reused
+    terms, build = torus._terms, torus._term_arrays
+    monkeypatch.setattr(torus, "_terms", lambda a: asked.append(a) or terms(a))
+    monkeypatch.setattr(torus, "_term_arrays", lambda a: built.append(a) or build(a))
+    curvature(c)
+    ym_gradient(c)
+    assert len(built) == len({id(a) for a in built}) == len({id(a) for a in asked})
+    assert len(asked) > len(built)
+
+
+def test_term_arrays_are_read_only(theta2):
+    a = disc(theta2, 2, sampling.rng(31))
+    keys, vals, _ = torus._terms(a)
+    with pytest.raises(ValueError):
+        keys[0, 0] = 7
+    with pytest.raises(ValueError):
+        vals[0] = 1.0
+    assert torus._terms(a)[0] is keys
+    assert dict(zip(map(tuple, keys.tolist()), vals.tolist())) == a.coeffs
+
+
+def test_index_past_int64_raises_on_every_call(theta2):
+    huge = TorusElement.monomial(theta2, (2**63, 0))
+    one = TorusElement.one(theta2)
+    for _ in range(2):
+        with pytest.raises(IndexOutOfRange, match="exceeds"):
+            torus._terms(huge)
+        with pytest.raises(IndexOutOfRange, match="exceeds"):
+            mul(one, huge)
+        with pytest.raises(IndexOutOfRange, match="exceeds"):
+            huge.adjoint()

@@ -351,6 +351,30 @@ def test_module_preservation_enforced():
         Connection(th, 2, [offcorner, TorusMatrix.zeros(th, 2)], proj)
 
 
+@pytest.mark.parametrize("s", [1.0, 1e-6, 1e-13])
+def test_module_preservation_refused_at_every_scale(s):
+    """p = diag(1, 0) and a skew potential whose entry s U^0 below the diagonal
+    maps p A^2 entirely out of the module: the defect is all of A p, so the
+    connection is refused however small s is."""
+    th = theta2()
+    proj = Projection(TorusMatrix.from_scalar_matrix(th, [[1.0, 0.0], [0.0, 0.0]]))
+    leak = TorusMatrix.from_scalar_matrix(th, [[0.0, -s], [s, 0.0]])
+    with pytest.raises(InvalidConnection, match="does not preserve the module"):
+        Connection(th, 2, [leak, TorusMatrix.zeros(th, 2)], proj)
+
+
+@pytest.mark.parametrize("amplitude", [1e-13, 1e-6, 1.0, 1e6, 1e100])
+@pytest.mark.parametrize("corner", [[[1.0, 0.0], [0.0, 0.0]], [[0.5, 0.5], [0.5, 0.5]]], ids=["diag", "half"])
+def test_projected_connection_accepted_at_every_amplitude(corner, amplitude):
+    """Potentials compressed by p preserve the module at every amplitude. Below
+    1e-14 the coefficient floor would start dropping terms."""
+    gen = sampling.rng(25)
+    th = sampling.random_theta(2, gen)
+    proj = Projection(TorusMatrix.from_scalar_matrix(th, corner))
+    c = random_connection(th, 2, gen, radius=1, amplitude=amplitude, proj=proj)
+    assert c.proj is proj and not all(a.is_zero() for a in c.A)
+
+
 # -- oracles: sampled directions and central differences ---------------------
 
 
