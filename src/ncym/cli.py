@@ -2,10 +2,10 @@
 
 One experiment per invocation; reports are JSON documents with a fixed key
 order so identical configs and seeds produce byte-identical payloads apart
-from the wall-clock field, at a fixed BLAS thread count: the last bits of the
-finite reports depend on it (``tools/report_lines.py`` and the benchmark pin
-one thread).  Exit codes: 0 success, 1 input error, 2 at least one check
-verdict false.
+from the wall-clock field (all reports of ``tools/report_lines.py`` were
+checked at one and two BLAS threads; that tool and the benchmark pin one
+thread so that their runs compare like with like).  Exit codes: 0 success,
+1 input error, 2 at least one check verdict false.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def _run_finite_forms(spec: cfg.FiniteForms):
     triple = _triple(spec.triple)
     case = finite.classify_matrix_case(*spec.triple.case).value if spec.classify else None
     rep = finite.form_report(triple)
-    results = rep.to_payload()
+    results = asdict(rep)
     if case is not None:
         results["case"] = case
     checks = {"quotient_consistent": rep.dim_omega2 == rep.dim_pi_omega2 - rep.dim_junk}

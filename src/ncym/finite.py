@@ -40,9 +40,12 @@ adjoint and product, and commutation with the grading, on its basis elements
 divided by their Frobenius norms, and the self-adjointness of D and its
 anticommutation with the grading relative to the norm of D, so these verdicts
 do not depend on the scale of the basis or of D. The form spaces are formed
-from D times the power of two that brings its largest part into [1/2, 1)
-(``_unit_scaled``), so they do not depend on the scale of D either, and
-``classify_matrix_case`` classifies mu / ||mu||, scaled the same way first.
+from D and from each basis element times the power of two that brings its
+largest part into [1/2, 1) (``_unit_scaled``), which spans the same spaces,
+so they do not depend on the scale of D or of the basis either; the norms
+of the structure checks are taken on the same scaled matrices, so none of
+them overflows or underflows. ``classify_matrix_case`` classifies
+mu / ||mu||, scaled the same way first.
 """
 
 from __future__ import annotations
@@ -67,11 +70,15 @@ SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def _unit_scaled(m: np.ndarray) -> np.ndarray:
+def _unit_scaled(m: np.ndarray, axis=None) -> np.ndarray:
     """The complex array m times the power of two that brings its largest real or
-    imaginary part into [1/2, 1): exact, by ``ldexp`` on the parts (0 stays 0)."""
+    imaginary part into [1/2, 1): exact, by ``ldexp`` on the parts (0 stays 0).
+
+    ``axis`` (say ``(1, 2)`` for a stack of matrices) scales each slice along
+    the other axes by its own power of two.
+    """
     parts = np.ascontiguousarray(m).view(float)
-    return np.ldexp(parts, -int(np.frexp(np.abs(parts).max())[1])).view(complex)
+    return np.ldexp(parts, -np.frexp(np.abs(parts).max(axis=axis, keepdims=True))[1]).view(complex)
 
 
 def _svd_cut(m: np.ndarray, scale: float | None = None):
@@ -168,7 +175,10 @@ _Relations = namedtuple("_Relations", "commutators left right")
 class FiniteTriple:
     """Matrix spectral triple: algebra span, self-adjoint D, optional grading.
 
-    ``algebra_basis`` is held as the (k, dim_h, dim_h) stack of the basis.
+    ``algebra_basis`` is held as the (k, dim_h, dim_h) stack of the basis, and
+    ``_unit_basis`` as the same stack with each element unit-scaled
+    (``_unit_scaled``): the span is the same, and it is what the structure
+    checks and the form spaces use.
     A triple is validated once, at construction, and not changed after.
     """
 
@@ -186,6 +196,7 @@ class FiniteTriple:
         for name, m in (("algebra basis", self.algebra_basis), ("D", self.D), ("gamma", self.gamma)):
             if m is not None and not np.all(np.isfinite(m)):
                 raise InvalidTriple(f"{name} has a non-finite entry")
+        self._unit_basis = _unit_scaled(self.algebra_basis, axis=(1, 2))
         self._validate()
 
     @property
@@ -196,25 +207,28 @@ class FiniteTriple:
     def _relations(self) -> _Relations:
         """The commutators and R's one thin SVD, cut; copies of the kept vectors only.
 
-        The form spaces of D and of s D are the same for s > 0, so they are
-        formed from ``_unit_scaled(D)``, which keeps the products of
-        commutators in range however D is scaled.
+        The form spaces of D and of s D are the same for s > 0, and so are
+        those of bases that differ by a positive factor per element, so they
+        are formed from ``_unit_scaled(D)`` and ``_unit_basis``, which keeps
+        R and the products of commutators in range however D and the basis
+        are scaled.
         """
-        dirac = _unit_scaled(self.D)
-        coms = dirac @ self.algebra_basis - self.algebra_basis @ dirac
-        rel = _pair_products(self.algebra_basis, coms).reshape(-1, self.dim_h * self.dim_h)
+        dirac, basis = _unit_scaled(self.D), self._unit_basis
+        coms = dirac @ basis - basis @ dirac
+        rel = _pair_products(basis, coms).reshape(-1, self.dim_h * self.dim_h)
         u, vh = _svd_cut(rel)
         return _Relations(coms, u.copy(), vh.copy())
 
     def _validate(self):
-        # D's checks are relative to its norm, taken on _unit_scaled(D) so that
-        # the norm cannot overflow to inf and let every defect pass
+        # D's checks are relative to its norm, and the basis is divided by its
+        # norms, all taken on unit-scaled matrices so that no norm can overflow
+        # to inf (and let every defect pass) or underflow to 0
         d, dirac, g = self.dim_h, _unit_scaled(self.D), self.gamma
         if np.linalg.norm(dirac - dirac.conj().T) > STRUCT_TOL * np.linalg.norm(dirac):
             raise InvalidTriple("D is not self-adjoint")
-        norms = np.linalg.norm(self.algebra_basis, axis=(1, 2))
+        norms = np.linalg.norm(self._unit_basis, axis=(1, 2))
         nonzero = norms > 0
-        unit = self.algebra_basis[nonzero] / norms[nonzero, None, None]
+        unit = self._unit_basis[nonzero] / norms[nonzero, None, None]
         span = OperatorSubspace.span(unit, d)
         if not span.contains(np.eye(d)):
             raise InvalidTriple("algebra span does not contain the identity")
@@ -345,23 +359,18 @@ class FormReport:
     dim_pi_omega2: int
     dim_junk: int
     dim_omega2: int
-    junk_projector: np.ndarray
-
-    def to_payload(self) -> dict:
-        return {**vars(self), "junk_projector": _matrix_payload(self.junk_projector)}
 
 
 def form_report(t: FiniteTriple) -> FormReport:
-    """Dimensions of Omega^1, pi(Omega^2), junk, and the quotient projector.
+    """Dimensions of Omega^1, pi(Omega^2), the junk and the quotient Omega^2 = pi(Omega^2) / junk.
 
-    The projector acts on pi(Omega^2) coordinates (in its orthonormal basis)
-    and projects onto the orthogonal complement of the junk.
+    The quotient's dimension is ``dim_pi_omega2 - dim_junk``: the junk lies in
+    pi(Omega^2) (``_forms`` checks it), and the orthogonal projector onto its
+    complement there has exactly that many eigenvalues 1 and the rest 0, so
+    the dimensions are all that is basis-independent about it.
     """
     omega1, pi2, junk = _forms(t)
-    d2 = pi2.dim
-    coords = pi2.basis.conj() @ junk.basis.T  # (d2, dim_junk)
-    proj = np.eye(d2, dtype=complex) - coords @ coords.conj().T
-    return FormReport(omega1.dim, d2, junk.dim, d2 - junk.dim, proj)
+    return FormReport(omega1.dim, pi2.dim, junk.dim, pi2.dim - junk.dim)
 
 
 # -- matrix-case classification ---------------------------------------------

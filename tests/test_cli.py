@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -273,6 +276,27 @@ def test_report_determinism(tmp_path):
     t1 = strip_clock((tmp_path / "r1.json").read_text())
     t2 = strip_clock((tmp_path / "r2.json").read_text())
     assert t1 == t2
+
+
+def test_finite_report_same_at_one_and_two_blas_threads(tmp_path):
+    """A finite_forms report is the same at one and two BLAS threads: it holds only
+    dimensions, the case and the check. (3,3) case 2 (dim_h 6) is one of the
+    configs whose dense quotient projector, no longer reported, differed in
+    its last bits between the two counts."""
+    mu = [[1.0, 0.0], [0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [2.0, 0.0], [0.0, 0.3], [0.0, 0.0], [0.0, 0.0], [3.0, 0.0]]
+    path = write(tmp_path, "c33.json", {"kind": "finite_forms", "payload": {"case": {"p": 3, "q": 3, "mu": mu}}})
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"report{threads}.json"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads))
+        cmd = [sys.executable, "-m", "ncym.cli", "run", path, "--output", str(out)]
+        assert subprocess.run(cmd, env=env, timeout=120).returncode == 0
+        reports.append(strip_clock(out.read_text()))
+    assert reports[0] == reports[1]
+    results = json.loads(reports[0])["results"]
+    assert results == {"case": "Case2", "dim_junk": 18, "dim_omega1": 18, "dim_omega2": 0, "dim_pi_omega2": 18}
 
 
 def test_torus_ym_ignores_seed_and_samples():

@@ -103,17 +103,28 @@ def test_nonfinite_entries_raise_invalid_triple(where, bad):
 
 
 SCALES = [1e-13, 1e-8, 1e-5, 1.0, 1e4, 1e8]
+#: past the squares' range (1e+-154), where a basis norm or product norm taken
+#: without scaling overflows or underflows
+EXTREME_SCALES = [1e-300, 1e300]
 
 
-@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("scale", SCALES + [1e-150, 1e-100, 1e100, 1e150] + EXTREME_SCALES)
 def test_closed_basis_accepted_at_every_scale(scale):
-    t = rotated(matrix_case_triple(2, 2, 0.7 * UNITARY2), seed=1)
-    scaled = FiniteTriple(t.dim_h, [scale * a for a in t.algebra_basis], t.D, t.gamma)
-    a, b = form_report(t), form_report(scaled)
-    assert (a.dim_omega1, a.dim_pi_omega2, a.dim_junk) == (b.dim_omega1, b.dim_pi_omega2, b.dim_junk)
+    """The form dimensions do not depend on the scale of the basis: unscaled, the
+    junk's rank-cut reference overflowed from 1e80 (case 2 and 3 lost their junk)
+    and underflowed by 1e-100 (case 1 gained one)."""
+    triples = [
+        rotated(matrix_case_triple(2, 2, 0.7 * UNITARY2), seed=1),
+        matrix_case_triple(1, 1, [[1.0]]),
+        matrix_case_triple(2, 1, [[0.6], [0.8j]]),
+        matrix_case_triple(2, 2, np.diag([1.0, 2.0])),
+    ]
+    for t in triples:
+        scaled = FiniteTriple(t.dim_h, [scale * a for a in t.algebra_basis], t.D, t.gamma)
+        assert form_report(scaled) == form_report(t)
 
 
-@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("scale", SCALES + EXTREME_SCALES)
 def test_unclosed_basis_rejected_at_every_scale(scale):
     # span{1, s T} is the same space for every s, and T^2 lies outside it
     tri = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]], dtype=complex)
@@ -121,19 +132,19 @@ def test_unclosed_basis_rejected_at_every_scale(scale):
         FiniteTriple(3, [np.eye(3), scale * tri], np.zeros((3, 3)))
 
 
-@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("scale", SCALES + EXTREME_SCALES)
 def test_grading_outside_commutant_rejected_at_every_scale(scale):
     with pytest.raises(InvalidTriple, match="gamma does not commute with the algebra"):
         FiniteTriple(2, list(scale * UNITS2), np.zeros((2, 2)), gamma=np.diag([1.0, -1.0]))
 
 
-@pytest.mark.parametrize("scale", SCALES + [1e-300, 1e300])
+@pytest.mark.parametrize("scale", SCALES + EXTREME_SCALES)
 def test_non_self_adjoint_dirac_rejected_at_every_scale(scale):
     with pytest.raises(InvalidTriple, match="D is not self-adjoint"):
         FiniteTriple(2, [np.eye(2)], scale * np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-@pytest.mark.parametrize("scale", SCALES + [1e-300, 1e300])
+@pytest.mark.parametrize("scale", SCALES + EXTREME_SCALES)
 def test_dirac_commuting_with_grading_rejected_at_every_scale(scale):
     sigma3 = np.diag([1.0, -1.0])
     with pytest.raises(InvalidTriple, match="gamma does not anticommute with D"):
@@ -561,12 +572,18 @@ def test_form_space_bases_own_their_data(monkeypatch):
 
 
 def test_form_report_projector_properties():
-    t = matrix_case_triple(2, 1, [[1.0], [0.0]])
-    rep = form_report(t)
-    pmat = rep.junk_projector
-    assert np.linalg.norm(pmat @ pmat - pmat) < 1e-10
-    assert np.linalg.norm(pmat - pmat.conj().T) < 1e-10
-    assert int(round(np.trace(pmat).real)) == rep.dim_omega2
+    """The quotient projector I - C C*, built here from the form bases, with C the
+    junk basis in pi(Omega^2) coordinates, is an orthogonal projector of rank
+    dim_omega2: the report's dimensions say all that is basis-free about it."""
+    triples = [matrix_case_triple(2, 1, [[1.0], [0.0]]), diagonal_sigma1_triple()]
+    triples += [make() for make in JUNK_FIXTURES.values()]
+    for t in triples:
+        _, pi2, junk = _forms(t)
+        coords = pi2.basis.conj() @ junk.basis.T
+        pmat = np.eye(pi2.dim) - coords @ coords.conj().T
+        assert np.linalg.norm(pmat @ pmat - pmat) < 1e-10
+        assert np.linalg.norm(pmat - pmat.conj().T) < 1e-10
+        assert int(round(np.trace(pmat).real)) == form_report(t).dim_omega2
 
 
 def test_dimensions_invariant_under_basis_shuffle():
