@@ -30,6 +30,10 @@ CONVENTIONS = {
 }
 
 
+#: what ``tolerances.compat`` multiplies (``yangmills.compatibility_bound``)
+COMPAT_SCALE = "max_j ||p A_j p||_1"
+
+
 def _connection(m: cfg.TorusModule) -> ym.Connection:
     proj = None if m.proj is None else ym.Projection(m.proj)
     rnd = m.connection
@@ -59,8 +63,8 @@ def _run_torus_ym(spec: cfg.TorusYm):
     }
     if c.proj is not None:
         results["projection_idempotency_defect"] = c.proj.idempotency_defect()
-    checks = {"compatible": deviation <= spec.compat_tol}
-    return results, checks, {"compat": spec.compat_tol}
+    checks = {"compatible": deviation <= ym.compatibility_bound(c, spec.compat_tol)}
+    return results, checks, {"compat": spec.compat_tol, "compat_relative_to": COMPAT_SCALE}
 
 
 def _run_torus_minimize(spec: cfg.TorusMinimize):

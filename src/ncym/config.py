@@ -153,7 +153,7 @@ class TorusModule:
 @dataclass(frozen=True)
 class TorusYm:
     module: TorusModule
-    compat_tol: float  # payload tolerances.compat
+    compat_tol: float  # payload tolerances.compat, relative to max_j ||p A_j p||_1
     # accepted and unused: the compatibility verdict is exact, not sampled
     seed: int = _field(0, lo=0)
     samples: int = _field(100, lo=1)

@@ -448,11 +448,16 @@ def double_odd(t: FiniteTriple) -> FiniteTriple:
 
 
 def product_triple(t1: FiniteTriple, t2: FiniteTriple) -> FiniteTriple:
-    """D = D1 (x) 1 + gamma1 (x) D2 on H1 (x) H2; even iff t2 is even. ``MissingGrading`` if t1 is odd."""
+    """D = D1 (x) 1 + gamma1 (x) D2 on H1 (x) H2; even iff t2 is even. ``MissingGrading`` if t1 is odd.
+
+    The algebra basis is the Kronecker products of the factors' unit-scaled
+    bases (``_unit_basis``): the same span as that of the raw bases, and in
+    range however the factors' bases are scaled.
+    """
     if t1.gamma is None:
         raise MissingGrading("first factor has no grading; double it first (double_odd)")
     eye2 = np.eye(t2.dim_h, dtype=complex)
-    basis = _kron(t1.algebra_basis, t2.algebra_basis)
+    basis = _kron(t1._unit_basis, t2._unit_basis)
     d = np.kron(t1.D, eye2) + np.kron(t1.gamma, t2.D)
     gamma = None
     if t2.gamma is not None:

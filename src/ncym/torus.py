@@ -39,25 +39,34 @@ array kernels are checked against.
 
 Star-product kernels
 --------------------
-Every product enters through ``TorusElement.__mul__`` (or ``mul``) and
-``_star_product``, which picks one of two array kernels.  The dense-box
-kernel takes products of more than ``_VECTOR_CUTOFF`` pairs of terms whose
-box work is at most ``_DENSE_WORK_PER_PAIR`` per pair and whose coefficients
-are all finite.  It is a twisted convolution: row 0 of P is zero, so w = r P
+A single product enters through ``TorusElement.__mul__`` (or ``mul``) and
+``_star_product``.  A signed sum base + sum of -+ a_k * b_k, one entry of a
+sum of matrix products or commutators, enters through ``signed_sum``
+without passing ``__mul__``: ``yangmills`` forms the curvature, the gradient
+and the line-search terms that way.  Both send each product to one of two
+array kernels by the same rule (``_takes_box``).  The dense-box kernel takes
+products of more than ``_VECTOR_CUTOFF`` pairs of terms whose box work is at
+most ``_DENSE_WORK_PER_PAIR`` per pair and whose coefficients are all
+finite.  It is a twisted convolution: row 0 of P is zero, so w = r P
 depends only on r's tail (r_1..r_{n-1}), and a's terms are grouped by their
 tail; each group modulates b, scattered into its dense bounding box, by the
 separable phases e(w_m s_m), convolves it along axis 0 with the group's r_0
 row in one batched Toeplitz matmul, and one bincount adds every group into
-the output box.  Its cost
-follows the boxes, not the pair count.  Every other product (few pairs, a
-far-out term that makes the box huge, a non-finite coefficient) runs the
-pairwise kernel: the per-pair exponents and phases as whole arrays, then one
-dict pass that sums the pairs in the order of the pair-by-pair dict loop,
-which the tests keep as the reference; its time and memory follow the pair
-count.  The involution is one array pass of the same kind over the terms.
-All of them hold the multi-indices in int64, so operands whose indices (or,
-for a product, index sums) could leave it raise ``IndexOutOfRange``.  All
-drop exactly the values with |c| < ``CANONICAL_EPS``; NaN is kept.
+the output box.  Its cost follows the boxes, not the pair count.  Every
+other product (few pairs, a far-out term that makes the box huge, a
+non-finite coefficient) runs the pairwise kernel (``_pairwise_kernel``):
+the per-pair exponents and phases as whole arrays over the pairs of all the
+products it is given, then one dict pass that sums the pairs in the order of
+the pair-by-pair dict loop, which the tests keep as the reference; its time
+and memory follow the pair count.  A single product is its one-product case
+(``_star_product_pairs``), which broadcasts a's terms against b's; a signed
+sum gives it all of its pairwise products at once, gathered by index
+arithmetic and seeded with base's coefficients, and adds the dense-box
+products after it, in order.  The involution is one array pass of the
+same kind over the terms.  All of them hold the multi-indices in int64, so
+operands whose indices (or, for a product, index sums) could leave it raise
+``IndexOutOfRange``.  All drop exactly the values with |c| <
+``CANONICAL_EPS``; NaN is kept.
 
 An element's int64 index array and complex coefficient array are built once,
 the first time a kernel takes it, and kept on the element read-only
@@ -265,7 +274,7 @@ class TorusElement:
         if not self.coeffs:
             return TorusElement._raw(th, {})
         r, c, _ = _terms(self)
-        vals = _cmul(np.conj(c), _phases(_exponents(th, r, r)))
+        vals = _cmul(np.conj(c), _phases(_exponents(_cocycle_rows(th, r), r)))
         return _element(th, vals, lambda kept: -r[kept])
 
     def trace(self) -> complex:
@@ -316,7 +325,7 @@ class TorusElement:
         return f"<{body or '0'}{more}>"
 
 
-#: Products of at most this many pairs of terms run ``_star_product_pairs``,
+#: Products of at most this many pairs of terms run the pairwise kernel,
 #: whose cost is a fixed number of numpy calls plus one dict pass over the
 #: pairs; larger ones may run the dense box.  Both kernels compute the same
 #: sums up to rounding.
@@ -342,17 +351,56 @@ _DENSE_WORK_PER_PAIR = 32
 def _star_product(a: TorusElement, b: TorusElement) -> TorusElement:
     """a * b by the kernel that suits the operands; an empty operand gives zero.
 
-    The dense box runs when there are more than ``_VECTOR_CUTOFF`` pairs, its
-    work is at most ``_DENSE_WORK_PER_PAIR`` per pair and every coefficient is
-    finite (it multiplies each coefficient by the box's empty cells, and
-    NaN * 0 would spread NaN outside the product's support);
-    ``_star_product_pairs`` runs otherwise.  ``IndexOutOfRange`` if an entry
-    of r + s could leave int64.
+    The dense box runs when ``_takes_box`` says so, ``_star_product_pairs``
+    otherwise.  ``IndexOutOfRange`` if an entry of r + s could leave int64.
     """
     a._check(b)
     th = a.theta
     if not a.coeffs or not b.coeffs:
         return TorusElement._raw(th, {})
+    ops = _operand_terms(a, b)
+    if _takes_box(*ops):
+        return _star_product_box(th, *ops)
+    return _star_product_pairs(th, *ops)
+
+
+def signed_sum(base: TorusElement, products) -> TorusElement:
+    """base + sum of (-1 if negate else 1) a * b over the (a, b, negate) triples.
+
+    One entry of a sum of matrix products or commutators, as
+    ``yangmills.curvature`` and ``ym_gradient`` form them.  A product with an
+    empty operand adds nothing.  Each product goes to the kernel that
+    ``_star_product`` would pick for it.  Those for the pairwise kernel run as
+    one pass, seeded with base's coefficients; a negated one enters it with
+    its left coefficients negated, which is exact.  The dense-box products are
+    then added or subtracted one by one, in order, so an entry whose products
+    all take the box is the chain (base + p1) - p2 ...  ``IndexOutOfRange``
+    as for ``_star_product``.
+    """
+    th = base.theta
+    pairwise, boxed = [], []
+    for a, b, negate in products:
+        base._check(a)
+        a._check(b)
+        if not a.coeffs or not b.coeffs:
+            continue
+        ra, ca, rb, cb = ops = _operand_terms(a, b)
+        if _takes_box(*ops):
+            boxed.append((ops, negate))
+        else:
+            pairwise.append((ra, -ca if negate else ca, rb, cb))
+    out = _pairwise_kernel(th, base, pairwise) if pairwise else base
+    for ops, negate in boxed:
+        prod = _star_product_box(th, *ops)
+        out = out - prod if negate else out + prod
+    return out
+
+
+def _operand_terms(a: TorusElement, b: TorusElement):
+    """(ra, ca, rb, cb) from ``_terms`` of two nonempty operands.
+
+    ``IndexOutOfRange`` if an entry of r + s could leave int64.
+    """
     ra, ca, reach_a = _terms(a)
     rb, cb, reach_b = _terms(b)
     if reach_a + reach_b > _INDEX_LIMIT:
@@ -360,15 +408,24 @@ def _star_product(a: TorusElement, b: TorusElement) -> TorusElement:
             f"multi-index entries up to {reach_a} and {reach_b} in magnitude: "
             f"their sums may exceed {_INDEX_LIMIT}"
         )
+    return ra, ca, rb, cb
+
+
+def _takes_box(ra, ca, rb, cb) -> bool:
+    """Whether a product runs the dense box rather than the pairwise kernel.
+
+    It does when there are more than ``_VECTOR_CUTOFF`` pairs, its work is at
+    most ``_DENSE_WORK_PER_PAIR`` per pair and every coefficient is finite (it
+    multiplies each coefficient by the box's empty cells, and NaN * 0 would
+    spread NaN outside the product's support).
+    """
     pairs = len(ca) * len(cb)
-    if (
+    return (
         pairs > _VECTOR_CUTOFF
         and _dense_box_work(ra, rb) <= _DENSE_WORK_PER_PAIR * pairs
         and np.isfinite(ca).all()
         and np.isfinite(cb).all()
-    ):
-        return _star_product_box(th, ra, ca, rb, cb)
-    return _star_product_pairs(th, ra, ca, rb, cb)
+    )
 
 
 def _terms(a: TorusElement):
@@ -400,20 +457,24 @@ def _term_arrays(a: TorusElement):
     return keys, vals, reach
 
 
-def _exponents(th: ThetaMatrix, r, s):
-    """The cocycle exponents w . s with w = r P, for int64 index arrays r and s.
+def _cocycle_rows(th: ThetaMatrix, r):
+    """w = r P for an int64 (terms, n) index array: one matmul over r's rows."""
+    return r.astype(float) @ th._pair_mat
 
-    r and s have shape (..., n) and broadcast against each other; the result
-    has their broadcast shape without the last axis.  w is one matmul over
-    r's rows.  The sum w . s runs over P's columns in order, with one
-    elementwise multiply and then adds: a BLAS dot could fuse a multiply-add
-    and change a bit.  P's last column is always zero and is left out of the
-    sum; any other zero column adds exact zeros, so the sum is the one over
-    the nonzero columns.
+
+def _exponents(w, s):
+    """The cocycle exponents w . s, for w from ``_cocycle_rows`` and int64 indices s.
+
+    w and s have shape (..., n) and broadcast against each other; the result
+    has their broadcast shape without the last axis.  The sum runs over P's
+    columns in order, with one elementwise multiply and then adds: a BLAS dot
+    could fuse a multiply-add and change a bit.  P's last column is always
+    zero and is left out of the sum; any other zero column adds exact zeros,
+    so the sum is the one over the nonzero columns.
     """
-    terms = (r.reshape(-1, th.n).astype(float) @ th._pair_mat).reshape(r.shape) * s
+    terms = w * s
     x = terms[..., 0]
-    for m in range(1, th.n - 1):
+    for m in range(1, terms.shape[-1] - 1):
         x = x + terms[..., m]
     return x
 
@@ -447,23 +508,50 @@ def _element(th: ThetaMatrix, vals, keys_at) -> TorusElement:
     return TorusElement._raw(th, dict(zip(zip(*keys_at(kept).T.tolist()), vals[kept].tolist())))
 
 
+def _star_product_pairs(th: ThetaMatrix, ra, ca, rb, cb) -> TorusElement:
+    """a * b by the pairwise kernel: its pass over one product, from zero."""
+    return _pairwise_kernel(th, None, [(ra, ca, rb, cb)])
+
+
 # inf and NaN coefficients carry through, as in Python's complex arithmetic;
 # callers that need finite results check them
 @np.errstate(over="ignore", invalid="ignore")
-def _star_product_pairs(th: ThetaMatrix, ra, ca, rb, cb) -> TorusElement:
-    """Per-pair phases from whole-array operations, then one dict pass.
+def _pairwise_kernel(th: ThetaMatrix, base: TorusElement | None, products) -> TorusElement:
+    """base (None for zero) plus the sum of the products, given as (ra, ca, rb, cb) term arrays.
 
-    Runs every product the dense box does not take; its time and memory
-    follow the pair count.  The same arithmetic as the pair-by-pair dict loop
-    kept in the tests, except for the order of the exponent's sum and numpy's
-    exp in place of cmath's: the complex products are formed by ``_cmul``, and
-    the dict pass sums the pairs in the loop's order.
+    The pairs of all the products, product by product and each in the order
+    of the pair-by-pair dict loop kept in the tests, are gathered from the
+    concatenated term arrays by index arithmetic, so the number of numpy
+    calls does not grow with the number of products; a single product
+    broadcasts a's terms against b's instead.  Their exponents,
+    phases and complex products are whole-array operations; then every
+    coefficient is base's plus its pairs, added one by one in that order,
+    and the sum is trimmed once.  Its time and memory follow the pair count.
+    For one product this is the loop's arithmetic, except for the order of
+    the exponent's sum and numpy's exp in place of cmath's: the complex
+    products are formed by ``_cmul``.
     """
-    na, nb = len(ca), len(cb)
-    vals = _cmul(ca.reshape(na, 1), cb.reshape(1, nb))
-    vals = _cmul(vals, _phases(_exponents(th, ra[:, None, :], rb[None, :, :])))
-    keys = (ra[:, None, :] + rb[None, :, :]).reshape(-1, th.n).T.tolist()
-    out = {}
+    if len(products) == 1:
+        # the same pairs in the same order, by broadcasting: fewer numpy calls
+        ((ra, ca, rb, cb),) = products
+        left, right = ca.reshape(-1, 1), cb.reshape(1, -1)
+        w, r, s = _cocycle_rows(th, ra)[:, None, :], ra[:, None, :], rb[None, :, :]
+    else:
+        ra, ca, rb, cb = (np.concatenate(x) for x in zip(*products))
+        na = np.array([len(p[1]) for p in products])
+        nb = np.array([len(p[3]) for p in products])
+        # each left term takes its product's right terms in order: a block of
+        # ``per_left`` pairs that starts where the previous block ends
+        per_left = nb.repeat(na)
+        ia = np.arange(len(ca)).repeat(per_left)
+        ends = per_left.cumsum()
+        first_right = (nb.cumsum() - nb).repeat(na)
+        ib = np.arange(ends[-1]) + (first_right - ends + per_left).repeat(per_left)
+        left, right = ca[ia], cb[ib]
+        w, r, s = _cocycle_rows(th, ra)[ia], ra[ia], rb[ib]
+    vals = _cmul(_cmul(left, right), _phases(_exponents(w, s)))
+    keys = (r + s).reshape(-1, th.n).T.tolist()
+    out = {} if base is None else dict(base.coeffs)
     get = out.get
     for key, v in zip(zip(*keys), vals.reshape(-1).tolist()):
         out[key] = get(key, 0j) + v

@@ -43,7 +43,7 @@ from .errors import (
     NonFiniteValue,
     ShapeMismatch,
 )
-from .torus import ThetaMatrix, TorusElement, product_theta, tensor_embed
+from .torus import ThetaMatrix, TorusElement, product_theta, signed_sum, tensor_embed
 
 IDEMPOTENCY_TOL = 1e-12
 COMPAT_TOL = 1e-10
@@ -180,6 +180,32 @@ class TorusMatrix:
             (abs(c) for row in self.entries for a in row for c in a.coeffs.values()),
             default=0.0,
         )
+
+
+def _plus_commutators(base: TorusMatrix, pairs) -> TorusMatrix:
+    """base + sum of the commutators [x, y] over the list ``pairs``, one ``signed_sum`` per entry.
+
+    Entry (r, s) is base[r][s] plus the signed products x[r][k] y[k][s] and
+    -y[r][k] x[k][s] of every pair in turn, each k ascending: the terms of
+    the literal base + (x @ y) - (y @ x) + ..., summed in one pass (so not in
+    the literal's order, and equal to it up to rounding).
+    """
+    for x, y in pairs:
+        base._check(x)
+        base._check(y)
+    q = base.q
+    rows = []
+    for r, base_row in enumerate(base.entries):
+        row = []
+        for s, entry in enumerate(base_row):
+            products = []
+            for x, y in pairs:
+                xe, ye = x.entries, y.entries
+                products += [(xe[r][k], ye[k][s], False) for k in range(q)]
+                products += [(ye[r][k], xe[k][s], True) for k in range(q)]
+            row.append(signed_sum(entry, products))
+        rows.append(row)
+    return TorusMatrix(base.theta, rows)
 
 
 def hs_inner(x: TorusMatrix, y: TorusMatrix) -> complex:
@@ -371,6 +397,10 @@ class SplittingReport:
 def curvature(c: Connection) -> Curvature:
     """F_ij for i < j, memoised on ``c`` while ``c.A`` and ``c.proj`` are the same objects.
 
+    F_ij = delta_i(A_j) - delta_j(A_i) + [A_i, A_j], each entry one
+    ``signed_sum`` over the 2q products of the commutator
+    (``_plus_commutators``).
+
     minimize evaluates ym_value at each candidate, then takes the gradient and
     the line-search quartic at the accepted one, so the memo spares two
     curvatures per iteration.  The key is object identity (the memo holds the
@@ -386,7 +416,7 @@ def curvature(c: Connection) -> Curvature:
         ai = c.A[i - 1]
         for j in range(i + 1, c.n + 1):
             aj = c.A[j - 1]
-            table[(i, j)] = aj.derive(i) - ai.derive(j) + (ai @ aj) - (aj @ ai)
+            table[(i, j)] = _plus_commutators(aj.derive(i) - ai.derive(j), [(ai, aj)])
     f = Curvature(c.theta, c.q, table)
     c._curvature = (c.A, c.proj, f)
     return f
@@ -403,17 +433,25 @@ def ym_value(c: Connection) -> float:
 
 
 def ym_gradient(c: Connection) -> Perturbation:
-    """G_k with d/dt YM(nabla + t mu)|_0 = 2 sum_k Re tau_q(G_k* mu_k)."""
+    """G_k with d/dt YM(nabla + t mu)|_0 = 2 sum_k Re tau_q(G_k* mu_k).
+
+    G_k = sum_{j != k} delta_j(F_kj) + sum_{j != k} [A_j, F_kj], cut to p G_k p
+    on a projected module.  The derivative terms are summed first; then each
+    entry is one ``signed_sum`` over the 2q(n - 1) products of all the
+    commutators (``_plus_commutators``).
+    """
     f = curvature(c)
     comps = []
     for k in range(1, c.n + 1):
         acc = TorusMatrix.zeros(c.theta, c.q)
+        brackets = []
         for j in range(1, c.n + 1):
             if j == k:
                 continue
             fkj = f.component(k, j)
-            aj = c.A[j - 1]
-            acc = acc + fkj.derive(j) + (aj @ fkj) - (fkj @ aj)
+            acc = acc + fkj.derive(j)
+            brackets.append((c.A[j - 1], fkj))
+        acc = _plus_commutators(acc, brackets)
         if c.proj is not None:
             p = c.proj.p
             acc = p @ acc @ p
@@ -443,8 +481,24 @@ def compatibility_deviation(c: Connection) -> float:
     return worst
 
 
+def compatibility_bound(c: Connection, tol: float = COMPAT_TOL) -> float:
+    """tol times max_j of the l1 norm of p A_j p (p = 1 on a free module).
+
+    The largest ``compatibility_deviation`` judged compatible.  It scales with
+    the potentials, as the rounding in a skew potential's deviation does, so
+    the verdict does not depend on their scale; it is 0 for A = 0, whose
+    deviation is exactly 0.
+    """
+    scale = 0.0
+    for a in c.A:
+        if c.proj is not None:
+            a = c.proj.p @ a @ c.proj.p
+        scale = max(scale, a.l1())
+    return tol * scale
+
+
 def check_compatibility(c: Connection) -> bool:
-    return compatibility_deviation(c) <= COMPAT_TOL
+    return compatibility_deviation(c) <= compatibility_bound(c)
 
 
 def grassmannian_connection(theta: ThetaMatrix, scalars) -> Connection:
@@ -529,13 +583,15 @@ def line_quartic(c: Connection, d) -> tuple:
 
     F_ij(A - t d) = F0 - t F1 + t^2 F2 with F0 the (memoised) curvature of ``c``,
     F1 = delta_i d_j - delta_j d_i + [A_i, d_j] + [d_i, A_j] and F2 = [d_i, d_j];
-    six ``hs_inner`` per pair i < j give the coefficients.
+    six ``hs_inner`` per pair i < j give the coefficients.  Each entry of F1
+    is one ``signed_sum`` over the 4q products of its two commutators, and
+    each entry of F2 one over 2q (``_plus_commutators``).
     """
     c0 = c1 = c2 = c3 = c4 = 0.0
     for (i, j), f0 in curvature(c).items():
         ai, aj, di, dj = c.A[i - 1], c.A[j - 1], d[i - 1], d[j - 1]
-        f1 = dj.derive(i) - di.derive(j) + (ai @ dj) - (dj @ ai) + (di @ aj) - (aj @ di)
-        f2 = (di @ dj) - (dj @ di)
+        f1 = _plus_commutators(dj.derive(i) - di.derive(j), [(ai, dj), (di, aj)])
+        f2 = _plus_commutators(TorusMatrix.zeros(c.theta, c.q), [(di, dj)])
         c0 += hs_inner(f0, f0).real
         c1 -= 2.0 * hs_inner(f0, f1).real
         c2 += hs_inner(f1, f1).real + 2.0 * hs_inner(f0, f2).real

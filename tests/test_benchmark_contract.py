@@ -91,14 +91,11 @@ def test_tracer_counts_minimize_steps_and_rejections(monkeypatch, grad_tol, step
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def test_torus_product_work_and_kernel_boundary(monkeypatch):
-    """A torus_product run builds one product connection, evaluates three YM
-    values and differentiates only its two factors, and every star product that
-    reaches the kernels enters through ``TorusElement.__mul__``, where the
-    tracer counts ``torus.star``."""
-    entries = []
-    kernel = ncym.torus._star_product
-    monkeypatch.setattr(ncym.torus, "_star_product", lambda a, b: entries.append(1) or kernel(a, b))
+def _traced_torus_product(monkeypatch, **patches):
+    """The tracer after one run of ``configs/torus_product.json``, with the
+    given names of ``ncym.yangmills`` replaced for the run."""
+    for name, value in patches.items():
+        monkeypatch.setattr(ncym.yangmills, name, value)
     experiment = cfg.parse((CONFIGS / "torus_product.json").read_text())
     tracer = tracing.Tracer()
     tracer.install(ncym, svd=False)
@@ -106,10 +103,72 @@ def test_torus_product_work_and_kernel_boundary(monkeypatch):
         ncym.cli.run(experiment)
     finally:
         tracer.uninstall()
+    return tracer
+
+
+def _literal_commutators(base, pairs):
+    """base + (x @ y) - (y @ x) + ... : the expressions ``_plus_commutators`` replaced."""
+    for x, y in pairs:
+        base = base + (x @ y) - (y @ x)
+    return base
+
+
+def test_torus_product_work_and_kernel_boundary(monkeypatch):
+    """A torus_product run builds one product connection, evaluates three YM
+    values and differentiates only its two factors.  Every product that
+    reaches a star-product kernel came through exactly one of
+    ``_star_product`` (under ``TorusElement.__mul__``, where the tracer counts
+    ``torus.star``) and ``signed_sum`` (the commutators of curvature and
+    gradient), and ``signed_sum`` takes the products and pairs of the literal
+    ``@`` expressions it replaced, which the tracer counts through ``@``."""
+    torus = ncym.torus
+    route, kernel_products = [], []  # open entry points; (entry points, products) per kernel call
+    star_entries, summed = [], []  # (a, b) per _star_product entry and per product given to signed_sum
+
+    def entered(name, fn, products_of):
+        def call(*args):
+            route.append(name)
+            products = products_of(*args)
+            (star_entries if name == "star" else summed).extend(products)
+            try:
+                return fn(*args)
+            finally:
+                route.pop()
+
+        return call
+
+    def reached(fn, count):
+        def call(*args):
+            kernel_products.append((tuple(route), count(*args)))
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(torus, "_star_product", entered("star", torus._star_product, lambda a, b: [(a, b)]))
+    monkeypatch.setattr(torus, "_pairwise_kernel", reached(torus._pairwise_kernel, lambda th, base, ps: len(ps)))
+    monkeypatch.setattr(torus, "_star_product_box", reached(torus._star_product_box, lambda *args: 1))
+    signed_sum = entered("sum", torus.signed_sum, lambda base, products: [(a, b) for a, b, _ in products])
+    tracer = _traced_torus_product(monkeypatch, signed_sum=signed_sum)
     assert tracer.calls["yangmills.product_connection"] == 1
     assert tracer.calls["yangmills.ym_value"] == 3
     assert tracer.calls["yangmills.ym_gradient"] == 2
-    assert tracer.calls[tracing.STAR] == len(entries) > 0
+    assert tracer.calls.get(tracing.STAR, 0) == len(star_entries)
+
+    def nonempty(products):
+        return [(a, b) for a, b in products if a.coeffs and b.coeffs]
+
+    assert all(len(r) == 1 for r, _ in kernel_products)
+    by_route = {"star": 0, "sum": 0}
+    for (name,), count in kernel_products:
+        by_route[name] += count
+    assert by_route == {"star": len(nonempty(star_entries)), "sum": len(nonempty(summed))}
+    assert by_route["sum"] > 0
+
+    literal = _traced_torus_product(monkeypatch, _plus_commutators=_literal_commutators)
+    star_pairs = tracer.counters.get("torus.star.pairs", 0)
+    summed_pairs = sum(len(a.coeffs) * len(b.coeffs) for a, b in summed)
+    assert literal.calls[tracing.STAR] == tracer.calls.get(tracing.STAR, 0) + len(nonempty(summed))
+    assert literal.counters["torus.star.pairs"] == star_pairs + summed_pairs
 
 
 def test_torus_product_embeds_through_the_traced_name(monkeypatch):

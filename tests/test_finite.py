@@ -668,6 +668,25 @@ def test_decomposition_and_hypothesis(make1, make2):
     assert checks["orthogonality"]
 
 
+PRODUCT_FACTORS = [
+    (lambda: matrix_case_triple(1, 1, [[1.0]]), lambda: matrix_case_triple(1, 1, [[1.0]])),
+    (lambda: matrix_case_triple(2, 1, [[0.6], [0.8j]]), lambda: matrix_case_triple(1, 1, [[1.0]])),
+    (lambda: matrix_case_triple(2, 2, np.diag([1.0, 2.0])), lambda: trivial_triple()),
+]
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160] + EXTREME_SCALES)
+@pytest.mark.parametrize("factors", range(len(PRODUCT_FACTORS)))
+def test_product_check_same_at_every_basis_scale(factors, scale):
+    """Scaling both factors' bases leaves the product check as it is at scale 1:
+    built from the raw bases, the product basis overflowed to inf from about
+    1e160 and underflowed to 0 by 1e-200."""
+    t1, t2 = (make() for make in PRODUCT_FACTORS[factors])
+    scaled = [FiniteTriple(t.dim_h, [scale * a for a in t.algebra_basis], t.D, t.gamma) for t in (t1, t2)]
+    assert product_check(*scaled) == product_check(t1, t2)
+    assert form_report(product_triple(*scaled)) == form_report(product_triple(t1, t2))
+
+
 def test_decomposition_with_grading_outside_algebra():
     # doubled odd triple: gamma = 1 (x) sigma3 is NOT in the algebra, so the
     # gamma1 twist on the embedded legs genuinely matters here

@@ -24,6 +24,7 @@ from ncym import (
     ym_gradient,
 )
 from ncym import sampling, torus
+from ncym.torus import signed_sum
 
 COEFF_TOL = 1e-12
 
@@ -497,6 +498,145 @@ def test_index_sums_at_the_int64_limit(theta2, terms):
     huge = TorusElement.monomial(theta2, (2**63, 0))
     with pytest.raises(IndexOutOfRange, match="exceeds"):
         mul(huge, TorusElement.one(theta2))
+
+
+# -- signed sums against the literal sum of loop products -----------------------
+
+
+def literal_signed_sum(base, products):
+    """base + sum of -+ a * b over (a, b, negate), product by product through the dict loop."""
+    out = base
+    for a, b, negate in products:
+        prod = star_product_loop(a, b)
+        out = out - prod if negate else out + prod
+    return out
+
+
+def signed_sum_tolerance(base, products):
+    """Rounding bound, fixed from float64, for signed_sum against ``literal_signed_sum``.
+
+    ``kernel_tolerance`` for each product; 1e-13 |base|_1, because the pass
+    adds each pair to base's coefficient where the literal sum adds whole
+    products, and every partial sum is bounded by |base|_1 plus the products'
+    |a|_1 |b|_1; and ``CANONICAL_EPS`` per product, because the literal sum
+    drops each product's values under it and the pass only those of the sum.
+    """
+    return 1e-13 * base.l1() + sum(kernel_tolerance(a, b) + CANONICAL_EPS for a, b, _ in products)
+
+
+@st.composite
+def signed_sums(draw):
+    """(base, [(a, b, negate), ...]): one to four products over the theta of ``operand_pairs``."""
+    a, b = draw(operand_pairs())
+    theta = a.theta
+    products = [(a, b, draw(st.booleans()))]
+    for _ in range(draw(st.integers(0, 3))):
+        products.append((draw_element(draw, theta), draw_element(draw, theta), draw(st.booleans())))
+    return draw_element(draw, theta), products
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_sums())
+def test_signed_sum_matches_literal_sum(case):
+    base, products = case
+    got = signed_sum(base, products)
+    assert coeff_distance(got, literal_signed_sum(base, products)) <= signed_sum_tolerance(base, products)
+
+
+def test_signed_sum_keeps_base_index_past_int64(theta2):
+    """Only the products' indices need int64: base's coefficients seed the
+    dict pass as they are."""
+    gen = sampling.rng(45)
+    a, b = disc(theta2, 3, gen), disc(theta2, 3, gen)
+    far = TorusElement(theta2, {(2**63, 0): 1.0, (0, 0): 2.0})
+    products = [(a, b, False), (b, a, True)]
+    got = signed_sum(far, products)
+    assert got.coeffs[(2**63, 0)] == 1.0
+    assert coeff_distance(got, literal_signed_sum(far, products)) <= signed_sum_tolerance(far, products)
+
+
+def count_kernel_calls(monkeypatch):
+    """{'pairwise': [products per call], 'box': calls}, filled as the kernels run."""
+    calls = {"pairwise": [], "box": 0}
+    pairwise, box = torus._pairwise_kernel, torus._star_product_box
+
+    def counted_pairwise(th, base, products):
+        calls["pairwise"].append(len(products))
+        return pairwise(th, base, products)
+
+    def counted_box(*args):
+        calls["box"] += 1
+        return box(*args)
+
+    monkeypatch.setattr(torus, "_pairwise_kernel", counted_pairwise)
+    monkeypatch.setattr(torus, "_star_product_box", counted_box)
+    return calls
+
+
+def test_signed_sum_mixes_box_and_pairwise_products(theta2, monkeypatch):
+    gen = sampling.rng(40)
+    big, big2 = disc(theta2, 6, gen), disc(theta2, 5, gen)
+    small, small2 = disc(theta2, 1, gen), disc(theta2, 2, gen)
+    base = disc(theta2, 3, gen)
+    empty = TorusElement.zero(theta2)
+    products = [(big, big2, False), (small, small2, True), (empty, big, False), (big2, big, True), (small2, small, False)]
+    calls = count_kernel_calls(monkeypatch)
+    got = signed_sum(base, products)
+    # the two small products in one pass, the two large ones on the dense box
+    assert calls == {"pairwise": [2], "box": 2}
+    assert coeff_distance(got, literal_signed_sum(base, products)) <= signed_sum_tolerance(base, products)
+
+
+def test_signed_sum_of_box_products_is_the_chain(theta2, monkeypatch):
+    gen = sampling.rng(41)
+    a, b, base = disc(theta2, 6, gen), disc(theta2, 5, gen), disc(theta2, 2, gen)
+    calls = count_kernel_calls(monkeypatch)
+    got = signed_sum(base, [(a, b, False), (b, a, True)])
+    assert calls == {"pairwise": [], "box": 2}
+    assert list(got.coeffs.items()) == list(((base + a * b) - b * a).coeffs.items())
+
+
+@pytest.mark.parametrize("radius", [1, 6])
+def test_signed_sum_of_one_product_is_mul(theta2, radius):
+    gen = sampling.rng(42)
+    a, b = disc(theta2, radius, gen), disc(theta2, radius, gen)
+    zero = TorusElement.zero(theta2)
+    assert list(signed_sum(zero, [(a, b, False)]).coeffs.items()) == list(mul(a, b).coeffs.items())
+    assert signed_sum(zero, [(a, b, True)]).coeffs == (-mul(a, b)).coeffs
+
+
+def test_signed_sum_of_no_products_is_base(theta2):
+    base = disc(theta2, 2, sampling.rng(43))
+    empty = TorusElement.zero(theta2)
+    assert signed_sum(base, []) is base
+    assert signed_sum(base, [(empty, base, False), (base, empty, True)]).coeffs == base.coeffs
+    assert signed_sum(empty, []).coeffs == {}
+
+
+def test_nan_coefficient_survives_signed_sum(theta2):
+    gen = sampling.rng(44)
+    finite_a, b, c, base = (disc(theta2, 1, gen) for _ in range(4))
+    a = TorusElement(theta2, {**finite_a.coeffs, (1, 0): complex(math.nan, 0.0)})
+    products = [(a, b, True), (c, b, False)]
+    got, ref = signed_sum(base, products), literal_signed_sum(base, products)
+    assert set(got.coeffs) == set(ref.coeffs)
+    nan_keys = {r for r, v in got.coeffs.items() if cmath.isnan(v)}
+    assert nan_keys and nan_keys == {r for r, v in ref.coeffs.items() if cmath.isnan(v)}
+    finite = [r for r in got.coeffs if r not in nan_keys]
+    tol = signed_sum_tolerance(base, [(finite_a, b, True), (c, b, False)])
+    assert max(abs(got.coeffs[r] - ref.coeffs[r]) for r in finite) <= tol
+
+
+def test_signed_sum_index_past_int64_raises_as_mul(theta2):
+    one = TorusElement.one(theta2)
+    a = TorusElement(theta2, {(BIG - i, 0): float(i + 1) for i in range(3)})
+    huge = TorusElement.monomial(theta2, (2**63, 0))
+    for left, right in [(a, a), (huge, one)]:
+        with pytest.raises(IndexOutOfRange) as via_mul:
+            mul(left, right)
+        with pytest.raises(IndexOutOfRange) as via_sum:
+            signed_sum(one, [(one, one, False), (left, right, True)])
+        assert str(via_sum.value) == str(via_mul.value)
 
 
 # -- the term arrays kept on each element ---------------------------------------

@@ -29,6 +29,7 @@ from ncym import sampling
 from ncym.yangmills import (
     COMPAT_TOL,
     _kron_matrix,
+    compatibility_bound,
     compatibility_deviation,
     hs_inner,
     line_quartic,
@@ -373,6 +374,37 @@ def test_projected_connection_accepted_at_every_amplitude(corner, amplitude):
     proj = Projection(TorusMatrix.from_scalar_matrix(th, corner))
     c = random_connection(th, 2, gen, radius=1, amplitude=amplitude, proj=proj)
     assert c.proj is proj and not all(a.is_zero() for a in c.A)
+
+
+COMPAT_AMPLITUDES = [1e-13, 1e-11, 1e-8, 1e-3, 1.0, 1e3, 1e6, 1e8, 1e50, 1e100]
+
+
+@pytest.mark.parametrize("amplitude", COMPAT_AMPLITUDES)
+@pytest.mark.parametrize("corner", [None, [[0.5, 0.5], [0.5, 0.5]]], ids=["free", "half"])
+def test_compatibility_verdict_at_every_amplitude(corner, amplitude):
+    """A skew potential is compatible, and one that is not skew is not, at every
+    amplitude: against an absolute 1e-10 the skew one read incompatible from
+    about 1e6, where its rounding residue passed 1e-10, and 1e-11 U1 read
+    compatible. Below about 1e-14 the coefficient floor would start dropping
+    terms."""
+    th = sampling.random_theta(2, sampling.rng(3))
+    proj = None if corner is None else Projection(TorusMatrix.from_scalar_matrix(th, corner))
+    skew = random_connection(th, 2, sampling.rng(5), radius=2, amplitude=amplitude, proj=proj)
+    assert not all(a.is_zero() for a in skew.A)
+    assert check_compatibility(skew)
+    # amplitude U1 on the diagonal: p (A + A*) p = amplitude (U1 + U1*) p, not 0
+    u1 = TorusElement.generator(th, 1).scale(amplitude)
+    z = TorusElement.zero(th)
+    bad = Connection(th, 2, [TorusMatrix(th, [[u1, z], [z, u1]]), TorusMatrix.zeros(th, 2)], proj)
+    assert compatibility_deviation(bad) > 0.0
+    assert not check_compatibility(bad)
+
+
+def test_compatibility_bound_is_zero_for_the_flat_connection():
+    th = theta2()
+    flat = Connection.flat(th, 2)
+    assert compatibility_bound(flat) == compatibility_deviation(flat) == 0.0
+    assert check_compatibility(flat)
 
 
 # -- oracles: sampled directions and central differences ---------------------
