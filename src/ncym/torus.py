@@ -40,33 +40,35 @@ array kernels are checked against.
 Star-product kernels
 --------------------
 A single product enters through ``TorusElement.__mul__`` (or ``mul``) and
-``_star_product``.  A signed sum base + sum of -+ a_k * b_k, one entry of a
-sum of matrix products or commutators, enters through ``signed_sum``
-without passing ``__mul__``: ``yangmills`` forms the curvature, the gradient
-and the line-search terms that way.  Both send each product to one of two
-array kernels by the same rule (``_takes_box``).  The dense-box kernel takes
-products of more than ``_VECTOR_CUTOFF`` pairs of terms whose box work is at
-most ``_DENSE_WORK_PER_PAIR`` per pair and whose coefficients are all
-finite.  It is a twisted convolution: row 0 of P is zero, so w = r P
-depends only on r's tail (r_1..r_{n-1}), and a's terms are grouped by their
-tail; each group modulates b, scattered into its dense bounding box, by the
-separable phases e(w_m s_m), convolves it along axis 0 with the group's r_0
-row in one batched Toeplitz matmul, and one bincount adds every group into
-the output box.  Its cost follows the boxes, not the pair count.  Every
-other product (few pairs, a far-out term that makes the box huge, a
-non-finite coefficient) runs the pairwise kernel (``_pairwise_kernel``):
-the per-pair exponents and phases as whole arrays over the pairs of all the
-products it is given, then one dict pass that sums the pairs in the order of
-the pair-by-pair dict loop, which the tests keep as the reference; its time
-and memory follow the pair count.  A single product is its one-product case
-(``_star_product_pairs``), which broadcasts a's terms against b's; a signed
-sum gives it all of its pairwise products at once, gathered by index
-arithmetic and seeded with base's coefficients, and adds the dense-box
-products after it, in order.  The involution is one array pass of the
-same kind over the terms.  All of them hold the multi-indices in int64, so
-operands whose indices (or, for a product, index sums) could leave it raise
-``IndexOutOfRange``.  All drop exactly the values with |c| <
-``CANONICAL_EPS``; NaN is kept.
+``_star_product``.  The entries of one or more sums base + sum of
+-+ a_k * b_k, the entries of sums of matrix products or commutators, enter
+together through ``signed_sums`` without passing ``__mul__``: ``yangmills``
+forms the curvature, the gradient and the line-search terms that way.  Both
+send each product to one of two array kernels by the same rule
+(``_takes_box``).  The dense-box kernel takes products of more than
+``_VECTOR_CUTOFF`` pairs of terms whose box work is at most
+``_DENSE_WORK_PER_PAIR`` per pair and whose coefficients are all finite.  It
+is a twisted convolution: row 0 of P is zero, so w = r P depends only on r's
+tail (r_1..r_{n-1}), and a's terms are grouped by their tail; each group
+modulates b, scattered into its dense bounding box, by the separable phases
+e(w_m s_m), convolves it along axis 0 with the group's r_0 row in one batched
+Toeplitz matmul, and one bincount adds every group into the output box.  Its
+cost follows the boxes, not the pair count.  Every other product (few pairs,
+a far-out term that makes the box huge, a non-finite coefficient) runs the
+pairwise kernel (``_pairwise_kernel``): the per-pair exponents and phases as
+whole arrays over the pairs of all the products it is given, then the pairs
+grouped by (entry, output key) with a stable sort, and each group summed
+from its base coefficient by ``np.add.at`` in pass order, the order of the
+pair-by-pair dict loop that the tests keep as the reference, so the sums
+have its bits; its time and memory follow the pair count.  A single product
+is its one-entry, one-product case (``_star_product_pairs``), which
+broadcasts a's terms against b's; ``signed_sums`` gives it the pairwise
+products of all of its entries at once, gathered by index arithmetic, and
+adds each entry's dense-box products after it, in order.  The involution is
+one array pass of the same kind over the terms.  All of them hold the
+multi-indices in int64, so operands whose indices (or, for a product, index
+sums) could leave it raise ``IndexOutOfRange``.  All drop exactly the values
+with |c| < ``CANONICAL_EPS``; NaN is kept.
 
 An element's int64 index array and complex coefficient array are built once,
 the first time a kernel takes it, and kept on the element read-only
@@ -83,6 +85,7 @@ elements.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 
@@ -326,9 +329,9 @@ class TorusElement:
 
 
 #: Products of at most this many pairs of terms run the pairwise kernel,
-#: whose cost is a fixed number of numpy calls plus one dict pass over the
-#: pairs; larger ones may run the dense box.  Both kernels compute the same
-#: sums up to rounding.
+#: whose cost is a fixed number of numpy calls per pass plus a sort and a
+#: few array passes over the pairs; larger ones may run the dense box.  Both
+#: kernels compute the same sums up to rounding.
 _VECTOR_CUTOFF = 512
 
 #: Largest multi-index entry the kernels can hold: they keep the operands'
@@ -364,36 +367,47 @@ def _star_product(a: TorusElement, b: TorusElement) -> TorusElement:
     return _star_product_pairs(th, *ops)
 
 
-def signed_sum(base: TorusElement, products) -> TorusElement:
-    """base + sum of (-1 if negate else 1) a * b over the (a, b, negate) triples.
+def signed_sums(entries) -> list:
+    """[base + sum of (-1 if negate else 1) a * b] for each (base, [(a, b, negate), ...]) entry.
 
-    One entry of a sum of matrix products or commutators, as
-    ``yangmills.curvature`` and ``ym_gradient`` form them.  A product with an
-    empty operand adds nothing.  Each product goes to the kernel that
-    ``_star_product`` would pick for it.  Those for the pairwise kernel run as
-    one pass, seeded with base's coefficients; a negated one enters it with
-    its left coefficients negated, which is exact.  The dense-box products are
-    then added or subtracted one by one, in order, so an entry whose products
-    all take the box is the chain (base + p1) - p2 ...  ``IndexOutOfRange``
+    The entries of one or more sums of matrix products or commutators, as
+    ``yangmills.curvature``, ``ym_gradient`` and ``line_quartic`` form them.
+    A product with an empty operand adds nothing.  Each product goes to the
+    kernel that ``_star_product`` would pick for it.  Those for the pairwise
+    kernel, of every entry, run as one pass that seeds each entry with its
+    base's coefficients; a negated one enters it with its left coefficients
+    negated, which is exact.  Then each entry's dense-box products are added
+    or subtracted one by one, in order, so an entry whose products all take
+    the box is the chain (base + p1) - p2 ...  An entry without products is
+    its base.  Every base and operand shares one theta.  ``IndexOutOfRange``
     as for ``_star_product``.
     """
-    th = base.theta
+    if not entries:
+        return []
+    first = entries[0][0]
     pairwise, boxed = [], []
-    for a, b, negate in products:
-        base._check(a)
-        a._check(b)
-        if not a.coeffs or not b.coeffs:
-            continue
-        ra, ca, rb, cb = ops = _operand_terms(a, b)
-        if _takes_box(*ops):
-            boxed.append((ops, negate))
-        else:
-            pairwise.append((ra, -ca if negate else ca, rb, cb))
-    out = _pairwise_kernel(th, base, pairwise) if pairwise else base
-    for ops, negate in boxed:
-        prod = _star_product_box(th, *ops)
-        out = out - prod if negate else out + prod
-    return out
+    for e, (base, products) in enumerate(entries):
+        first._check(base)
+        box = []
+        for a, b, negate in products:
+            base._check(a)
+            a._check(b)
+            if not a.coeffs or not b.coeffs:
+                continue
+            ra, ca, rb, cb = ops = _operand_terms(a, b)
+            if _takes_box(*ops):
+                box.append((ops, negate))
+            else:
+                pairwise.append((e, ra, -ca if negate else ca, rb, cb))
+        boxed.append(box)
+    th = first.theta
+    bases = [base for base, _ in entries]
+    outs = _pairwise_kernel(th, bases, pairwise) if pairwise else bases
+    for e, box in enumerate(boxed):
+        for ops, negate in box:
+            prod = _star_product_box(th, *ops)
+            outs[e] = outs[e] - prod if negate else outs[e] + prod
+    return outs
 
 
 def _operand_terms(a: TorusElement, b: TorusElement):
@@ -485,17 +499,19 @@ def _phases(x):
 
 
 def _cmul(x, y):
-    """x * y for contiguous complex arrays that broadcast, in real arithmetic.
+    """x * y for complex arrays that broadcast, in real arithmetic.
 
     The formulas are Python's, re = x.re y.re - x.im y.im and
-    im = x.re y.im + x.im y.re: numpy's complex multiply may contract to FMA,
-    which would make a * b and b * a differ at theta = 0.
+    im = x.re y.im + x.im y.re, as four products, a subtract and an add:
+    numpy's complex multiply may contract to FMA, which would make a * b and
+    b * a differ at theta = 0.
     """
-    prod = x.view(float).reshape(x.shape + (2, 1)) * y.view(float).reshape(y.shape + (1, 2))
-    out = np.empty(prod.shape[:-1])
-    np.subtract(prod[..., 0, 0], prod[..., 1, 1], out=out[..., 0])
-    np.add(prod[..., 0, 1], prod[..., 1, 0], out=out[..., 1])
-    return out.view(complex).reshape(out.shape[:-1])
+    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
+    rr = xr * yr
+    out = np.empty(rr.shape, dtype=complex)
+    np.subtract(rr, xi * yi, out=out.real)
+    np.add(xr * yi, xi * yr, out=out.imag)
+    return out
 
 
 def _element(th: ThetaMatrix, vals, keys_at) -> TorusElement:
@@ -509,37 +525,52 @@ def _element(th: ThetaMatrix, vals, keys_at) -> TorusElement:
 
 
 def _star_product_pairs(th: ThetaMatrix, ra, ca, rb, cb) -> TorusElement:
-    """a * b by the pairwise kernel: its pass over one product, from zero."""
-    return _pairwise_kernel(th, None, [(ra, ca, rb, cb)])
+    """a * b by the pairwise kernel: one entry of one product, from zero."""
+    return _pairwise_kernel(th, [TorusElement._raw(th, {})], [(0, ra, ca, rb, cb)])[0]
+
+
+#: Codes of (entry, key) at or past this are not formed; the rows are sorted instead.
+_CODE_LIMIT = 2**62
 
 
 # inf and NaN coefficients carry through, as in Python's complex arithmetic;
 # callers that need finite results check them
 @np.errstate(over="ignore", invalid="ignore")
-def _pairwise_kernel(th: ThetaMatrix, base: TorusElement | None, products) -> TorusElement:
-    """base (None for zero) plus the sum of the products, given as (ra, ca, rb, cb) term arrays.
+def _pairwise_kernel(th: ThetaMatrix, bases, products) -> list:
+    """Each entry's base plus the sum of its products, given as (entry, ra, ca, rb, cb).
 
-    The pairs of all the products, product by product and each in the order
-    of the pair-by-pair dict loop kept in the tests, are gathered from the
-    concatenated term arrays by index arithmetic, so the number of numpy
-    calls does not grow with the number of products; a single product
-    broadcasts a's terms against b's instead.  Their exponents,
-    phases and complex products are whole-array operations; then every
-    coefficient is base's plus its pairs, added one by one in that order,
-    and the sum is trimmed once.  Its time and memory follow the pair count.
-    For one product this is the loop's arithmetic, except for the order of
-    the exponent's sum and numpy's exp in place of cmath's: the complex
-    products are formed by ``_cmul``.
+    ``products`` is in entry order.  The pairs of all the products, product by
+    product and each in the order of the pair-by-pair dict loop kept in the
+    tests, are gathered from the concatenated term arrays by index
+    arithmetic, so the number of numpy calls does not grow with the number
+    of products or entries; a single product broadcasts a's terms against
+    b's instead.  Their exponents, phases and complex products are
+    whole-array operations.  The pairs are then grouped by (entry, key): a
+    stable sort of one int64 code, the entry as its most significant digit
+    (when the pass holds more than one) and the key's place in the pass's key
+    box after it, or of the rows themselves when that code space reaches
+    ``_CODE_LIMIT``.  Each group starts from its base's coefficient (base
+    keys never enter an array, so they may lie past int64) and ``np.add.at``
+    adds its pairs one by one in pass order, the loop's order, so every sum
+    has the loop's bits (only which NaN survives an add of two NaNs may
+    differ).  An entry is its base's dict updated with its groups in order of
+    first appearance, the loop's key order, less the sums under the drop
+    (base is canonical, so nothing else can be); an entry without products
+    is its base.  Time and memory follow the pair count.  For one product
+    this is the loop's arithmetic, except for the order of the exponent's
+    sum and numpy's exp in place of cmath's: the complex products are formed
+    by ``_cmul``.
     """
     if len(products) == 1:
         # the same pairs in the same order, by broadcasting: fewer numpy calls
-        ((ra, ca, rb, cb),) = products
+        ((_, ra, ca, rb, cb),) = products
         left, right = ca.reshape(-1, 1), cb.reshape(1, -1)
         w, r, s = _cocycle_rows(th, ra)[:, None, :], ra[:, None, :], rb[None, :, :]
     else:
-        ra, ca, rb, cb = (np.concatenate(x) for x in zip(*products))
-        na = np.array([len(p[1]) for p in products])
-        nb = np.array([len(p[3]) for p in products])
+        es, ra, ca, rb, cb = zip(*products)
+        na = np.array([len(c) for c in ca])
+        nb = np.array([len(c) for c in cb])
+        ra, ca, rb, cb = (np.concatenate(x) for x in (ra, ca, rb, cb))
         # each left term takes its product's right terms in order: a block of
         # ``per_left`` pairs that starts where the previous block ends
         per_left = nb.repeat(na)
@@ -548,14 +579,73 @@ def _pairwise_kernel(th: ThetaMatrix, base: TorusElement | None, products) -> To
         first_right = (nb.cumsum() - nb).repeat(na)
         ib = np.arange(ends[-1]) + (first_right - ends + per_left).repeat(per_left)
         left, right = ca[ia], cb[ib]
-        w, r, s = _cocycle_rows(th, ra)[ia], ra[ia], rb[ib]
-    vals = _cmul(_cmul(left, right), _phases(_exponents(w, s)))
-    keys = (r + s).reshape(-1, th.n).T.tolist()
-    out = {} if base is None else dict(base.coeffs)
-    get = out.get
-    for key, v in zip(zip(*keys), vals.reshape(-1).tolist()):
-        out[key] = get(key, 0j) + v
-    return TorusElement._raw(th, _trimmed(out))
+        # ``take`` gathers whole rows at once, where indexing copies them one by one
+        w, r, s = _cocycle_rows(th, ra).take(ia, 0), ra.take(ia, 0), rb.take(ib, 0)
+    vals = _cmul(_cmul(left, right), _phases(_exponents(w, s))).reshape(-1)
+    # the keys one index column per row: the reductions and gathers below
+    # then run along contiguous rows
+    keys = np.ascontiguousarray((r + s).reshape(-1, th.n).T)
+    # each pair's entry, when the pairs belong to more than one
+    entry = None if products[0][0] == products[-1][0] else np.array(es).repeat(na * nb)
+
+    # group the pairs by (entry, key); ``order`` is stable, so the first pair
+    # of each group in it is the group's first in the pass
+    lo, hi = keys.min(1), keys.max(1)
+    ext = [h - l + 1 for h, l in zip(hi.tolist(), lo.tolist())]  # Python ints: may pass int64
+    # past int64 the digits wrap, but stay distinct for distinct keys: they are
+    # only compared then, in the row sort
+    digits = keys - lo[:, None]
+    if entry is not None:
+        digits = np.concatenate((entry[None, :], digits))
+        ext = [len(bases)] + ext
+    if math.prod(ext) < _CODE_LIMIT:
+        code = np.ravel_multi_index(digits, ext)
+        order = code.argsort(kind="stable")
+        sorted_code = code[order]
+        step = sorted_code[1:] != sorted_code[:-1]
+    else:
+        # the last key is lexsort's primary one
+        order = np.lexsort(digits[::-1])
+        sorted_rows = digits.take(order, 1)
+        step = (sorted_rows[:, 1:] != sorted_rows[:, :-1]).any(0)
+    starts = np.empty(len(order), dtype=bool)
+    starts[0] = True
+    starts[1:] = step
+    first = order[starts]
+    appears = first.argsort()  # the groups in order of first appearance
+    first = first[appears]
+    group_keys = list(zip(*keys.take(first, 1).tolist()))
+    # entry e's groups are group_keys[bounds[e]:bounds[e + 1]]
+    if entry is None:
+        e = products[0][0]
+        bounds = [0] * (e + 1) + [len(first)] * (len(bases) - e)
+    else:
+        bounds = [0] + np.bincount(entry.take(first), minlength=len(bases)).cumsum().tolist()
+
+    sums = np.zeros(len(first), dtype=complex)  # groups in sorted order
+    if any(base.coeffs for base in bases):
+        seeds = []
+        for base, start, end in zip(bases, bounds, bounds[1:]):
+            seeds += map(base.coeffs.get, group_keys[start:end], itertools.repeat(0j, end - start))
+        sums[appears] = seeds
+    # the sort is stable, so in sorted order each group's pairs keep their pass order
+    np.add.at(sums, starts.cumsum() - 1, vals.take(order))
+    sums = sums.take(appears)
+    # base is canonical, so only the sums can fall under the drop
+    dropped = np.flatnonzero(np.abs(sums) < CANONICAL_EPS).tolist()
+    sums = sums.tolist()
+    outs = []
+    for base, start, end in zip(bases, bounds, bounds[1:]):
+        if start == end:
+            outs.append(base)
+            continue
+        out = dict(base.coeffs)
+        out.update(zip(group_keys[start:end], sums[start:end]))
+        outs.append(TorusElement._raw(th, out))
+    for i in dropped:
+        e = bisect.bisect_right(bounds, i) - 1
+        del outs[e].coeffs[group_keys[i]]
+    return outs
 
 
 def _dense_box_work(ra, rb) -> int:

@@ -43,7 +43,7 @@ from .errors import (
     NonFiniteValue,
     ShapeMismatch,
 )
-from .torus import ThetaMatrix, TorusElement, product_theta, signed_sum, tensor_embed
+from .torus import ThetaMatrix, TorusElement, product_theta, signed_sums, tensor_embed
 
 IDEMPOTENCY_TOL = 1e-12
 COMPAT_TOL = 1e-10
@@ -182,30 +182,35 @@ class TorusMatrix:
         )
 
 
-def _plus_commutators(base: TorusMatrix, pairs) -> TorusMatrix:
-    """base + sum of the commutators [x, y] over the list ``pairs``, one ``signed_sum`` per entry.
+def _plus_commutators(jobs) -> list:
+    """[base + sum of the commutators [x, y] over pairs] for each (base, pairs) job.
 
-    Entry (r, s) is base[r][s] plus the signed products x[r][k] y[k][s] and
-    -y[r][k] x[k][s] of every pair in turn, each k ascending: the terms of
-    the literal base + (x @ y) - (y @ x) + ..., summed in one pass (so not in
-    the literal's order, and equal to it up to rounding).
+    Entry (r, s) of a job is base[r][s] plus the signed products
+    x[r][k] y[k][s] and -y[r][k] x[k][s] of every pair in turn, each k
+    ascending: the terms of the literal base + (x @ y) - (y @ x) + ...  The
+    entries of all the jobs are one ``signed_sums`` call, so their pairwise
+    products run as one pass; each entry is summed in that order, so not in
+    the literal's, and equals it up to rounding.
     """
-    for x, y in pairs:
-        base._check(x)
-        base._check(y)
-    q = base.q
-    rows = []
-    for r, base_row in enumerate(base.entries):
-        row = []
-        for s, entry in enumerate(base_row):
-            products = []
-            for x, y in pairs:
-                xe, ye = x.entries, y.entries
-                products += [(xe[r][k], ye[k][s], False) for k in range(q)]
-                products += [(ye[r][k], xe[k][s], True) for k in range(q)]
-            row.append(signed_sum(entry, products))
-        rows.append(row)
-    return TorusMatrix(base.theta, rows)
+    entries = []
+    for base, pairs in jobs:
+        for x, y in pairs:
+            base._check(x)
+            base._check(y)
+        q = base.q
+        for r in range(q):
+            for s in range(q):
+                products = []
+                for x, y in pairs:
+                    xe, ye = x.entries, y.entries
+                    products += [(xe[r][k], ye[k][s], False) for k in range(q)]
+                    products += [(ye[r][k], xe[k][s], True) for k in range(q)]
+                entries.append((base.entries[r][s], products))
+    sums = iter(signed_sums(entries))
+    return [
+        TorusMatrix(base.theta, [[next(sums) for _ in range(base.q)] for _ in range(base.q)])
+        for base, _ in jobs
+    ]
 
 
 def hs_inner(x: TorusMatrix, y: TorusMatrix) -> complex:
@@ -397,9 +402,10 @@ class SplittingReport:
 def curvature(c: Connection) -> Curvature:
     """F_ij for i < j, memoised on ``c`` while ``c.A`` and ``c.proj`` are the same objects.
 
-    F_ij = delta_i(A_j) - delta_j(A_i) + [A_i, A_j], each entry one
-    ``signed_sum`` over the 2q products of the commutator
-    (``_plus_commutators``).
+    F_ij = delta_i(A_j) - delta_j(A_i) + [A_i, A_j].  The commutators of all
+    the components are one ``_plus_commutators`` call: each entry is summed
+    over the 2q products of its commutator, and the pairwise products of
+    every entry of every component run as one pass.
 
     minimize evaluates ym_value at each candidate, then takes the gradient and
     the line-search quartic at the accepted one, so the memo spares two
@@ -411,13 +417,12 @@ def curvature(c: Connection) -> Curvature:
     if memo is not None and memo[0] is c.A and memo[1] is c.proj:
         return memo[2]
     c.validate()
-    table = {}
-    for i in range(1, c.n + 1):
-        ai = c.A[i - 1]
-        for j in range(i + 1, c.n + 1):
-            aj = c.A[j - 1]
-            table[(i, j)] = _plus_commutators(aj.derive(i) - ai.derive(j), [(ai, aj)])
-    f = Curvature(c.theta, c.q, table)
+    keys = [(i, j) for i in range(1, c.n + 1) for j in range(i + 1, c.n + 1)]
+    jobs = []
+    for i, j in keys:
+        ai, aj = c.A[i - 1], c.A[j - 1]
+        jobs.append((aj.derive(i) - ai.derive(j), [(ai, aj)]))
+    f = Curvature(c.theta, c.q, dict(zip(keys, _plus_commutators(jobs))))
     c._curvature = (c.A, c.proj, f)
     return f
 
@@ -436,12 +441,13 @@ def ym_gradient(c: Connection) -> Perturbation:
     """G_k with d/dt YM(nabla + t mu)|_0 = 2 sum_k Re tau_q(G_k* mu_k).
 
     G_k = sum_{j != k} delta_j(F_kj) + sum_{j != k} [A_j, F_kj], cut to p G_k p
-    on a projected module.  The derivative terms are summed first; then each
-    entry is one ``signed_sum`` over the 2q(n - 1) products of all the
-    commutators (``_plus_commutators``).
+    on a projected module.  The derivative terms are summed first; then the
+    commutators of all the components are one ``_plus_commutators`` call:
+    each entry is summed over the 2q(n - 1) products of its commutators, and
+    the pairwise products of every entry of every G_k run as one pass.
     """
     f = curvature(c)
-    comps = []
+    jobs = []
     for k in range(1, c.n + 1):
         acc = TorusMatrix.zeros(c.theta, c.q)
         brackets = []
@@ -451,11 +457,11 @@ def ym_gradient(c: Connection) -> Perturbation:
             fkj = f.component(k, j)
             acc = acc + fkj.derive(j)
             brackets.append((c.A[j - 1], fkj))
-        acc = _plus_commutators(acc, brackets)
-        if c.proj is not None:
-            p = c.proj.p
-            acc = p @ acc @ p
-        comps.append(acc)
+        jobs.append((acc, brackets))
+    comps = _plus_commutators(jobs)
+    if c.proj is not None:
+        p = c.proj.p
+        comps = [p @ acc @ p for acc in comps]
     return Perturbation(comps)
 
 
@@ -583,15 +589,21 @@ def line_quartic(c: Connection, d) -> tuple:
 
     F_ij(A - t d) = F0 - t F1 + t^2 F2 with F0 the (memoised) curvature of ``c``,
     F1 = delta_i d_j - delta_j d_i + [A_i, d_j] + [d_i, A_j] and F2 = [d_i, d_j];
-    six ``hs_inner`` per pair i < j give the coefficients.  Each entry of F1
-    is one ``signed_sum`` over the 4q products of its two commutators, and
-    each entry of F2 one over 2q (``_plus_commutators``).
+    six ``hs_inner`` per pair i < j give the coefficients.  The F1 and F2 of
+    every pair are one ``_plus_commutators`` call: each entry of F1 is
+    summed over the 4q products of its two commutators, each entry of F2
+    over 2q, and the pairwise products of all of them run as one pass.
     """
-    c0 = c1 = c2 = c3 = c4 = 0.0
-    for (i, j), f0 in curvature(c).items():
+    f0s = curvature(c).items()
+    jobs = []
+    for (i, j), _ in f0s:
         ai, aj, di, dj = c.A[i - 1], c.A[j - 1], d[i - 1], d[j - 1]
-        f1 = _plus_commutators(dj.derive(i) - di.derive(j), [(ai, dj), (di, aj)])
-        f2 = _plus_commutators(TorusMatrix.zeros(c.theta, c.q), [(di, dj)])
+        jobs.append((dj.derive(i) - di.derive(j), [(ai, dj), (di, aj)]))
+        jobs.append((TorusMatrix.zeros(c.theta, c.q), [(di, dj)]))
+    terms = iter(_plus_commutators(jobs))
+    c0 = c1 = c2 = c3 = c4 = 0.0
+    for _, f0 in f0s:
+        f1, f2 = next(terms), next(terms)
         c0 += hs_inner(f0, f0).real
         c1 -= 2.0 * hs_inner(f0, f1).real
         c2 += hs_inner(f1, f1).real + 2.0 * hs_inner(f0, f2).real
@@ -739,13 +751,15 @@ def additivity_report(c1: Connection, c2: Connection) -> AdditivityReport:
 
 
 def subadditivity_check(rep: AdditivityReport) -> bool:
-    """sqrt(YM(product)) <= sqrt(alpha_tau YM(nabla_1)) + sqrt(beta_tau YM(nabla_2)) + slack.
+    """sqrt(YM(product)) <= (sqrt(alpha_tau YM(nabla_1)) + sqrt(beta_tau YM(nabla_2))) (1 + slack).
 
-    The slack is ``SUBADDITIVITY_SLACK``; decided from ``rep``, so no YM is evaluated again.
+    The slack is ``SUBADDITIVITY_SLACK``, relative to the right-hand side, so
+    the verdict does not depend on the scale of YM; decided from ``rep``, so
+    no YM is evaluated again.
     """
     lhs = math.sqrt(max(rep.ym_product, 0.0))
     rhs = math.sqrt(max(rep.alpha_tau * rep.ym1, 0.0)) + math.sqrt(max(rep.beta_tau * rep.ym2, 0.0))
-    return lhs <= rhs + SUBADDITIVITY_SLACK
+    return lhs <= rhs * (1.0 + SUBADDITIVITY_SLACK)
 
 
 def critical_splitting_check(c1: Connection, c2: Connection, tol: float = 1e-8) -> SplittingReport:

@@ -106,11 +106,14 @@ def _traced_torus_product(monkeypatch, **patches):
     return tracer
 
 
-def _literal_commutators(base, pairs):
-    """base + (x @ y) - (y @ x) + ... : the expressions ``_plus_commutators`` replaced."""
-    for x, y in pairs:
-        base = base + (x @ y) - (y @ x)
-    return base
+def _literal_commutators(jobs):
+    """base + (x @ y) - (y @ x) + ... per job: the expressions ``_plus_commutators`` replaced."""
+    out = []
+    for base, pairs in jobs:
+        for x, y in pairs:
+            base = base + (x @ y) - (y @ x)
+        out.append(base)
+    return out
 
 
 def test_torus_product_work_and_kernel_boundary(monkeypatch):
@@ -118,37 +121,46 @@ def test_torus_product_work_and_kernel_boundary(monkeypatch):
     values and differentiates only its two factors.  Every product that
     reaches a star-product kernel came through exactly one of
     ``_star_product`` (under ``TorusElement.__mul__``, where the tracer counts
-    ``torus.star``) and ``signed_sum`` (the commutators of curvature and
-    gradient), and ``signed_sum`` takes the products and pairs of the literal
-    ``@`` expressions it replaced, which the tracer counts through ``@``."""
+    ``torus.star``) and ``signed_sums`` (the commutators of curvature and
+    gradient), and ``signed_sums`` takes the products and pairs of the literal
+    ``@`` expressions it replaced, which the tracer counts through ``@``.
+    Each ``signed_sums`` call runs at most one pairwise pass."""
     torus = ncym.torus
-    route, kernel_products = [], []  # open entry points; (entry points, products) per kernel call
-    star_entries, summed = [], []  # (a, b) per _star_product entry and per product given to signed_sum
+    route, kernel_products = [], []  # open entry points; (entry points, kernel, products) per kernel call
+    star_entries, summed = [], []  # (a, b) per _star_product entry and per product given to signed_sums
+    passes_per_sum = []  # pairwise kernel calls inside each signed_sums call
 
     def entered(name, fn, products_of):
         def call(*args):
             route.append(name)
             products = products_of(*args)
             (star_entries if name == "star" else summed).extend(products)
+            before = len(kernel_products)
             try:
                 return fn(*args)
             finally:
                 route.pop()
+                if name == "sum":
+                    passes_per_sum.append(sum(k == "pairwise" for _, k, _ in kernel_products[before:]))
 
         return call
 
-    def reached(fn, count):
+    def reached(fn, kernel, count):
         def call(*args):
-            kernel_products.append((tuple(route), count(*args)))
+            kernel_products.append((tuple(route), kernel, count(*args)))
             return fn(*args)
 
         return call
 
     monkeypatch.setattr(torus, "_star_product", entered("star", torus._star_product, lambda a, b: [(a, b)]))
-    monkeypatch.setattr(torus, "_pairwise_kernel", reached(torus._pairwise_kernel, lambda th, base, ps: len(ps)))
-    monkeypatch.setattr(torus, "_star_product_box", reached(torus._star_product_box, lambda *args: 1))
-    signed_sum = entered("sum", torus.signed_sum, lambda base, products: [(a, b) for a, b, _ in products])
-    tracer = _traced_torus_product(monkeypatch, signed_sum=signed_sum)
+    monkeypatch.setattr(
+        torus, "_pairwise_kernel", reached(torus._pairwise_kernel, "pairwise", lambda th, bases, ps: len(ps))
+    )
+    monkeypatch.setattr(torus, "_star_product_box", reached(torus._star_product_box, "box", lambda *args: 1))
+    signed_sums = entered(
+        "sum", torus.signed_sums, lambda entries: [(a, b) for _, products in entries for a, b, _ in products]
+    )
+    tracer = _traced_torus_product(monkeypatch, signed_sums=signed_sums)
     assert tracer.calls["yangmills.product_connection"] == 1
     assert tracer.calls["yangmills.ym_value"] == 3
     assert tracer.calls["yangmills.ym_gradient"] == 2
@@ -157,12 +169,13 @@ def test_torus_product_work_and_kernel_boundary(monkeypatch):
     def nonempty(products):
         return [(a, b) for a, b in products if a.coeffs and b.coeffs]
 
-    assert all(len(r) == 1 for r, _ in kernel_products)
+    assert all(len(r) == 1 for r, _, _ in kernel_products)
     by_route = {"star": 0, "sum": 0}
-    for (name,), count in kernel_products:
+    for (name,), _, count in kernel_products:
         by_route[name] += count
     assert by_route == {"star": len(nonempty(star_entries)), "sum": len(nonempty(summed))}
     assert by_route["sum"] > 0
+    assert passes_per_sum and max(passes_per_sum) == 1
 
     literal = _traced_torus_product(monkeypatch, _plus_commutators=_literal_commutators)
     star_pairs = tracer.counters.get("torus.star.pairs", 0)

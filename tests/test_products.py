@@ -1,5 +1,6 @@
 """Product connections: additivity, subadditivity, splitting, constants."""
 
+import dataclasses
 import math
 
 import pytest
@@ -139,6 +140,26 @@ def test_subadditivity_equality_flat_factor():
     lhs = math.sqrt(max(rep.ym_product, 0.0))
     rhs = math.sqrt(rep.alpha_tau * rep.ym1)
     assert abs(lhs - rhs) <= 1e-9
+
+
+SCALES = [10.0**k for k in range(-30, 31, 5)]
+
+
+@pytest.mark.parametrize("flat_second", [False, True], ids=["random-pair", "flat-factor"])
+def test_subadditivity_verdict_at_every_scale(flat_second):
+    """The slack is relative: a free product pair reads subadditive with its
+    YM values scaled anywhere from 1e-30 to 1e30, the flat-factor equality
+    case included, and a report 1e-6 above the bound fails at every scale."""
+    c1, c2 = random_pair(43)
+    if flat_second:
+        c2 = Connection.flat(ThetaMatrix.zeros(2), 1)
+    rep = additivity_report(c1, c2)
+    for s in SCALES:
+        scaled = dataclasses.replace(rep, ym_product=s * rep.ym_product, ym1=s * rep.ym1, ym2=s * rep.ym2)
+        assert subadditivity_check(scaled), s
+        rhs = math.sqrt(scaled.alpha_tau * scaled.ym1) + math.sqrt(scaled.beta_tau * scaled.ym2)
+        above = dataclasses.replace(scaled, ym_product=(rhs * (1.0 + 1e-6)) ** 2)
+        assert not subadditivity_check(above), s
 
 
 def test_splitting_flat_pair():

@@ -1,9 +1,12 @@
 """Algebra laws of the twisted Fourier arithmetic, against independent oracles."""
 
 import cmath
+import itertools
 import math
+import struct
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,7 +27,8 @@ from ncym import (
     ym_gradient,
 )
 from ncym import sampling, torus
-from ncym.torus import signed_sum
+from ncym.torus import signed_sums
+from ncym.yangmills import line_quartic
 
 COEFF_TOL = 1e-12
 
@@ -503,6 +507,12 @@ def test_index_sums_at_the_int64_limit(theta2, terms):
 # -- signed sums against the literal sum of loop products -----------------------
 
 
+def signed_sum(base, products):
+    """The one entry base + sum of -+ a * b, by ``signed_sums``."""
+    (out,) = signed_sums([(base, products)])
+    return out
+
+
 def literal_signed_sum(base, products):
     """base + sum of -+ a * b over (a, b, negate), product by product through the dict loop."""
     out = base
@@ -525,7 +535,7 @@ def signed_sum_tolerance(base, products):
 
 
 @st.composite
-def signed_sums(draw):
+def signed_sum_cases(draw):
     """(base, [(a, b, negate), ...]): one to four products over the theta of ``operand_pairs``."""
     a, b = draw(operand_pairs())
     theta = a.theta
@@ -536,23 +546,29 @@ def signed_sums(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(signed_sums())
+@given(signed_sum_cases())
 def test_signed_sum_matches_literal_sum(case):
     base, products = case
     got = signed_sum(base, products)
     assert coeff_distance(got, literal_signed_sum(base, products)) <= signed_sum_tolerance(base, products)
 
 
-def test_signed_sum_keeps_base_index_past_int64(theta2):
+def test_signed_sum_keeps_base_index_past_int64(theta2, monkeypatch):
     """Only the products' indices need int64: base's coefficients seed the
-    dict pass as they are."""
+    pairwise pass (radius-1 discs, 25 pairs a product) and the chain after
+    the dense box (radius-3 discs, 841 pairs) as they are."""
     gen = sampling.rng(45)
-    a, b = disc(theta2, 3, gen), disc(theta2, 3, gen)
-    far = TorusElement(theta2, {(2**63, 0): 1.0, (0, 0): 2.0})
-    products = [(a, b, False), (b, a, True)]
-    got = signed_sum(far, products)
-    assert got.coeffs[(2**63, 0)] == 1.0
-    assert coeff_distance(got, literal_signed_sum(far, products)) <= signed_sum_tolerance(far, products)
+    far = TorusElement(theta2, {(2**63, 0): 1.0, (0, 0): 2.0, (1, 0): 3.0})
+    calls = count_kernel_calls(monkeypatch)
+    for radius, kernels in [(1, {"pairwise": [2], "box": 0}), (3, {"pairwise": [], "box": 2})]:
+        a, b = disc(theta2, radius, gen), disc(theta2, radius, gen)
+        products = [(a, b, False), (b, a, True)]
+        calls.update(pairwise=[], box=0)
+        got = signed_sum(far, products)
+        assert calls == kernels
+        assert list(got.coeffs)[:3] == list(far.coeffs)
+        assert got.coeffs[(2**63, 0)] == 1.0
+        assert coeff_distance(got, literal_signed_sum(far, products)) <= signed_sum_tolerance(far, products)
 
 
 def count_kernel_calls(monkeypatch):
@@ -560,9 +576,9 @@ def count_kernel_calls(monkeypatch):
     calls = {"pairwise": [], "box": 0}
     pairwise, box = torus._pairwise_kernel, torus._star_product_box
 
-    def counted_pairwise(th, base, products):
+    def counted_pairwise(th, bases, products):
         calls["pairwise"].append(len(products))
-        return pairwise(th, base, products)
+        return pairwise(th, bases, products)
 
     def counted_box(*args):
         calls["box"] += 1
@@ -637,6 +653,144 @@ def test_signed_sum_index_past_int64_raises_as_mul(theta2):
         with pytest.raises(IndexOutOfRange) as via_sum:
             signed_sum(one, [(one, one, False), (left, right, True)])
         assert str(via_sum.value) == str(via_mul.value)
+
+
+# -- several entries in one pass against the per-entry dict pass ----------------
+
+
+def dict_pass_signed_sum(base, products):
+    """base + sum of -+ a * b with the pairwise products summed by a dict pass.
+
+    The pairwise kernel as it was before it grouped pairs by sorting, one
+    entry at a time: the pairs of the entry's pairwise products, gathered
+    product by product, then added one by one into a copy of base's dict in
+    that order; the dense-box products are then added in order.  The
+    reference that ``signed_sums`` must match bit for bit, values and key
+    order, whatever other entries share its pass.
+    """
+    th = base.theta
+    pairwise, boxed = [], []
+    for a, b, negate in products:
+        if not a.coeffs or not b.coeffs:
+            continue
+        ra, ca, rb, cb = ops = torus._operand_terms(a, b)
+        if torus._takes_box(*ops):
+            boxed.append((ops, negate))
+        else:
+            pairwise.append((ra, -ca if negate else ca, rb, cb))
+    out = base
+    if pairwise:
+        vals, keys = [], []
+        w = torus._cocycle_rows(th, np.concatenate([p[0] for p in pairwise]))
+        at = 0
+        for ra, ca, rb, cb in pairwise:
+            wa, at = w[at : at + len(ra)], at + len(ra)
+            phases = torus._phases(torus._exponents(wa[:, None, :], rb[None, :, :]))
+            vals += torus._cmul(torus._cmul(ca[:, None], cb[None, :]), phases).reshape(-1).tolist()
+            keys += map(tuple, (ra[:, None, :] + rb[None, :, :]).reshape(-1, th.n).tolist())
+        coeffs = dict(base.coeffs)
+        for key, v in zip(keys, vals):
+            coeffs[key] = coeffs.get(key, 0j) + v
+        out = TorusElement._raw(th, torus._trimmed(coeffs))
+    for ops, negate in boxed:
+        prod = torus._star_product_box(th, *ops)
+        out = out - prod if negate else out + prod
+    return out
+
+
+def bits(el):
+    """(key, bytes of the coefficient) in key order: equal exactly when the bits are.
+
+    A NaN part reads as NaN, whatever its sign and payload: of two NaNs,
+    Python's float add keeps the second and numpy's add the first.
+    """
+    return [
+        (r, tuple("nan" if math.isnan(x) else struct.pack("<d", x) for x in (c.real, c.imag)))
+        for r, c in el.coeffs.items()
+    ]
+
+
+def far_element(draw, theta):
+    """Up to 6 terms with entries up to 2**61: the (entry, key) codes of a pass pass 2**62."""
+    index = st.tuples(*[st.integers(-(2**61), 2**61)] * theta.n)
+    values = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+    return TorusElement(theta, {k: draw(values) for k in draw(st.lists(index, max_size=6, unique=True))})
+
+
+def box_element(draw, theta):
+    """Every multi-index of a cube of 27 to 81 terms: products of two take the dense box."""
+    radius = {1: 20, 2: 3, 3: 1, 4: 1}[theta.n]
+    gen = sampling.rng(draw(st.integers(0, 2**16)))
+    cube = itertools.product(range(-radius, radius + 1), repeat=theta.n)
+    return TorusElement(theta, {r: complex(gen.normal(), gen.normal()) for r in cube})
+
+
+@st.composite
+def signed_sums_entries(draw):
+    """[(base, [(a, b, negate), ...]), ...]: one to five entries over one theta.
+
+    Operands are drawn, empty, far (their codes need the row sort) or dense
+    cubes (their products take the box); a drawn one may carry a NaN.  Bases
+    are drawn or far, so many of their keys are untouched by the products.
+    """
+    theta = draw_theta(draw)
+    kind = st.sampled_from(["drawn", "drawn", "far", "box"])
+
+    def operand():
+        el = {"drawn": draw_element, "far": far_element, "box": box_element}[draw(kind)](draw, theta)
+        if el.coeffs and draw(st.integers(0, 9)) == 0:
+            el = TorusElement(theta, {**el.coeffs, next(iter(el.coeffs)): complex(math.nan, 1.0)})
+        return el
+
+    entries = []
+    for _ in range(draw(st.integers(1, 5))):
+        base = (far_element if draw(st.booleans()) else draw_element)(draw, theta)
+        products = [(operand(), operand(), draw(st.booleans())) for _ in range(draw(st.integers(0, 4)))]
+        if draw(st.booleans()) and products:
+            # the same operands again, the other way round: a commutator's terms
+            a, b, negate = products[0]
+            products.append((b, a, not negate))
+        entries.append((base, products))
+    return entries
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_sums_entries())
+def test_signed_sums_match_the_dict_pass_bit_for_bit(entries):
+    got = signed_sums(entries)
+    assert [bits(x) for x in got] == [bits(dict_pass_signed_sum(*entry)) for entry in entries]
+
+
+def test_signed_sums_sort_rows_past_the_code_limit(theta2, monkeypatch):
+    """Keys 2**61 apart put the (entry, key) codes of one pass past 2**62:
+    the pass sorts its rows instead, with the same bits."""
+    gen = sampling.rng(46)
+    small, other = disc(theta2, 1, gen), disc(theta2, 1, gen)
+    far = TorusElement(theta2, {(2**61, -(2**61)): 1.5 - 0.5j, (-(2**61), 0): 2j, (0, 2**61): -1.0})
+    entries = [(small, [(far, small, False), (small, far, True)]), (other, [(small, other, False)]), (far, [])]
+    keys = [(r[0] + s[0], r[1] + s[1]) for a, b, _ in entries[0][1] for r in a.coeffs for s in b.coeffs]
+    volume = math.prod(max(k[m] for k in keys) - min(k[m] for k in keys) + 1 for m in range(2))
+    assert len(entries) * volume >= torus._CODE_LIMIT
+    calls = count_kernel_calls(monkeypatch)
+    got = signed_sums(entries)
+    assert calls == {"pairwise": [3], "box": 0}
+    assert [bits(x) for x in got] == [bits(dict_pass_signed_sum(*entry)) for entry in entries]
+    assert got[2] is far
+
+
+def test_one_pairwise_pass_per_curvature_gradient_and_quartic(monkeypatch):
+    """Every entry of every component, of F1 and F2 for every pair, shares one pass."""
+    gen = sampling.rng(48)
+    th = sampling.random_theta(3, gen)
+    c = random_connection(th, 2, gen, radius=1, terms=3, amplitude=0.3)
+    d = random_connection(th, 2, gen, radius=1, terms=3, amplitude=0.3).A
+    calls = count_kernel_calls(monkeypatch)
+    curvature(c)
+    assert len(calls["pairwise"]) == 1 and calls["box"] == 0
+    for step in (lambda: ym_gradient(c), lambda: line_quartic(c, d)):
+        calls.update(pairwise=[], box=0)
+        step()
+        assert len(calls["pairwise"]) == 1 and calls["box"] == 0
 
 
 # -- the term arrays kept on each element ---------------------------------------
