@@ -39,36 +39,35 @@ array kernels are checked against.
 
 Star-product kernels
 --------------------
-A single product enters through ``TorusElement.__mul__`` (or ``mul``) and
-``_star_product``.  The entries of one or more sums base + sum of
--+ a_k * b_k, the entries of sums of matrix products or commutators, enter
-together through ``signed_sums`` without passing ``__mul__``: ``yangmills``
-forms the curvature, the gradient and the line-search terms that way.  Both
-send each product to one of two array kernels by the same rule
-(``_takes_box``).  The dense-box kernel takes products of more than
-``_VECTOR_CUTOFF`` pairs of terms whose box work is at most
-``_DENSE_WORK_PER_PAIR`` per pair and whose coefficients are all finite.  It
-is a twisted convolution: row 0 of P is zero, so w = r P depends only on r's
-tail (r_1..r_{n-1}), and a's terms are grouped by their tail; each group
-modulates b, scattered into its dense bounding box, by the separable phases
-e(w_m s_m), convolves it along axis 0 with the group's r_0 row in one batched
-Toeplitz matmul, and one bincount adds every group into the output box.  Its
-cost follows the boxes, not the pair count.  Every other product (few pairs,
-a far-out term that makes the box huge, a non-finite coefficient) runs the
-pairwise kernel (``_pairwise_kernel``): the per-pair exponents and phases as
-whole arrays over the pairs of all the products it is given, then the pairs
-grouped by (entry, output key) with a stable sort, and each group summed
-from its base coefficient by ``np.add.at`` in pass order, the order of the
-pair-by-pair dict loop that the tests keep as the reference, so the sums
-have its bits; its time and memory follow the pair count.  A single product
-is its one-entry, one-product case (``_star_product_pairs``), which
-broadcasts a's terms against b's; ``signed_sums`` gives it the pairwise
-products of all of its entries at once, gathered by index arithmetic, and
-adds each entry's dense-box products after it, in order.  The involution is
-one array pass of the same kind over the terms.  All of them hold the
-multi-indices in int64, so operands whose indices (or, for a product, index
-sums) could leave it raise ``IndexOutOfRange``.  All drop exactly the values
-with |c| < ``CANONICAL_EPS``; NaN is kept.
+Every star product and every sum of star products has one entry point,
+``signed_sums``: it takes the entries of one or more sums base + sum of
+-+ a_k * b_k and returns them all.  A single product ``a * b`` (through
+``TorusElement.__mul__`` or ``mul``) is the one entry zero + a * b, a matrix
+product ``@`` is one call over its q^2 entries, and ``yangmills`` forms the
+curvature, the gradient and the line-search terms the same way.  It sends
+each product to one of two array kernels (``_takes_box``).  The dense-box
+kernel takes products of more than ``_VECTOR_CUTOFF`` pairs of terms whose
+box work is at most ``_DENSE_WORK_PER_PAIR`` per pair and whose coefficients
+are all finite.  It is a twisted convolution: row 0 of P is zero, so w = r P
+depends only on r's tail (r_1..r_{n-1}), and a's terms are grouped by their
+tail; each group modulates b, scattered into its dense bounding box, by the
+separable phases e(w_m s_m), convolves it along axis 0 with the group's r_0
+row in one batched Toeplitz matmul, and one bincount adds every group into
+the output box.  Its cost follows the boxes, not the pair count.  Every
+other product (few pairs, a far-out term that makes the box huge, a
+non-finite coefficient) runs the pairwise kernel (``_pairwise_kernel``), one
+pass over the pairwise products of all the entries: the pairs are gathered
+from the concatenated term arrays by index arithmetic, their exponents and
+phases are whole-array operations, and the pairs are grouped by (entry,
+output key) with a stable sort, each group summed from its base coefficient
+by ``np.add.at`` in pass order, the order of the pair-by-pair dict loop that
+the tests keep as the reference, so the sums have its bits; its time and
+memory follow the pair count.  Each entry's dense-box products are added
+after the pass, in order.  The involution is one array pass of the same kind
+over the terms.  All of them hold the multi-indices in int64, so operands
+whose indices (or, for a product, index sums) could leave it raise
+``IndexOutOfRange``.  All drop exactly the values with |c| <
+``CANONICAL_EPS``; NaN is kept.
 
 An element's int64 index array and complex coefficient array are built once,
 the first time a kernel takes it, and kept on the element read-only
@@ -352,35 +351,27 @@ _DENSE_WORK_PER_PAIR = 32
 
 
 def _star_product(a: TorusElement, b: TorusElement) -> TorusElement:
-    """a * b by the kernel that suits the operands; an empty operand gives zero.
-
-    The dense box runs when ``_takes_box`` says so, ``_star_product_pairs``
-    otherwise.  ``IndexOutOfRange`` if an entry of r + s could leave int64.
-    """
-    a._check(b)
-    th = a.theta
-    if not a.coeffs or not b.coeffs:
-        return TorusElement._raw(th, {})
-    ops = _operand_terms(a, b)
-    if _takes_box(*ops):
-        return _star_product_box(th, *ops)
-    return _star_product_pairs(th, *ops)
+    """a * b: the one entry zero + a * b of ``signed_sums``; an empty operand gives zero."""
+    return signed_sums([(TorusElement._raw(a.theta, {}), [(a, b, False)])])[0]
 
 
 def signed_sums(entries) -> list:
     """[base + sum of (-1 if negate else 1) a * b] for each (base, [(a, b, negate), ...]) entry.
 
-    The entries of one or more sums of matrix products or commutators, as
-    ``yangmills.curvature``, ``ym_gradient`` and ``line_quartic`` form them.
-    A product with an empty operand adds nothing.  Each product goes to the
-    kernel that ``_star_product`` would pick for it.  Those for the pairwise
-    kernel, of every entry, run as one pass that seeds each entry with its
-    base's coefficients; a negated one enters it with its left coefficients
-    negated, which is exact.  Then each entry's dense-box products are added
-    or subtracted one by one, in order, so an entry whose products all take
-    the box is the chain (base + p1) - p2 ...  An entry without products is
-    its base.  Every base and operand shares one theta.  ``IndexOutOfRange``
-    as for ``_star_product``.
+    The one entry point of the star-product kernels: a single product, the
+    entries of a matrix product and those of one or more sums of
+    commutators, as ``yangmills.curvature``, ``ym_gradient`` and
+    ``line_quartic`` form them.  A product with an empty operand adds
+    nothing.  ``_takes_box`` picks each product's kernel.  Those for the
+    pairwise kernel, of every entry, run as one pass that seeds each entry
+    with its base's coefficients; a negated one enters it with its left
+    coefficients negated, which is exact.  Then each entry's dense-box
+    products are added or subtracted one by one, in order, so an entry whose
+    products all take the box is the chain (base + p1) - p2 ...; an entry
+    that is still empty takes its first box product as it is, which has the
+    bits of zero + p1 (the box sums from +0.0, so no part of p1 is -0.0).  An
+    entry without products is its base.  Every base and operand shares one
+    theta.  ``IndexOutOfRange`` if an entry of r + s could leave int64.
     """
     if not entries:
         return []
@@ -395,8 +386,9 @@ def signed_sums(entries) -> list:
             if not a.coeffs or not b.coeffs:
                 continue
             ra, ca, rb, cb = ops = _operand_terms(a, b)
-            if _takes_box(*ops):
-                box.append((ops, negate))
+            bounds = _takes_box(*ops)
+            if bounds:
+                box.append((ops, bounds, negate))
             else:
                 pairwise.append((e, ra, -ca if negate else ca, rb, cb))
         boxed.append(box)
@@ -404,9 +396,14 @@ def signed_sums(entries) -> list:
     bases = [base for base, _ in entries]
     outs = _pairwise_kernel(th, bases, pairwise) if pairwise else bases
     for e, box in enumerate(boxed):
-        for ops, negate in box:
-            prod = _star_product_box(th, *ops)
-            outs[e] = outs[e] - prod if negate else outs[e] + prod
+        for ops, bounds, negate in box:
+            prod = _star_product_box(th, *ops, bounds)
+            if negate:
+                outs[e] = outs[e] - prod
+            elif outs[e].coeffs:
+                outs[e] = outs[e] + prod
+            else:
+                outs[e] = prod
     return outs
 
 
@@ -425,8 +422,9 @@ def _operand_terms(a: TorusElement, b: TorusElement):
     return ra, ca, rb, cb
 
 
-def _takes_box(ra, ca, rb, cb) -> bool:
-    """Whether a product runs the dense box rather than the pairwise kernel.
+def _takes_box(ra, ca, rb, cb):
+    """The operands' ``_boxes`` when a product runs the dense box rather than
+    the pairwise kernel, None when it does not.
 
     It does when there are more than ``_VECTOR_CUTOFF`` pairs, its work is at
     most ``_DENSE_WORK_PER_PAIR`` per pair and every coefficient is finite (it
@@ -434,12 +432,11 @@ def _takes_box(ra, ca, rb, cb) -> bool:
     spread NaN outside the product's support).
     """
     pairs = len(ca) * len(cb)
-    return (
-        pairs > _VECTOR_CUTOFF
-        and _dense_box_work(ra, rb) <= _DENSE_WORK_PER_PAIR * pairs
-        and np.isfinite(ca).all()
-        and np.isfinite(cb).all()
-    )
+    if pairs > _VECTOR_CUTOFF and np.isfinite(ca).all() and np.isfinite(cb).all():
+        bounds = _boxes(ra, rb)
+        if _dense_box_work(len(ra), bounds) <= _DENSE_WORK_PER_PAIR * pairs:
+            return bounds
+    return None
 
 
 def _terms(a: TorusElement):
@@ -524,11 +521,6 @@ def _element(th: ThetaMatrix, vals, keys_at) -> TorusElement:
     return TorusElement._raw(th, dict(zip(zip(*keys_at(kept).T.tolist()), vals[kept].tolist())))
 
 
-def _star_product_pairs(th: ThetaMatrix, ra, ca, rb, cb) -> TorusElement:
-    """a * b by the pairwise kernel: one entry of one product, from zero."""
-    return _pairwise_kernel(th, [TorusElement._raw(th, {})], [(0, ra, ca, rb, cb)])[0]
-
-
 #: Codes of (entry, key) at or past this are not formed; the rows are sorted instead.
 _CODE_LIMIT = 2**62
 
@@ -543,8 +535,8 @@ def _pairwise_kernel(th: ThetaMatrix, bases, products) -> list:
     product and each in the order of the pair-by-pair dict loop kept in the
     tests, are gathered from the concatenated term arrays by index
     arithmetic, so the number of numpy calls does not grow with the number
-    of products or entries; a single product broadcasts a's terms against
-    b's instead.  Their exponents, phases and complex products are
+    of products or entries; a single product is the one-product case of the
+    same gather.  Their exponents, phases and complex products are
     whole-array operations.  The pairs are then grouped by (entry, key): a
     stable sort of one int64 code, the entry as its most significant digit
     (when the pass holds more than one) and the key's place in the pass's key
@@ -561,30 +553,24 @@ def _pairwise_kernel(th: ThetaMatrix, bases, products) -> list:
     sum and numpy's exp in place of cmath's: the complex products are formed
     by ``_cmul``.
     """
-    if len(products) == 1:
-        # the same pairs in the same order, by broadcasting: fewer numpy calls
-        ((_, ra, ca, rb, cb),) = products
-        left, right = ca.reshape(-1, 1), cb.reshape(1, -1)
-        w, r, s = _cocycle_rows(th, ra)[:, None, :], ra[:, None, :], rb[None, :, :]
-    else:
-        es, ra, ca, rb, cb = zip(*products)
-        na = np.array([len(c) for c in ca])
-        nb = np.array([len(c) for c in cb])
-        ra, ca, rb, cb = (np.concatenate(x) for x in (ra, ca, rb, cb))
-        # each left term takes its product's right terms in order: a block of
-        # ``per_left`` pairs that starts where the previous block ends
-        per_left = nb.repeat(na)
-        ia = np.arange(len(ca)).repeat(per_left)
-        ends = per_left.cumsum()
-        first_right = (nb.cumsum() - nb).repeat(na)
-        ib = np.arange(ends[-1]) + (first_right - ends + per_left).repeat(per_left)
-        left, right = ca[ia], cb[ib]
-        # ``take`` gathers whole rows at once, where indexing copies them one by one
-        w, r, s = _cocycle_rows(th, ra).take(ia, 0), ra.take(ia, 0), rb.take(ib, 0)
-    vals = _cmul(_cmul(left, right), _phases(_exponents(w, s))).reshape(-1)
+    es, ra, ca, rb, cb = zip(*products)
+    na = np.array([len(c) for c in ca])
+    nb = np.array([len(c) for c in cb])
+    ra, ca, rb, cb = (np.concatenate(x) for x in (ra, ca, rb, cb))
+    # each left term takes its product's right terms in order: a block of
+    # ``per_left`` pairs that starts where the previous block ends
+    per_left = nb.repeat(na)
+    ia = np.arange(len(ca)).repeat(per_left)
+    ends = per_left.cumsum()
+    first_right = (nb.cumsum() - nb).repeat(na)
+    ib = np.arange(ends[-1]) + (first_right - ends + per_left).repeat(per_left)
+    left, right = ca[ia], cb[ib]
+    # ``take`` gathers whole rows at once, where indexing copies them one by one
+    w, r, s = _cocycle_rows(th, ra).take(ia, 0), ra.take(ia, 0), rb.take(ib, 0)
+    vals = _cmul(_cmul(left, right), _phases(_exponents(w, s)))
     # the keys one index column per row: the reductions and gathers below
     # then run along contiguous rows
-    keys = np.ascontiguousarray((r + s).reshape(-1, th.n).T)
+    keys = np.ascontiguousarray((r + s).T)
     # each pair's entry, when the pairs belong to more than one
     entry = None if products[0][0] == products[-1][0] else np.array(es).repeat(na * nb)
 
@@ -648,33 +634,46 @@ def _pairwise_kernel(th: ThetaMatrix, bases, products) -> list:
     return outs
 
 
-def _dense_box_work(ra, rb) -> int:
+def _boxes(ra, rb):
+    """(lo_a, ext_a, lo_b, ext_b): each operand's least multi-index and its
+    box's extent per axis, lists of Python ints (a box can be wider than
+    int64).  Each index array is reduced once, as a transposed copy: numpy
+    reduces the rows of a short, wide array faster than the columns of a
+    tall one.
+    """
+    out = []
+    for r in (ra, rb):
+        cols = np.ascontiguousarray(r.T)
+        lo, hi = cols.min(1).tolist(), cols.max(1).tolist()
+        out += [lo, [h - l + 1 for h, l in zip(hi, lo)]]
+    return tuple(out)
+
+
+def _dense_box_work(terms_a: int, bounds) -> int:
     """Output box cells plus an upper bound on _star_product_box's multiply-adds.
 
-    The matmul does (groups) x (output extent along axis 0) x (cells of b's
-    box) multiply-adds, and a has at most min(terms, tail cells of its box)
-    groups.  Extents are Python ints: a box can be wider than int64.
+    ``bounds`` are the operands' ``_boxes``.  The matmul does (groups) x
+    (output extent along axis 0) x (cells of b's box) multiply-adds, and a
+    has at most min(terms, tail cells of its box) groups.
     """
-    ext_a = [hi - lo + 1 for hi, lo in zip(ra.max(0).tolist(), ra.min(0).tolist())]
-    ext_b = [hi - lo + 1 for hi, lo in zip(rb.max(0).tolist(), rb.min(0).tolist())]
+    _, ext_a, _, ext_b = bounds
     cells = math.prod(x + y - 1 for x, y in zip(ext_a, ext_b))
-    groups = min(len(ra), math.prod(ext_a[1:]))
+    groups = min(terms_a, math.prod(ext_a[1:]))
     return cells + groups * (ext_a[0] + ext_b[0] - 1) * math.prod(ext_b)
 
 
-def _star_product_box(th: ThetaMatrix, ra, ca, rb, cb) -> TorusElement:
+def _star_product_box(th: ThetaMatrix, ra, ca, rb, cb, bounds) -> TorusElement:
     """Twisted convolution over the dense bounding boxes of the operands.
 
-    The cocycle exponent r P s^T equals w . s with w = r P, and row 0 of P is
-    zero, so w depends only on the tail (r_1..r_{n-1}) of r.  Grouping a's
-    terms by tail, each group's contribution is b modulated by the separable
-    phase prod_m e(w_m s_m), convolved along axis 0 with the group's r_0 row
-    (one batched Toeplitz matmul) and shifted by the tail.
+    ``bounds`` are the operands' ``_boxes``.  The cocycle exponent r P s^T
+    equals w . s with w = r P, and row 0 of P is zero, so w depends only on
+    the tail (r_1..r_{n-1}) of r.  Grouping a's terms by tail, each group's
+    contribution is b modulated by the separable phase prod_m e(w_m s_m),
+    convolved along axis 0 with the group's r_0 row (one batched Toeplitz
+    matmul) and shifted by the tail.
     """
     n = th.n
-    loa, lob = ra.min(0), rb.min(0)
-    ext_a = ra.max(0) - loa + 1
-    ext_b = rb.max(0) - lob + 1
+    loa, ext_a, lob, ext_b = (np.array(x, dtype=np.int64) for x in bounds)
     ext = ext_a + ext_b - 1
     # output cells are numbered with axis 0 fastest
     stride = np.cumprod(np.concatenate(([1], ext[:-1])))

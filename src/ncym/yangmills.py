@@ -127,25 +127,18 @@ class TorusMatrix:
     def __matmul__(self, other):
         """Entry (i, j) is the sum over k of entries[i][k] * other[k][j].
 
-        Only the pairs whose operands are both nonzero are multiplied, and each
-        sum starts from its first product (zero when there is none), so a
-        block-diagonal operand costs no star products off its blocks.  The
-        coefficients equal those of the literal sum from zero.
+        All q^2 entries are one ``signed_sums`` call, so their pairwise
+        products run as one pass.  A product with an empty operand adds
+        nothing, so a block-diagonal operand costs no star products off its
+        blocks.  Each entry is summed in the pass's order, not the literal
+        sum's, and equals the literal sum from zero up to rounding.
         """
         self._check(other)
         zero = TorusElement.zero(self.theta)
         cols = list(zip(*other.entries))
-        rows = []
-        for arow in self.entries:
-            row = []
-            for col in cols:
-                acc = None
-                for a, b in zip(arow, col):
-                    if a.coeffs and b.coeffs:
-                        acc = a * b if acc is None else acc + a * b
-                row.append(zero if acc is None else acc)
-            rows.append(row)
-        return TorusMatrix(self.theta, rows)
+        entries = [(zero, [(a, b, False) for a, b in zip(arow, col)]) for arow in self.entries for col in cols]
+        sums = iter(signed_sums(entries))
+        return TorusMatrix(self.theta, [[next(sums) for _ in cols] for _ in self.entries])
 
     def dagger(self):
         """Conjugate transpose composed with the torus involution."""

@@ -15,6 +15,7 @@ import pytest
 
 import ncym
 import ncym.cli
+from ncym import TorusElement, TorusMatrix
 from ncym import config as cfg
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -106,12 +107,32 @@ def _traced_torus_product(monkeypatch, **patches):
     return tracer
 
 
+def _literal_matmul(x, y):
+    """x @ y as the literal sum of element products: each entry the chain
+    x[i][k] * y[k][j] + ... over the k whose operands are both nonempty,
+    starting from its first product (zero when there is none)."""
+    zero = TorusElement.zero(x.theta)
+    rows = []
+    for xrow in x.entries:
+        row = []
+        for col in zip(*y.entries):
+            acc = None
+            for a, b in zip(xrow, col):
+                if a.coeffs and b.coeffs:
+                    acc = a * b if acc is None else acc + a * b
+            row.append(zero if acc is None else acc)
+        rows.append(row)
+    return TorusMatrix(x.theta, rows)
+
+
 def _literal_commutators(jobs):
-    """base + (x @ y) - (y @ x) + ... per job: the expressions ``_plus_commutators`` replaced."""
+    """base + (x @ y) - (y @ x) + ... per job, with ``@`` spelled as element
+    ``*`` and ``+``: the expressions ``_plus_commutators`` replaced, each star
+    product of them counted by the tracer at ``TorusElement.__mul__``."""
     out = []
     for base, pairs in jobs:
         for x, y in pairs:
-            base = base + (x @ y) - (y @ x)
+            base = base + _literal_matmul(x, y) - _literal_matmul(y, x)
         out.append(base)
     return out
 
@@ -123,7 +144,8 @@ def test_torus_product_work_and_kernel_boundary(monkeypatch):
     ``_star_product`` (under ``TorusElement.__mul__``, where the tracer counts
     ``torus.star``) and ``signed_sums`` (the commutators of curvature and
     gradient), and ``signed_sums`` takes the products and pairs of the literal
-    ``@`` expressions it replaced, which the tracer counts through ``@``.
+    ``@`` expressions it replaced, which the tracer counts through ``*`` when
+    ``@`` is spelled with it.
     Each ``signed_sums`` call runs at most one pairwise pass."""
     torus = ncym.torus
     route, kernel_products = [], []  # open entry points; (entry points, kernel, products) per kernel call

@@ -4,7 +4,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ncym import (
     Connection,
@@ -211,13 +211,17 @@ PRODUCT_GRADIENT_RTOL = 1e-12
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), q2=st.sampled_from([1, 2]))
+@example(seed=414, q2=1)
 def test_product_gradient_norm_identity(seed, q2):
     """On free modules ||G_prod||^2 = q2 ||G1||^2 + q1 ||G2||^2 (the mixed
-    curvature vanishes); the literal product gradient is the oracle."""
+    curvature vanishes); the literal product gradient is the oracle.  The
+    identity is written as the library writes it, n * n and not n**2: libm's
+    pow may differ from the product in the last bit (seed 414 does)."""
     c1, c2 = random_pair(seed, q2=q2)
     literal = gradient_norm(product_connection(c1, c2))
     rep = critical_splitting_check(c1, c2, tol=1e-6)
-    identity = math.sqrt(q2 * rep.gradient_norm_1**2 + c1.q * rep.gradient_norm_2**2)
+    n1, n2 = rep.gradient_norm_1, rep.gradient_norm_2
+    identity = math.sqrt(q2 * n1 * n1 + c1.q * n2 * n2)
     assert rep.gradient_norm_product == identity
     assert abs(identity - literal) <= PRODUCT_GRADIENT_RTOL * literal
 

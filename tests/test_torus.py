@@ -418,15 +418,16 @@ def test_array_kernels_match_dict_loop(pair):
     if a.coeffs and b.coeffs:
         (ra, ca, _), (rb, cb, _) = torus._terms(a), torus._terms(b)
         # both kernels run on every pair here, whatever mul would choose
-        pairs = torus._star_product_pairs(a.theta, ra, ca, rb, cb)
+        (pairs,) = torus._pairwise_kernel(a.theta, [TorusElement.zero(a.theta)], [(0, ra, ca, rb, cb)])
         assert coeff_distance(pairs, ref) <= tol
         if not any(v for row in a.theta.entries for v in row):
             # no phases at theta = 0: the pairwise kernel does the loop's arithmetic
             assert pairs.coeffs == ref.coeffs
         # called directly, the dense box also runs on wide supports, up to a size
         # that keeps its arrays at a few MB
-        if torus._dense_box_work(ra, rb) <= 10**6:
-            assert coeff_distance(torus._star_product_box(a.theta, ra, ca, rb, cb), ref) <= tol
+        bounds = torus._boxes(ra, rb)
+        if torus._dense_box_work(len(ra), bounds) <= 10**6:
+            assert coeff_distance(torus._star_product_box(a.theta, ra, ca, rb, cb, bounds), ref) <= tol
 
 
 def disc(theta, radius, gen):
@@ -448,7 +449,7 @@ def refuse(*args):
 def test_dense_operands_take_dense_box(theta2, monkeypatch):
     gen = sampling.rng(19)
     a, b = disc(theta2, 6, gen), disc(theta2, 5, gen)
-    monkeypatch.setattr(torus, "_star_product_pairs", refuse)
+    monkeypatch.setattr(torus, "_pairwise_kernel", refuse)
     assert coeff_distance(mul(a, b), star_product_loop(a, b)) <= kernel_tolerance(a, b)
 
 
@@ -674,8 +675,9 @@ def dict_pass_signed_sum(base, products):
         if not a.coeffs or not b.coeffs:
             continue
         ra, ca, rb, cb = ops = torus._operand_terms(a, b)
-        if torus._takes_box(*ops):
-            boxed.append((ops, negate))
+        bounds = torus._takes_box(*ops)
+        if bounds:
+            boxed.append((ops, bounds, negate))
         else:
             pairwise.append((ra, -ca if negate else ca, rb, cb))
     out = base
@@ -692,8 +694,8 @@ def dict_pass_signed_sum(base, products):
         for key, v in zip(keys, vals):
             coeffs[key] = coeffs.get(key, 0j) + v
         out = TorusElement._raw(th, torus._trimmed(coeffs))
-    for ops, negate in boxed:
-        prod = torus._star_product_box(th, *ops)
+    for ops, bounds, negate in boxed:
+        prod = torus._star_product_box(th, *ops, bounds)
         out = out - prod if negate else out + prod
     return out
 
@@ -708,6 +710,21 @@ def bits(el):
         (r, tuple("nan" if math.isnan(x) else struct.pack("<d", x) for x in (c.real, c.imag)))
         for r, c in el.coeffs.items()
     ]
+
+
+@pytest.mark.parametrize("n,radius", [(2, 3), (3, 1), (4, 1)])
+def test_mul_on_the_box_is_the_box_kernel_bit_for_bit(n, radius):
+    """A single product that takes the box is the box kernel's output as it
+    is, values and key order: its entry, still empty, takes the product
+    without adding it to zero."""
+    gen = sampling.rng(49 + n)
+    th = sampling.random_theta(n, gen)
+    cube = list(itertools.product(range(-radius, radius + 1), repeat=n))
+    a, b = (TorusElement(th, {r: complex(gen.normal(), gen.normal()) for r in cube}) for _ in range(2))
+    ops = torus._operand_terms(a, b)
+    bounds = torus._takes_box(*ops)
+    assert bounds
+    assert bits(mul(a, b)) == bits(a * b) == bits(torus._star_product_box(th, *ops, bounds))
 
 
 def far_element(draw, theta):
@@ -779,7 +796,8 @@ def test_signed_sums_sort_rows_past_the_code_limit(theta2, monkeypatch):
 
 
 def test_one_pairwise_pass_per_curvature_gradient_and_quartic(monkeypatch):
-    """Every entry of every component, of F1 and F2 for every pair, shares one pass."""
+    """Every entry of every component, of F1 and F2 for every pair, and of a
+    matrix product shares one pass."""
     gen = sampling.rng(48)
     th = sampling.random_theta(3, gen)
     c = random_connection(th, 2, gen, radius=1, terms=3, amplitude=0.3)
@@ -787,7 +805,8 @@ def test_one_pairwise_pass_per_curvature_gradient_and_quartic(monkeypatch):
     calls = count_kernel_calls(monkeypatch)
     curvature(c)
     assert len(calls["pairwise"]) == 1 and calls["box"] == 0
-    for step in (lambda: ym_gradient(c), lambda: line_quartic(c, d)):
+    x, y = c.A[0], d[1]
+    for step in (lambda: ym_gradient(c), lambda: line_quartic(c, d), lambda: x @ y):
         calls.update(pairwise=[], box=0)
         step()
         assert len(calls["pairwise"]) == 1 and calls["box"] == 0

@@ -26,6 +26,7 @@ from ncym import (
     ym_value,
 )
 from ncym import sampling
+from test_torus import bits, coeff_distance, dict_pass_signed_sum, signed_sum_tolerance
 from ncym.yangmills import (
     COMPAT_TOL,
     _kron_matrix,
@@ -157,8 +158,18 @@ def random_matrix(th, q, gen, zero_share):
     return TorusMatrix(th, rows)
 
 
-def same_coefficients(x, y):
-    return all(a.coeffs == b.coeffs for ra, rb in zip(x.entries, y.entries) for a, b in zip(ra, rb))
+def assert_matmul_is_the_dict_pass(x, y):
+    """Each entry of x @ y has the bits of the dict pass over its products
+    (``dict_pass_signed_sum``, the oracle of one ``signed_sums`` entry) and
+    equals the literal sum within ``signed_sum_tolerance``, fixed from float64
+    before measuring."""
+    zero = TorusElement.zero(x.theta)
+    got, literal = x @ y, literal_matmul(x, y)
+    for i in range(x.q):
+        for j in range(x.q):
+            products = [(x.entries[i][k], y.entries[k][j], False) for k in range(x.q)]
+            assert bits(got.entries[i][j]) == bits(dict_pass_signed_sum(zero, products))
+            assert coeff_distance(got.entries[i][j], literal.entries[i][j]) <= signed_sum_tolerance(zero, products)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3])
@@ -168,7 +179,7 @@ def test_matmul_matches_literal_sum(q):
     for zero_share in (0.0, 0.4, 1.0):
         for _ in range(5):
             x, y = random_matrix(th, q, gen, zero_share), random_matrix(th, q, gen, zero_share)
-            assert same_coefficients(x @ y, literal_matmul(x, y))
+            assert_matmul_is_the_dict_pass(x, y)
 
 
 @pytest.mark.parametrize("q2", [2, 3])
@@ -182,7 +193,7 @@ def test_matmul_matches_literal_sum_block_diagonal(q2):
         y = _kron_matrix(random_matrix(th, 1, gen, 0.0), one)
         z = _kron_matrix(TorusMatrix.identity(th, 1), random_matrix(ph, q2, gen, 0.3))
         for a, b in ((x, y), (x, z), (z, x)):
-            assert same_coefficients(a @ b, literal_matmul(a, b))
+            assert_matmul_is_the_dict_pass(a, b)
 
 
 def test_compatibility_skew_true_nonskew_false():
