@@ -31,43 +31,47 @@ One cocycle
 -----------
 Let P be the strictly lower part of Theta^T (``ThetaMatrix._pair_mat``),
 P[k][m] = Theta[m][k] for m < k.  Then sigma(r, s) = e(r P s^T) = e(w . s)
-with w = r P, and every phase in this module is formed that way: one matmul
-gives w for a whole array of terms, and the sum w . s runs over P's columns
-in order with elementwise multiplies and adds (``_exponents``).  The scalar
-per-term form of the exponent is kept only in the tests, as the oracle the
-array kernels are checked against.
+with w = r P, and every phase in this module is formed that way: w for a
+whole array of terms is a sum over P's rows in order (``_cocycle_rows``) and
+w . s one over P's columns in order (``_exponents``), both with elementwise
+multiplies and adds, so a term's phase has the same bits in any array.  The
+scalar per-term form of the exponent is kept only in the tests, as the oracle
+the array kernels are checked against.
 
 Star-product kernels
 --------------------
 Every star product and every sum of star products has one entry point,
-``signed_sums``: it takes the entries of one or more sums base + sum of
--+ a_k * b_k and returns them all.  A single product ``a * b`` (through
+``signed_sums``: it takes the entries of one or more sums base + sum of -+
+a_k * b_k and returns them all.  A single product ``a * b`` (through
 ``TorusElement.__mul__`` or ``mul``) is the one entry zero + a * b, a matrix
 product ``@`` is one call over its q^2 entries, and ``yangmills`` forms the
 curvature, the gradient and the line-search terms the same way.  It sends
 each product to one of two array kernels (``_takes_box``).  The dense-box
 kernel takes products of more than ``_VECTOR_CUTOFF`` pairs of terms whose
 box work is at most ``_DENSE_WORK_PER_PAIR`` per pair and whose coefficients
-are all finite.  It is a twisted convolution: row 0 of P is zero, so w = r P
-depends only on r's tail (r_1..r_{n-1}), and a's terms are grouped by their
-tail; each group modulates b, scattered into its dense bounding box, by the
-separable phases e(w_m s_m), convolves it along axis 0 with the group's r_0
-row in one batched Toeplitz matmul, and one bincount adds every group into
-the output box.  Its cost follows the boxes, not the pair count.  Every
-other product (few pairs, a far-out term that makes the box huge, a
-non-finite coefficient) runs the pairwise kernel (``_pairwise_kernel``), one
-pass over the pairwise products of all the entries: the pairs are gathered
-from the concatenated term arrays by index arithmetic, their exponents and
-phases are whole-array operations, and the pairs are grouped by (entry,
-output key) with a stable sort, each group summed from its base coefficient
-by ``np.add.at`` in pass order, the order of the pair-by-pair dict loop that
-the tests keep as the reference, so the sums have its bits; its time and
-memory follow the pair count.  Each entry's dense-box products are added
-after the pass, in order.  The involution is one array pass of the same kind
-over the terms.  All of them hold the multi-indices in int64, so operands
-whose indices (or, for a product, index sums) could leave it raise
-``IndexOutOfRange``.  All drop exactly the values with |c| <
-``CANONICAL_EPS``; NaN is kept.
+are all finite.  It is a twisted convolution (``_dense_box_kernel``) that
+gives s1 a * b + s2 b * a in one call: row 0 of P is zero, so both cocycles
+split into a factor that varies along axis 0 and one that depends only on
+the tails, a's terms are grouped by their tail (r_1..r_{n-1}) into one
+Toeplitz gather, each side is one 2-d matmul of that gather with b's dense
+box, and one bincount adds every group into the output box.  A product and
+its swap of the opposite sign in the same entry, as in every q = 1
+commutator, run as one call; each entry's calls are added into one dense
+array over their union box, converted to a dict once (``_box_sums``).  Its
+cost follows the boxes, not the pair count.  Every other product (few pairs,
+a far-out term that makes the box huge, a non-finite coefficient) runs the
+pairwise kernel (``_pairwise_kernel``), one pass over the pairwise products
+of all the entries: the pairs are gathered from the concatenated term arrays
+by index arithmetic, their exponents and phases are whole-array operations,
+and the pairs are grouped by (entry, output key) with a stable sort, each
+group summed from its base coefficient by ``np.add.at`` in pass order, the
+order of the pair-by-pair dict loop that the tests keep as the reference, so
+the sums have its bits; its time and memory follow the pair count.  Each
+entry's dense-box sum is added to it after the pass.  The involution is one
+array pass of the same kind over the terms.  All of them hold the
+multi-indices in int64, so operands whose indices (or, for a product, index
+sums) could leave it raise ``IndexOutOfRange``.  All drop exactly the values
+with |c| < ``CANONICAL_EPS``; NaN is kept.
 
 An element's int64 index array and complex coefficient array are built once,
 the first time a kernel takes it, and kept on the element read-only
@@ -338,15 +342,17 @@ _VECTOR_CUTOFF = 512
 _INDEX_LIMIT = 2**63 - 1
 
 #: The dense-box kernel runs while its work per pair of terms is at most this;
-#: its work is the output box's cell count plus the multiply-adds of its batched
+#: its work is the output box's cell count plus the multiply-adds of one side's
 #: Toeplitz matmul, which also bound the size of every array it builds.  Above
 #: it the pairwise kernel runs, whose time and memory follow the pair count.
-#: Descent's products need 2-32 per pair, where the dense kernel is up to 8x
-#: faster than a per-pair group-by (measured on a 2-core Xeon VM).  Box cells
-#: alone are not enough: a 100-term diagonal times a 2x200 strip has 0.75 cells
-#: but 101 multiply-adds per pair, and the dense kernel takes 1.4x the pairwise
-#: kernel's time there.  One far-out term (say U^(0,10**6) next to a dense
-#: patch) makes the box millions of cells for a few thousand pairs.
+#: Descent's products need 3-30 per pair, where the dense kernel, output dict
+#: included, takes a median 1/18 of the pairwise kernel's time for one product
+#: and 1/27 for a commutator (seed-5001 descent products, 2-core Xeon VM, one
+#: BLAS thread).  Box cells alone are not enough: a 100-term diagonal times a
+#: 2x200 strip has 0.75 cells but 101 multiply-adds per pair, and the dense
+#: kernel takes 4.7x the pairwise kernel's time there.  One far-out term (say
+#: U^(0,10**6) next to a dense patch) makes the box millions of cells for a
+#: few thousand pairs.
 _DENSE_WORK_PER_PAIR = 32
 
 
@@ -366,12 +372,16 @@ def signed_sums(entries) -> list:
     pairwise kernel, of every entry, run as one pass that seeds each entry
     with its base's coefficients; a negated one enters it with its left
     coefficients negated, which is exact.  Then each entry's dense-box
-    products are added or subtracted one by one, in order, so an entry whose
-    products all take the box is the chain (base + p1) - p2 ...; an entry
-    that is still empty takes its first box product as it is, which has the
-    bits of zero + p1 (the box sums from +0.0, so no part of p1 is -0.0).  An
-    entry without products is its base.  Every base and operand shares one
-    theta.  ``IndexOutOfRange`` if an entry of r + s could leave int64.
+    products are summed by ``_box_sums``, a product and its swap of the
+    opposite sign in one kernel call, all of them in one dense array
+    converted once, and that sum is added to the entry with one dict add; an
+    entry that is still empty takes the sum as it is, which has the bits of
+    zero + sum (the box sums from +0.0, so no part of it is -0.0).  As in
+    the pass, ``CANONICAL_EPS`` drops sums, not each product's values: once
+    in the entry's box sum and once in the add.  An entry without products
+    is its base.  Every base and
+    operand shares one theta.  ``IndexOutOfRange`` if an entry of r + s could
+    leave int64.
     """
     if not entries:
         return []
@@ -388,7 +398,7 @@ def signed_sums(entries) -> list:
             ra, ca, rb, cb = ops = _operand_terms(a, b)
             bounds = _takes_box(*ops)
             if bounds:
-                box.append((ops, bounds, negate))
+                box.append((a, b, negate, ops, bounds))
             else:
                 pairwise.append((e, ra, -ca if negate else ca, rb, cb))
         boxed.append(box)
@@ -396,14 +406,8 @@ def signed_sums(entries) -> list:
     bases = [base for base, _ in entries]
     outs = _pairwise_kernel(th, bases, pairwise) if pairwise else bases
     for e, box in enumerate(boxed):
-        for ops, bounds, negate in box:
-            prod = _star_product_box(th, *ops, bounds)
-            if negate:
-                outs[e] = outs[e] - prod
-            elif outs[e].coeffs:
-                outs[e] = outs[e] + prod
-            else:
-                outs[e] = prod
+        for part in _box_sums(th, box) if box else ():
+            outs[e] = outs[e] + part if outs[e].coeffs else part
     return outs
 
 
@@ -429,7 +433,10 @@ def _takes_box(ra, ca, rb, cb):
     It does when there are more than ``_VECTOR_CUTOFF`` pairs, its work is at
     most ``_DENSE_WORK_PER_PAIR`` per pair and every coefficient is finite (it
     multiplies each coefficient by the box's empty cells, and NaN * 0 would
-    spread NaN outside the product's support).
+    spread NaN outside the product's support).  The rule is per product: a
+    commutator's two products are judged apart, and fuse into one kernel call
+    only when both take the box; its swap b * a then costs what a * b does,
+    on a's grouping.
     """
     pairs = len(ca) * len(cb)
     if pairs > _VECTOR_CUTOFF and np.isfinite(ca).all() and np.isfinite(cb).all():
@@ -469,8 +476,22 @@ def _term_arrays(a: TorusElement):
 
 
 def _cocycle_rows(th: ThetaMatrix, r):
-    """w = r P for an int64 (terms, n) index array: one matmul over r's rows."""
-    return r.astype(float) @ th._pair_mat
+    """w = r P for an int64 (terms, n) index array, summed over P's rows in order.
+
+    Elementwise multiplies and adds, so a row's w has the same bits whatever
+    rows share the array; a BLAS matmul may give one row alone other bits
+    than the same row inside a taller matrix.  P's row 0 is zero and is left
+    out.
+    """
+    p = th._pair_mat
+    if th.n == 1:
+        return np.zeros((len(r), 1))
+    # built transposed, so that each multiply and add runs along r's rows
+    cols = r.T.astype(float)
+    w = p[1][:, None] * cols[1]
+    for k in range(2, th.n):
+        w += p[k][:, None] * cols[k]
+    return w.T
 
 
 def _exponents(w, s):
@@ -650,11 +671,14 @@ def _boxes(ra, rb):
 
 
 def _dense_box_work(terms_a: int, bounds) -> int:
-    """Output box cells plus an upper bound on _star_product_box's multiply-adds.
+    """Output box cells plus an upper bound on the multiply-adds of one side of
+    ``_dense_box_kernel``.
 
-    ``bounds`` are the operands' ``_boxes``.  The matmul does (groups) x
-    (output extent along axis 0) x (cells of b's box) multiply-adds, and a
-    has at most min(terms, tail cells of its box) groups.
+    ``bounds`` are the operands' ``_boxes``.  Each side's matmul does
+    (groups) x (output extent along axis 0) x (cells of b's box)
+    multiply-adds, and a has at most min(terms, tail cells of its box)
+    groups.  A commutator does it twice on the same arrays, so the bound
+    also limits the size of each array that either side builds.
     """
     _, ext_a, _, ext_b = bounds
     cells = math.prod(x + y - 1 for x, y in zip(ext_a, ext_b))
@@ -662,58 +686,132 @@ def _dense_box_work(terms_a: int, bounds) -> int:
     return cells + groups * (ext_a[0] + ext_b[0] - 1) * math.prod(ext_b)
 
 
-def _star_product_box(th: ThetaMatrix, ra, ca, rb, cb, bounds) -> TorusElement:
-    """Twisted convolution over the dense bounding boxes of the operands.
+def _dense_box_kernel(th: ThetaMatrix, ra, ca, rb, cb, bounds, s1: int, s2: int):
+    """s1 (a * b) + s2 (b * a) over the dense output box of a * b, each sign -1, 0 or 1.
 
-    ``bounds`` are the operands' ``_boxes``.  The cocycle exponent r P s^T
-    equals w . s with w = r P, and row 0 of P is zero, so w depends only on
-    the tail (r_1..r_{n-1}) of r.  Grouping a's terms by tail, each group's
-    contribution is b modulated by the separable phase prod_m e(w_m s_m),
-    convolved along axis 0 with the group's r_0 row (one batched Toeplitz
-    matmul) and shifted by the tail.
+    ``bounds`` are the operands' ``_boxes``; the result is the box's complex
+    cells as an array of extent ext_a + ext_b - 1 in Fortran order (axis 0
+    fastest), its cell 0 at lo_a + lo_b.  Only a's terms are grouped, by
+    their tail rho (r = (r_0, rho)); b's box B is dense.  Row 0 of P is zero,
+    so w = r P depends only on rho, v = (s P)_0 only on s's tail, and
+    u = sum_{m >= 1} r_m (s P)_m only on the two tails:
+
+        sigma(r, s) = e(w_0 s_0) e(w_tail . s_tail),  sigma(s, r) = e(r_0 v + u).
+
+    Both sides share a's Toeplitz gather T0 (group, output row i, row j of B)
+    and each is one 2-d matmul: a * b is (T0 . e(w_0 s_0)) @ B, then times
+    e(w_tail . s_tail); b * a is T0 @ (B . e(-j v)), then times e(i v),
+    e(lo_a0 v) and e(u), where r_0 = lo_a0 + i - j.  The offsets i and j are
+    box-relative, so the large lo_a0 v is one exponent, not the difference
+    of two.  One bincount adds every group into the output box.
     """
     n = th.n
     loa, ext_a, lob, ext_b = (np.array(x, dtype=np.int64) for x in bounds)
     ext = ext_a + ext_b - 1
+    rows0, b0, cells_b = ext[0], ext_b[0], math.prod(ext_b[1:])
     # output cells are numbered with axis 0 fastest
     stride = np.cumprod(np.concatenate(([1], ext[:-1])))
     dense_b = np.zeros(tuple(ext_b), dtype=complex)
     dense_b[tuple((rb - lob).T)] = cb
+    dense_b = dense_b.reshape(b0, cells_b)
+    # b's tail cells in C order: offsets in b's box, and multi-indices with s_0 = 0
+    b_cells = np.indices(ext_b[1:]).reshape(n - 1, cells_b).T
+    s_tail = np.zeros((cells_b, n), dtype=np.int64)
+    s_tail[:, 1:] = b_cells + lob[1:]
 
-    tail_a = ra[:, 1:] - loa[1:]
-    tail_keys = tail_a @ stride[1:]
+    tail_keys = (ra[:, 1:] - loa[1:]) @ stride[1:]
     _, first, group = np.unique(tail_keys, return_index=True, return_inverse=True)
-    tails = tail_a[first]
     n_groups = len(first)
-    w = (tails + loa[1:]).astype(float) @ th._pair_mat[1:]
-    mod = np.broadcast_to(dense_b, (n_groups, *dense_b.shape))
-    for m in range(n):
-        if not w[:, m].any():
-            continue
-        s = np.arange(lob[m], lob[m] + ext_b[m], dtype=float)
-        ph = _phases(np.outer(w[:, m], s))
-        mod = mod * ph.reshape((n_groups,) + (1,) * m + (-1,) + (1,) * (n - 1 - m))
-
-    # rows[g, i] = a's coefficient at r_0 = loa_0 + i in group g; the extra last
+    r_tail = ra.take(first, 0)  # one term per group; its tail is the group's
+    r_tail[:, 0] = 0
+    # rows[g, i] = a's coefficient at r_0 = lo_a0 + i in group g; the extra last
     # column stays zero and pads the Toeplitz gather
     rows = np.zeros((n_groups, ext_a[0] + 1), dtype=complex)
     rows[group.reshape(-1), ra[:, 0] - loa[0]] = ca
-    lag = np.arange(ext[0])[:, None] - np.arange(ext_b[0])[None, :]
+    lag = np.arange(rows0)[:, None] - np.arange(b0)[None, :]
     lag[(lag < 0) | (lag >= ext_a[0])] = ext_a[0]
-    conv = rows[:, lag] @ mod.reshape(n_groups, ext_b[0], -1)
+    toeplitz = rows[:, lag]  # (group, i, j)
 
-    b_tail = np.zeros(1, dtype=np.int64)  # output offset of each of b's tail cells, C order
-    for m in range(1, n):
-        b_tail = (b_tail[:, None] + stride[m] * np.arange(ext_b[m])).reshape(-1)
-    cell = np.arange(ext[0])[None, :, None] + (tails @ stride[1:])[:, None, None] + b_tail[None, None, :]
-    cell = cell.reshape(-1)
+    conv = None
+    if s1:
+        w = _cocycle_rows(th, r_tail)
+        left = toeplitz * _phases(np.outer(w[:, 0], lob[0] + np.arange(b0)))[:, None, :]
+        conv = (left.reshape(-1, b0) @ dense_b).reshape(n_groups, rows0, cells_b)
+        conv *= _phases(_exponents(w[:, None, :], s_tail[None, :, :]))[:, None, :]
+    if s2:
+        w = _cocycle_rows(th, s_tail)
+        v = w[:, 0]
+        right = dense_b * _phases(-np.arange(b0)[:, None] * v)
+        ba = (toeplitz.reshape(-1, b0) @ right).reshape(n_groups, rows0, cells_b)
+        ba *= _phases(np.arange(rows0)[:, None] * v)
+        ba *= _phases(loa[0] * v + _exponents(w[None, :, :], r_tail[:, None, :]))[:, None, :]
+        if conv is None:
+            conv = ba
+        else:
+            (np.add if s2 == s1 else np.subtract)(conv, ba, out=conv)
+        del ba  # at most one side's array lives through the scatter
+    if (s1 or s2) < 0:
+        np.negative(conv, out=conv)
+
+    cell = (
+        np.arange(rows0)[None, :, None]
+        + tail_keys.take(first)[:, None, None]
+        + (b_cells @ stride[1:])[None, None, :]
+    ).reshape(-1)
     volume = math.prod(int(x) for x in ext)
-    sums = np.bincount(cell, weights=conv.real.reshape(-1), minlength=volume) + 1j * np.bincount(
-        cell, weights=conv.imag.reshape(-1), minlength=volume
-    )
-    offset = loa + lob
+    out = np.empty(volume, dtype=complex)
+    out.real = np.bincount(cell, weights=conv.real.reshape(-1), minlength=volume)
+    out.imag = np.bincount(cell, weights=conv.imag.reshape(-1), minlength=volume)
+    return out.reshape(tuple(ext), order="F")
+
+
+def _box_sums(th: ThetaMatrix, products) -> list:
+    """Elements whose sum is the sum of one entry's dense-box products.
+
+    ``products`` are the entry's (a, b, negate, terms, bounds), in order, where
+    ``terms`` are ``_operand_terms`` and ``bounds`` from ``_takes_box``.  A
+    product whose swap (b, a) of the opposite sign comes later in the entry
+    runs as one ``_dense_box_kernel`` call with it (every q = 1 commutator
+    term is such a pair); any other runs alone.  The calls' boxes are added
+    into one array over the union of their output boxes, converted once:
+    one element.  Only when that union has more cells than the calls' summed
+    ``_dense_box_work`` (boxes far apart) is each call's box converted on its
+    own instead, one element per call.
+    """
+    calls, waiting = [], {}
+    for a, b, negate, terms, bounds in products:
+        sign = -1 if negate else 1
+        swapped = waiting.get((id(b), id(a), not negate))
+        if swapped:
+            calls[swapped.pop(0)][3] = sign
+        else:
+            waiting.setdefault((id(a), id(b), negate), []).append(len(calls))
+            calls.append([terms, bounds, sign, 0])
+    boxes = []
+    for _, (loa, ext_a, lob, ext_b), _, _ in calls:
+        boxes.append(([x + y for x, y in zip(loa, lob)], [x + y - 1 for x, y in zip(ext_a, ext_b)]))
+    lo = [min(x) for x in zip(*(l for l, _ in boxes))]
+    hi = [max(x) for x in zip(*([y + z for y, z in zip(l, e)] for l, e in boxes))]
+    ext = [h - l for h, l in zip(hi, lo)]
+    work = sum(_dense_box_work(len(terms[0]), bounds) for terms, bounds, _, _ in calls)
+    if math.prod(ext) > work:
+        return [
+            _box_element(th, l, _dense_box_kernel(th, *terms, bounds, s1, s2))
+            for (terms, bounds, s1, s2), (l, _) in zip(calls, boxes)
+        ]
+    total = np.zeros(ext, dtype=complex, order="F")
+    for (terms, bounds, s1, s2), (l, e) in zip(calls, boxes):
+        at = tuple(slice(x - y, x - y + z) for x, y, z in zip(l, lo, e))
+        total[at] += _dense_box_kernel(th, *terms, bounds, s1, s2)
+    return [_box_element(th, lo, total)]
+
+
+def _box_element(th: ThetaMatrix, lo, box) -> TorusElement:
+    """The element whose coefficients are the cells of a Fortran-ordered box from lo."""
     return _element(
-        th, sums, lambda kept: np.stack(np.unravel_index(kept, tuple(ext), order="F"), axis=1) + offset
+        th,
+        box.reshape(-1, order="F"),
+        lambda kept: np.stack(np.unravel_index(kept, box.shape, order="F"), axis=1) + np.array(lo, np.int64),
     )
 
 

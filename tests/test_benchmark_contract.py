@@ -178,7 +178,9 @@ def test_torus_product_work_and_kernel_boundary(monkeypatch):
     monkeypatch.setattr(
         torus, "_pairwise_kernel", reached(torus._pairwise_kernel, "pairwise", lambda th, bases, ps: len(ps))
     )
-    monkeypatch.setattr(torus, "_star_product_box", reached(torus._star_product_box, "box", lambda *args: 1))
+    # a dense-box call computes s1 a * b + s2 b * a: one product per nonzero sign
+    box_products = lambda *args: (args[-2] != 0) + (args[-1] != 0)  # noqa: E731
+    monkeypatch.setattr(torus, "_dense_box_kernel", reached(torus._dense_box_kernel, "box", box_products))
     signed_sums = entered(
         "sum", torus.signed_sums, lambda entries: [(a, b) for _, products in entries for a, b, _ in products]
     )

@@ -424,10 +424,26 @@ def test_array_kernels_match_dict_loop(pair):
             # no phases at theta = 0: the pairwise kernel does the loop's arithmetic
             assert pairs.coeffs == ref.coeffs
         # called directly, the dense box also runs on wide supports, up to a size
-        # that keeps its arrays at a few MB
+        # that keeps its arrays at a few MB: a * b, b * a on a's grouping, and
+        # their commutator
         bounds = torus._boxes(ra, rb)
         if torus._dense_box_work(len(ra), bounds) <= 10**6:
-            assert coeff_distance(torus._star_product_box(a.theta, ra, ca, rb, cb, bounds), ref) <= tol
+            swapped = star_product_loop(b, a)
+            commutator = [(a, b, False), (b, a, True)]
+            for signs, want, bound in [
+                ((1, 0), ref, tol),
+                ((0, 1), swapped, kernel_tolerance(b, a)),
+                ((1, -1), ref - swapped, signed_sum_tolerance(TorusElement.zero(a.theta), commutator)),
+            ]:
+                assert coeff_distance(box_kernel(a, b, *signs), want) <= bound
+
+
+def box_kernel(a, b, s1, s2):
+    """s1 a * b + s2 b * a by one call of the dense-box kernel, as an element."""
+    ra, ca, rb, cb = ops = torus._operand_terms(a, b)
+    bounds = torus._boxes(ra, rb)
+    box = torus._dense_box_kernel(a.theta, *ops, bounds, s1, s2)
+    return torus._box_element(a.theta, [x + y for x, y in zip(bounds[0], bounds[2])], box)
 
 
 def disc(theta, radius, gen):
@@ -440,6 +456,53 @@ def disc(theta, radius, gen):
             if i * i + j * j <= radius * radius
         },
     )
+
+
+def ball(theta, radius, centre, gen):
+    """Random coefficients on the multi-indices within ``radius`` of (centre, ..., centre)."""
+    cube = itertools.product(range(-radius, radius + 1), repeat=theta.n)
+    inside = [r for r in cube if sum(x * x for x in r) <= radius**2]
+    return TorusElement(theta, {tuple(centre + x for x in r): complex(gen.normal(), gen.normal()) for r in inside})
+
+
+@pytest.mark.parametrize("n,radius", [(2, 3), (3, 2)])
+def test_box_kernel_on_far_out_patches(n, radius):
+    """Dense patches at the origin and 10**6 out along every axis, both ways,
+    in every pairing: the commutator from one kernel call stays within the
+    loop's bound.  The b * a side takes r_0 = lo_a0 + i - j with box-relative
+    offsets i and j; written with absolute offsets, its phase would be a
+    difference of two exponents of order 10**12."""
+    gen = sampling.rng(60 + n)
+    th = sampling.random_theta(n, gen)
+    zero = TorusElement.zero(th)
+    patches = [ball(th, radius, centre, gen) for centre in (0, 10**6, -(10**6))]
+    for a, b in itertools.product(patches, repeat=2):
+        assert torus._takes_box(*torus._operand_terms(a, b))
+        products = [(a, b, False), (b, a, True)]
+        want = literal_signed_sum(zero, products)
+        assert coeff_distance(box_kernel(a, b, 1, -1), want) <= signed_sum_tolerance(zero, products)
+
+
+def test_box_kernel_memory_follows_its_work(theta2):
+    """The kernel's arrays stay within a fixed multiple of 16 bytes (one
+    complex) per unit of ``_dense_box_work``, for one product and for the
+    commutator: on two dense discs, and on a disc times a one-row strip,
+    where the matmul's output is about the whole work."""
+    gen = sampling.rng(70)
+    strip = TorusElement(theta2, {(0, j): complex(gen.normal(), gen.normal()) for j in range(-300, 301)})
+    for a, b in [(disc(theta2, 12, gen), disc(theta2, 10, gen)), (disc(theta2, 20, gen), strip)]:
+        ops = torus._operand_terms(a, b)
+        bounds = torus._takes_box(*ops)
+        assert bounds
+        work = torus._dense_box_work(len(ops[0]), bounds)
+        for signs in [(1, 0), (1, -1)]:
+            tracemalloc.start()
+            try:
+                torus._dense_box_kernel(theta2, *ops, bounds, *signs)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 * 16 * work
 
 
 def refuse(*args):
@@ -458,7 +521,7 @@ def test_far_term_takes_pairwise_kernel_in_bounded_memory(theta2, monkeypatch):
     patch = disc(theta2, 4, gen)
     a = patch + TorusElement.monomial(theta2, (0, 10**6), 0.5)
     assert len(a.coeffs) * len(patch.coeffs) > torus._VECTOR_CUTOFF
-    monkeypatch.setattr(torus, "_star_product_box", refuse)
+    monkeypatch.setattr(torus, "_dense_box_kernel", refuse)
     tracemalloc.start()
     try:
         prod = mul(a, patch)
@@ -477,7 +540,7 @@ def test_nan_coefficient_survives_product(theta2, radius, monkeypatch):
     gen = sampling.rng(21)
     a, b = disc(theta2, radius, gen), disc(theta2, radius, gen)
     assert (len(a.coeffs) * len(b.coeffs) > torus._VECTOR_CUTOFF) == (radius == 3)
-    monkeypatch.setattr(torus, "_star_product_box", refuse)
+    monkeypatch.setattr(torus, "_dense_box_kernel", refuse)
     a = TorusElement(theta2, {**a.coeffs, (1, 0): complex(math.nan, 0.0)})
     nan_keys = {r for r, c in mul(a, b).coeffs.items() if cmath.isnan(c)}
     assert nan_keys
@@ -556,12 +619,13 @@ def test_signed_sum_matches_literal_sum(case):
 
 def test_signed_sum_keeps_base_index_past_int64(theta2, monkeypatch):
     """Only the products' indices need int64: base's coefficients seed the
-    pairwise pass (radius-1 discs, 25 pairs a product) and the chain after
-    the dense box (radius-3 discs, 841 pairs) as they are."""
+    pairwise pass (radius-1 discs, 25 pairs a product) and take the dense
+    box's sum (radius-3 discs, 841 pairs, the commutator in one call) as
+    they are."""
     gen = sampling.rng(45)
     far = TorusElement(theta2, {(2**63, 0): 1.0, (0, 0): 2.0, (1, 0): 3.0})
     calls = count_kernel_calls(monkeypatch)
-    for radius, kernels in [(1, {"pairwise": [2], "box": 0}), (3, {"pairwise": [], "box": 2})]:
+    for radius, kernels in [(1, {"pairwise": [2], "box": 0}), (3, {"pairwise": [], "box": 1})]:
         a, b = disc(theta2, radius, gen), disc(theta2, radius, gen)
         products = [(a, b, False), (b, a, True)]
         calls.update(pairwise=[], box=0)
@@ -575,7 +639,7 @@ def test_signed_sum_keeps_base_index_past_int64(theta2, monkeypatch):
 def count_kernel_calls(monkeypatch):
     """{'pairwise': [products per call], 'box': calls}, filled as the kernels run."""
     calls = {"pairwise": [], "box": 0}
-    pairwise, box = torus._pairwise_kernel, torus._star_product_box
+    pairwise, box = torus._pairwise_kernel, torus._dense_box_kernel
 
     def counted_pairwise(th, bases, products):
         calls["pairwise"].append(len(products))
@@ -586,7 +650,7 @@ def count_kernel_calls(monkeypatch):
         return box(*args)
 
     monkeypatch.setattr(torus, "_pairwise_kernel", counted_pairwise)
-    monkeypatch.setattr(torus, "_star_product_box", counted_box)
+    monkeypatch.setattr(torus, "_dense_box_kernel", counted_box)
     return calls
 
 
@@ -599,18 +663,41 @@ def test_signed_sum_mixes_box_and_pairwise_products(theta2, monkeypatch):
     products = [(big, big2, False), (small, small2, True), (empty, big, False), (big2, big, True), (small2, small, False)]
     calls = count_kernel_calls(monkeypatch)
     got = signed_sum(base, products)
-    # the two small products in one pass, the two large ones on the dense box
-    assert calls == {"pairwise": [2], "box": 2}
+    # the two small products in one pass, the two large ones, a commutator,
+    # in one call of the dense box
+    assert calls == {"pairwise": [2], "box": 1}
     assert coeff_distance(got, literal_signed_sum(base, products)) <= signed_sum_tolerance(base, products)
 
 
-def test_signed_sum_of_box_products_is_the_chain(theta2, monkeypatch):
+def test_signed_sum_of_a_box_commutator_is_one_kernel_call(theta2, monkeypatch):
     gen = sampling.rng(41)
     a, b, base = disc(theta2, 6, gen), disc(theta2, 5, gen), disc(theta2, 2, gen)
     calls = count_kernel_calls(monkeypatch)
-    got = signed_sum(base, [(a, b, False), (b, a, True)])
+    products = [(a, b, False), (b, a, True)]
+    got = signed_sum(base, products)
+    assert calls == {"pairwise": [], "box": 1}
+    assert coeff_distance(got, literal_signed_sum(base, products)) <= signed_sum_tolerance(base, products)
+
+
+def test_signed_sum_of_far_apart_box_products_converts_each_box(theta2, monkeypatch):
+    """Two commutators whose boxes lie 10**6 apart are two kernel calls; their
+    union box would be 10**12 cells, so each call's box is converted on its
+    own, in memory that follows the boxes."""
+    gen = sampling.rng(47)
+    near = [ball(theta2, 3, 0, gen) for _ in range(2)]
+    far = [ball(theta2, 3, 10**6, gen) for _ in range(2)]
+    base = disc(theta2, 2, gen)
+    products = [(near[0], near[1], False), (far[0], far[1], True), (near[1], near[0], True), (far[1], far[0], False)]
+    calls = count_kernel_calls(monkeypatch)
+    tracemalloc.start()
+    try:
+        got = signed_sum(base, products)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert calls == {"pairwise": [], "box": 2}
-    assert list(got.coeffs.items()) == list(((base + a * b) - b * a).coeffs.items())
+    assert peak < 4 * 2**20
+    assert coeff_distance(got, literal_signed_sum(base, products)) <= signed_sum_tolerance(base, products)
 
 
 @pytest.mark.parametrize("radius", [1, 6])
@@ -665,9 +752,10 @@ def dict_pass_signed_sum(base, products):
     The pairwise kernel as it was before it grouped pairs by sorting, one
     entry at a time: the pairs of the entry's pairwise products, gathered
     product by product, then added one by one into a copy of base's dict in
-    that order; the dense-box products are then added in order.  The
-    reference that ``signed_sums`` must match bit for bit, values and key
-    order, whatever other entries share its pass.
+    that order; the dense-box products, summed by the library's own
+    per-entry box step ``_box_sums``, are then added.  The reference that
+    ``signed_sums`` must match bit for bit, values and key order, whatever
+    other entries share its pass.
     """
     th = base.theta
     pairwise, boxed = [], []
@@ -677,7 +765,7 @@ def dict_pass_signed_sum(base, products):
         ra, ca, rb, cb = ops = torus._operand_terms(a, b)
         bounds = torus._takes_box(*ops)
         if bounds:
-            boxed.append((ops, bounds, negate))
+            boxed.append((a, b, negate, ops, bounds))
         else:
             pairwise.append((ra, -ca if negate else ca, rb, cb))
     out = base
@@ -694,9 +782,8 @@ def dict_pass_signed_sum(base, products):
         for key, v in zip(keys, vals):
             coeffs[key] = coeffs.get(key, 0j) + v
         out = TorusElement._raw(th, torus._trimmed(coeffs))
-    for ops, bounds, negate in boxed:
-        prod = torus._star_product_box(th, *ops, bounds)
-        out = out - prod if negate else out + prod
+    for part in torus._box_sums(th, boxed) if boxed else ():
+        out = out + part
     return out
 
 
@@ -714,17 +801,30 @@ def bits(el):
 
 @pytest.mark.parametrize("n,radius", [(2, 3), (3, 1), (4, 1)])
 def test_mul_on_the_box_is_the_box_kernel_bit_for_bit(n, radius):
-    """A single product that takes the box is the box kernel's output as it
-    is, values and key order: its entry, still empty, takes the product
-    without adding it to zero."""
+    """A single product that takes the box is the box kernel's one-sided
+    output as it is, values and key order: its entry, still empty, takes the
+    box's sum without adding it to zero."""
     gen = sampling.rng(49 + n)
     th = sampling.random_theta(n, gen)
     cube = list(itertools.product(range(-radius, radius + 1), repeat=n))
     a, b = (TorusElement(th, {r: complex(gen.normal(), gen.normal()) for r in cube}) for _ in range(2))
-    ops = torus._operand_terms(a, b)
-    bounds = torus._takes_box(*ops)
-    assert bounds
-    assert bits(mul(a, b)) == bits(a * b) == bits(torus._star_product_box(th, *ops, bounds))
+    assert torus._takes_box(*torus._operand_terms(a, b))
+    assert bits(mul(a, b)) == bits(a * b) == bits(box_kernel(a, b, 1, 0))
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_entry_bits_do_not_depend_on_the_pass(n):
+    """An entry has the same bits alone as after another entry in the same
+    pass: each term's cocycle row w = r P does not depend on the rows that
+    share its array."""
+    gen = sampling.rng(50 + n)
+    th = sampling.random_theta(n, gen)
+    zero = TorusElement.zero(th)
+    for _ in range(100):
+        a, b, c, d = (sampling.random_element(th, gen, radius=3, terms=t) for t in (1, 4, 3, 4))
+        (alone,) = signed_sums([(zero, [(a, b, False)])])
+        _, shared = signed_sums([(zero, [(c, d, False)]), (zero, [(a, b, False)])])
+        assert bits(alone) == bits(shared)
 
 
 def far_element(draw, theta):

@@ -41,9 +41,14 @@ A step is the least positive stationary point of the line-search quartic
 YM(A - t d).  Near a critical point that quartic is flat: its coefficients
 c1 (from -2 Re tau(F0* F1)) and c2 are sums of terms much larger than
 themselves, so their rounding error, relative to them, grows as the
-gradient shrinks, and the root moves with it.  A summation reordering that
-moves every other float by a few ulps of its scale has moved late steps by
-up to 5e-11 of their value.
+gradient shrinks, and the root moves with it.  Computing a commutator's two
+dense-box products in one array, and dropping values under
+``CANONICAL_EPS`` once per entry rather than once per product, moved late
+steps by up to 1.66e-8 of their value (seeds 5001 and 777013), while every
+other float stayed within 1.8e-15 of its scale: late in a descent the
+curvature's coefficients are near 1e-15, so which of them fall under the
+drop changes with the order.  The same kernel with a drop per product moved
+them by at most 4.2e-10.
 """
 
 from __future__ import annotations
