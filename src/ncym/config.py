@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass, field, fields
 
 from . import torus, yangmills as ym
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, IndexOutOfRange
 
 SCHEMA_VERSION = "1"
 
@@ -264,6 +264,11 @@ def _matrix(parent, key, theta, q, optional=False):
         if rec is None:
             return None
         r, re, im = rec.items("r", _Node.int, n), rec.number("re"), rec.number("im")
+        try:
+            torus.check_index(r or ())
+        except IndexOutOfRange as exc:
+            rec.error(str(exc), "r")
+            return None
         return None if None in (r, re, im) else (tuple(r), complex(re, im))
 
     elems = node.items("entries", lambda seq, i: seq.items(i, term), size and size * size)

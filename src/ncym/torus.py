@@ -38,6 +38,19 @@ multiplies and adds, so a term's phase has the same bits in any array.  The
 scalar per-term form of the exponent is kept only in the tests, as the oracle
 the array kernels are checked against.
 
+One storage
+-----------
+An element is a read-only int64 (terms, n) index array, its rows strictly
+increasing in lexicographic order, and a read-only complex coefficient
+array.  The dict constructor sorts and checks its input once (an index entry
+past +-(2^63 - 1) raises ``IndexOutOfRange``); ``coeffs`` is a read-only dict
+built on demand.  ``_kept`` is the one place that drops values under
+``CANONICAL_EPS`` (NaN is kept) and ``_groups`` the one grouping of index
+rows, used by sums, the pairwise kernel and ``inner_sum``.  Other operations
+keep rows sorted: the adjoint negates and reverses them, ``tensor_embed``
+puts a's rows, repeated, beside b's, tiled, and a box's cells in C order are
+sorted.
+
 Star-product kernels
 --------------------
 Every star product and every sum of star products has one entry point,
@@ -57,29 +70,24 @@ Toeplitz gather, each side is one 2-d matmul of that gather with b's dense
 box, and one bincount adds every group into the output box.  A product and
 its swap of the opposite sign in the same entry, as in every q = 1
 commutator, run as one call; each entry's calls are added into one dense
-array over their union box, converted to a dict once (``_box_sums``).  Its
-cost follows the boxes, not the pair count.  Every other product (few pairs,
-a far-out term that makes the box huge, a non-finite coefficient) runs the
-pairwise kernel (``_pairwise_kernel``), one pass over the pairwise products
-of all the entries: the pairs are gathered from the concatenated term arrays
-by index arithmetic, their exponents and phases are whole-array operations,
-and the pairs are grouped by (entry, output key) with a stable sort, each
-group summed from its base coefficient by ``np.add.at`` in pass order, the
-order of the pair-by-pair dict loop that the tests keep as the reference, so
-the sums have its bits; its time and memory follow the pair count.  Each
-entry's dense-box sum is added to it after the pass.  The involution is one
-array pass of the same kind over the terms.  All of them hold the
-multi-indices in int64, so operands whose indices (or, for a product, index
-sums) could leave it raise ``IndexOutOfRange``.  All drop exactly the values
-with |c| < ``CANONICAL_EPS``; NaN is kept.
+array over their union box (``_box_sums``), whose cells become the element.
+Its cost follows the boxes, not the pair count.  Every other product (few
+pairs, a far-out term that makes the box huge, a non-finite coefficient)
+runs the pairwise kernel (``_pairwise_kernel``), one pass over the pairwise
+products of all the entries: the pairs are gathered from the concatenated
+term arrays by index arithmetic, their exponents and phases are whole-array
+operations, and each entry's base terms lead its pairs into one
+``_groups`` of the pass by (entry, output key), so each sum starts from its
+base coefficient and adds the pairs in pass order, the order of the
+pair-by-pair dict loop that the tests keep as the reference, and has its
+bits; its time and memory follow the pair count.  Each entry's dense-box sum
+is added to it after the pass.  The kernels do their index arithmetic in
+int64, so a product whose index sums could leave it raises
+``IndexOutOfRange``.
 
-An element's int64 index array and complex coefficient array are built once,
-the first time a kernel takes it, and kept on the element read-only
-(``_terms``), so an operand that enters many products is converted once.
-Both kernels and ``_element`` turn index rows into dict keys column-wise,
-``zip(*idx.T.tolist())``.  ``product_theta`` returns the same object for the
-same factors as its last call, so every entry of a product connection shares
-one product theta and the theta checks between them are identity checks.
+``product_theta`` returns the same object for the same factors as its last
+call, so every entry of a product connection shares one product theta and
+the theta checks between them are identity checks.
 
 All operations are pure functions of their inputs and values are never
 mutated after construction, so anything here may run concurrently on shared
@@ -88,9 +96,9 @@ elements.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
+from types import MappingProxyType
 
 import numpy as np
 
@@ -102,12 +110,9 @@ CANONICAL_EPS = 1e-15
 MONOMIAL_ORDER = "U^r = U_1^{r_1} U_2^{r_2} ... U_n^{r_n} (ascending index)"
 COCYCLE_CONVENTION = "sigma(r,s) = e(sum_{m<k} Theta[m][k]*r_k*s_m), e(x)=exp(2*pi*i*x)"
 
-
-def _trimmed(coeffs: dict) -> dict:
-    """coeffs without its entries of modulus below ``CANONICAL_EPS``; NaN is kept."""
-    if min(map(abs, coeffs.values()), default=CANONICAL_EPS) >= CANONICAL_EPS:
-        return coeffs
-    return {r: c for r, c in coeffs.items() if not abs(c) < CANONICAL_EPS}
+#: Largest multi-index entry an element holds: indices, and every sum r + s
+#: in a product, are int64, which would wrap silently past it.
+_INDEX_LIMIT = 2**63 - 1
 
 
 class ThetaMatrix:
@@ -159,41 +164,43 @@ class ThetaMatrix:
         return f"ThetaMatrix(n={self.n})"
 
 
+def check_index(entries) -> None:
+    """``IndexOutOfRange`` unless every multi-index entry lies within +-(2^63 - 1)."""
+    reach = max(max(entries, default=0), -min(entries, default=0))
+    if reach > _INDEX_LIMIT:
+        raise IndexOutOfRange(f"multi-index entry {reach} in magnitude exceeds {_INDEX_LIMIT}")
+
 
 class TorusElement:
-    """Finite twisted Fourier polynomial sum_r coeffs[r] * U^r."""
+    """Finite twisted Fourier polynomial sum_i values[i] U^(indices[i]); see "One storage"."""
 
-    __slots__ = ("theta", "coeffs", "_arrays")
+    __slots__ = ("theta", "indices", "values")
 
     def __init__(self, theta: ThetaMatrix, coeffs: dict):
-        self.theta = theta
-        # (indices, coefficients, reach) once a kernel asks; see ``_terms``
-        self._arrays = None
-        clean = {}
-        n = theta.n
-        for r, c in coeffs.items():
-            c = complex(c)
-            if abs(c) < CANONICAL_EPS:
-                continue
-            if len(r) != n:
-                raise ValueError(f"multi-index {r} has length != {n}")
-            clean[tuple(r)] = c
-        self.coeffs = clean
+        """From a {multi-index: coefficient} dict; ``ValueError`` for a multi-index
+        whose length is not n, ``IndexOutOfRange`` for an entry past +-(2^63 - 1)."""
+        n, m = theta.n, len(coeffs)
+        flat = list(itertools.chain.from_iterable(coeffs))
+        if len(flat) != m * n:
+            bad = next(r for r in coeffs if len(r) != n)
+            raise ValueError(f"multi-index {bad} has length != {n}")
+        check_index(flat)
+        keys = sorted(coeffs)  # tuples of integers sort lexicographically
+        vals = np.fromiter(map(coeffs.__getitem__, keys), dtype=complex, count=m)
+        kept = _kept(vals)
+        rows = np.array(keys, dtype=np.int64).reshape(m, n)
+        _store(self, theta, rows.take(kept, 0), vals.take(kept))
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _raw(cls, theta: ThetaMatrix, coeffs: dict) -> "TorusElement":
-        """Internal fast path: coeffs already canonical (tuples, above eps)."""
-        el = object.__new__(cls)
-        el.theta = theta
-        el.coeffs = coeffs
-        el._arrays = None
-        return el
+    def _raw(cls, theta: ThetaMatrix, indices, values) -> "TorusElement":
+        """Internal fast path: arrays already canonical (sorted rows, nothing under the drop)."""
+        return _store(object.__new__(cls), theta, indices, values)
 
     @classmethod
     def zero(cls, theta: ThetaMatrix) -> "TorusElement":
-        return cls(theta, {})
+        return cls._raw(theta, np.zeros((0, theta.n), dtype=np.int64), np.zeros(0, dtype=complex))
 
     @classmethod
     def one(cls, theta: ThetaMatrix) -> "TorusElement":
@@ -214,40 +221,24 @@ class TorusElement:
 
     # -- linear structure ----------------------------------------------
 
-    # The operands are canonical, so only the entries a sum touches can fall
-    # under the drop.  NaN fails ``abs(c) < CANONICAL_EPS`` and is kept, as in
-    # the constructor.  Negation and the derivations keep every modulus at or
-    # above the operand's, so they drop nothing; a scale or the adjoint's
-    # phases can push one under.
+    # Negation and the derivations keep every modulus at or above the
+    # operand's, so they drop nothing; a sum, a scale or the adjoint's phases
+    # can push one under.  Complex products are ``_cmul``'s, which has the
+    # bits of Python's complex multiply.
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.coeffs)
-        for r, c in other.coeffs.items():
-            c = out.get(r, 0j) + c
-            if abs(c) < CANONICAL_EPS:
-                out.pop(r, None)
-            else:
-                out[r] = c
-        return TorusElement._raw(self.theta, out)
+        return _sum(self, other, other.values)
 
     def __sub__(self, other):
         self._check(other)
-        out = dict(self.coeffs)
-        for r, c in other.coeffs.items():
-            c = out.get(r, 0j) - c
-            if abs(c) < CANONICAL_EPS:
-                out.pop(r, None)
-            else:
-                out[r] = c
-        return TorusElement._raw(self.theta, out)
+        return _sum(self, other, -other.values)
 
     def __neg__(self):
-        return TorusElement._raw(self.theta, {r: -c for r, c in self.coeffs.items()})
+        return TorusElement._raw(self.theta, self.indices, -self.values)
 
     def scale(self, z) -> "TorusElement":
-        z = complex(z)
-        return TorusElement._raw(self.theta, _trimmed({r: z * c for r, c in self.coeffs.items()}))
+        return _element(self.theta, self.indices, _cmul(complex(z), self.values))
 
     def __mul__(self, other):
         if isinstance(other, TorusElement):
@@ -257,14 +248,6 @@ class TorusElement:
     def __rmul__(self, other):
         return self.scale(other)
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("power must be a nonnegative integer")
-        out = TorusElement.one(self.theta)
-        for _ in range(k):
-            out = out * self
-        return out
-
     # -- star structure ------------------------------------------------
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -273,50 +256,73 @@ class TorusElement:
 
         One array pass: sigma(r, r) = e(w . r) with w = r P for every term,
         conj(a_r) times it in ``_cmul``'s real arithmetic (NaN and inf carry
-        through, as in Python's complex arithmetic), and the dense box's exit.
-        ``IndexOutOfRange`` for an index entry past int64.
+        through, as in Python's complex arithmetic).  Negating the sorted rows
+        reverses their order, so the result is read backwards.
         """
-        th = self.theta
-        if not self.coeffs:
-            return TorusElement._raw(th, {})
-        r, c, _ = _terms(self)
-        vals = _cmul(np.conj(c), _phases(_exponents(_cocycle_rows(th, r), r)))
-        return _element(th, vals, lambda kept: -r[kept])
+        r, c = self.indices, self.values
+        if not len(c):
+            return self
+        vals = _cmul(np.conj(c), _phases(_exponents(_cocycle_rows(self.theta, r), r)))
+        return _element(self.theta, -r[::-1], vals[::-1])
 
     def trace(self) -> complex:
         """The tracial state: coefficient at the zero multi-index."""
-        return self.coeffs.get((0,) * self.theta.n, 0j)
+        at = (~self.indices.any(1)).nonzero()[0]
+        return complex(self.values[at[0]]) if len(at) else 0j
 
     def derivation(self, j: int) -> "TorusElement":
         """delta_j: a_r U^r -> 2*pi*i*r_j a_r U^r, with j in 1..n."""
         if not 1 <= j <= self.theta.n:
             raise IndexOutOfRange(f"derivation index {j} outside 1..{self.theta.n}")
-        i = j - 1
-        two_pi = 2.0 * math.pi
-        out = {}
-        for r, c in self.coeffs.items():
-            if r[i]:
-                out[r] = complex(0.0, two_pi * r[i]) * c
-        return TorusElement._raw(self.theta, out)
+        r, c, t = self.indices, self.values, self.indices[:, j - 1]
+        moved = t.nonzero()[0]
+        if len(moved) < len(t):
+            r, c, t = r.take(moved, 0), c.take(moved), t.take(moved)
+        # (0 + i f) c as Python's complex multiply forms it
+        f = 2.0 * math.pi * t
+        vals = np.empty(len(c), dtype=complex)
+        np.subtract(0.0 * c.real, f * c.imag, out=vals.real)
+        np.add(0.0 * c.imag, f * c.real, out=vals.imag)
+        return TorusElement._raw(self.theta, r, vals)
+
+    def mode_divided(self, w: float) -> "TorusElement":
+        """sum_r a_r / (1 + w |r|^2) U^r, real and imaginary parts divided apart."""
+        r, c = self.indices, self.values
+        rf = r.astype(float)
+        weight = 1.0 + w * (rf * rf).sum(1)
+        vals = np.empty_like(c)
+        np.divide(c.real, weight, out=vals.real)
+        np.divide(c.imag, weight, out=vals.imag)
+        return _element(self.theta, r, vals)
 
     # -- inspection ------------------------------------------------------
 
+    @property
+    def coeffs(self):
+        """A read-only {multi-index tuple: complex} dict, in index order, built on each access."""
+        return MappingProxyType(dict(zip(map(tuple, self.indices.tolist()), self.values.tolist())))
+
     def support(self):
-        return set(self.coeffs)
+        return set(map(tuple, self.indices.tolist()))
 
     def coeff(self, r) -> complex:
         return self.coeffs.get(tuple(r), 0j)
 
     def l1(self) -> float:
         """Sum of coefficient moduli."""
-        return sum(abs(c) for c in self.coeffs.values())
+        return float(np.abs(self.values).sum())
+
+    def max_abs(self) -> float:
+        """Largest coefficient modulus, 0.0 for zero."""
+        return float(np.abs(self.values).max()) if len(self.values) else 0.0
 
     def norm_sq(self) -> float:
         """GNS norm squared: tau(a* a) = sum_r |a_r|^2 (exact identity)."""
-        return sum((c.real * c.real + c.imag * c.imag) for c in self.coeffs.values())
+        c = self.values
+        return float((c.real * c.real + c.imag * c.imag).sum())
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(c) <= tol for c in self.coeffs.values())
+        return bool((np.abs(self.values) <= tol).all())
 
     def _check(self, other):
         if not isinstance(other, TorusElement):
@@ -325,10 +331,113 @@ class TorusElement:
             raise ThetaMismatch("operands live over different theta matrices")
 
     def __repr__(self):
-        items = sorted(self.coeffs.items())[:4]
-        body = " + ".join(f"({c:.3g})U^{list(r)}" for r, c in items)
-        more = "" if len(self.coeffs) <= 4 else f" + ... ({len(self.coeffs)} terms)"
+        coeffs = self.coeffs
+        body = " + ".join(f"({c:.3g})U^{list(r)}" for r, c in itertools.islice(coeffs.items(), 4))
+        more = "" if len(coeffs) <= 4 else f" + ... ({len(coeffs)} terms)"
         return f"<{body or '0'}{more}>"
+
+
+def _store(el: TorusElement, theta: ThetaMatrix, indices, values) -> TorusElement:
+    """el holding the canonical arrays, made read-only."""
+    indices.setflags(write=False)
+    values.setflags(write=False)
+    el.theta, el.indices, el.values = theta, indices, values
+    return el
+
+
+def _kept(vals):
+    """Positions of the values that stay: modulus at least ``CANONICAL_EPS``, or NaN.
+
+    The one place where small values are dropped.
+    """
+    return (~(np.abs(vals) < CANONICAL_EPS)).nonzero()[0]
+
+
+def _element(th: ThetaMatrix, rows, vals) -> TorusElement:
+    """The element of sorted int64 index rows and their values, less the values under the drop."""
+    kept = _kept(vals)
+    if len(kept) < len(vals):
+        rows, vals = rows.take(kept, 0), vals.take(kept)
+    return TorusElement._raw(th, rows, vals)
+
+
+#: Codes of index rows at or past this are not formed; the rows are sorted instead.
+_CODE_LIMIT = 2**62
+
+
+def _groups(keys):
+    """(order, starts): the columns of an int64 (k, m) array in lexicographic
+    order by a stable sort, and which sorted positions start a group of equal
+    columns.
+
+    The sort is of one int64 code, a column's place in the box of the keys,
+    or of the rows themselves by ``np.lexsort`` when that box has
+    ``_CODE_LIMIT`` cells or more.  It is stable, so each group keeps its
+    columns in input order.
+    """
+    lo, hi = keys.min(1), keys.max(1)
+    ext = [h - l + 1 for h, l in zip(hi.tolist(), lo.tolist())]  # Python ints: may pass int64
+    if math.prod(ext) < _CODE_LIMIT:
+        code = np.ravel_multi_index(keys - lo[:, None], ext)
+        order = code.argsort(kind="stable")
+        code = code.take(order)
+        step = code[1:] != code[:-1]
+    else:
+        # the last key is lexsort's primary one
+        order = np.lexsort(keys[::-1])
+        rows = keys.take(order, 1)
+        step = (rows[:, 1:] != rows[:, :-1]).any(0)
+    return order, np.concatenate(([True], step))
+
+
+def _summed(keys, vals):
+    """(first, sums): per group of ``_groups(keys)``, in sorted order, the
+    input position of its first column and the sum of its values.
+
+    Each sum starts from the group's first value by assignment and adds the
+    others one by one in input order (``np.add.at``), so a lone value keeps
+    its bits, -0.0 parts included.
+    """
+    order, starts = _groups(keys)
+    vals = vals.take(order)
+    sums = vals[starts]
+    rest = ~starts
+    np.add.at(sums, starts.cumsum()[rest] - 1, vals[rest])
+    return order[starts], sums
+
+
+def _sum(a: TorusElement, b: TorusElement, cb) -> TorusElement:
+    """a plus the element with b's indices and the coefficients cb (b's, or their negatives)."""
+    if not len(cb):
+        return a
+    if not len(a.values):
+        return TorusElement._raw(a.theta, b.indices, cb)
+    rows = np.concatenate((a.indices, b.indices))
+    first, sums = _summed(rows.T, np.concatenate((a.values, cb)))
+    return _element(a.theta, rows.take(first, 0), sums)
+
+
+def inner_sum(pairs) -> complex:
+    """The sum over (a, b) in ``pairs`` of tau(a* b) = sum_r conj(a_r) b_r.
+
+    One ``_groups`` of every pair's indices, the pair as the leading digit
+    and a's terms before b's: a's and b's terms at one index make a group of
+    two.  When each pair is one element twice, every index matches and the
+    products come in that same order without the grouping.  They are summed
+    by numpy's pairwise sum, not a BLAS dot, so the bits do not depend on
+    the BLAS thread count.
+    """
+    sides = [[a for a, _ in pairs], [b for _, b in pairs]]
+    left, right = (np.concatenate([x.values for x in side]) for side in sides)
+    if any(a is not b for a, b in pairs):
+        if not len(left) or not len(right):
+            return 0j
+        entry = np.concatenate([np.arange(len(pairs)).repeat([len(x.values) for x in side]) for side in sides])
+        keys = np.concatenate([x.indices for x in sides[0] + sides[1]]).T
+        order, starts = _groups(np.concatenate((entry[None, :], keys)))
+        second = (~starts).nonzero()[0]
+        left, right = left.take(order.take(second - 1)), right.take(order.take(second) - len(left))
+    return complex(_cmul(np.conj(left), right).sum())
 
 
 #: Products of at most this many pairs of terms run the pairwise kernel,
@@ -337,17 +446,13 @@ class TorusElement:
 #: kernels compute the same sums up to rounding.
 _VECTOR_CUTOFF = 512
 
-#: Largest multi-index entry the kernels can hold: they keep the operands'
-#: indices and every sum r + s in int64, which would wrap silently past it.
-_INDEX_LIMIT = 2**63 - 1
-
 #: The dense-box kernel runs while its work per pair of terms is at most this;
 #: its work is the output box's cell count plus the multiply-adds of one side's
 #: Toeplitz matmul, which also bound the size of every array it builds.  Above
 #: it the pairwise kernel runs, whose time and memory follow the pair count.
-#: Descent's products need 3-30 per pair, where the dense kernel, output dict
-#: included, takes a median 1/18 of the pairwise kernel's time for one product
-#: and 1/27 for a commutator (seed-5001 descent products, 2-core Xeon VM, one
+#: Descent's products need 3-30 per pair, where the dense kernel, output
+#: conversion included, takes a median 1/18 of the pairwise kernel's time for
+#: one product and 1/27 for a commutator (seed-5001 descent products, 2-core Xeon VM, one
 #: BLAS thread).  Box cells alone are not enough: a 100-term diagonal times a
 #: 2x200 strip has 0.75 cells but 101 multiply-adds per pair, and the dense
 #: kernel takes 4.7x the pairwise kernel's time there.  One far-out term (say
@@ -358,7 +463,7 @@ _DENSE_WORK_PER_PAIR = 32
 
 def _star_product(a: TorusElement, b: TorusElement) -> TorusElement:
     """a * b: the one entry zero + a * b of ``signed_sums``; an empty operand gives zero."""
-    return signed_sums([(TorusElement._raw(a.theta, {}), [(a, b, False)])])[0]
+    return signed_sums([(TorusElement.zero(a.theta), [(a, b, False)])])[0]
 
 
 def signed_sums(entries) -> list:
@@ -369,19 +474,16 @@ def signed_sums(entries) -> list:
     commutators, as ``yangmills.curvature``, ``ym_gradient`` and
     ``line_quartic`` form them.  A product with an empty operand adds
     nothing.  ``_takes_box`` picks each product's kernel.  Those for the
-    pairwise kernel, of every entry, run as one pass that seeds each entry
-    with its base's coefficients; a negated one enters it with its left
+    pairwise kernel, of every entry, run as one pass in which each entry's
+    base terms lead its pairs; a negated one enters it with its left
     coefficients negated, which is exact.  Then each entry's dense-box
     products are summed by ``_box_sums``, a product and its swap of the
-    opposite sign in one kernel call, all of them in one dense array
-    converted once, and that sum is added to the entry with one dict add; an
-    entry that is still empty takes the sum as it is, which has the bits of
-    zero + sum (the box sums from +0.0, so no part of it is -0.0).  As in
-    the pass, ``CANONICAL_EPS`` drops sums, not each product's values: once
-    in the entry's box sum and once in the add.  An entry without products
-    is its base.  Every base and
-    operand shares one theta.  ``IndexOutOfRange`` if an entry of r + s could
-    leave int64.
+    opposite sign in one kernel call, all of them in one dense array, and
+    that sum is added to the entry; an entry that is still empty takes the
+    sum as it is.  As in the pass, ``CANONICAL_EPS`` drops sums, not each
+    product's values: once in the entry's box sum and once in the add.  An
+    entry without products is its base.  Every base and operand shares one
+    theta.  ``IndexOutOfRange`` if an entry of r + s could leave int64.
     """
     if not entries:
         return []
@@ -393,37 +495,37 @@ def signed_sums(entries) -> list:
         for a, b, negate in products:
             base._check(a)
             a._check(b)
-            if not a.coeffs or not b.coeffs:
+            if not len(a.values) or not len(b.values):
                 continue
-            ra, ca, rb, cb = ops = _operand_terms(a, b)
-            bounds = _takes_box(*ops)
+            bounds = _takes_box(a.indices, a.values, b.indices, b.values)
             if bounds:
-                box.append((a, b, negate, ops, bounds))
+                box.append((a, b, negate, _operand_terms(a, b), bounds))
             else:
-                pairwise.append((e, ra, -ca if negate else ca, rb, cb))
+                pairwise.append((e, a.indices, -a.values if negate else a.values, b.indices, b.values))
         boxed.append(box)
     th = first.theta
     bases = [base for base, _ in entries]
     outs = _pairwise_kernel(th, bases, pairwise) if pairwise else bases
     for e, box in enumerate(boxed):
         for part in _box_sums(th, box) if box else ():
-            outs[e] = outs[e] + part if outs[e].coeffs else part
+            outs[e] = outs[e] + part if len(outs[e].values) else part
     return outs
 
 
-def _operand_terms(a: TorusElement, b: TorusElement):
-    """(ra, ca, rb, cb) from ``_terms`` of two nonempty operands.
-
-    ``IndexOutOfRange`` if an entry of r + s could leave int64.
-    """
-    ra, ca, reach_a = _terms(a)
-    rb, cb, reach_b = _terms(b)
+def _check_sums(ra, rb) -> None:
+    """``IndexOutOfRange`` if an entry of r + s, r a row of ra and s one of rb, could leave int64."""
+    reach_a, reach_b = (int(np.abs(r).max()) for r in (ra, rb))
     if reach_a + reach_b > _INDEX_LIMIT:
         raise IndexOutOfRange(
             f"multi-index entries up to {reach_a} and {reach_b} in magnitude: "
             f"their sums may exceed {_INDEX_LIMIT}"
         )
-    return ra, ca, rb, cb
+
+
+def _operand_terms(a: TorusElement, b: TorusElement):
+    """(ra, ca, rb, cb) of two nonempty operands, after ``_check_sums``."""
+    _check_sums(a.indices, b.indices)
+    return a.indices, a.values, b.indices, b.values
 
 
 def _takes_box(ra, ca, rb, cb):
@@ -444,35 +546,6 @@ def _takes_box(ra, ca, rb, cb):
         if _dense_box_work(len(ra), bounds) <= _DENSE_WORK_PER_PAIR * pairs:
             return bounds
     return None
-
-
-def _terms(a: TorusElement):
-    """(int64 (terms, n) multi-index array, complex coefficient array, largest |r_k|).
-
-    Built by ``_term_arrays`` on the first call and kept on the element, which
-    never changes.  Past int64 every call raises ``IndexOutOfRange`` and
-    nothing is kept.
-    """
-    if a._arrays is None:
-        a._arrays = _term_arrays(a)
-    return a._arrays
-
-
-def _term_arrays(a: TorusElement):
-    """``_terms`` of a nonempty element, built from its dict; both arrays read-only.
-
-    The largest |r_k| is a Python int, taken before any int64 arithmetic.
-    """
-    m = len(a.coeffs)
-    flat = list(itertools.chain.from_iterable(a.coeffs))
-    reach = max(max(flat), -min(flat))
-    if reach > _INDEX_LIMIT:
-        raise IndexOutOfRange(f"multi-index entry {reach} in magnitude exceeds {_INDEX_LIMIT}")
-    keys = np.array(flat, dtype=np.int64).reshape(m, a.theta.n)
-    vals = np.fromiter(a.coeffs.values(), dtype=complex, count=m)
-    keys.flags.writeable = False
-    vals.flags.writeable = False
-    return keys, vals, reach
 
 
 def _cocycle_rows(th: ThetaMatrix, r):
@@ -517,7 +590,7 @@ def _phases(x):
 
 
 def _cmul(x, y):
-    """x * y for complex arrays that broadcast, in real arithmetic.
+    """x * y for complex arrays or scalars that broadcast, in real arithmetic.
 
     The formulas are Python's, re = x.re y.re - x.im y.im and
     im = x.re y.im + x.im y.re, as four products, a subtract and an add:
@@ -532,20 +605,6 @@ def _cmul(x, y):
     return out
 
 
-def _element(th: ThetaMatrix, vals, keys_at) -> TorusElement:
-    """sum_i vals[i] U^(key i) without the values of modulus under ``CANONICAL_EPS``.
-
-    NaN is kept.  ``keys_at`` maps the positions kept in the 1-d complex array
-    ``vals`` to their int64 (kept, n) multi-indices.
-    """
-    kept = (~(np.abs(vals) < CANONICAL_EPS)).nonzero()[0]
-    return TorusElement._raw(th, dict(zip(zip(*keys_at(kept).T.tolist()), vals[kept].tolist())))
-
-
-#: Codes of (entry, key) at or past this are not formed; the rows are sorted instead.
-_CODE_LIMIT = 2**62
-
-
 # inf and NaN coefficients carry through, as in Python's complex arithmetic;
 # callers that need finite results check them
 @np.errstate(over="ignore", invalid="ignore")
@@ -556,28 +615,28 @@ def _pairwise_kernel(th: ThetaMatrix, bases, products) -> list:
     product and each in the order of the pair-by-pair dict loop kept in the
     tests, are gathered from the concatenated term arrays by index
     arithmetic, so the number of numpy calls does not grow with the number
-    of products or entries; a single product is the one-product case of the
-    same gather.  Their exponents, phases and complex products are
-    whole-array operations.  The pairs are then grouped by (entry, key): a
-    stable sort of one int64 code, the entry as its most significant digit
-    (when the pass holds more than one) and the key's place in the pass's key
-    box after it, or of the rows themselves when that code space reaches
-    ``_CODE_LIMIT``.  Each group starts from its base's coefficient (base
-    keys never enter an array, so they may lie past int64) and ``np.add.at``
-    adds its pairs one by one in pass order, the loop's order, so every sum
-    has the loop's bits (only which NaN survives an add of two NaNs may
-    differ).  An entry is its base's dict updated with its groups in order of
-    first appearance, the loop's key order, less the sums under the drop
-    (base is canonical, so nothing else can be); an entry without products
-    is its base.  Time and memory follow the pair count.  For one product
-    this is the loop's arithmetic, except for the order of the exponent's
-    sum and numpy's exp in place of cmath's: the complex products are formed
-    by ``_cmul``.
+    of products or entries.  Their exponents, phases and complex products
+    (``_cmul``) are whole-array operations.  Each entry with products puts
+    its base's terms ahead of its pairs, and ``_summed`` groups them all by
+    (entry, key), the entry as the leading digit: each sum starts from its
+    base coefficient and adds the pairs one by one in pass order, the loop's
+    order, so it has the loop's bits (only which NaN survives an add of two
+    NaNs may differ).  The loop
+    starts a key that base lacks from zero, which differs from starting at
+    the first pair only in the sign of a zero part: adding +0.0 to such a
+    sum does the same.  Time and memory follow the pair count.  For one
+    product this is the loop's arithmetic, except for the order of the
+    exponent's sum and numpy's exp in place of cmath's.
     """
-    es, ra, ca, rb, cb = zip(*products)
-    na = np.array([len(c) for c in ca])
-    nb = np.array([len(c) for c in cb])
-    ra, ca, rb, cb = (np.concatenate(x) for x in (ra, ca, rb, cb))
+    es, ras, cas, rbs, cbs = zip(*products)
+    ra, ca, rb, cb = (np.concatenate(x) for x in (ras, cas, rbs, cbs))
+    try:
+        _check_sums(ra, rb)
+    except IndexOutOfRange:  # raised again by the first product whose sums may leave int64
+        for x, y in zip(ras, rbs):
+            _check_sums(x, y)
+    na = np.array([len(c) for c in cas])
+    nb = np.array([len(c) for c in cbs])
     # each left term takes its product's right terms in order: a block of
     # ``per_left`` pairs that starts where the previous block ends
     per_left = nb.repeat(na)
@@ -589,69 +648,22 @@ def _pairwise_kernel(th: ThetaMatrix, bases, products) -> list:
     # ``take`` gathers whole rows at once, where indexing copies them one by one
     w, r, s = _cocycle_rows(th, ra).take(ia, 0), ra.take(ia, 0), rb.take(ib, 0)
     vals = _cmul(_cmul(left, right), _phases(_exponents(w, s)))
-    # the keys one index column per row: the reductions and gathers below
-    # then run along contiguous rows
-    keys = np.ascontiguousarray((r + s).T)
-    # each pair's entry, when the pairs belong to more than one
-    entry = None if products[0][0] == products[-1][0] else np.array(es).repeat(na * nb)
 
-    # group the pairs by (entry, key); ``order`` is stable, so the first pair
-    # of each group in it is the group's first in the pass
-    lo, hi = keys.min(1), keys.max(1)
-    ext = [h - l + 1 for h, l in zip(hi.tolist(), lo.tolist())]  # Python ints: may pass int64
-    # past int64 the digits wrap, but stay distinct for distinct keys: they are
-    # only compared then, in the row sort
-    digits = keys - lo[:, None]
-    if entry is not None:
-        digits = np.concatenate((entry[None, :], digits))
-        ext = [len(bases)] + ext
-    if math.prod(ext) < _CODE_LIMIT:
-        code = np.ravel_multi_index(digits, ext)
-        order = code.argsort(kind="stable")
-        sorted_code = code[order]
-        step = sorted_code[1:] != sorted_code[:-1]
-    else:
-        # the last key is lexsort's primary one
-        order = np.lexsort(digits[::-1])
-        sorted_rows = digits.take(order, 1)
-        step = (sorted_rows[:, 1:] != sorted_rows[:, :-1]).any(0)
-    starts = np.empty(len(order), dtype=bool)
-    starts[0] = True
-    starts[1:] = step
-    first = order[starts]
-    appears = first.argsort()  # the groups in order of first appearance
-    first = first[appears]
-    group_keys = list(zip(*keys.take(first, 1).tolist()))
-    # entry e's groups are group_keys[bounds[e]:bounds[e + 1]]
-    if entry is None:
-        e = products[0][0]
-        bounds = [0] * (e + 1) + [len(first)] * (len(bases) - e)
-    else:
-        bounds = [0] + np.bincount(entry.take(first), minlength=len(bases)).cumsum().tolist()
-
-    sums = np.zeros(len(first), dtype=complex)  # groups in sorted order
-    if any(base.coeffs for base in bases):
-        seeds = []
-        for base, start, end in zip(bases, bounds, bounds[1:]):
-            seeds += map(base.coeffs.get, group_keys[start:end], itertools.repeat(0j, end - start))
-        sums[appears] = seeds
-    # the sort is stable, so in sorted order each group's pairs keep their pass order
-    np.add.at(sums, starts.cumsum() - 1, vals.take(order))
-    sums = sums.take(appears)
-    # base is canonical, so only the sums can fall under the drop
-    dropped = np.flatnonzero(np.abs(sums) < CANONICAL_EPS).tolist()
-    sums = sums.tolist()
-    outs = []
-    for base, start, end in zip(bases, bounds, bounds[1:]):
-        if start == end:
-            outs.append(base)
-            continue
-        out = dict(base.coeffs)
-        out.update(zip(group_keys[start:end], sums[start:end]))
-        outs.append(TorusElement._raw(th, out))
-    for i in dropped:
-        e = bisect.bisect_right(bounds, i) - 1
-        del outs[e].coeffs[group_keys[i]]
+    held = list(dict.fromkeys(es))  # the entries with products, in order
+    lead = [bases[e] for e in held]
+    counts = [len(x.values) for x in lead]
+    entry = np.concatenate((np.repeat(held, counts), np.repeat(es, na * nb)))
+    rows = np.concatenate([x.indices for x in lead] + [r + s])
+    # the keys one index column per row, after the entry: the reductions in
+    # ``_groups`` then run along contiguous rows
+    keys = np.concatenate((entry[None, :], rows.T))
+    first, sums = _summed(keys, np.concatenate([x.values for x in lead] + [vals]))
+    sums[first >= sum(counts)] += 0.0
+    bounds = np.searchsorted(entry.take(first), held + [len(bases)]).tolist()
+    rows = rows.take(first, 0)
+    outs = list(bases)
+    for e, lo, hi in zip(held, bounds, bounds[1:]):
+        outs[e] = _element(th, rows[lo:hi], sums[lo:hi])
     return outs
 
 
@@ -701,9 +713,10 @@ def _dense_box_kernel(th: ThetaMatrix, ra, ca, rb, cb, bounds, s1: int, s2: int)
     Both sides share a's Toeplitz gather T0 (group, output row i, row j of B)
     and each is one 2-d matmul: a * b is (T0 . e(w_0 s_0)) @ B, then times
     e(w_tail . s_tail); b * a is T0 @ (B . e(-j v)), then times e(i v),
-    e(lo_a0 v) and e(u), where r_0 = lo_a0 + i - j.  The offsets i and j are
-    box-relative, so the large lo_a0 v is one exponent, not the difference
-    of two.  One bincount adds every group into the output box.
+    e(lo_a0 v) and e(u), where r_0 = lo_a0 + i - j.  One table e(k v),
+    k < ext_0, gives e(i v) and, conjugated, e(-j v).  The offsets i and j
+    are box-relative, so the large lo_a0 v is one exponent, not the
+    difference of two.  One bincount adds every group into the output box.
     """
     n = th.n
     loa, ext_a, lob, ext_b = (np.array(x, dtype=np.int64) for x in bounds)
@@ -740,11 +753,10 @@ def _dense_box_kernel(th: ThetaMatrix, ra, ca, rb, cb, bounds, s1: int, s2: int)
         conv *= _phases(_exponents(w[:, None, :], s_tail[None, :, :]))[:, None, :]
     if s2:
         w = _cocycle_rows(th, s_tail)
-        v = w[:, 0]
-        right = dense_b * _phases(-np.arange(b0)[:, None] * v)
-        ba = (toeplitz.reshape(-1, b0) @ right).reshape(n_groups, rows0, cells_b)
-        ba *= _phases(np.arange(rows0)[:, None] * v)
-        ba *= _phases(loa[0] * v + _exponents(w[None, :, :], r_tail[:, None, :]))[:, None, :]
+        table = _phases(np.arange(rows0)[:, None] * w[:, 0])  # e(k v); rows0 >= b0
+        ba = (toeplitz.reshape(-1, b0) @ (dense_b * table[:b0].conj())).reshape(n_groups, rows0, cells_b)
+        ba *= table
+        ba *= _phases(loa[0] * w[:, 0] + _exponents(w[None, :, :], r_tail[:, None, :]))[:, None, :]
         if conv is None:
             conv = ba
         else:
@@ -773,10 +785,10 @@ def _box_sums(th: ThetaMatrix, products) -> list:
     product whose swap (b, a) of the opposite sign comes later in the entry
     runs as one ``_dense_box_kernel`` call with it (every q = 1 commutator
     term is such a pair); any other runs alone.  The calls' boxes are added
-    into one array over the union of their output boxes, converted once:
-    one element.  Only when that union has more cells than the calls' summed
-    ``_dense_box_work`` (boxes far apart) is each call's box converted on its
-    own instead, one element per call.
+    into one array over the union of their output boxes: one element.  Only
+    when that union has more cells than the calls' summed
+    ``_dense_box_work`` (boxes far apart) is each call's box an element of
+    its own instead.
     """
     calls, waiting = [], {}
     for a, b, negate, terms, bounds in products:
@@ -807,12 +819,11 @@ def _box_sums(th: ThetaMatrix, products) -> list:
 
 
 def _box_element(th: ThetaMatrix, lo, box) -> TorusElement:
-    """The element whose coefficients are the cells of a Fortran-ordered box from lo."""
-    return _element(
-        th,
-        box.reshape(-1, order="F"),
-        lambda kept: np.stack(np.unravel_index(kept, box.shape, order="F"), axis=1) + np.array(lo, np.int64),
-    )
+    """The element whose coefficients are the cells of a box from lo; in C order they are sorted."""
+    cells = box.ravel()
+    kept = _kept(cells)
+    rows = np.stack(np.unravel_index(kept, box.shape), axis=1) + np.array(lo, dtype=np.int64)
+    return TorusElement._raw(th, rows, cells.take(kept))
 
 
 # Module-level operation names mirroring the algebra interface.
@@ -866,11 +877,12 @@ def tensor_embed(a: TorusElement, b: TorusElement) -> TorusElement:
     """Algebra embedding A_Theta (x) A_Phi -> A_Psi, (a,b) -> a (x) b.
 
     Coefficient at (r, s) is a_r * b_s; because Psi is block diagonal the
-    cocycle factorizes and the map is an exact homomorphism.
+    cocycle factorizes and the map is an exact homomorphism.  a's rows,
+    each repeated once per term of b, beside b's rows, tiled, are sorted.
     """
     psi = product_theta(a.theta, b.theta)
-    out = {}
-    for r, ar in a.coeffs.items():
-        for s, bs in b.coeffs.items():
-            out[r + s] = ar * bs
-    return TorusElement(psi, out)
+    ma, mb = len(a.values), len(b.values)
+    if not ma or not mb:
+        return TorusElement.zero(psi)
+    rows = np.concatenate((a.indices.repeat(mb, 0), np.concatenate([b.indices] * ma)), axis=1)
+    return _element(psi, rows, _cmul(a.values.repeat(mb), np.concatenate([b.values] * ma)))

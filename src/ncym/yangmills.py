@@ -43,7 +43,7 @@ from .errors import (
     NonFiniteValue,
     ShapeMismatch,
 )
-from .torus import ThetaMatrix, TorusElement, product_theta, signed_sums, tensor_embed
+from .torus import ThetaMatrix, TorusElement, inner_sum, product_theta, signed_sums, tensor_embed
 
 IDEMPOTENCY_TOL = 1e-12
 COMPAT_TOL = 1e-10
@@ -163,16 +163,13 @@ class TorusMatrix:
 
     def is_constant(self) -> bool:
         zero_idx = (0,) * self.theta.n
-        return all(set(a.coeffs) <= {zero_idx} for row in self.entries for a in row)
+        return all(a.support() <= {zero_idx} for row in self.entries for a in row)
 
     def is_zero(self, tol=0.0) -> bool:
         return all(a.is_zero(tol) for row in self.entries for a in row)
 
     def max_coeff(self) -> float:
-        return max(
-            (abs(c) for row in self.entries for a in row for c in a.coeffs.values()),
-            default=0.0,
-        )
+        return max(a.max_abs() for row in self.entries for a in row)
 
 
 def _plus_commutators(jobs) -> list:
@@ -210,17 +207,11 @@ def hs_inner(x: TorusMatrix, y: TorusMatrix) -> complex:
     """tau_q(X* Y) via the GNS identity tau(a* b) = sum_r conj(a_r) b_r.
 
     Exact consequence of |sigma| = 1; cross-checked against the literal
-    dagger/matmul/tau route in the test suite.
+    dagger/matmul/tau route in the test suite.  One ``torus.inner_sum`` over
+    all the entries.
     """
     x._check(y)
-    acc = 0j
-    for rx, ry in zip(x.entries, y.entries):
-        for a, b in zip(rx, ry):
-            for r, c in a.coeffs.items():
-                d = b.coeffs.get(r)
-                if d is not None:
-                    acc += c.conjugate() * d
-    return acc
+    return inner_sum([(a, b) for rx, ry in zip(x.entries, y.entries) for a, b in zip(rx, ry)])
 
 
 def skew_part(m: TorusMatrix) -> TorusMatrix:
@@ -545,18 +536,7 @@ def _inverse_laplacian(m: TorusMatrix) -> TorusMatrix:
     frequencies the commutators generate.
     """
     w = 2.0 * (2.0 * math.pi) ** 2
-    rows = []
-    for row in m.entries:
-        out_row = []
-        for a in row:
-            out_row.append(
-                TorusElement(
-                    a.theta,
-                    {r: c / (1.0 + w * sum(x * x for x in r)) for r, c in a.coeffs.items()},
-                )
-            )
-        rows.append(out_row)
-    return TorusMatrix(m.theta, rows)
+    return TorusMatrix(m.theta, [[a.mode_divided(w) for a in row] for row in m.entries])
 
 
 class DescentTrace(list):
@@ -622,6 +602,8 @@ def _quartic_step(coeffs) -> float | None:
     return float(min(ts, key=lambda t: np.polyval(poly, t))) if ts else None
 
 
+# overflow to inf is expected and handled here: it raises NonFiniteValue
+@np.errstate(over="ignore", invalid="ignore")
 def minimize(
     c0: Connection,
     max_iters: int = 10000,

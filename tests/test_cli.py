@@ -109,6 +109,18 @@ def test_index_sums_beyond_int64_exit_1(tmp_path, capsys):
     assert err[0].startswith("error: multi-index entries up to 4611686018427387904 and ")
 
 
+def test_index_past_int64_is_one_diagnostic(tmp_path, capsys):
+    """An index entry int64 cannot hold is a config error at the term's r, for validate and run alike."""
+    term = {"r": [2**63, 0], "re": 0.5, "im": 0.0}
+    conf = torus_ym_config(connection={"A": [{"q": 1, "entries": [[term]]}, {"q": 1, "entries": [[]]}]})
+    message = "error: /payload/connection/A/0/entries/0/0/r: multi-index entry 9223372036854775808 in magnitude exceeds 9223372036854775807"
+    assert cli.main(["validate", write(tmp_path, "conf.json", conf)]) == 1
+    assert capsys.readouterr().out.splitlines() == [message]
+    code, err = run_and_capture(tmp_path, capsys, conf)
+    assert code == 1
+    assert err == [message]
+
+
 def test_run_constants():
     report = cli.run(cfg.ExperimentConfig("constants", {"n": 2}))
     assert report["results"]["dixmier"] == pytest.approx(1.0 / (2.0 * math.pi), abs=1e-15)

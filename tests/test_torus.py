@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ncym import (
     CANONICAL_EPS,
@@ -28,7 +28,7 @@ from ncym import (
 )
 from ncym import sampling, torus
 from ncym.torus import signed_sums
-from ncym.yangmills import line_quartic
+from ncym.yangmills import TorusMatrix, _inverse_laplacian, line_quartic
 
 COEFF_TOL = 1e-12
 
@@ -403,9 +403,10 @@ def test_adjoint_of_index_past_int64_raises(theta2):
     top = 2**63 - 1
     a = TorusElement(theta2, {(top, 0): 1.0, (-top, 1): 2.0})
     assert set(a.adjoint().coeffs) == {(-top, 0), (top, -1)}
+    # an index past int64 cannot reach the adjoint: it is refused at construction
     for r in [(2**63, 0), (0, -(2**63))]:
         with pytest.raises(IndexOutOfRange, match="exceeds"):
-            TorusElement.monomial(theta2, r).adjoint()
+            TorusElement.monomial(theta2, r)
 
 
 @settings(max_examples=300, deadline=None)
@@ -416,7 +417,7 @@ def test_array_kernels_match_dict_loop(pair):
     tol = kernel_tolerance(a, b)
     assert coeff_distance(mul(a, b), ref) <= tol
     if a.coeffs and b.coeffs:
-        (ra, ca, _), (rb, cb, _) = torus._terms(a), torus._terms(b)
+        ra, ca, rb, cb = torus._operand_terms(a, b)
         # both kernels run on every pair here, whatever mul would choose
         (pairs,) = torus._pairwise_kernel(a.theta, [TorusElement.zero(a.theta)], [(0, ra, ca, rb, cb)])
         assert coeff_distance(pairs, ref) <= tol
@@ -563,9 +564,8 @@ def test_index_sums_at_the_int64_limit(theta2, terms):
     # one more would reach 2**63, which int64 wraps to -2**63
     with pytest.raises(IndexOutOfRange, match="exceed"):
         mul(a, a)
-    huge = TorusElement.monomial(theta2, (2**63, 0))
     with pytest.raises(IndexOutOfRange, match="exceeds"):
-        mul(huge, TorusElement.one(theta2))
+        TorusElement.monomial(theta2, (2**63, 0))
 
 
 # -- signed sums against the literal sum of loop products -----------------------
@@ -617,23 +617,12 @@ def test_signed_sum_matches_literal_sum(case):
     assert coeff_distance(got, literal_signed_sum(base, products)) <= signed_sum_tolerance(base, products)
 
 
-def test_signed_sum_keeps_base_index_past_int64(theta2, monkeypatch):
-    """Only the products' indices need int64: base's coefficients seed the
-    pairwise pass (radius-1 discs, 25 pairs a product) and take the dense
-    box's sum (radius-3 discs, 841 pairs, the commutator in one call) as
-    they are."""
-    gen = sampling.rng(45)
-    far = TorusElement(theta2, {(2**63, 0): 1.0, (0, 0): 2.0, (1, 0): 3.0})
-    calls = count_kernel_calls(monkeypatch)
-    for radius, kernels in [(1, {"pairwise": [2], "box": 0}), (3, {"pairwise": [], "box": 1})]:
-        a, b = disc(theta2, radius, gen), disc(theta2, radius, gen)
-        products = [(a, b, False), (b, a, True)]
-        calls.update(pairwise=[], box=0)
-        got = signed_sum(far, products)
-        assert calls == kernels
-        assert list(got.coeffs)[:3] == list(far.coeffs)
-        assert got.coeffs[(2**63, 0)] == 1.0
-        assert coeff_distance(got, literal_signed_sum(far, products)) <= signed_sum_tolerance(far, products)
+def test_base_index_past_int64_raises_at_construction(theta2):
+    """Every element holds its indices in int64, a base of a signed sum too:
+    one with an entry past +-(2**63 - 1) is refused when it is built."""
+    for far in [(2**63, 0), (0, -(2**63))]:
+        with pytest.raises(IndexOutOfRange, match="exceeds"):
+            TorusElement(theta2, {far: 1.0, (0, 0): 2.0, (1, 0): 3.0})
 
 
 def count_kernel_calls(monkeypatch):
@@ -734,8 +723,8 @@ def test_nan_coefficient_survives_signed_sum(theta2):
 def test_signed_sum_index_past_int64_raises_as_mul(theta2):
     one = TorusElement.one(theta2)
     a = TorusElement(theta2, {(BIG - i, 0): float(i + 1) for i in range(3)})
-    huge = TorusElement.monomial(theta2, (2**63, 0))
-    for left, right in [(a, a), (huge, one)]:
+    top = TorusElement.monomial(theta2, (2**63 - 1, 0))
+    for left, right in [(a, a), (top, TorusElement.generator(theta2, 1))]:
         with pytest.raises(IndexOutOfRange) as via_mul:
             mul(left, right)
         with pytest.raises(IndexOutOfRange) as via_sum:
@@ -781,21 +770,21 @@ def dict_pass_signed_sum(base, products):
         coeffs = dict(base.coeffs)
         for key, v in zip(keys, vals):
             coeffs[key] = coeffs.get(key, 0j) + v
-        out = TorusElement._raw(th, torus._trimmed(coeffs))
+        out = TorusElement(th, coeffs)
     for part in torus._box_sums(th, boxed) if boxed else ():
         out = out + part
     return out
 
 
 def bits(el):
-    """(key, bytes of the coefficient) in key order: equal exactly when the bits are.
+    """(key, bytes of the coefficient) in sorted key order: equal exactly when the bits are.
 
     A NaN part reads as NaN, whatever its sign and payload: of two NaNs,
     Python's float add keeps the second and numpy's add the first.
     """
     return [
         (r, tuple("nan" if math.isnan(x) else struct.pack("<d", x) for x in (c.real, c.imag)))
-        for r, c in el.coeffs.items()
+        for r, c in sorted(el.coeffs.items())
     ]
 
 
@@ -871,8 +860,15 @@ def signed_sums_entries(draw):
     return entries
 
 
+#: at theta = 0 the pair (-1 - 0j) * 1 is -1 - 0j, at a key the zero base
+#: lacks: the loop sums it from zero, which turns its -0.0 part into +0.0
+FLAT = ThetaMatrix.zeros(2)
+NEGATIVE_ZERO_PART = [(TorusElement.zero(FLAT), [(TorusElement(FLAT, {(0, 0): complex(-1.0, -0.0)}), TorusElement.one(FLAT), False)])]
+
+
 @settings(max_examples=200, deadline=None)
 @given(signed_sums_entries())
+@example(NEGATIVE_ZERO_PART)
 def test_signed_sums_match_the_dict_pass_bit_for_bit(entries):
     got = signed_sums(entries)
     assert [bits(x) for x in got] == [bits(dict_pass_signed_sum(*entry)) for entry in entries]
@@ -912,43 +908,79 @@ def test_one_pairwise_pass_per_curvature_gradient_and_quartic(monkeypatch):
         assert len(calls["pairwise"]) == 1 and calls["box"] == 0
 
 
-# -- the term arrays kept on each element ---------------------------------------
-
-
-def test_term_arrays_built_once_per_operand(monkeypatch):
-    """Inside one curvature and one gradient, every element that reaches a
-    kernel has its arrays built once, however many products it enters."""
-    gen = sampling.rng(30)
-    th = sampling.random_theta(2, gen)
-    c = random_connection(th, 2, gen, radius=1, terms=3, amplitude=0.3)
-    asked, built = [], []  # the elements themselves, so no id is reused
-    terms, build = torus._terms, torus._term_arrays
-    monkeypatch.setattr(torus, "_terms", lambda a: asked.append(a) or terms(a))
-    monkeypatch.setattr(torus, "_term_arrays", lambda a: built.append(a) or build(a))
-    curvature(c)
-    ym_gradient(c)
-    assert len(built) == len({id(a) for a in built}) == len({id(a) for a in asked})
-    assert len(asked) > len(built)
-
-
-def test_term_arrays_are_read_only(theta2):
-    a = disc(theta2, 2, sampling.rng(31))
-    keys, vals, _ = torus._terms(a)
-    with pytest.raises(ValueError):
-        keys[0, 0] = 7
-    with pytest.raises(ValueError):
-        vals[0] = 1.0
-    assert torus._terms(a)[0] is keys
-    assert dict(zip(map(tuple, keys.tolist()), vals.tolist())) == a.coeffs
+# -- construction and the canonical form -------------------------------------------
 
 
 def test_index_past_int64_raises_on_every_call(theta2):
-    huge = TorusElement.monomial(theta2, (2**63, 0))
-    one = TorusElement.one(theta2)
     for _ in range(2):
-        with pytest.raises(IndexOutOfRange, match="exceeds"):
-            torus._terms(huge)
-        with pytest.raises(IndexOutOfRange, match="exceeds"):
-            mul(one, huge)
-        with pytest.raises(IndexOutOfRange, match="exceeds"):
-            huge.adjoint()
+        for r in [(2**63, 0), (0, -(2**63))]:
+            with pytest.raises(IndexOutOfRange, match="exceeds"):
+                TorusElement.monomial(theta2, r)
+            with pytest.raises(IndexOutOfRange, match="exceeds"):
+                TorusElement(theta2, {(0, 0): 1.0, r: 2.0})
+
+
+def trimmed(coeffs):
+    """A dict oracle's coefficients less those under the drop; NaN is kept.
+
+    The modulus is numpy's, as in the library: Python's ``abs`` of a complex
+    may differ from it in the last bit.
+    """
+    return {r: c for r, c in coeffs.items() if not np.abs(c) < CANONICAL_EPS}
+
+
+def assert_canonical(el, oracle):
+    """el's storage is canonical and its coefficients are ``oracle``'s, a
+    mapping compared by value or a ``bits`` list compared bit for bit."""
+    rows, vals = el.indices, el.values
+    assert rows.dtype == np.int64 and vals.dtype == complex
+    assert rows.shape == (len(vals), el.theta.n) and vals.shape == (len(vals),)
+    keys = list(map(tuple, rows.tolist()))
+    assert all(x < y for x, y in zip(keys, keys[1:]))  # strictly increasing rows
+    assert not (np.abs(vals) < CANONICAL_EPS).any()  # NaN fails the test and stays
+    assert not rows.flags.writeable and not vals.flags.writeable
+    coeffs = el.coeffs
+    with pytest.raises(TypeError):
+        coeffs[(0,) * el.theta.n] = 1.0
+    assert list(coeffs) == keys
+    assert bits(el) == oracle if isinstance(oracle, list) else coeffs == oracle
+
+
+@settings(max_examples=300, deadline=None)
+@given(operand_pairs(), st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False), st.data())
+def test_every_element_operation_is_canonical(pair, z, data):
+    """The constructor, sums, differences, scales, the adjoint, the derivations,
+    the tensor embedding and the preconditioner, each against its dict oracle."""
+    a, b = pair
+    th = a.theta
+    given = {**a.coeffs, **{r: 1e-16 * c for r, c in b.coeffs.items()}}  # unsorted, partly under the drop
+    assert_canonical(TorusElement(th, given), trimmed(given))
+    plus, minus = dict(a.coeffs), dict(a.coeffs)
+    for r, c in b.coeffs.items():
+        plus[r] = plus[r] + c if r in plus else c
+        minus[r] = minus[r] - c if r in minus else -c
+    assert_canonical(a + b, trimmed(plus))
+    assert_canonical(a - b, trimmed(minus))
+    assert_canonical(a.scale(z), trimmed({r: z * c for r, c in a.coeffs.items()}))
+    star = a.adjoint()
+    if any(v for row in th.entries for v in row):
+        assert_canonical(star, star.coeffs)
+        assert coeff_distance(star, adjoint_loop(a)) <= adjoint_tolerance(a)
+    else:
+        assert_canonical(star, adjoint_loop(a).coeffs)  # every phase is 1: the loop's arithmetic
+    j = data.draw(st.integers(1, th.n))
+    delta = {r: complex(0.0, 2.0 * math.pi * r[j - 1]) * c for r, c in a.coeffs.items() if r[j - 1]}
+    assert_canonical(a.derivation(j), delta)
+    embedded = {r + s: x * y for r, x in a.coeffs.items() for s, y in b.coeffs.items()}
+    assert_canonical(tensor_embed(a, b), trimmed(embedded))
+    w = 2.0 * (2.0 * math.pi) ** 2
+    ((damped,),) = _inverse_laplacian(TorusMatrix.from_element(a)).entries
+    assert_canonical(damped, trimmed({r: c / (1.0 + w * sum(x * x for x in r)) for r, c in a.coeffs.items()}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_sums_entries())
+def test_signed_sums_are_canonical(entries):
+    """Every entry, through the pairwise kernel, the dense box or both, against the dict pass."""
+    for got, entry in zip(signed_sums(entries), entries):
+        assert_canonical(got, bits(dict_pass_signed_sum(*entry)))
