@@ -28,11 +28,17 @@ over basis pairs are one batched matmul (``_pair_products``), tensor products
 of two stacks one broadcast multiply (``_kron``).
 
 All subspaces live in the dim_h^2-dimensional operator space with the
-Frobenius inner product; ranks are decided by SVD with relative threshold
-``RANK_TOL``. A span of a stack with at least twice as many rows as columns
-(the pi(Omega^2) generators, the junk images) takes the SVD of the stack's
-triangular QR factor, which has the same row space and singular values
-(``_orthonormal_rows``); R keeps its own thin SVD, whose U the junk needs.
+Frobenius inner product, each held as full-width orthonormal rows; ranks are
+decided by SVD with relative threshold ``RANK_TOL``, in one routine
+(``_svd_cut``) that factorises only the columns of a stack that are not
+exactly zero and puts the kept rows back into the full width. In an even
+triple about half of every form stack's columns are zero (1-forms are odd,
+pi(Omega^2) and the junk even); the rule is "exactly zero", not parity, so an
+odd triple or a grading that is not diagonal just finds fewer. A span of a
+stack with at least twice as many rows as kept columns (the pi(Omega^2)
+generators, the junk images) takes the SVD of the kept columns' triangular
+QR factor, which has the same row space and singular values; R keeps its own
+thin SVD, whose U the junk needs.
 A stack lies in a subspace when each projection residual is at
 most ``CONTAIN_TOL`` (one projection per stack, ``OperatorSubspace.contains``);
 subspace equality is mutual containment. ``FiniteTriple`` checks closure under
@@ -81,35 +87,50 @@ def _unit_scaled(m: np.ndarray, axis=None) -> np.ndarray:
     return np.ldexp(parts, -np.frexp(np.abs(parts).max(axis=axis, keepdims=True))[1]).view(complex)
 
 
-def _svd_cut(m: np.ndarray, scale: float | None = None):
-    """Views of the singular vectors (u, vh) of ``m`` kept by s > RANK_TOL * scale (default s[0])."""
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
+def _svd_cut(m: np.ndarray, scale: float | None = None, left: bool = False):
+    """The rank cut of the 2-d array ``m``: (u, vh), the kept left singular
+    vectors as columns (``None`` unless ``left``) and the kept right singular
+    vectors as rows, each its own array.
+
+    A singular value s is kept when s > RANK_TOL * scale. ``scale`` defaults
+    to the largest singular value; pass it when the rows arise from
+    cancellations so roundoff residue is not mistaken for span.
+
+    Only the columns of ``m`` that are not exactly zero are factorised:
+    dropping them leaves the singular values and U as they are, and the rows
+    of V* are zero there, so the kept rows are put back into a full-width
+    array with exact zeros in the dropped columns. In an even triple each form
+    stack is zero on about half of the dim_h^2 coordinates (1-forms are odd
+    for the grading, pi(Omega^2) and the junk even); a stack with no zero
+    column is factorised whole, and an all-zero one spans nothing.
+
+    Without ``left``, a stack with at least twice as many rows as kept
+    columns is first reduced to the triangular factor T of m = Q T, which has
+    the row space and the singular values of ``m``; the SVD of the square T
+    then never forms the tall thin U. LAPACK's complex divide-and-conquer SVD
+    takes this same QR step itself once the rows exceed about 17/9 of the
+    columns, so at a ratio of 2 or more ``vh`` and ``s`` are bit for bit those
+    of the direct SVD of the kept columns. Below that ratio they can differ by
+    a rotation within degenerate singular values, so shorter stacks go to the
+    SVD as they are.
+    """
+    cols = np.flatnonzero(m.any(axis=0))
+    if not cols.size:
+        u = np.zeros((m.shape[0], 0), dtype=complex) if left else None
+        return u, np.zeros((0, m.shape[1]), dtype=complex)
+    kept = m[:, cols]
+    if not left and kept.shape[0] >= 2 * kept.shape[1]:
+        kept = np.linalg.qr(kept, mode="r")
+    u, s, vh = np.linalg.svd(kept, full_matrices=False)
     rank = int(np.sum(s > RANK_TOL * (s[0] if scale is None else scale)))
-    return u[:, :rank], vh[:rank]
+    rows = np.zeros((rank, m.shape[1]), dtype=complex)
+    rows[:, cols] = vh[:rank]
+    return (u[:, :rank].copy() if left else None), rows
 
 
 def _orthonormal_rows(m: np.ndarray, scale: float | None = None) -> np.ndarray:
-    """Orthonormal basis (as rows) of the row space of the 2-d array ``m``.
-
-    ``scale`` overrides the reference magnitude for the rank cut; pass it when
-    the rows arise from cancellations so roundoff residue is not mistaken
-    for span (default: largest singular value).  The rows are a copy: a view
-    would keep the whole thin ``vh`` alive.
-
-    A stack with at least twice as many rows as columns is first reduced to
-    the triangular factor T of m = Q T, which has the row space and the
-    singular values of ``m``; the SVD of the square T then never forms the
-    tall thin U. LAPACK's complex divide-and-conquer SVD takes this same QR step
-    itself once the rows exceed about 17/9 of the columns, so at a ratio of 2
-    or more ``vh`` and ``s`` are bit for bit those of the direct SVD. Below
-    that ratio they can differ by a rotation within degenerate singular
-    values, so shorter stacks go to the SVD as they are.
-    """
-    if not m.any():
-        return np.zeros((0, m.shape[1]), dtype=complex)
-    if m.shape[0] >= 2 * m.shape[1]:
-        m = np.linalg.qr(m, mode="r")
-    return _svd_cut(m, scale)[1].copy()
+    """Orthonormal basis (as rows) of the row space of the 2-d array ``m``, cut by ``_svd_cut``."""
+    return _svd_cut(m, scale)[1]
 
 
 class OperatorSubspace:
@@ -205,7 +226,7 @@ class FiniteTriple:
 
     @cached_property
     def _relations(self) -> _Relations:
-        """The commutators and R's one thin SVD, cut; copies of the kept vectors only.
+        """The commutators and R's one thin SVD, cut; the kept vectors only, as their own arrays.
 
         The form spaces of D and of s D are the same for s > 0, and so are
         those of bases that differ by a positive factor per element, so they
@@ -216,8 +237,7 @@ class FiniteTriple:
         dirac, basis = _unit_scaled(self.D), self._unit_basis
         coms = dirac @ basis - basis @ dirac
         rel = _pair_products(basis, coms).reshape(-1, self.dim_h * self.dim_h)
-        u, vh = _svd_cut(rel)
-        return _Relations(coms, u.copy(), vh.copy())
+        return _Relations(coms, *_svd_cut(rel, left=True))
 
     def _validate(self):
         # D's checks are relative to its norm, and the basis is divided by its

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncym import (
     AlreadyEven,
@@ -26,6 +27,7 @@ from ncym import (
     unitary_equivalence_defect,
 )
 from ncym import config as cfg
+from ncym import finite
 from ncym.finite import (
     CONTAIN_TOL,
     ORTH_TOL,
@@ -35,6 +37,9 @@ from ncym.finite import (
     _forms,
     _orthogonal,
     _orthonormal_rows,
+    _pair_products,
+    _svd_cut,
+    _unit_scaled,
     contains_subspace,
     intersection_dim,
     subspaces_equal,
@@ -210,8 +215,12 @@ def test_contains_subspace_matches_per_vector_reference():
     assert subspaces_equal(zero, OperatorSubspace.span(np.zeros((4, 3, 3)), 3))
 
 
+def zero_dirac_triple():
+    return FiniteTriple(2, [np.eye(2, dtype=complex), np.diag([1.0, 0.0]).astype(complex)], np.zeros((2, 2)))
+
+
 def test_zero_dirac_gives_zero_spaces():
-    t = FiniteTriple(2, [np.eye(2, dtype=complex), np.diag([1.0, 0.0]).astype(complex)], np.zeros((2, 2)))
+    t = zero_dirac_triple()
     assert omega1_space(t).dim == 0
     assert pi_omega2_space(t, omega1_space(t)).dim == 0
     assert junk_space(t).dim == 0
@@ -535,11 +544,18 @@ def test_orthonormal_rows_of_tall_stacks_match_direct_svd(rows, cols):
     assert _orthonormal_rows(np.zeros((rows, cols), dtype=complex)).shape == (0, cols)
 
 
+def relation_stack(t):
+    """The triple's relation stack R = vec(b_i [D, c_j]), formed as ``FiniteTriple._relations`` forms it."""
+    dirac, basis = _unit_scaled(t.D), t._unit_basis
+    return _pair_products(basis, dirac @ basis - basis @ dirac).reshape(-1, t.dim_h * t.dim_h)
+
+
 def test_only_relation_stacks_reach_the_svd_tall(monkeypatch):
-    """Every span of a tall stack (here the pi(Omega^2) generators and the junk
-    images) goes to the SVD as its square QR triangle, so during
-    form_report and product_check the only SVD inputs with more rows than columns
-    are the relation stacks R, one per triple, whose thin U the junk needs."""
+    """Every span of a stack with at least twice as many rows as nonzero columns
+    (here the pi(Omega^2) generators and the junk images) goes to the SVD as its
+    square QR triangle, so during form_report and product_check the only SVD
+    inputs that tall are the relation stacks R, one per triple, whose thin U the
+    junk needs. Each R arrives with only its columns that are not exactly zero."""
     shapes = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda m, *a, **k: shapes.append(np.shape(m)) or svd(m, *a, **k))
@@ -548,8 +564,151 @@ def test_only_relation_stacks_reach_the_svd_tall(monkeypatch):
     form_report(t1)
     form_report(t2)
     product_check(t1, t2)
-    relations = [(len(t.algebra_basis) ** 2, t.dim_h**2) for t in (t1, t2, product_triple(t1, t2))]
-    assert sorted(shape for shape in shapes if shape[0] > shape[1]) == sorted(relations)
+    relations = []
+    for t in (t1, t2, product_triple(t1, t2)):
+        rel = relation_stack(t)
+        assert rel.shape[1] == t.dim_h**2 and not rel.any(axis=0).all()
+        relations.append((len(t.algebra_basis) ** 2, int(np.count_nonzero(rel.any(axis=0)))))
+    assert sorted(shape for shape in shapes if shape[0] >= 2 * shape[1]) == sorted(relations)
+
+
+def full_width_svd_cut(m, scale=None):
+    """The rank cut with every column of ``m`` factorised: the reference for ``_svd_cut(m, scale, left=True)``."""
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    rank = int(np.sum(s > RANK_TOL * (s[0] if scale is None else scale)))
+    return u[:, :rank], vh[:rank]
+
+
+def full_width_orthonormal_rows(m, scale=None):
+    """Row basis with every column of ``m`` factorised: the reference for ``_orthonormal_rows``."""
+    if not m.any():
+        return np.zeros((0, m.shape[1]), dtype=complex)
+    if m.shape[0] >= 2 * m.shape[1]:
+        m = np.linalg.qr(m, mode="r")
+    return full_width_svd_cut(m, scale)[1]
+
+
+def orthonormal_rows_of(rows):
+    return np.linalg.norm(rows @ rows.conj().T - np.eye(len(rows))) < 1e-12
+
+
+def assert_matches_full_width(m, scale, left):
+    """``_svd_cut`` against the full-width reference: the same rank and the same
+    span (mutual containment), orthonormal rows that own their data, exact zeros
+    in every column of ``m`` that is exactly zero; with ``left``, also the same
+    column space of U, with orthonormal columns."""
+    n = m.shape[1]
+    u, rows = _svd_cut(m, scale, left)
+    ref_u, ref_rows = full_width_svd_cut(m, scale) if left else (None, full_width_orthonormal_rows(m, scale))
+    assert rows.shape == ref_rows.shape
+    assert rows.base is None and orthonormal_rows_of(rows)
+    assert np.all(rows[:, ~m.any(axis=0)] == 0)
+    assert subspaces_equal(OperatorSubspace(n, rows), OperatorSubspace(n, ref_rows))
+    if left:
+        assert u.shape == ref_u.shape and u.base is None and orthonormal_rows_of(u.T)
+        assert subspaces_equal(OperatorSubspace(len(m), u.T), OperatorSubspace(len(m), ref_u.T))
+    else:
+        assert u is None
+
+
+def recorded_cuts(monkeypatch, build):
+    """Every (stack, scale, left) that ``_svd_cut`` sees while ``build()`` runs."""
+    calls = []
+    cut = finite._svd_cut
+
+    def record(m, scale=None, left=False):
+        calls.append((m.copy(), scale, left))
+        return cut(m, scale, left)
+
+    monkeypatch.setattr(finite, "_svd_cut", record)
+    build()
+    return calls
+
+
+COMPRESSION_CASES = {
+    **{f"case-table ({p},{q}) {case.value}": (lambda p=p, q=q, mu=mu: matrix_case_triple(p, q, mu))
+       for p, q, mu, case, _ in CASE_TABLE},
+    **{f"rotated {name}": (lambda name=name: rotated(JUNK_FIXTURES[name](), seed=len(name))) for name in JUNK_FIXTURES},
+    "zero D": zero_dirac_triple,
+}
+
+
+@pytest.mark.parametrize("name", list(COMPRESSION_CASES))
+def test_svd_cut_matches_full_width_on_every_form_stack(monkeypatch, name):
+    """Every stack whose rank is cut while a triple is built and its form report
+    formed (the basis span, R, the pi(Omega^2) generators, the junk images) gives
+    what the full-width cut gives. The even two-block triples drop columns; a
+    rotated triple's grading is not diagonal, so it keeps (nearly) all of them;
+    with D = 0 every column of R is zero."""
+    calls = recorded_cuts(monkeypatch, lambda: form_report(COMPRESSION_CASES[name]()))
+    assert [left for _, _, left in calls].count(True) == 1
+    for m, scale, left in calls:
+        assert_matches_full_width(m, scale, left)
+    relation = next(m for m, _, left in calls if left)
+    if name.startswith("case-table"):
+        assert not relation.any(axis=0).all()
+    if name == "zero D":
+        assert not relation.any()
+
+
+def test_svd_cut_matches_full_width_in_a_product_check(monkeypatch):
+    """The same on the product check, whose sums and intersections of subspaces also cut ranks."""
+    t1 = matrix_case_triple(2, 2, np.diag([1.0, 2.0]))
+    t2 = matrix_case_triple(2, 1, [[0.6], [0.8j]])
+    calls = recorded_cuts(monkeypatch, lambda: product_check(t1, t2))
+    assert len(calls) > 10 and [left for _, _, left in calls].count(True) == 3
+    for m, scale, left in calls:
+        assert_matches_full_width(m, scale, left)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    core=st.integers(0, 12),
+    extra_rows=st.integers(0, 30),
+    pad=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    magnitude=st.sampled_from([1e-20, 1e-5, 1.0, 1e10, 1e20]),
+    explicit_scale=st.booleans(),
+    left=st.booleans(),
+)
+def test_svd_cut_of_zero_padded_stacks_matches_full_width(core, extra_rows, pad, seed, magnitude, explicit_scale, left):
+    """A graded random stack with zero columns put in at random places, short or
+    tall, at any magnitude, with the default cut and with an explicit ``scale``
+    that drops its small singular values; ``core = 0`` is all zero."""
+    rows = core // 2 + 1 + extra_rows
+    m = np.zeros((rows, core + pad), dtype=complex)
+    if core:
+        place = np.sort(np.random.default_rng(seed).permutation(core + pad)[:core])
+        m[:, place] = magnitude * _graded_stack(rows, core, seed)
+    top = np.linalg.svd(m, compute_uv=False)[0] if m.size else 0.0
+    assert_matches_full_width(m, 1e7 * top if explicit_scale else None, left)
+
+
+#: (p, q, coupling class) of every two-block triple whose form spaces the
+#: benchmark's finite workload times, dim_h = p + q from 2 to 9
+BENCHMARK_FORM_SHAPES = [
+    (1, 1, 1), (2, 1, 3), (1, 2, 3), (1, 3, 3), (2, 2, 1), (2, 2, 2), (3, 1, 3), (3, 2, 2),
+    (2, 3, 3), (3, 2, 3), (1, 4, 3), (4, 1, 3), (5, 1, 3), (1, 5, 3), (3, 3, 1), (3, 3, 2),
+    (4, 2, 2), (2, 4, 3), (4, 3, 2), (3, 4, 3), (4, 4, 1), (4, 4, 2), (5, 3, 3), (5, 4, 2),
+    (4, 5, 3),
+]
+
+
+@pytest.mark.parametrize("p,q,klass", BENCHMARK_FORM_SHAPES)
+def test_matrix_case_dims_on_benchmark_shapes(p, q, klass):
+    """dim Omega^2 is p^2 + q^2 in case 1, 0 in case 2 and min(p, q)^2 in case 3
+    on random couplings of each class: a Gaussian block for case 2, orthonormal
+    columns of the larger side times a scale otherwise."""
+    gen = np.random.default_rng([p, q, klass])
+    if klass == 2:
+        mu = gen.normal(size=(p, q)) + 1j * gen.normal(size=(p, q))
+    else:
+        cols, _ = np.linalg.qr(gen.normal(size=(max(p, q), min(p, q))))
+        mu = gen.uniform(0.5, 2.0) * (cols if p >= q else cols.T)
+    assert classify_matrix_case(p, q, mu) is MatrixCase(f"Case{klass}")
+    expected = {1: p * p + q * q, 2: 0, 3: min(p, q) ** 2}[klass]
+    rep = form_report(matrix_case_triple(p, q, mu))
+    assert rep.dim_omega2 == rep.dim_pi_omega2 - rep.dim_junk == expected
 
 
 def test_form_space_bases_own_their_data(monkeypatch):
