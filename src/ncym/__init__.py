@@ -31,7 +31,6 @@ from .torus import (
 from .yangmills import (
     AdditivityReport,
     Connection,
-    Curvature,
     Perturbation,
     Projection,
     SplittingReport,

@@ -62,7 +62,7 @@ def _run_torus_ym(spec: cfg.TorusYm):
         "compatibility_deviation": deviation,
     }
     if c.proj is not None:
-        results["projection_idempotency_defect"] = c.proj.idempotency_defect()
+        results["projection_idempotency_defect"] = c.proj.defect
     checks = {"compatible": deviation <= ym.compatibility_bound(c, spec.compat_tol)}
     return results, checks, {"compat": spec.compat_tol, "compat_relative_to": COMPAT_SCALE}
 

@@ -403,11 +403,11 @@ class MatrixCase(Enum):
     UNCLASSIFIED = "Unclassified"
 
 
-def _proportional_to_identity(m: np.ndarray, tol: float = RANK_TOL) -> bool:
-    """Whether ``m`` is within ``tol * ||m||`` of a multiple of 1, so the verdict does not depend on its scale."""
+def _proportional_to_identity(m: np.ndarray) -> bool:
+    """Whether ``m`` is within ``RANK_TOL * ||m||`` of a multiple of 1, so the verdict does not depend on its scale."""
     d = m.shape[0]
     c = np.trace(m) / d
-    return np.linalg.norm(m - c * np.eye(d)) <= tol * np.linalg.norm(m)
+    return np.linalg.norm(m - c * np.eye(d)) <= RANK_TOL * np.linalg.norm(m)
 
 
 def classify_matrix_case(p: int, q: int, mu) -> MatrixCase:

@@ -96,6 +96,7 @@ elements.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from types import MappingProxyType
@@ -304,9 +305,6 @@ class TorusElement:
 
     def support(self):
         return set(map(tuple, self.indices.tolist()))
-
-    def coeff(self, r) -> complex:
-        return self.coeffs.get(tuple(r), 0j)
 
     def l1(self) -> float:
         """Sum of coefficient moduli."""
@@ -844,22 +842,14 @@ def derivation(j: int, a: TorusElement) -> TorusElement:
     return a.derivation(j)
 
 
-#: (theta, phi, psi) of the last ``product_theta`` call.  A ThetaMatrix never
-#: changes, so the only effect of this cache is that equal products are one object.
-_last_product = None
-
-
+@functools.lru_cache(maxsize=1)
 def product_theta(theta: ThetaMatrix, phi: ThetaMatrix) -> ThetaMatrix:
     """Block-diagonal deformation matrix of the (n+m)-torus A_Theta (x) A_Phi.
 
     A call with factors equal to the last call's returns the last call's
     object, so all the entries that one product connection embeds share one
-    theta.
+    theta.  A ThetaMatrix never changes, so that is the cache's only effect.
     """
-    global _last_product
-    last = _last_product
-    if last is not None and last[0] == theta and last[1] == phi:
-        return last[2]
     n, m = theta.n, phi.n
     rows = [[0.0] * (n + m) for _ in range(n + m)]
     for j in range(n):
@@ -868,9 +858,7 @@ def product_theta(theta: ThetaMatrix, phi: ThetaMatrix) -> ThetaMatrix:
     for j in range(m):
         for k in range(m):
             rows[n + j][n + k] = phi.entries[j][k]
-    psi = ThetaMatrix(rows)
-    _last_product = theta, phi, psi
-    return psi
+    return ThetaMatrix(rows)
 
 
 def tensor_embed(a: TorusElement, b: TorusElement) -> TorusElement:

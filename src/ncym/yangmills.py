@@ -24,7 +24,9 @@ Sign conventions (derived once, verified by the test oracles):
   normalized so that d/dt YM(nabla + t mu)|_0 = 2 sum_k Re tau_q(G_k* mu_k).
 
 Everything except ``minimize`` (which owns its private iterates) is a pure
-function of immutable inputs; independent seeds/sweeps can run concurrently.
+function of immutable inputs; the one write, a connection's curvature memo,
+is made once, by the first ``curvature`` call.  Independent seeds/sweeps can
+run concurrently.
 """
 
 from __future__ import annotations
@@ -219,7 +221,11 @@ def skew_part(m: TorusMatrix) -> TorusMatrix:
 
 
 class Projection:
-    """Self-adjoint idempotent in M_q(A_Theta) carving out the module."""
+    """Self-adjoint idempotent in M_q(A_Theta) carving out the module.
+
+    Checked once, at construction; ``defect`` is the l1 norm of p p - p
+    measured there.
+    """
 
     def __init__(self, p: TorusMatrix):
         defect = (p @ p - p).l1()
@@ -235,16 +241,14 @@ class Projection:
                 stacklevel=2,
             )
         self.p = p
-
-    def idempotency_defect(self) -> float:
-        return (self.p @ self.p - self.p).l1()
-
-    def is_constant(self) -> bool:
-        return self.p.is_constant()
+        self.defect = defect
 
 
 class Connection:
-    """nabla_j = delta_j + A_j on A_Theta^q (or the corner cut by proj)."""
+    """nabla_j = delta_j + A_j on A_Theta^q (or the corner cut by proj).
+
+    A connection is validated once, at construction, and not changed after.
+    """
 
     def __init__(self, theta: ThetaMatrix, q: int, A, proj: Projection | None = None):
         self.theta = theta
@@ -252,11 +256,10 @@ class Connection:
         self.n = theta.n
         self.A = tuple(A)
         self.proj = proj
-        self.validate()
-        # (A, proj, Curvature) of the last curvature() call; see curvature()
+        self._validate()
         self._curvature = None
 
-    def validate(self):
+    def _validate(self):
         if len(self.A) != self.n:
             raise InvalidConnection(f"expected {self.n} potentials, got {len(self.A)}")
         for a in self.A:
@@ -289,26 +292,6 @@ class Connection:
             [a + m.scale(t) for a, m in zip(self.A, mu.components)],
             self.proj,
         )
-
-
-class Curvature:
-    """Antisymmetric table F_ij = [nabla_i, nabla_j] stored for i < j."""
-
-    def __init__(self, theta, q, table):
-        self.theta = theta
-        self.q = q
-        self.n = theta.n
-        self.table = dict(table)
-
-    def component(self, i: int, j: int) -> TorusMatrix:
-        if i == j:
-            return TorusMatrix.zeros(self.theta, self.q)
-        if i < j:
-            return self.table[(i, j)]
-        return -self.table[(j, i)]
-
-    def items(self):
-        return self.table.items()
 
 
 class Perturbation:
@@ -383,8 +366,8 @@ class SplittingReport:
 # -- curvature and the functional ---------------------------------------
 
 
-def curvature(c: Connection) -> Curvature:
-    """F_ij for i < j, memoised on ``c`` while ``c.A`` and ``c.proj`` are the same objects.
+def curvature(c: Connection) -> dict:
+    """{(i, j): F_ij} for i < j, computed by the first call and kept on ``c``.
 
     F_ij = delta_i(A_j) - delta_j(A_i) + [A_i, A_j].  The commutators of all
     the components are one ``_plus_commutators`` call: each entry is summed
@@ -393,29 +376,23 @@ def curvature(c: Connection) -> Curvature:
 
     minimize evaluates ym_value at each candidate, then takes the gradient and
     the line-search quartic at the accepted one, so the memo spares two
-    curvatures per iteration.  The key is object identity (the memo holds the
-    keyed objects, so their ids are not reused); rebinding ``c.A`` or
-    ``c.proj`` recomputes.
+    curvatures per iteration.  A connection does not change after
+    construction, so the memo is never stale.
     """
-    memo = c._curvature
-    if memo is not None and memo[0] is c.A and memo[1] is c.proj:
-        return memo[2]
-    c.validate()
-    keys = [(i, j) for i in range(1, c.n + 1) for j in range(i + 1, c.n + 1)]
-    jobs = []
-    for i, j in keys:
-        ai, aj = c.A[i - 1], c.A[j - 1]
-        jobs.append((aj.derive(i) - ai.derive(j), [(ai, aj)]))
-    f = Curvature(c.theta, c.q, dict(zip(keys, _plus_commutators(jobs))))
-    c._curvature = (c.A, c.proj, f)
-    return f
+    if c._curvature is None:
+        keys = [(i, j) for i in range(1, c.n + 1) for j in range(i + 1, c.n + 1)]
+        jobs = []
+        for i, j in keys:
+            ai, aj = c.A[i - 1], c.A[j - 1]
+            jobs.append((aj.derive(i) - ai.derive(j), [(ai, aj)]))
+        c._curvature = dict(zip(keys, _plus_commutators(jobs)))
+    return c._curvature
 
 
 def ym_value(c: Connection) -> float:
     """YM(nabla) = sum_{i<j} tau_q(F_ij* F_ij); zero table for n = 1."""
-    f = curvature(c)
     total = 0.0
-    for _, m in f.items():
+    for m in curvature(c).values():
         v = hs_inner(m, m)
         total += v.real
     return total
@@ -438,7 +415,7 @@ def ym_gradient(c: Connection) -> Perturbation:
         for j in range(1, c.n + 1):
             if j == k:
                 continue
-            fkj = f.component(k, j)
+            fkj = f[(k, j)] if k < j else -f[(j, k)]
             acc = acc + fkj.derive(j)
             brackets.append((c.A[j - 1], fkj))
         jobs.append((acc, brackets))
@@ -567,15 +544,15 @@ def line_quartic(c: Connection, d) -> tuple:
     summed over the 4q products of its two commutators, each entry of F2
     over 2q, and the pairwise products of all of them run as one pass.
     """
-    f0s = curvature(c).items()
+    f0s = curvature(c)
     jobs = []
-    for (i, j), _ in f0s:
+    for i, j in f0s:
         ai, aj, di, dj = c.A[i - 1], c.A[j - 1], d[i - 1], d[j - 1]
         jobs.append((dj.derive(i) - di.derive(j), [(ai, dj), (di, aj)]))
         jobs.append((TorusMatrix.zeros(c.theta, c.q), [(di, dj)]))
     terms = iter(_plus_commutators(jobs))
     c0 = c1 = c2 = c3 = c4 = 0.0
-    for _, f0 in f0s:
+    for f0 in f0s.values():
         f1, f2 = next(terms), next(terms)
         c0 += hs_inner(f0, f0).real
         c1 -= 2.0 * hs_inner(f0, f1).real
@@ -681,8 +658,6 @@ def _kron_matrix(m1: TorusMatrix, m2: TorusMatrix) -> TorusMatrix:
 
 def product_connection(c1: Connection, c2: Connection) -> Connection:
     """nabla = nabla_1 (x) 1 + 1 (x) nabla_2 on the rank q1*q2 product module."""
-    c1.validate()
-    c2.validate()
     one1 = TorusMatrix.identity(c1.theta, c1.q)
     one2 = TorusMatrix.identity(c2.theta, c2.q)
     comps = [_kron_matrix(a, one2) for a in c1.A]
@@ -703,8 +678,7 @@ def curvature_tau_sum(c: Connection) -> complex:
     common positive constant, and identically ~0 on torus connections since
     derivations and commutators are traceless.
     """
-    f = curvature(c)
-    return sum((m.tau() for _, m in f.items()), 0j)
+    return sum((m.tau() for m in curvature(c).values()), 0j)
 
 
 def additivity_report(c1: Connection, c2: Connection) -> AdditivityReport:

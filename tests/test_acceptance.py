@@ -211,7 +211,7 @@ def test_criterion_07_additivity():
         f = curvature(prod)
         for i in range(1, c1.n + 1):
             for j in range(c1.n + 1, prod.n + 1):
-                worst_mixed = max(worst_mixed, f.table[(i, j)].max_coeff())
+                worst_mixed = max(worst_mixed, f[(i, j)].max_coeff())
         ok = ok and worst_mixed <= 1e-12
     assert report(7, "additivity-tau-constants", ok, f"worst rel defect {worst_defect:.2e}, mixed {worst_mixed:.2e}")
 

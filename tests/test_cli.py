@@ -334,6 +334,7 @@ def test_corner_module_torus_ym_compatible(tmp_path):
     report = json.loads(out.read_text())
     assert report["checks"] == {"compatible": True}
     assert report["results"]["compatibility_deviation"] == 0.0
+    assert report["results"]["projection_idempotency_defect"] == 0.0
 
 
 def torus_minimize_config(**overrides):

@@ -69,7 +69,7 @@ def test_mixed_curvature_components_vanish():
     n1 = c1.n
     for i in range(1, n1 + 1):
         for j in range(n1 + 1, prod.n + 1):
-            assert f.table[(i, j)].max_coeff() == 0.0
+            assert f[(i, j)].max_coeff() == 0.0
 
 
 def test_block_curvature_embeds_factor_curvature():
@@ -80,16 +80,16 @@ def test_block_curvature_embeds_factor_curvature():
     # first-block component (1,2) of the product is F12(c1) embedded
     from ncym.torus import tensor_embed
 
-    emb = tensor_embed(f1.table[(1, 2)].entries[0][0], TorusElement.one(c2.theta))
-    got = f_prod.table[(1, 2)].entries[0][0]
+    emb = tensor_embed(f1[(1, 2)].entries[0][0], TorusElement.one(c2.theta))
+    got = f_prod[(1, 2)].entries[0][0]
     assert max(
         abs(got.coeffs.get(k, 0j) - emb.coeffs.get(k, 0j))
         for k in set(got.coeffs) | set(emb.coeffs)
     ) < 1e-12
     # second-block component (3,4) embeds F12(c2)
     f2 = curvature(c2)
-    emb2 = tensor_embed(TorusElement.one(c1.theta), f2.table[(1, 2)].entries[0][0])
-    got2 = f_prod.table[(3, 4)].entries[0][0]
+    emb2 = tensor_embed(TorusElement.one(c1.theta), f2[(1, 2)].entries[0][0])
+    got2 = f_prod[(3, 4)].entries[0][0]
     assert max(
         abs(got2.coeffs.get(k, 0j) - emb2.coeffs.get(k, 0j))
         for k in set(got2.coeffs) | set(emb2.coeffs)
@@ -244,6 +244,22 @@ def test_splitting_with_projection_takes_literal_product_gradient(monkeypatch):
     assert calls[2].n == c1.n + c2.n and calls[2].q == c1.q * c2.q
     assert rep.gradient_norm_product == gradient_norm(product_connection(c1, c2)) > 0.0
     assert not rep.necessary and not rep.product_critical
+
+
+def test_product_connection_checks_only_the_product(monkeypatch):
+    """Factors were checked when they were built: a product of two projected
+    factors checks the product connection alone."""
+    gen = sampling.rng(611)
+    factors = []
+    for p in ([[0.5, 0.5], [0.5, 0.5]], [[1.0, 0.0], [0.0, 0.0]]):
+        th = sampling.random_theta(2, gen)
+        proj = Projection(TorusMatrix.from_scalar_matrix(th, p))
+        factors.append(random_connection(th, 2, gen, radius=1, amplitude=0.4, proj=proj))
+    checked = []
+    real = Connection._validate
+    monkeypatch.setattr(Connection, "_validate", lambda c: checked.append(c) or real(c))
+    prod = product_connection(*factors)
+    assert checked == [prod] and prod.proj is not None
 
 
 def test_splitting_implication_never_violated():

@@ -25,7 +25,7 @@ from ncym import (
     ym_gradient,
     ym_value,
 )
-from ncym import sampling
+from ncym import sampling, yangmills
 from test_torus import bits, coeff_distance, dict_pass_signed_sum, signed_sum_tolerance
 from ncym.yangmills import (
     COMPAT_TOL,
@@ -82,7 +82,7 @@ def test_constant_scalar_potentials_flat():
 def test_explicit_curvature_and_ym_value():
     for val in (0.1, 0.3, 1.0 / math.sqrt(2.0)):
         c = example_connection(theta2(val))
-        f = curvature(c).table[(1, 2)].entries[0][0]
+        f = curvature(c)[(1, 2)].entries[0][0]
         u1 = TorusElement.generator(c.theta, 1)
         expected = (u1 + u1.adjoint()).scale(2j * math.pi)
         assert max(
@@ -97,13 +97,26 @@ def test_explicit_curvature_and_ym_value():
         assert abs(brute.real - ym) < 1e-9
 
 
-def test_curvature_memo_follows_rebound_potentials():
-    c = example_connection()
+def test_curvature_is_a_dict_kept_on_the_connection():
+    gen = sampling.rng(30)
+    c = random_connection(sampling.random_theta(3, gen), 1, gen, radius=1)
     f = curvature(c)
-    assert curvature(c) is f
-    c.A = Connection.flat(c.theta, 1).A
-    assert all(m.is_zero() for _, m in curvature(c).items())
-    assert ym_value(c) == 0.0
+    assert type(f) is dict and list(f) == [(1, 2), (1, 3), (2, 3)]
+    assert curvature(c) is f and c._curvature is f
+
+
+def test_projected_connection_is_checked_at_construction_only(monkeypatch):
+    """YM of a projected q = 2 connection is its curvature's one ``signed_sums``
+    call: neither it nor a second YM checks the connection again."""
+    th = theta2()
+    proj = Projection(TorusMatrix.from_scalar_matrix(th, [[1.0, 0.0], [0.0, 0.0]]))
+    c = random_connection(th, 2, sampling.rng(31), radius=1, proj=proj)
+    calls = []  # entries per signed_sums call
+    real = yangmills.signed_sums
+    monkeypatch.setattr(yangmills, "signed_sums", lambda entries: calls.append(len(entries)) or real(entries))
+    ym = ym_value(c)
+    assert ym > 0.0 and calls == [4]  # one pair i < j, q^2 entries
+    assert ym_value(c) == ym and calls == [4]
 
 
 def test_ym_quadratic_scaling():
@@ -321,7 +334,7 @@ def test_corner_module_ignores_complement_block():
 def test_grassmannian_constant_projection_compatible():
     th = theta2()
     c = grassmannian_connection(th, [[0.5, 0.5], [0.5, 0.5]])
-    assert c.proj is not None and c.proj.is_constant()
+    assert c.proj is not None and c.proj.p.is_constant()
     assert check_compatibility(c)
     assert ym_value(c) == 0.0
 
@@ -670,7 +683,7 @@ def test_degenerate_one_torus():
     th = ThetaMatrix.zeros(1)
     u = TorusElement.generator(th, 1)
     c = Connection(th, 1, [TorusMatrix.from_element(u - u.adjoint())])
-    assert curvature(c).table == {}
+    assert curvature(c) == {}
     assert ym_value(c) == 0.0
     assert gradient_norm(c) == 0.0
     _, trace = minimize(c)
