@@ -21,12 +21,8 @@ from .torus import (
     CANONICAL_EPS,
     ThetaMatrix,
     TorusElement,
-    adjoint,
-    derivation,
-    mul,
     product_theta,
     tensor_embed,
-    trace,
 )
 from .yangmills import (
     AdditivityReport,
@@ -36,7 +32,6 @@ from .yangmills import (
     SplittingReport,
     TorusMatrix,
     additivity_report,
-    check_compatibility,
     critical_splitting_check,
     curvature,
     dixmier_torus_constant,

@@ -18,6 +18,8 @@ import sys
 import time
 from dataclasses import asdict
 
+import numpy as np
+
 from . import __version__, config as cfg, finite, sampling, torus, yangmills as ym
 from .errors import ComputeError, ConfigInvalid, NcymError
 
@@ -151,7 +153,9 @@ def run(experiment: cfg.ExperimentConfig) -> dict:
     """Execute one experiment and return its report document."""
     start = time.monotonic()
     try:
-        results, checks, tolerances = _RUNNERS[experiment.kind](experiment.spec)
+        # overflow to inf or NaN is a result here, refused when the report is written
+        with np.errstate(over="ignore", invalid="ignore"):
+            results, checks, tolerances = _RUNNERS[experiment.kind](experiment.spec)
     except NcymError:
         raise
     except (OSError, ValueError, KeyError, ArithmeticError) as exc:

@@ -220,10 +220,6 @@ class FiniteTriple:
         self._unit_basis = _unit_scaled(self.algebra_basis, axis=(1, 2))
         self._validate()
 
-    @property
-    def is_even(self) -> bool:
-        return self.gamma is not None
-
     @cached_property
     def _relations(self) -> _Relations:
         """The commutators and R's one thin SVD, cut; the kept vectors only, as their own arrays.

@@ -55,8 +55,8 @@ Star-product kernels
 --------------------
 Every star product and every sum of star products has one entry point,
 ``signed_sums``: it takes the entries of one or more sums base + sum of -+
-a_k * b_k and returns them all.  A single product ``a * b`` (through
-``TorusElement.__mul__`` or ``mul``) is the one entry zero + a * b, a matrix
+a_k * b_k and returns them all.  A single product ``a * b``
+(``TorusElement.__mul__``) is the one entry zero + a * b, a matrix
 product ``@`` is one call over its q^2 entries, and ``yangmills`` forms the
 curvature, the gradient and the line-search terms the same way.  It sends
 each product to one of two array kernels (``_takes_box``).  The dense-box
@@ -143,15 +143,6 @@ class ThetaMatrix:
     @classmethod
     def zeros(cls, n: int) -> "ThetaMatrix":
         return cls([[0.0] * n for _ in range(n)])
-
-    @classmethod
-    def from_upper(cls, n: int, upper: dict) -> "ThetaMatrix":
-        """Build from a {(j, k): value} map of strictly-upper entries (0-based)."""
-        rows = [[0.0] * n for _ in range(n)]
-        for (j, k), v in upper.items():
-            rows[j][k] = float(v)
-            rows[k][j] = -float(v)
-        return cls(rows)
 
     def __eq__(self, other):
         if self is other:
@@ -242,8 +233,10 @@ class TorusElement:
         return _element(self.theta, self.indices, _cmul(complex(z), self.values))
 
     def __mul__(self, other):
+        """The star product with an element, the one entry zero + self * other of
+        ``signed_sums``; any other operand is a scalar that scales."""
         if isinstance(other, TorusElement):
-            return _star_product(self, other)
+            return signed_sums([(TorusElement.zero(self.theta), [(self, other, False)])])[0]
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -310,17 +303,10 @@ class TorusElement:
         """Sum of coefficient moduli."""
         return float(np.abs(self.values).sum())
 
-    def max_abs(self) -> float:
-        """Largest coefficient modulus, 0.0 for zero."""
-        return float(np.abs(self.values).max()) if len(self.values) else 0.0
-
     def norm_sq(self) -> float:
         """GNS norm squared: tau(a* a) = sum_r |a_r|^2 (exact identity)."""
         c = self.values
         return float((c.real * c.real + c.imag * c.imag).sum())
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return bool((np.abs(self.values) <= tol).all())
 
     def _check(self, other):
         if not isinstance(other, TorusElement):
@@ -457,11 +443,6 @@ _VECTOR_CUTOFF = 512
 #: U^(0,10**6) next to a dense patch) makes the box millions of cells for a
 #: few thousand pairs.
 _DENSE_WORK_PER_PAIR = 32
-
-
-def _star_product(a: TorusElement, b: TorusElement) -> TorusElement:
-    """a * b: the one entry zero + a * b of ``signed_sums``; an empty operand gives zero."""
-    return signed_sums([(TorusElement.zero(a.theta), [(a, b, False)])])[0]
 
 
 def signed_sums(entries) -> list:
@@ -697,7 +678,7 @@ def _dense_box_work(terms_a: int, bounds) -> int:
 
 
 def _dense_box_kernel(th: ThetaMatrix, ra, ca, rb, cb, bounds, s1: int, s2: int):
-    """s1 (a * b) + s2 (b * a) over the dense output box of a * b, each sign -1, 0 or 1.
+    """s1 (a * b) + s2 (b * a) over the dense output box of a * b, s1 -1 or 1 and s2 -1, 0 or 1.
 
     ``bounds`` are the operands' ``_boxes``; the result is the box's complex
     cells as an array of extent ext_a + ext_b - 1 in Fortran order (axis 0
@@ -743,24 +724,19 @@ def _dense_box_kernel(th: ThetaMatrix, ra, ca, rb, cb, bounds, s1: int, s2: int)
     lag[(lag < 0) | (lag >= ext_a[0])] = ext_a[0]
     toeplitz = rows[:, lag]  # (group, i, j)
 
-    conv = None
-    if s1:
-        w = _cocycle_rows(th, r_tail)
-        left = toeplitz * _phases(np.outer(w[:, 0], lob[0] + np.arange(b0)))[:, None, :]
-        conv = (left.reshape(-1, b0) @ dense_b).reshape(n_groups, rows0, cells_b)
-        conv *= _phases(_exponents(w[:, None, :], s_tail[None, :, :]))[:, None, :]
+    w = _cocycle_rows(th, r_tail)
+    left = toeplitz * _phases(np.outer(w[:, 0], lob[0] + np.arange(b0)))[:, None, :]
+    conv = (left.reshape(-1, b0) @ dense_b).reshape(n_groups, rows0, cells_b)
+    conv *= _phases(_exponents(w[:, None, :], s_tail[None, :, :]))[:, None, :]
     if s2:
         w = _cocycle_rows(th, s_tail)
         table = _phases(np.arange(rows0)[:, None] * w[:, 0])  # e(k v); rows0 >= b0
         ba = (toeplitz.reshape(-1, b0) @ (dense_b * table[:b0].conj())).reshape(n_groups, rows0, cells_b)
         ba *= table
         ba *= _phases(loa[0] * w[:, 0] + _exponents(w[None, :, :], r_tail[:, None, :]))[:, None, :]
-        if conv is None:
-            conv = ba
-        else:
-            (np.add if s2 == s1 else np.subtract)(conv, ba, out=conv)
+        (np.add if s2 == s1 else np.subtract)(conv, ba, out=conv)
         del ba  # at most one side's array lives through the scatter
-    if (s1 or s2) < 0:
+    if s1 < 0:
         np.negative(conv, out=conv)
 
     cell = (
@@ -822,24 +798,6 @@ def _box_element(th: ThetaMatrix, lo, box) -> TorusElement:
     kept = _kept(cells)
     rows = np.stack(np.unravel_index(kept, box.shape), axis=1) + np.array(lo, dtype=np.int64)
     return TorusElement._raw(th, rows, cells.take(kept))
-
-
-# Module-level operation names mirroring the algebra interface.
-
-def mul(a: TorusElement, b: TorusElement) -> TorusElement:
-    return _star_product(a, b)
-
-
-def adjoint(a: TorusElement) -> TorusElement:
-    return a.adjoint()
-
-
-def trace(a: TorusElement) -> complex:
-    return a.trace()
-
-
-def derivation(j: int, a: TorusElement) -> TorusElement:
-    return a.derivation(j)
 
 
 @functools.lru_cache(maxsize=1)

@@ -85,10 +85,6 @@ class TorusMatrix:
         return cls(theta, [[one if i == j else z for j in range(q)] for i in range(q)])
 
     @classmethod
-    def from_element(cls, a: TorusElement):
-        return cls(a.theta, [[a]])
-
-    @classmethod
     def from_scalar_matrix(cls, theta, scalars) -> "TorusMatrix":
         """Lift a complex q x q array to constant torus-valued entries."""
         scalars = np.asarray(scalars, dtype=complex)
@@ -166,12 +162,6 @@ class TorusMatrix:
     def is_constant(self) -> bool:
         zero_idx = (0,) * self.theta.n
         return all(a.support() <= {zero_idx} for row in self.entries for a in row)
-
-    def is_zero(self, tol=0.0) -> bool:
-        return all(a.is_zero(tol) for row in self.entries for a in row)
-
-    def max_coeff(self) -> float:
-        return max(a.max_abs() for row in self.entries for a in row)
 
 
 def _plus_commutators(jobs) -> list:
@@ -351,8 +341,10 @@ class AdditivityReport:
 class SplittingReport:
     """The splitting verdicts of ``critical_splitting_check`` and the numbers behind them.
 
-    ``bilinear`` is q2 ||G1|| + q1 ||G2||, the supremum of the split bilinear
-    condition over unit factor perturbations.
+    ``gradient_norm_product`` is sqrt(w2 ||G1||^2 + w1 ||G2||^2), with a
+    factor's weight w = tau_q(p) (q on a free module); ``bilinear`` is
+    q2 ||G1|| + q1 ||G2||, the supremum of the split bilinear condition over
+    unit factor perturbations.
     """
 
     necessary: bool
@@ -462,10 +454,6 @@ def compatibility_bound(c: Connection, tol: float = COMPAT_TOL) -> float:
             a = c.proj.p @ a @ c.proj.p
         scale = max(scale, a.l1())
     return tol * scale
-
-
-def check_compatibility(c: Connection) -> bool:
-    return compatibility_deviation(c) <= compatibility_bound(c)
 
 
 def grassmannian_connection(theta: ThetaMatrix, scalars) -> Connection:
@@ -724,21 +712,19 @@ def critical_splitting_check(c1: Connection, c2: Connection, tol: float = 1e-8) 
       within tol for all unit mu1, mu2, decided by its supremum
       q2 n1 + q1 n2 <= tol.
 
-    On free modules the mixed curvature of the product connection vanishes,
-    so its gradient is (G1 (x) 1, 1 (x) G2) and
-    ||G_prod||^2 = q2 n1^2 + q1 n2^2; no product gradient is taken.  When
-    either factor has a projection, ||G_prod|| is the literal gradient norm of
-    the product connection, built here.
+    The mixed curvature of the product connection vanishes, so its gradient
+    is (G1 (x) p2, p1 (x) G2), with p = 1 on a free module, and
+    ||G_prod||^2 = tau_q(p2) n1^2 + tau_q(p1) n2^2; no product connection is
+    built.  tau_q(1_q) = q, so a free module's weight is its rank.  The
+    bilinear supremum keeps the q weights: the curvature is not cut by p,
+    and they are YM's additivity constants.
     """
     if tol <= 0:
         raise DomainError("tolerance must be positive")
     n1, n2 = gradient_norm(c1), gradient_norm(c2)
-    q1, q2 = c1.q, c2.q
-    if c1.proj is None and c2.proj is None:
-        n_prod = math.sqrt(q2 * n1 * n1 + q1 * n2 * n2)
-    else:
-        n_prod = gradient_norm(product_connection(c1, c2))
-    bilinear = q2 * n1 + q1 * n2
+    w1, w2 = (c.q if c.proj is None else c.proj.p.tau().real for c in (c1, c2))
+    n_prod = math.sqrt(w2 * n1 * n1 + w1 * n2 * n2)
+    bilinear = c2.q * n1 + c1.q * n2
     necessary = 2.0 * n1 <= tol and 2.0 * n2 <= tol
     product_critical = 2.0 * n_prod <= tol and (bilinear <= tol or not necessary)
     return SplittingReport(necessary, product_critical, n1, n2, n_prod, bilinear)

@@ -141,7 +141,7 @@ def test_torus_product_work_and_kernel_boundary(monkeypatch):
     """A torus_product run builds one product connection, evaluates three YM
     values and differentiates only its two factors.  Every product that
     reaches a star-product kernel came through exactly one of
-    ``_star_product`` (under ``TorusElement.__mul__``, where the tracer counts
+    ``TorusElement.__mul__`` with an element operand (where the tracer counts
     ``torus.star``) and ``signed_sums`` (the commutators of curvature and
     gradient), and ``signed_sums`` takes the products and pairs of the literal
     ``@`` expressions it replaced, which the tracer counts through ``*`` when
@@ -149,7 +149,7 @@ def test_torus_product_work_and_kernel_boundary(monkeypatch):
     Each ``signed_sums`` call runs at most one pairwise pass."""
     torus = ncym.torus
     route, kernel_products = [], []  # open entry points; (entry points, kernel, products) per kernel call
-    star_entries, summed = [], []  # (a, b) per _star_product entry and per product given to signed_sums
+    star_entries, summed = [], []  # (a, b) per element product a * b and per product given to signed_sums
     passes_per_sum = []  # pairwise kernel calls inside each signed_sums call
 
     def entered(name, fn, products_of):
@@ -174,7 +174,13 @@ def test_torus_product_work_and_kernel_boundary(monkeypatch):
 
         return call
 
-    monkeypatch.setattr(torus, "_star_product", entered("star", torus._star_product, lambda a, b: [(a, b)]))
+    element_mul = vars(torus.TorusElement)["__mul__"]
+    star = entered("star", element_mul, lambda a, b: [(a, b)])
+    monkeypatch.setattr(
+        torus.TorusElement,
+        "__mul__",
+        lambda a, b: star(a, b) if isinstance(b, torus.TorusElement) else element_mul(a, b),
+    )
     monkeypatch.setattr(
         torus, "_pairwise_kernel", reached(torus._pairwise_kernel, "pairwise", lambda th, bases, ps: len(ps))
     )

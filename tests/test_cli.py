@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ncym
 from ncym import cli, config as cfg, yangmills as ym
 from ncym import ConfigInvalid, matrix_case_triple
 
@@ -586,6 +588,21 @@ def test_unknown_log_level_is_an_input_error(tmp_path, capsys, monkeypatch):
             torus_ym_config(connection={"random": {"seed": 7, "amplitude": 1e200}}),
             "error: report not written",
         ),
+        # 1e300 overflows inside the star products: no numpy warning may reach stderr
+        (
+            torus_ym_config(connection={"random": {"seed": 1, "amplitude": 1e300}}),
+            "error: report not written",
+        ),
+        (
+            {
+                "kind": "torus_product",
+                "payload": {
+                    **torus_product_config()["payload"],
+                    "connection1": {"random": {"seed": 1, "amplitude": 1e300}},
+                },
+            },
+            "error: report not written",
+        ),
         (
             {
                 "kind": "constants",
@@ -604,13 +621,14 @@ def test_unknown_log_level_is_an_input_error(tmp_path, capsys, monkeypatch):
             "error: line-search quartic not finite at iteration 0",
         ),
     ],
-    ids=["nan-report", "overflow", "quartic-overflow"],
+    ids=["nan-report", "warnings-ym", "warnings-product", "overflow", "quartic-overflow"],
 )
-def test_nonfinite_results_exit_1(tmp_path, capsys, conf, message):
+def test_nonfinite_results_exit_1(tmp_path, capsys, recwarn, conf, message):
     assert cfg.validate(json.dumps(conf)) == []
     code, err = run_and_capture(tmp_path, capsys, conf)
     assert code == 1
     assert len(err) == 1 and err[0].startswith(message)
+    assert [str(w.message) for w in recwarn] == []
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
@@ -619,3 +637,12 @@ def test_sample_configs(path):
     assert cfg.validate(text) == []
     report = cli.run(cfg.parse(text))
     assert report["checks"] and all(v is True for v in report["checks"].values())
+
+
+def test_public_names_are_the_readme_surface():
+    """``ncym.__all__`` is the name list of the README's "Library surface"
+    block: a label before a colon, then names, wrapped lines continuing it."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library surface", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
+    listed = [name for line in block.splitlines() for name in re.findall(r"\w+", line.split(":", 1)[-1])]
+    assert sorted(ncym.__all__) == sorted(listed)

@@ -758,7 +758,7 @@ def test_double_odd():
     e1 = np.diag([1.0, 0.0]).astype(complex)
     odd = FiniteTriple(2, [np.eye(2, dtype=complex), e1], np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
     even = double_odd(odd)
-    assert even.is_even and even.dim_h == 4
+    assert even.gamma is not None and even.dim_h == 4
     g = even.gamma
     assert np.linalg.norm(g @ g - np.eye(4)) < 1e-14
     assert np.linalg.norm(g @ even.D + even.D @ g) < 1e-14
@@ -779,7 +779,7 @@ def test_product_triple_structure():
     t1 = matrix_case_triple(1, 1, [[1.0]])
     t2 = matrix_case_triple(1, 1, [[2.0]])
     prod = product_triple(t1, t2)
-    assert prod.dim_h == 4 and prod.is_even
+    assert prod.dim_h == 4 and prod.gamma is not None
     # D^2 = D1^2 (x) 1 + 1 (x) D2^2 when gamma1 anticommutes with D1
     lhs = prod.D @ prod.D
     rhs = np.kron(t1.D @ t1.D, np.eye(2)) + np.kron(np.eye(2), t2.D @ t2.D)

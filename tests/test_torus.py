@@ -16,14 +16,10 @@ from ncym import (
     ThetaMatrix,
     ThetaMismatch,
     TorusElement,
-    adjoint,
     curvature,
-    derivation,
-    mul,
     product_theta,
     random_connection,
     tensor_embed,
-    trace,
     ym_gradient,
 )
 from ncym import sampling, torus
@@ -102,8 +98,8 @@ def test_theta_validation():
 def test_defining_relation(theta2):
     u1 = TorusElement.generator(theta2, 1)
     u2 = TorusElement.generator(theta2, 2)
-    lhs = mul(u1, u2)
-    rhs = mul(u2, u1)
+    lhs = u1 * u2
+    rhs = u2 * u1
     assert lhs.coeffs[(1, 1)] == pytest.approx(1.0)
     # U_k U_m = e(Theta_mk) U_m U_k with (k, m) = (1, 2): ratio is e(Theta_21) inverse
     ratio = lhs.coeffs[(1, 1)] / rhs.coeffs[(1, 1)]
@@ -115,8 +111,8 @@ def test_unit_element(theta2):
     gen = sampling.rng(0)
     for _ in range(20):
         a = sampling.random_element(theta2, gen, radius=3)
-        assert coeff_distance(mul(one, a), a) == 0.0
-        assert coeff_distance(mul(a, one), a) == 0.0
+        assert coeff_distance(one * a, a) == 0.0
+        assert coeff_distance(a * one, a) == 0.0
 
 
 @pytest.mark.parametrize("n,seed", [(2, 1), (3, 2)])
@@ -126,7 +122,7 @@ def test_product_matches_word_oracle(n, seed):
     for _ in range(60):
         r = tuple(int(x) for x in gen.integers(-3, 4, size=n))
         s = tuple(int(x) for x in gen.integers(-3, 4, size=n))
-        prod = mul(TorusElement.monomial(theta, r), TorusElement.monomial(theta, s))
+        prod = TorusElement.monomial(theta, r) * TorusElement.monomial(theta, s)
         key, phase = word_reorder_oracle(theta, r, s)
         assert set(prod.coeffs) == {key}
         assert abs(prod.coeffs[key] - phase) < COEFF_TOL
@@ -173,8 +169,8 @@ def test_adjoint_matches_word_oracle():
 def test_monomial_unitarity(theta2):
     for r in [(1, 0), (2, -1), (0, 3), (-2, -2), (5, 5), (-5, 4)]:
         u = TorusElement.monomial(theta2, r)
-        left = mul(u.adjoint(), u)
-        right = mul(u, u.adjoint())
+        left = u.adjoint() * u
+        right = u * u.adjoint()
         one = TorusElement.one(theta2)
         assert coeff_distance(left, one) < COEFF_TOL
         assert coeff_distance(right, one) < COEFF_TOL
@@ -188,7 +184,7 @@ def test_associativity_sweep(n, seed):
         a = sampling.random_element(theta, gen, radius=3, terms=4)
         b = sampling.random_element(theta, gen, radius=3, terms=4)
         c = sampling.random_element(theta, gen, radius=3, terms=4)
-        assert coeff_distance(mul(mul(a, b), c), mul(a, mul(b, c))) < COEFF_TOL
+        assert coeff_distance((a * b) * c, a * (b * c)) < COEFF_TOL
 
 
 def test_involution_antimultiplicative():
@@ -197,7 +193,7 @@ def test_involution_antimultiplicative():
     for _ in range(100):
         a = sampling.random_element(theta, gen, radius=3, terms=4)
         b = sampling.random_element(theta, gen, radius=3, terms=4)
-        assert coeff_distance(mul(a, b).adjoint(), mul(b.adjoint(), a.adjoint())) < COEFF_TOL
+        assert coeff_distance((a * b).adjoint(), b.adjoint() * a.adjoint()) < COEFF_TOL
     one = TorusElement.one(theta)
     assert coeff_distance(one.adjoint(), one) == 0.0
 
@@ -205,34 +201,34 @@ def test_involution_antimultiplicative():
 def test_trace_properties():
     gen = sampling.rng(13)
     theta = sampling.random_theta(2, gen)
-    assert trace(TorusElement.one(theta)) == 1.0
-    assert trace(TorusElement.generator(theta, 1)) == 0.0
+    assert TorusElement.one(theta).trace() == 1.0
+    assert TorusElement.generator(theta, 1).trace() == 0.0
     for _ in range(100):
         a = sampling.random_element(theta, gen, radius=3, terms=4)
         b = sampling.random_element(theta, gen, radius=3, terms=4)
-        assert abs(trace(mul(a, b)) - trace(mul(b, a))) < COEFF_TOL
-        positive = trace(mul(a.adjoint(), a))
+        assert abs((a * b).trace() - (b * a).trace()) < COEFF_TOL
+        positive = (a.adjoint() * a).trace()
         assert abs(positive - sum(abs(c) ** 2 for c in a.coeffs.values())) < COEFF_TOL
         assert positive.real >= 0.0
 
 
 def test_derivation_properties(theta2):
     u1 = TorusElement.generator(theta2, 1)
-    d = derivation(1, u1)
+    d = u1.derivation(1)
     assert coeff_distance(d, u1.scale(2j * math.pi)) < COEFF_TOL
-    assert derivation(2, TorusElement.one(theta2)).coeffs == {}
+    assert TorusElement.one(theta2).derivation(2).coeffs == {}
     gen = sampling.rng(14)
     for _ in range(100):
         a = sampling.random_element(theta2, gen, radius=3, terms=4)
         b = sampling.random_element(theta2, gen, radius=3, terms=4)
         for j in (1, 2):
-            lhs = derivation(j, mul(a, b))
-            rhs = mul(derivation(j, a), b) + mul(a, derivation(j, b))
+            lhs = (a * b).derivation(j)
+            rhs = a.derivation(j) * b + a * b.derivation(j)
             assert coeff_distance(lhs, rhs) < COEFF_TOL
     with pytest.raises(IndexOutOfRange):
-        derivation(3, u1)
+        u1.derivation(3)
     with pytest.raises(IndexOutOfRange):
-        derivation(0, u1)
+        u1.derivation(0)
 
 
 def test_theta_zero_commutative():
@@ -241,13 +237,13 @@ def test_theta_zero_commutative():
     for _ in range(30):
         a = sampling.random_element(theta, gen, radius=2, terms=4)
         b = sampling.random_element(theta, gen, radius=2, terms=4)
-        assert coeff_distance(mul(a, b), mul(b, a)) == 0.0
+        assert coeff_distance(a * b, b * a) == 0.0
 
 
 def test_theta_mismatch_raises(theta2):
     other = ThetaMatrix([[0.0, 0.4], [-0.4, 0.0]])
     with pytest.raises(ThetaMismatch):
-        mul(TorusElement.one(theta2), TorusElement.one(other))
+        TorusElement.one(theta2) * TorusElement.one(other)
 
 
 def test_canonical_form_drops_tiny(theta2):
@@ -277,7 +273,7 @@ def test_product_theta_and_embedding():
     # embedded generators of the two factors commute exactly
     u = tensor_embed(TorusElement.generator(theta, 1), TorusElement.one(phi))
     v = tensor_embed(TorusElement.one(theta), TorusElement.generator(phi, 2))
-    assert coeff_distance(mul(u, v), mul(v, u)) == 0.0
+    assert coeff_distance(u * v, v * u) == 0.0
 
 
 def test_tensor_embed_homomorphism():
@@ -291,10 +287,10 @@ def test_tensor_embed_homomorphism():
         a2 = sampling.random_element(theta, gen, radius=2, terms=3)
         b = sampling.random_element(phi, gen, radius=2, terms=3)
         b2 = sampling.random_element(phi, gen, radius=2, terms=3)
-        lhs = tensor_embed(mul(a, a2), mul(b, b2))
-        rhs = mul(tensor_embed(a, b), tensor_embed(a2, b2))
+        lhs = tensor_embed(a * a2, b * b2)
+        rhs = tensor_embed(a, b) * tensor_embed(a2, b2)
         assert coeff_distance(lhs, rhs) < COEFF_TOL
-        assert abs(trace(tensor_embed(a, b)) - trace(a) * trace(b)) < COEFF_TOL
+        assert abs(tensor_embed(a, b).trace() - a.trace() * b.trace()) < COEFF_TOL
 
 
 # -- array kernels against the dict loop ------------------------------------
@@ -346,7 +342,8 @@ def draw_theta(draw):
 
     def skew(k):
         entry = st.floats(-1.0, 1.0, allow_nan=False)
-        return ThetaMatrix.from_upper(k, {(j, l): draw(entry) for j in range(k) for l in range(j + 1, k)})
+        upper = [[draw(entry) if l > j else 0.0 for l in range(k)] for j in range(k)]
+        return ThetaMatrix([[upper[j][l] - upper[l][j] for l in range(k)] for j in range(k)])
 
     if kind == "zero":
         return ThetaMatrix.zeros(n)
@@ -415,25 +412,24 @@ def test_array_kernels_match_dict_loop(pair):
     a, b = pair
     ref = star_product_loop(a, b)
     tol = kernel_tolerance(a, b)
-    assert coeff_distance(mul(a, b), ref) <= tol
+    assert coeff_distance(a * b, ref) <= tol
     if a.coeffs and b.coeffs:
         ra, ca, rb, cb = torus._operand_terms(a, b)
-        # both kernels run on every pair here, whatever mul would choose
+        # both kernels run on every pair here, whatever a * b would choose
         (pairs,) = torus._pairwise_kernel(a.theta, [TorusElement.zero(a.theta)], [(0, ra, ca, rb, cb)])
         assert coeff_distance(pairs, ref) <= tol
         if not any(v for row in a.theta.entries for v in row):
             # no phases at theta = 0: the pairwise kernel does the loop's arithmetic
             assert pairs.coeffs == ref.coeffs
         # called directly, the dense box also runs on wide supports, up to a size
-        # that keeps its arrays at a few MB: a * b, b * a on a's grouping, and
-        # their commutator
+        # that keeps its arrays at a few MB: a * b, and the commutator, whose
+        # b * a side runs on a's grouping
         bounds = torus._boxes(ra, rb)
         if torus._dense_box_work(len(ra), bounds) <= 10**6:
             swapped = star_product_loop(b, a)
             commutator = [(a, b, False), (b, a, True)]
             for signs, want, bound in [
                 ((1, 0), ref, tol),
-                ((0, 1), swapped, kernel_tolerance(b, a)),
                 ((1, -1), ref - swapped, signed_sum_tolerance(TorusElement.zero(a.theta), commutator)),
             ]:
                 assert coeff_distance(box_kernel(a, b, *signs), want) <= bound
@@ -514,7 +510,7 @@ def test_dense_operands_take_dense_box(theta2, monkeypatch):
     gen = sampling.rng(19)
     a, b = disc(theta2, 6, gen), disc(theta2, 5, gen)
     monkeypatch.setattr(torus, "_pairwise_kernel", refuse)
-    assert coeff_distance(mul(a, b), star_product_loop(a, b)) <= kernel_tolerance(a, b)
+    assert coeff_distance(a * b, star_product_loop(a, b)) <= kernel_tolerance(a, b)
 
 
 def test_far_term_takes_pairwise_kernel_in_bounded_memory(theta2, monkeypatch):
@@ -525,7 +521,7 @@ def test_far_term_takes_pairwise_kernel_in_bounded_memory(theta2, monkeypatch):
     monkeypatch.setattr(torus, "_dense_box_kernel", refuse)
     tracemalloc.start()
     try:
-        prod = mul(a, patch)
+        prod = a * patch
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -543,7 +539,7 @@ def test_nan_coefficient_survives_product(theta2, radius, monkeypatch):
     assert (len(a.coeffs) * len(b.coeffs) > torus._VECTOR_CUTOFF) == (radius == 3)
     monkeypatch.setattr(torus, "_dense_box_kernel", refuse)
     a = TorusElement(theta2, {**a.coeffs, (1, 0): complex(math.nan, 0.0)})
-    nan_keys = {r for r, c in mul(a, b).coeffs.items() if cmath.isnan(c)}
+    nan_keys = {r for r, c in (a * b).coeffs.items() if cmath.isnan(c)}
     assert nan_keys
     assert nan_keys == {r for r, c in star_product_loop(a, b).coeffs.items() if cmath.isnan(c)}
 
@@ -558,12 +554,12 @@ def test_index_sums_at_the_int64_limit(theta2, terms):
     a = TorusElement(theta2, {(BIG - i, 0): float(i + 1) for i in range(terms)})
     # the largest entry of a sum is 2**62 + (2**62 - 1) = 2**63 - 1: still int64
     below = TorusElement(theta2, {(BIG - 1 - i, 0): float(i + 1) for i in range(terms)})
-    prod = mul(a, below)
+    prod = a * below
     assert max(r[0] for r in prod.coeffs) == 2**63 - 1
     assert prod.coeffs == star_product_loop(a, below).coeffs  # integer sums are exact
     # one more would reach 2**63, which int64 wraps to -2**63
     with pytest.raises(IndexOutOfRange, match="exceed"):
-        mul(a, a)
+        a * a
     with pytest.raises(IndexOutOfRange, match="exceeds"):
         TorusElement.monomial(theta2, (2**63, 0))
 
@@ -694,8 +690,8 @@ def test_signed_sum_of_one_product_is_mul(theta2, radius):
     gen = sampling.rng(42)
     a, b = disc(theta2, radius, gen), disc(theta2, radius, gen)
     zero = TorusElement.zero(theta2)
-    assert list(signed_sum(zero, [(a, b, False)]).coeffs.items()) == list(mul(a, b).coeffs.items())
-    assert signed_sum(zero, [(a, b, True)]).coeffs == (-mul(a, b)).coeffs
+    assert list(signed_sum(zero, [(a, b, False)]).coeffs.items()) == list((a * b).coeffs.items())
+    assert signed_sum(zero, [(a, b, True)]).coeffs == (-(a * b)).coeffs
 
 
 def test_signed_sum_of_no_products_is_base(theta2):
@@ -726,7 +722,7 @@ def test_signed_sum_index_past_int64_raises_as_mul(theta2):
     top = TorusElement.monomial(theta2, (2**63 - 1, 0))
     for left, right in [(a, a), (top, TorusElement.generator(theta2, 1))]:
         with pytest.raises(IndexOutOfRange) as via_mul:
-            mul(left, right)
+            left * right
         with pytest.raises(IndexOutOfRange) as via_sum:
             signed_sum(one, [(one, one, False), (left, right, True)])
         assert str(via_sum.value) == str(via_mul.value)
@@ -798,7 +794,7 @@ def test_mul_on_the_box_is_the_box_kernel_bit_for_bit(n, radius):
     cube = list(itertools.product(range(-radius, radius + 1), repeat=n))
     a, b = (TorusElement(th, {r: complex(gen.normal(), gen.normal()) for r in cube}) for _ in range(2))
     assert torus._takes_box(*torus._operand_terms(a, b))
-    assert bits(mul(a, b)) == bits(a * b) == bits(box_kernel(a, b, 1, 0))
+    assert bits(a * b) == bits(box_kernel(a, b, 1, 0))
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -974,7 +970,7 @@ def test_every_element_operation_is_canonical(pair, z, data):
     embedded = {r + s: x * y for r, x in a.coeffs.items() for s, y in b.coeffs.items()}
     assert_canonical(tensor_embed(a, b), trimmed(embedded))
     w = 2.0 * (2.0 * math.pi) ** 2
-    ((damped,),) = _inverse_laplacian(TorusMatrix.from_element(a)).entries
+    ((damped,),) = _inverse_laplacian(TorusMatrix(a.theta, [[a]])).entries
     assert_canonical(damped, trimmed({r: c / (1.0 + w * sum(x * x for x in r)) for r, c in a.coeffs.items()}))
 
 

@@ -15,7 +15,6 @@ from ncym import (
     ThetaMatrix,
     TorusElement,
     TorusMatrix,
-    check_compatibility,
     curvature,
     gradient_norm,
     grassmannian_connection,
@@ -49,7 +48,7 @@ def example_connection(theta=None):
     th = theta or theta2()
     u1 = TorusElement.generator(th, 1)
     a2 = u1 - u1.adjoint()
-    return Connection(th, 1, [TorusMatrix.zeros(th, 1), TorusMatrix.from_element(a2)])
+    return Connection(th, 1, [TorusMatrix.zeros(th, 1), TorusMatrix(th, [[a2]])])
 
 
 def ym_brute_force(c):
@@ -64,7 +63,7 @@ def ym_brute_force(c):
 def test_flat_curvature_zero():
     c = Connection.flat(theta2(), 2)
     f = curvature(c)
-    assert all(m.is_zero() for _, m in f.items())
+    assert all(m.l1() == 0.0 for m in f.values())
     assert ym_value(c) == 0.0
 
 
@@ -75,7 +74,7 @@ def test_constant_scalar_potentials_flat():
         m = TorusMatrix.identity(th, 2).scale(1j * lam)
         comps.append(m)
     c = Connection(th, 2, comps)
-    assert all(m.is_zero() for _, m in curvature(c).items())
+    assert all(m.l1() == 0.0 for m in curvature(c).values())
     assert ym_value(c) == 0.0
 
 
@@ -125,7 +124,7 @@ def test_ym_quadratic_scaling():
     base = u1 - u1.adjoint()
     values = {}
     for t in (0.5, 1.0, 2.0):
-        c = Connection(th, 1, [TorusMatrix.zeros(th, 1), TorusMatrix.from_element(base.scale(t))])
+        c = Connection(th, 1, [TorusMatrix.zeros(th, 1), TorusMatrix(th, [[base.scale(t)]])])
         values[t] = ym_value(c)
     assert values[0.5] == pytest.approx(0.25 * values[1.0], rel=1e-12)
     assert values[2.0] == pytest.approx(4.0 * values[1.0], rel=1e-12)
@@ -214,11 +213,11 @@ def test_compatibility_skew_true_nonskew_false():
     th = sampling.random_theta(2, gen)
     c = random_connection(th, 2, gen, radius=1, amplitude=0.5)
     assert compatibility_deviation(c) < 1e-12
-    assert check_compatibility(c)
+    assert compatibility_deviation(c) <= compatibility_bound(c)
     # A1 = U1 is not skew-adjoint
     u1 = TorusElement.generator(th, 1)
-    bad = Connection(th, 1, [TorusMatrix.from_element(u1), TorusMatrix.zeros(th, 1)])
-    assert not check_compatibility(bad)
+    bad = Connection(th, 1, [TorusMatrix(th, [[u1]]), TorusMatrix.zeros(th, 1)])
+    assert not compatibility_deviation(bad) <= compatibility_bound(bad)
     assert compatibility_deviation(bad) > 1e-3
 
 
@@ -283,7 +282,7 @@ def _free(skew):
     if skew:
         return random_connection(th, 2, gen, radius=1, amplitude=0.5)
     u1 = TorusElement.generator(th, 1)
-    return Connection(th, 1, [TorusMatrix.from_element(u1), TorusMatrix.zeros(th, 1)])
+    return Connection(th, 1, [TorusMatrix(th, [[u1]]), TorusMatrix.zeros(th, 1)])
 
 
 def _random_corner():
@@ -314,7 +313,7 @@ def test_compatibility_matches_sampled_identity(name):
     make, compatible = COMPATIBILITY_CASES[name]
     c = make()
     sampled = sampled_compatibility_deviation(c, samples=30, seed=5)
-    assert check_compatibility(c) == (sampled <= COMPAT_TOL) == compatible
+    assert (compatibility_deviation(c) <= compatibility_bound(c)) == (sampled <= COMPAT_TOL) == compatible
     if compatible:
         assert compatibility_deviation(c) < 1e-12
     else:
@@ -335,7 +334,7 @@ def test_grassmannian_constant_projection_compatible():
     th = theta2()
     c = grassmannian_connection(th, [[0.5, 0.5], [0.5, 0.5]])
     assert c.proj is not None and c.proj.p.is_constant()
-    assert check_compatibility(c)
+    assert compatibility_deviation(c) <= compatibility_bound(c)
     assert ym_value(c) == 0.0
 
 
@@ -397,7 +396,7 @@ def test_projected_connection_accepted_at_every_amplitude(corner, amplitude):
     th = sampling.random_theta(2, gen)
     proj = Projection(TorusMatrix.from_scalar_matrix(th, corner))
     c = random_connection(th, 2, gen, radius=1, amplitude=amplitude, proj=proj)
-    assert c.proj is proj and not all(a.is_zero() for a in c.A)
+    assert c.proj is proj and not all(a.l1() == 0.0 for a in c.A)
 
 
 COMPAT_AMPLITUDES = [1e-13, 1e-11, 1e-8, 1e-3, 1.0, 1e3, 1e6, 1e8, 1e50, 1e100]
@@ -414,21 +413,20 @@ def test_compatibility_verdict_at_every_amplitude(corner, amplitude):
     th = sampling.random_theta(2, sampling.rng(3))
     proj = None if corner is None else Projection(TorusMatrix.from_scalar_matrix(th, corner))
     skew = random_connection(th, 2, sampling.rng(5), radius=2, amplitude=amplitude, proj=proj)
-    assert not all(a.is_zero() for a in skew.A)
-    assert check_compatibility(skew)
+    assert not all(a.l1() == 0.0 for a in skew.A)
+    assert compatibility_deviation(skew) <= compatibility_bound(skew)
     # amplitude U1 on the diagonal: p (A + A*) p = amplitude (U1 + U1*) p, not 0
     u1 = TorusElement.generator(th, 1).scale(amplitude)
     z = TorusElement.zero(th)
     bad = Connection(th, 2, [TorusMatrix(th, [[u1, z], [z, u1]]), TorusMatrix.zeros(th, 2)], proj)
     assert compatibility_deviation(bad) > 0.0
-    assert not check_compatibility(bad)
+    assert not compatibility_deviation(bad) <= compatibility_bound(bad)
 
 
 def test_compatibility_bound_is_zero_for_the_flat_connection():
     th = theta2()
     flat = Connection.flat(th, 2)
     assert compatibility_bound(flat) == compatibility_deviation(flat) == 0.0
-    assert check_compatibility(flat)
 
 
 # -- oracles: sampled directions and central differences ---------------------
@@ -525,7 +523,7 @@ def test_gradient_zero_cases():
     a1 = TorusMatrix.from_scalar_matrix(th, [[1j, 0.0], [0.0, -0.5j]])
     a2 = TorusMatrix.from_scalar_matrix(th, [[0.25j, 0.0], [0.0, 2j]])
     c = Connection(th, 2, [a1, a2])
-    assert all(m.is_zero() for _, m in curvature(c).items())
+    assert all(m.l1() == 0.0 for m in curvature(c).values())
     assert gradient_norm(c) < 1e-14
 
 
@@ -583,7 +581,7 @@ def test_minimize_nonfinite_start_raises():
 
     th = theta2()
     huge = TorusElement.monomial(th, (1, 0), 1e200)
-    c0 = Connection(th, 1, [TorusMatrix.zeros(th, 1), TorusMatrix.from_element(huge - huge.adjoint())])
+    c0 = Connection(th, 1, [TorusMatrix.zeros(th, 1), TorusMatrix(th, [[huge - huge.adjoint()]])])
     with pytest.raises(NonFiniteValue):
         minimize(c0, max_iters=3)
 
@@ -682,7 +680,7 @@ def test_minimize_logs_each_iteration_at_debug(caplog):
 def test_degenerate_one_torus():
     th = ThetaMatrix.zeros(1)
     u = TorusElement.generator(th, 1)
-    c = Connection(th, 1, [TorusMatrix.from_element(u - u.adjoint())])
+    c = Connection(th, 1, [TorusMatrix(th, [[u - u.adjoint()]])])
     assert curvature(c) == {}
     assert ym_value(c) == 0.0
     assert gradient_norm(c) == 0.0
