@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -173,9 +174,31 @@ def run(experiment: cfg.ExperimentConfig) -> dict:
     }
 
 
+def _nonfinite(value, path=""):
+    """(path, value) of the first NaN or infinity in ``value``, in written key order, else None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else (path, value)
+    if isinstance(value, dict):
+        children = ((f"{path}.{key}" if path else str(key), value[key]) for key in sorted(value))
+    elif isinstance(value, (list, tuple)):
+        children = ((f"{path}[{i}]", item) for i, item in enumerate(value))
+    else:
+        return None
+    return next(filter(None, (_nonfinite(item, p) for p, item in children)), None)
+
+
 def _emit(report: dict, output_path: str | None) -> None:
-    """Write the report as JSON; ``ValueError`` if it holds a NaN or infinity."""
-    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    """Write the report as JSON; ``ValueError`` naming the first field that holds a NaN or infinity.
+
+    The field is looked for only once ``json.dumps`` has refused the report.
+    """
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        found = _nonfinite(report)
+        if found is None:
+            raise
+        raise ValueError(f"{found[0]} is {found[1]}: {exc}") from None
     if output_path:
         with open(output_path, "w") as fh:
             fh.write(text + "\n")

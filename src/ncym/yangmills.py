@@ -25,8 +25,11 @@ Sign conventions (derived once, verified by the test oracles):
 
 Everything except ``minimize`` (which owns its private iterates) is a pure
 function of immutable inputs; the one write, a connection's curvature memo,
-is made once, by the first ``curvature`` call.  Independent seeds/sweeps can
-run concurrently.
+is made once, by the first ``curvature`` call.  ``minimize`` alone writes
+the memo of its own iterates: it installs a line-search candidate's
+curvature, assembled from the line terms, before anything reads it, and
+drops an assembled memo for the iterate's own curvature before it stops
+there.  Independent seeds/sweeps can run concurrently.
 """
 
 from __future__ import annotations
@@ -368,8 +371,10 @@ def curvature(c: Connection) -> dict:
 
     minimize evaluates ym_value at each candidate, then takes the gradient and
     the line-search quartic at the accepted one, so the memo spares two
-    curvatures per iteration.  A connection does not change after
-    construction, so the memo is never stale.
+    curvatures per iteration.  ``minimize`` installs most candidates' memos
+    from the line terms, F0 - t F1 + t^2 F2, so this returns them without a
+    star product.  A connection does not change after construction, so the
+    memo is never stale.
     """
     if c._curvature is None:
         keys = [(i, j) for i in range(1, c.n + 1) for j in range(i + 1, c.n + 1)]
@@ -523,14 +528,15 @@ class DescentTrace(list):
 
 
 def line_quartic(c: Connection, d) -> tuple:
-    """Coefficients (c0, ..., c4) of YM(A - t d) = sum_k c_k t^k for potentials d.
+    """(coeffs, terms): YM(A - t d) = sum_k coeffs[k] t^k, and terms[(i, j)] = (F1, F2).
 
     F_ij(A - t d) = F0 - t F1 + t^2 F2 with F0 the (memoised) curvature of ``c``,
     F1 = delta_i d_j - delta_j d_i + [A_i, d_j] + [d_i, A_j] and F2 = [d_i, d_j];
-    six ``hs_inner`` per pair i < j give the coefficients.  The F1 and F2 of
-    every pair are one ``_plus_commutators`` call: each entry of F1 is
-    summed over the 4q products of its two commutators, each entry of F2
+    six ``hs_inner`` per pair i < j give the coefficients (c0, ..., c4).  The F1
+    and F2 of every pair are one ``_plus_commutators`` call: each entry of F1
+    is summed over the 4q products of its two commutators, each entry of F2
     over 2q, and the pairwise products of all of them run as one pass.
+    ``minimize`` builds each candidate's curvature from ``terms``.
     """
     f0s = curvature(c)
     jobs = []
@@ -538,16 +544,17 @@ def line_quartic(c: Connection, d) -> tuple:
         ai, aj, di, dj = c.A[i - 1], c.A[j - 1], d[i - 1], d[j - 1]
         jobs.append((dj.derive(i) - di.derive(j), [(ai, dj), (di, aj)]))
         jobs.append((TorusMatrix.zeros(c.theta, c.q), [(di, dj)]))
-    terms = iter(_plus_commutators(jobs))
+    sums = iter(_plus_commutators(jobs))
+    terms = {key: (next(sums), next(sums)) for key in f0s}
     c0 = c1 = c2 = c3 = c4 = 0.0
-    for f0 in f0s.values():
-        f1, f2 = next(terms), next(terms)
+    for key, f0 in f0s.items():
+        f1, f2 = terms[key]
         c0 += hs_inner(f0, f0).real
         c1 -= 2.0 * hs_inner(f0, f1).real
         c2 += hs_inner(f1, f1).real + 2.0 * hs_inner(f0, f2).real
         c3 -= 2.0 * hs_inner(f1, f2).real
         c4 += hs_inner(f2, f2).real
-    return c0, c1, c2, c3, c4
+    return (c0, c1, c2, c3, c4), terms
 
 
 def _quartic_step(coeffs) -> float | None:
@@ -585,6 +592,22 @@ def minimize(
     stops once the (unpreconditioned) gradient norm falls under ``grad_tol``,
     when no step lowers YM, or after ``max_iters`` steps.
 
+    A candidate's curvature is F0 - t F1 + t^2 F2 from ``line_quartic``'s
+    terms, installed as its memo before ``ym_value`` reads it, so it costs no
+    star product; an accepted one's gradient and next quartic use it as their
+    F0, so rounding carries over between steps.  It is installed only when
+    the iterate's potentials are skew (F0 - t F1 + t^2 F2 is the curvature of
+    A - t d, not of its skew part; every accepted candidate is skew, so only
+    a start may not be), when the quartic predicts that YM at least halves,
+    so that an assembled YM never decides a close comparison, and when the
+    candidate is not the one that the gradient norm's last rate of fall
+    predicts to be the last.  A stop is decided on the iterate's own
+    curvature: should the loop stop at an iterate whose memo was assembled
+    all the same, the memo is dropped, its YM in the trace is taken again
+    from its potentials, and the iteration is repeated.  So the stop reason,
+    the last gradient norm and the last YM of the trace, and the returned
+    connection's memo, all come from the curvature of its potentials.
+
     Returns (connection, trace) with trace a ``DescentTrace``: the YM value
     at the start and after every accepted step (non-increasing by
     construction), the stop reason, the gradient norms and the steps.  One
@@ -595,34 +618,60 @@ def minimize(
     f0 = ym_value(c)
     if not math.isfinite(f0):
         raise NonFiniteValue("YM not finite at the starting connection", iteration=0)
+    skew = all(not (a + a.dagger()).l1() for a in c.A)
+    assembled = False  # c's memo came from the line terms, not from its potentials
     trace = DescentTrace([f0], "max_iters")
-    for it in range(max_iters):
-        g = ym_gradient(c)
-        gn = g.norm()
-        trace.gradient_norms.append(gn)
-        if gn <= grad_tol:
-            trace.reason = "converged"
-            break
-        d = [skew_part(_inverse_laplacian(m)) for m in g.components]
-        coeffs = line_quartic(c, d)
-        if not all(map(math.isfinite, coeffs)):
-            raise NonFiniteValue(f"line-search quartic not finite at iteration {it}", iteration=it)
-        t = _quartic_step(coeffs)
-        f1 = math.inf  # stays when no stationary point lies at t > 0: no candidate
-        if t is not None:
-            cand = Connection(
-                c.theta, c.q, [skew_part(a - m.scale(t)) for a, m in zip(c.A, d)], c.proj
-            )
-            f1 = ym_value(cand)
-            if not math.isfinite(f1):
-                raise NonFiniteValue(f"YM not finite at iteration {it}", iteration=it)
-        if not f1 < f0:
-            trace.reason = "no_decrease"
+    it = 0
+    while True:
+        reason = "max_iters" if it == max_iters else None
+        if reason is None:
+            g = ym_gradient(c)
+            gn = g.norm()
+            reason = "converged" if gn <= grad_tol else None
+        if reason is None:
+            d = [skew_part(_inverse_laplacian(m)) for m in g.components]
+            coeffs, terms = line_quartic(c, d)
+            if not all(map(math.isfinite, coeffs)):
+                raise NonFiniteValue(f"line-search quartic not finite at iteration {it}", iteration=it)
+            t = _quartic_step(coeffs)
+            f1 = math.inf  # stays when no stationary point lies at t > 0: no candidate
+            if t is not None:
+                cand = Connection(
+                    c.theta, c.q, [skew_part(a - m.scale(t)) for a, m in zip(c.A, d)], c.proj
+                )
+                # the gradient norm falls by a near-constant factor per step: at
+                # that rate this candidate is the last, and its stop needs the
+                # curvature of its potentials
+                last = bool(trace.gradient_norms) and gn * gn <= grad_tol * trace.gradient_norms[-1]
+                installed = skew and not last and np.polyval(coeffs[::-1], t) < 0.5 * f0
+                if installed:
+                    cand._curvature = {
+                        key: c._curvature[key] - lin.scale(t) + quad.scale(t * t)
+                        for key, (lin, quad) in terms.items()
+                    }
+                f1 = ym_value(cand)
+                if not math.isfinite(f1):
+                    raise NonFiniteValue(f"YM not finite at iteration {it}", iteration=it)
+            if not f1 < f0:
+                reason = "no_decrease"
+        if reason is not None and assembled:
+            # a stop is decided on the iterate's own curvature: the assembled
+            # one goes and the iteration is taken again.  YM is summed as
+            # ym_value sums it, not by a call, as the calls count candidates
+            c._curvature, assembled = None, False
+            f0 = trace[-1] = sum(hs_inner(m, m).real for m in curvature(c).values())
+            continue
+        if reason != "max_iters":
+            trace.gradient_norms.append(gn)
+        if reason is not None:
+            trace.reason = reason
             break
         log.debug("minimize iteration %d: ym %.6e, gradient norm %.3e, step %.6e", it, f0, gn, t)
         c, f0 = cand, f1
+        assembled, skew = installed, True
         trace.append(f0)
         trace.steps.append(t)
+        it += 1
     log.debug("minimize stopped: %s after %d steps, ym %.6e", trace.reason, len(trace.steps), f0)
     return c, trace
 

@@ -580,18 +580,21 @@ def test_unknown_log_level_is_an_input_error(tmp_path, capsys, monkeypatch):
     assert len(err) == 1 and "NCYM_LOG" in err[0]
 
 
+# field: the first non-finite field in the report's key order, named by a report that is not written
 @pytest.mark.parametrize(
-    "conf, message",
+    "conf, message, field",
     [
         # coefficients of 1e200 overflow the curvature: the report would carry NaN
         (
             torus_ym_config(connection={"random": {"seed": 7, "amplitude": 1e200}}),
             "error: report not written",
+            "results.gradient_norm",
         ),
         # 1e300 overflows inside the star products: no numpy warning may reach stderr
         (
             torus_ym_config(connection={"random": {"seed": 1, "amplitude": 1e300}}),
             "error: report not written",
+            "results.gradient_norm",
         ),
         (
             {
@@ -602,6 +605,7 @@ def test_unknown_log_level_is_an_input_error(tmp_path, capsys, monkeypatch):
                 },
             },
             "error: report not written",
+            "results.defect",
         ),
         (
             {
@@ -612,6 +616,7 @@ def test_unknown_log_level_is_an_input_error(tmp_path, capsys, monkeypatch):
                 },
             },
             "error: OverflowError",
+            None,
         ),
         # a finite start whose line-search quartic overflows
         (
@@ -619,16 +624,19 @@ def test_unknown_log_level_is_an_input_error(tmp_path, capsys, monkeypatch):
                 connection={"random": {"seed": 3, "radius": 1, "amplitude": 1e60, "terms": 2}}
             ),
             "error: line-search quartic not finite at iteration 0",
+            None,
         ),
     ],
     ids=["nan-report", "warnings-ym", "warnings-product", "overflow", "quartic-overflow"],
 )
-def test_nonfinite_results_exit_1(tmp_path, capsys, recwarn, conf, message):
+def test_nonfinite_results_exit_1(tmp_path, capsys, recwarn, conf, message, field):
     assert cfg.validate(json.dumps(conf)) == []
     code, err = run_and_capture(tmp_path, capsys, conf)
     assert code == 1
     assert len(err) == 1 and err[0].startswith(message)
     assert [str(w.message) for w in recwarn] == []
+    if field is not None:
+        assert err[0].startswith(f"{message}: {field} is nan: Out of range float values")
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)

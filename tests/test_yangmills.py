@@ -1,8 +1,10 @@
 """Curvature, the YM functional, gradients, criticality and descent."""
 
+import json
 import logging
 import math
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +26,7 @@ from ncym import (
     ym_gradient,
     ym_value,
 )
-from ncym import sampling, yangmills
+from ncym import cli, config as cfg, sampling, yangmills
 from test_torus import bits, coeff_distance, dict_pass_signed_sum, signed_sum_tolerance
 from ncym.yangmills import (
     COMPAT_TOL,
@@ -37,6 +39,7 @@ from ncym.yangmills import (
 )
 
 EIGHT_PI_SQ = 8.0 * math.pi ** 2
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def theta2(val=0.3):
@@ -510,7 +513,8 @@ def test_twice_gradient_norm_bounds_sampled_derivatives(name):
     directions = [random_perturbation(c, gen) for _ in range(8)] + [g.normalized()]
     for mu in directions:
         fd = directional_derivative(c, mu, h)
-        slack = abs(line_quartic(c, mu.components)[3]) * h * h + 1e-6 * max(1.0, abs(fd))
+        coeffs, _ = line_quartic(c, mu.components)
+        slack = abs(coeffs[3]) * h * h + 1e-6 * max(1.0, abs(fd))
         assert abs(fd) <= sup + slack
     assert abs(fd - sup) <= slack  # the last direction, G / ||G||
 
@@ -601,19 +605,31 @@ LINE_CASES = {
 }
 #: fixed before measuring: |quartic(t) - YM(A - t d)| <= QUARTIC_RTOL * sum_k |c_k| max(1, |t|)^4
 QUARTIC_RTOL = 1e-12
+#: fixed before measuring: ||F0 - t F1 + t^2 F2 - F(A - t d)||_1 per pair, against
+#: (||F0||_1 + ||F1||_1 + ||F2||_1) max(1, |t|)^2
+LINE_CURVATURE_RTOL = 1e-13
 
 
 @pytest.mark.parametrize("name", sorted(LINE_CASES))
 def test_line_quartic_matches_ym_along_the_line(name):
+    """Both the quartic and the curvature F0 - t F1 + t^2 F2 that ``minimize``
+    assembles from its terms match a direct evaluation on A - t d."""
     c = LINE_CASES[name]()
     d = random_perturbation(c, sampling.rng(41), radius=2, terms=3, skew=True).components
-    coeffs = line_quartic(c, d)
+    coeffs, terms = line_quartic(c, d)
     assert coeffs[4] > 0.0  # the directions do not commute: F2 is present
+    f0s = curvature(c)
+    assert list(terms) == list(f0s)
     scale = sum(abs(x) for x in coeffs)
     for t in (-1.0, -0.5, 0.25, 0.5, 1.0, 1.5, 2.0):
         line = Connection(c.theta, c.q, [a - m.scale(t) for a, m in zip(c.A, d)], c.proj)
         quartic = sum(x * t**k for k, x in enumerate(coeffs))
         assert abs(quartic - ym_value(line)) <= QUARTIC_RTOL * scale * max(1.0, abs(t)) ** 4
+        for key, direct in curvature(line).items():
+            f0, (f1, f2) = f0s[key], terms[key]
+            assembled = f0 - f1.scale(t) + f2.scale(t * t)
+            bound = LINE_CURVATURE_RTOL * (f0.l1() + f1.l1() + f2.l1()) * max(1.0, abs(t)) ** 2
+            assert (assembled - direct).l1() <= bound
 
 
 def _descent_start(seed):
@@ -636,6 +652,9 @@ def test_minimize_stop_reasons(seed, options, reason):
     c, trace = minimize(_descent_start(seed), **options)
     assert trace.reason == reason
     assert trace[-1] == ym_value(c)
+    # the returned memo is the curvature of the potentials, not one assembled on the line
+    direct = curvature(Connection(c.theta, c.q, c.A, c.proj))
+    assert all((curvature(c)[key] - m).l1() == 0.0 for key, m in direct.items())
     assert all(b < a for a, b in zip(trace, trace[1:]))
     assert len(trace.steps) == len(trace) - 1 and all(t > 0 for t in trace.steps)
     norms = trace.gradient_norms
@@ -649,6 +668,121 @@ def test_minimize_stop_reasons(seed, options, reason):
     assert (norms[-1] <= grad_tol) == (reason == "converged")
     if reason == "no_decrease":
         assert trace[-1] <= 1e-20
+
+
+def _config_start(name):
+    return _parsed_start((CONFIGS / name).read_text())
+
+
+def _parsed_start(text):
+    spec = cfg.parse(text).spec
+    return cli._connection(spec.module), {k: v for k, v in vars(spec).items() if k != "module"}
+
+
+DESCENT_CASES = {
+    "config-minimize": lambda: _config_start("torus_minimize.json"),
+    "config-minimize-projected": lambda: _config_start("torus_minimize_projected.json"),
+    "criterion-05": lambda: (_descent_start(5000), {}),
+    # 28 steps: the longest descent here, so the most accumulated rounding
+    "q2-rng3": lambda: (
+        random_connection(theta2(0.3), 2, sampling.rng(3), radius=1, terms=2, amplitude=0.05),
+        {},
+    ),
+}
+#: fixed before measuring: l1 distance of an installed curvature from the direct
+#: one, summed over pairs, against the starting curvature's l1 norm
+ASSEMBLED_CURVATURE_RTOL = 1e-11
+
+
+@pytest.mark.parametrize("name", sorted(DESCENT_CASES))
+def test_assembled_curvature_matches_direct_at_every_iterate(name, monkeypatch):
+    """Each candidate's curvature, installed from the line-search terms and
+    carried on as the next F0, stays within a fixed bound of ``curvature`` of
+    a fresh connection on the same potentials.  The returned connection keeps
+    its own curvature, its YM is the trace's last value, and its gradient
+    norm, the last one recorded, meets ``grad_tol``: the ``converged`` verdict
+    does not rest on an assembled curvature."""
+    c0, options = DESCENT_CASES[name]()
+    installed = []
+    real = yangmills.ym_value
+
+    def spy(c):
+        if c is not c0 and c._curvature is not None:
+            installed.append((c.A, c._curvature))
+        return real(c)
+
+    monkeypatch.setattr(yangmills, "ym_value", spy)
+    c, trace = minimize(c0, **options)
+    monkeypatch.undo()
+    assert trace.reason == "converged" and installed
+    ref = sum(m.l1() for m in curvature(c0).values())
+    for potentials, assembled in installed:
+        direct = curvature(Connection(c0.theta, c0.q, potentials, c0.proj))
+        assert list(assembled) == list(direct)
+        distance = sum((assembled[key] - direct[key]).l1() for key in direct)
+        assert distance <= ASSEMBLED_CURVATURE_RTOL * ref
+    fresh = Connection(c.theta, c.q, c.A, c.proj)
+    assert all((curvature(c)[key] - m).l1() == 0.0 for key, m in curvature(fresh).items())
+    assert trace[-1] == ym_value(fresh)
+    assert trace.gradient_norms[-1] == gradient_norm(fresh) <= options.get("grad_tol", 1e-8)
+
+
+#: a start whose potentials are not skew: A_1 holds U_1 with a real coefficient
+NON_SKEW_START = json.dumps(
+    {
+        "kind": "torus_minimize",
+        "payload": {
+            "theta": {"n": 2, "entries": [0.0, 0.3, -0.3, 0.0]},
+            "q": 1,
+            "connection": {
+                "A": [
+                    {"q": 1, "entries": [[{"r": [1, 0], "re": 0.1, "im": 0.0}, {"r": [0, 1], "re": 0.0, "im": 0.05}]]},
+                    {"q": 1, "entries": [[{"r": [1, 1], "re": 0.08, "im": 0.02}, {"r": [-1, 0], "re": -0.03, "im": 0.0}]]},
+                ]
+            },
+        },
+    }
+)
+
+
+def test_non_skew_start_descends_as_with_direct_curvatures(monkeypatch):
+    """F0 - t F1 + t^2 F2 is the curvature of A - t d, not of the candidate
+    skew_part(A - t d) when A is not skew: from such a start the descent
+    matches one in which every candidate's curvature is computed from its
+    potentials (bounds fixed before measuring)."""
+    c0, options = _parsed_start(NON_SKEW_START)
+    assert compatibility_deviation(c0) > 0.1
+    c, trace = minimize(c0, **options)
+    real = yangmills.ym_value
+    monkeypatch.setattr(yangmills, "ym_value", lambda c: setattr(c, "_curvature", None) or real(c))
+    _, direct = minimize(_parsed_start(NON_SKEW_START)[0], **options)
+    monkeypatch.undo()
+    assert (trace.reason, len(trace)) == (direct.reason, len(direct)) == ("converged", 7)
+    assert all(abs(a - b) <= 1e-12 * direct[0] for a, b in zip(trace, direct))
+    assert all(abs(a - b) <= 1e-6 * b for a, b in zip(trace.steps, direct.steps))
+    scale = direct.gradient_norms[0]
+    assert all(abs(a - b) <= 1e-12 * scale for a, b in zip(trace.gradient_norms, direct.gradient_norms))
+
+
+def test_minimize_takes_candidate_curvature_from_the_line_terms(monkeypatch):
+    """A converged k-step descent on a free module makes 2k + 3 ``signed_sums``
+    calls: the start's curvature, a gradient and a quartic per step, the
+    curvature of the last candidate, the one the gradient norms' rate of fall
+    marks as the last, and its gradient, on which ``converged`` is decided;
+    the other candidates' curvatures cost none.  ``ym_value`` is still called
+    once at the start and once per candidate."""
+    c0 = _descent_start(5000)
+    calls = []
+    real_sums, real_ym = yangmills.signed_sums, yangmills.ym_value
+    monkeypatch.setattr(yangmills, "signed_sums", lambda entries: calls.append(len(entries)) or real_sums(entries))
+    evaluated = []
+    monkeypatch.setattr(yangmills, "ym_value", lambda c: evaluated.append(c) or real_ym(c))
+    _, trace = minimize(c0)
+    k = len(trace.steps)
+    assert trace.reason == "converged" and k >= 3
+    assert len(calls) == 2 * k + 3
+    assert len(evaluated) == k + 1 and evaluated[0] is c0
+    assert len({id(c) for c in evaluated}) == k + 1
 
 
 def test_minimize_quartic_overflow_raises():

@@ -48,7 +48,12 @@ steps by up to 1.66e-8 of their value (seeds 5001 and 777013), while every
 other float stayed within 1.8e-15 of its scale: late in a descent the
 curvature's coefficients are near 1e-15, so which of them fall under the
 drop changes with the order.  The same kernel with a drop per product moved
-them by at most 4.2e-10.
+them by at most 4.2e-10.  Assembling each line-search candidate's curvature
+as F0 - t F1 + t^2 F2 from the quartic's terms, rather than by star
+products, moved late steps by up to 5.2e-9 of their value (28 of them at
+seeds 5001 and 777013), the gradient norms by up to 8.1e-15 of
+``gradient_norms[0]``, and left every report that is not ``torus_minimize``
+byte-identical.
 """
 
 from __future__ import annotations
