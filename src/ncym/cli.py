@@ -72,11 +72,14 @@ def _run_torus_ym(spec: cfg.TorusYm):
 
 def _run_torus_minimize(spec: cfg.TorusMinimize):
     options = {name: value for name, value in vars(spec).items() if name != "module"}
-    c, trace = ym.minimize(_connection(spec.module), **options)
+    start = _connection(spec.module)
+    deviation = ym.compatibility_deviation(start)
+    c, trace = ym.minimize(start, **options)
     # a run stopped at max_iters has not differentiated its last iterate
     last_norm = ym.gradient_norm(c) if trace.reason == "max_iters" else trace.gradient_norms[-1]
     results = {
         "initial_ym": trace[0],
+        "compatibility_deviation": deviation,
         "terminal_ym": trace[-1],
         "iterations": len(trace) - 1,
         "terminal_gradient_norm": last_norm,
@@ -86,6 +89,8 @@ def _run_torus_minimize(spec: cfg.TorusMinimize):
         "trace": list(trace),
     }
     checks = {
+        # judged as ``torus_ym`` judges it at its default tolerance
+        "compatible_start": deviation <= ym.compatibility_bound(start, ym.COMPAT_TOL),
         "converged": results["terminal_gradient_norm"] <= spec.grad_tol,
         "monotone_trace": all(b <= a for a, b in zip(trace, trace[1:])),
     }

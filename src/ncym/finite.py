@@ -24,28 +24,40 @@ product norm is the one the kernel images would get.
 
 Every operator stack is one complex ``(k, d, d)`` array: the algebra basis,
 a subspace's matrices, the form generators and the product legs. Products
-over basis pairs are one batched matmul (``_pair_products``), tensor products
-of two stacks one broadcast multiply (``_kron``).
+over basis pairs are one GEMM (``_pair_products``), tensor products of two
+stacks one broadcast multiply (``_kron``).
 
 All subspaces live in the dim_h^2-dimensional operator space with the
-Frobenius inner product, each held as full-width orthonormal rows; ranks are
-decided by SVD with relative threshold ``RANK_TOL``, in one routine
-(``_svd_cut``) that factorises only the columns of a stack that are not
-exactly zero and puts the kept rows back into the full width. In an even
-triple about half of every form stack's columns are zero (1-forms are odd,
-pi(Omega^2) and the junk even); the rule is "exactly zero", not parity, so an
-odd triple or a grading that is not diagonal just finds fewer. A span of a
-stack with at least twice as many rows as kept columns (the pi(Omega^2)
-generators, the junk images) takes the SVD of the kept columns' triangular
-QR factor, which has the same row space and singular values; R keeps its own
-thin SVD, whose U the junk needs.
-A stack lies in a subspace when each projection residual is at
-most ``CONTAIN_TOL`` (one projection per stack, ``OperatorSubspace.contains``);
-subspace equality is mutual containment. ``FiniteTriple`` checks closure under
-adjoint and product, and commutation with the grading, on its basis elements
-divided by their Frobenius norms, and the self-adjointness of D and its
-anticommutation with the grading relative to the norm of D, so these verdicts
-do not depend on the scale of the basis or of D. The form spaces are formed
+Frobenius inner product, each held as orthonormal rows of that width. Every
+factorisation, projection and containment test works on the block of its
+stack that is not exactly zero. In an even triple about half of every form
+stack's columns are zero (1-forms are odd, pi(Omega^2) and the junk even),
+and many rows of R and of the products of basis elements are; the rule is
+"exactly zero", not parity, so an odd triple or a grading that is not
+diagonal just finds fewer, and a stack with no zero row or column takes the
+plain full-size path.
+
+- Ranks are decided by SVD with relative threshold ``RANK_TOL``, in one
+  routine (``_svd_cut``) that factorises only the nonzero rows and columns
+  and puts the kept rows of V* back into the full width, and U into the full
+  height. A span of a block with at least twice as many rows as columns
+  (the pi(Omega^2) generators, the junk images) takes the SVD of its
+  triangular QR factor, which has the same row space and singular values; R
+  keeps its own thin SVD, whose U the junk needs. These bases are
+  orthonormal by construction and skip the public constructor's Gram check.
+- The junk projection P - U (U* P) is formed on U's nonzero rows and P's
+  nonzero columns; every other entry of P passes through as it is.
+- A stack lies in a subspace when each projection residual is at most
+  ``CONTAIN_TOL`` (one projection per stack, ``OperatorSubspace.contains``).
+  Its zero operators are dropped, the residual is projected on the basis's
+  nonzero columns, and the stack's other columns enter its norm as they are.
+  Subspace equality is mutual containment.
+
+``FiniteTriple`` checks closure under adjoint and product, and commutation
+with the grading, on its basis elements divided by their Frobenius norms,
+and the self-adjointness of D and its anticommutation with the grading
+relative to the norm of D, so these verdicts do not depend on the scale of
+the basis or of D. The form spaces are formed
 from D and from each basis element times the power of two that brings its
 largest part into [1/2, 1) (``_unit_scaled``), which spans the same spaces,
 so they do not depend on the scale of D or of the basis either; the norms
@@ -87,6 +99,19 @@ def _unit_scaled(m: np.ndarray, axis=None) -> np.ndarray:
     return np.ldexp(parts, -np.frexp(np.abs(parts).max(axis=axis, keepdims=True))[1]).view(complex)
 
 
+def _nonzero(mask: np.ndarray):
+    """The indices where the 1-d ``mask`` holds, or ``None`` when it holds everywhere."""
+    where = mask.nonzero()[0]
+    return None if len(where) == len(mask) else where
+
+
+def _block(rows, cols):
+    """The index of a 2-d array's block on the given rows and columns (``None``: all of them)."""
+    if rows is None or cols is None:
+        return (slice(None) if rows is None else rows, slice(None) if cols is None else cols)
+    return rows[:, None], cols
+
+
 def _svd_cut(m: np.ndarray, scale: float | None = None, left: bool = False):
     """The rank cut of the 2-d array ``m``: (u, vh), the kept left singular
     vectors as columns (``None`` unless ``left``) and the kept right singular
@@ -96,36 +121,44 @@ def _svd_cut(m: np.ndarray, scale: float | None = None, left: bool = False):
     to the largest singular value; pass it when the rows arise from
     cancellations so roundoff residue is not mistaken for span.
 
-    Only the columns of ``m`` that are not exactly zero are factorised:
-    dropping them leaves the singular values and U as they are, and the rows
-    of V* are zero there, so the kept rows are put back into a full-width
-    array with exact zeros in the dropped columns. In an even triple each form
+    Only the block of ``m`` on its rows and columns that are not exactly zero
+    is factorised. Dropping a zero column leaves the singular values and U as
+    they are, and the rows of V* are zero there; dropping a zero row leaves
+    the singular values and V* as they are, and U is zero there. So the kept
+    rows of V* are put back into the full width with exact zeros in the
+    dropped columns, and with ``left`` the kept columns of U into the full
+    height with exact zeros in the dropped rows. In an even triple each form
     stack is zero on about half of the dim_h^2 coordinates (1-forms are odd
-    for the grading, pi(Omega^2) and the junk even); a stack with no zero
-    column is factorised whole, and an all-zero one spans nothing.
+    for the grading, pi(Omega^2) and the junk even), and many products of
+    basis elements vanish; a stack with no zero row or column is factorised
+    whole, and an all-zero one spans nothing.
 
-    Without ``left``, a stack with at least twice as many rows as kept
-    columns is first reduced to the triangular factor T of m = Q T, which has
-    the row space and the singular values of ``m``; the SVD of the square T
-    then never forms the tall thin U. LAPACK's complex divide-and-conquer SVD
+    Without ``left``, a block with at least twice as many rows as columns is
+    first reduced to the triangular factor T of m = Q T, which has the row
+    space and the singular values of ``m``; the SVD of the square T then
+    never forms the tall thin U. LAPACK's complex divide-and-conquer SVD
     takes this same QR step itself once the rows exceed about 17/9 of the
     columns, so at a ratio of 2 or more ``vh`` and ``s`` are bit for bit those
-    of the direct SVD of the kept columns. Below that ratio they can differ by
-    a rotation within degenerate singular values, so shorter stacks go to the
+    of the direct SVD of the block. Below that ratio they can differ by a
+    rotation within degenerate singular values, so shorter blocks go to the
     SVD as they are.
     """
-    cols = np.flatnonzero(m.any(axis=0))
-    if not cols.size:
+    rows, cols = _nonzero(m.any(axis=1)), _nonzero(m.any(axis=0))
+    kept = m[_block(rows, cols)]
+    if not kept.size:
         u = np.zeros((m.shape[0], 0), dtype=complex) if left else None
         return u, np.zeros((0, m.shape[1]), dtype=complex)
-    kept = m[:, cols]
     if not left and kept.shape[0] >= 2 * kept.shape[1]:
         kept = np.linalg.qr(kept, mode="r")
     u, s, vh = np.linalg.svd(kept, full_matrices=False)
     rank = int(np.sum(s > RANK_TOL * (s[0] if scale is None else scale)))
-    rows = np.zeros((rank, m.shape[1]), dtype=complex)
-    rows[:, cols] = vh[:rank]
-    return (u[:, :rank].copy() if left else None), rows
+    full_vh = np.zeros((rank, m.shape[1]), dtype=complex)
+    full_vh[_block(None, cols)] = vh[:rank]
+    if not left:
+        return None, full_vh
+    full_u = np.zeros((m.shape[0], rank), dtype=complex)
+    full_u[_block(rows, None)] = u[:, :rank]
+    return full_u, full_vh
 
 
 def _orthonormal_rows(m: np.ndarray, scale: float | None = None) -> np.ndarray:
@@ -134,7 +167,12 @@ def _orthonormal_rows(m: np.ndarray, scale: float | None = None) -> np.ndarray:
 
 
 class OperatorSubspace:
-    """Subspace of the operator space, held as an orthonormal row basis."""
+    """Subspace of the operator space, held as an orthonormal row basis.
+
+    The public constructor checks that the rows are orthonormal; the spans
+    this module cuts by ``_svd_cut`` are orthonormal by construction and are
+    made by ``_of_rows`` without the check.
+    """
 
     def __init__(self, ambient_dim: int, basis: np.ndarray):
         basis = np.asarray(basis, dtype=complex)
@@ -149,23 +187,63 @@ class OperatorSubspace:
         self.basis = basis
 
     @classmethod
+    def _of_rows(cls, rows: np.ndarray) -> "OperatorSubspace":
+        """The span of the orthonormal rows that ``_svd_cut`` returns, taken as they are."""
+        space = cls.__new__(cls)
+        space.ambient_dim, space.basis = rows.shape[1], rows
+        return space
+
+    @classmethod
     def span(cls, matrices, dim_h: int) -> "OperatorSubspace":
         """Span of a stack of dim_h x dim_h matrices."""
         dd = dim_h * dim_h
-        return cls(dd, _orthonormal_rows(np.asarray(matrices, dtype=complex).reshape(-1, dd)))
+        return cls._of_rows(_orthonormal_rows(np.asarray(matrices, dtype=complex).reshape(-1, dd)))
 
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
 
+    @cached_property
+    def _support(self):
+        """(order, width, basis*, basis): the columns with the basis's nonzero
+        ones first, how many those are, and the basis on them conjugate
+        transposed and as it is. ``order`` is ``None`` when no column is zero."""
+        live = self.basis.any(axis=0)
+        cols = _nonzero(live)
+        if cols is None:
+            return None, self.ambient_dim, self.basis.conj().T, self.basis
+        compact = self.basis[:, cols]
+        return np.concatenate([cols, (~live).nonzero()[0]]), len(cols), compact.conj().T, compact
+
     def contains(self, stack) -> bool:
         """Whether every operator of ``stack`` has projection residual at most ``CONTAIN_TOL``.
 
         ``stack`` holds matrices or flattened vectors under any leading shape;
-        an empty stack is contained in every subspace.
+        an empty stack is contained in every subspace. Its operators that are
+        exactly zero are dropped, and the rest are tested by ``_holds``.
         """
         vecs = np.asarray(stack, dtype=complex).reshape(-1, self.ambient_dim)
-        residual = vecs - (vecs @ self.basis.conj().T) @ self.basis
+        return self._holds(vecs, _nonzero(vecs.any(axis=1)))
+
+    def _holds(self, vecs: np.ndarray, rows=None) -> bool:
+        """``contains`` for the given rows (``None``: all) of the 2-d array ``vecs``.
+
+        On a column where the basis is exactly zero the residual is the vector
+        itself. So each vector's columns are put in ``_support``'s order, its
+        part on the basis's nonzero columns is replaced by the projection
+        residual there, and one norm is taken over that and the other columns'
+        entries as they are: the hypot of the two parts' norms, neither taken
+        by a difference. A norm of the other part taken as
+        ||v||^2 - ||v_in||^2 would cancel, and the rounding of the two squares
+        alone can exceed ``CONTAIN_TOL``^2.
+        """
+        order, width, basis_h, basis = self._support
+        if rows is None and order is None:
+            residual = vecs - (vecs @ basis_h) @ basis
+        else:
+            residual = vecs[_block(rows, order)]
+            inside = residual[:, :width]
+            inside -= (inside @ basis_h) @ basis
         return bool(np.all(np.linalg.norm(residual, axis=1) <= CONTAIN_TOL))
 
     def matrices(self, dim_h: int) -> np.ndarray:
@@ -173,12 +251,13 @@ class OperatorSubspace:
         return self.basis.reshape(-1, dim_h, dim_h)
 
 
-def subspace_sum(ambient_dim: int, *spaces) -> OperatorSubspace:
-    return OperatorSubspace(ambient_dim, _orthonormal_rows(np.vstack([s.basis for s in spaces])))
+def subspace_sum(*spaces) -> OperatorSubspace:
+    return OperatorSubspace._of_rows(_orthonormal_rows(np.vstack([s.basis for s in spaces])))
 
 
 def contains_subspace(big: OperatorSubspace, small: OperatorSubspace) -> bool:
-    return big.contains(small.basis)
+    # orthonormal rows are never zero, so ``contains``'s zero-row pass is skipped
+    return big._holds(small.basis)
 
 
 def subspaces_equal(a: OperatorSubspace, b: OperatorSubspace) -> bool:
@@ -186,7 +265,7 @@ def subspaces_equal(a: OperatorSubspace, b: OperatorSubspace) -> bool:
 
 
 def intersection_dim(a: OperatorSubspace, b: OperatorSubspace) -> int:
-    return a.dim + b.dim - subspace_sum(a.ambient_dim, a, b).dim
+    return a.dim + b.dim - subspace_sum(a, b).dim
 
 
 #: the commutators [D, b_i], and the kept columns of U and rows of V* (Omega^1) of R = U S V*
@@ -331,13 +410,19 @@ def matrix_case_triple(p: int, q: int, mu) -> FiniteTriple:
 
 
 def _pair_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The stack of products a_i b_j over all pairs, a outer: shape (len(a) len(b), d, d)."""
-    return (a[:, None] @ b[None, :]).reshape(-1, *a.shape[1:])
+    """The stack of products a_i b_j over all pairs, a outer: shape (len(a) len(b), d, d).
+
+    One GEMM, (a as (k d, d)) @ (b side by side as (d, l d)), whose (i, j)
+    block is a_i b_j, then a transpose of the blocks into pair order.
+    """
+    (k, d, _), l = a.shape, len(b)
+    blocks = a.reshape(k * d, d) @ b.transpose(1, 0, 2).reshape(d, l * d)
+    return blocks.reshape(k, d, l, d).transpose(0, 2, 1, 3).reshape(k * l, d, d)
 
 
 def omega1_space(t: FiniteTriple) -> OperatorSubspace:
     """span{a [D, b]} over algebra basis pairs: the row space of R."""
-    return OperatorSubspace(t.dim_h * t.dim_h, t._relations.right)
+    return OperatorSubspace._of_rows(t._relations.right)
 
 
 def pi_omega2_space(t: FiniteTriple, omega1: OperatorSubspace) -> OperatorSubspace:
@@ -350,14 +435,20 @@ def junk_space(t: FiniteTriple) -> OperatorSubspace:
     """Images [D,b][D,c] of the relations sum b [D, c] = 0: the row space of P - U (U* P).
 
     R, P and U as in the module docstring, one row per basis pair (b_i, c_j).
+    U is exactly zero on the rows where R is (each such pair is itself a
+    relation), and U (U* P) on the columns where P is, so the projection is
+    taken on the block of U's nonzero rows and P's nonzero columns, and every
+    other entry of P passes through unchanged.
     """
     dd = t.dim_h * t.dim_h
     coms, u = t._relations.commutators, t._relations.left
-    prods = _pair_products(coms, coms).reshape(-1, dd)
-    images = prods - u @ (u.conj().T @ prods)
+    images = _pair_products(coms, coms).reshape(-1, dd)
     # cancellation sets the noise floor: rank cut against the raw product size
-    scale = float(np.linalg.norm(prods, axis=1).max())
-    return OperatorSubspace(dd, _orthonormal_rows(images, scale=scale))
+    scale = float(np.linalg.norm(images, axis=1).max())
+    rows, cols = _nonzero(u.any(axis=1)), _nonzero(images.any(axis=0))
+    u, block = u[_block(rows, None)], images[_block(rows, cols)]
+    images[_block(rows, cols)] = block - u @ (u.conj().T @ block)
+    return OperatorSubspace._of_rows(_orthonormal_rows(images, scale=scale))
 
 
 def _forms(t: FiniteTriple):
@@ -559,7 +650,6 @@ def product_check(t1: FiniteTriple, t2: FiniteTriple) -> ProductReport:
     """
     prod = product_triple(t1, t2)
     dim = prod.dim_h
-    amb = dim * dim
     forms1, forms2 = _forms(t1), _forms(t2)
     o1_prod, pi2_prod, junk_prod = _forms(prod)
     legs = _embedded_legs(t1, t2, forms1, forms2)
@@ -568,9 +658,9 @@ def product_check(t1: FiniteTriple, t2: FiniteTriple) -> ProductReport:
         return OperatorSubspace.span(np.concatenate([legs[name] for name in names]), dim)
 
     leg1, leg2 = span("omega1_first"), span("omega1_second")
-    o1_sum = subspace_sum(amb, leg1, leg2)
+    o1_sum = subspace_sum(leg1, leg2)
     num_legs, cross = span("pi2_first", "pi2_second"), span("one_one")
-    num_sum = subspace_sum(amb, num_legs, cross)
+    num_sum = subspace_sum(num_legs, cross)
     junk_legs = span("junk_first", "junk_second")
     if not contains_subspace(num_legs, junk_legs):
         raise InvalidTriple("embedded junk legs escape the embedded pi(Omega^2) legs")

@@ -14,6 +14,7 @@ import pytest
 import ncym
 from ncym import cli, config as cfg, yangmills as ym
 from ncym import ConfigInvalid, matrix_case_triple
+from test_yangmills import NON_SKEW_START
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -193,6 +194,27 @@ def test_run_torus_minimize():
     assert len(res["gradient_norms"]) == len(res["trace"]) == res["iterations"] + 1
     assert len(res["steps"]) == res["iterations"]
     assert res["terminal_gradient_norm"] == res["gradient_norms"][-1] <= 1e-6
+
+
+def test_torus_minimize_reports_a_non_skew_start(tmp_path):
+    """The non-skew start of ``test_non_skew_start_descends_as_with_direct_curvatures``
+    converges with a monotone trace, but ``compatible_start`` is false, so the
+    run exits 2; the reported deviation is that of the start."""
+    conf = json.loads(NON_SKEW_START)
+    out = tmp_path / "rep.json"
+    assert cli.main(["run", write(tmp_path, "start.json", conf), "--output", str(out)]) == 2
+    report = json.loads(out.read_text())
+    assert report["checks"] == {"compatible_start": False, "converged": True, "monotone_trace": True}
+    start = cli._connection(cfg.parse(NON_SKEW_START).spec.module)
+    assert report["results"]["compatibility_deviation"] == ym.compatibility_deviation(start) > 0.1
+
+
+@pytest.mark.parametrize("name", ["torus_minimize.json", "torus_minimize_projected.json"])
+def test_sample_descents_start_compatible(name):
+    """``random_connection`` makes skew potentials, so the start's deviation is exactly 0."""
+    report = cli.run(cfg.parse((CONFIGS / name).read_text()))
+    assert report["checks"]["compatible_start"] is True
+    assert report["results"]["compatibility_deviation"] == 0.0
 
 
 @pytest.mark.parametrize(

@@ -215,6 +215,69 @@ def test_contains_subspace_matches_per_vector_reference():
     assert subspaces_equal(zero, OperatorSubspace.span(np.zeros((4, 3, 3)), 3))
 
 
+def even_block_space(gen, dim):
+    """The span of ``dim`` random 4 x 4 matrices that are even for the grading
+    diag(1, 1, -1, -1): exactly zero off the two diagonal blocks, so its basis
+    is zero on half of the 16 coordinates."""
+    mats = np.zeros((dim, 4, 4), dtype=complex)
+    for block in (slice(0, 2), slice(2, 4)):
+        mats[:, block, block] = gen.normal(size=(dim, 2, 2)) + 1j * gen.normal(size=(dim, 2, 2))
+    return OperatorSubspace.span(mats, 4)
+
+
+def unit_rows(gen, count, columns):
+    """``count`` random unit rows of width 16, zero outside the boolean mask ``columns``."""
+    rows = np.zeros((count, 16), dtype=complex)
+    rows[:, columns] = gen.normal(size=(count, columns.sum())) + 1j * gen.normal(size=(count, columns.sum()))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def with_zero_rows(gen, stack):
+    """``stack`` with as many all-zero rows as it has mixed in at random places."""
+    out = np.zeros((2 * len(stack), stack.shape[1]), dtype=complex)
+    out[np.sort(gen.permutation(len(out))[: len(stack)])] = stack
+    return out
+
+
+def test_contains_on_partial_support_matches_per_vector_reference():
+    """A subspace whose basis is zero on some coordinates, against stacks with
+    order-1 entries on its support and small parts off it. An off-support part
+    of 1e-11 lies inside, one of 1e-6 does not, as do the same sizes on the
+    support in a direction orthogonal to the span; all-zero rows mixed into a
+    stack change nothing. A residual whose off-support part were taken as
+    ||v||^2 - ||v_in||^2 would read the rounding of those two squares, far
+    above CONTAIN_TOL^2, as a residual."""
+    gen = np.random.default_rng(17)
+    space = even_block_space(gen, 5)
+    support = space.basis.any(axis=0)
+    assert space.dim == 5 and support.sum() == 8
+    inside = (gen.normal(size=(64, 5)) + 1j * gen.normal(size=(64, 5))) @ space.basis
+    odd = unit_rows(gen, 64, ~support)
+    even = unit_rows(gen, 64, support)
+    even -= (even @ space.basis.conj().T) @ space.basis
+    even /= np.linalg.norm(even, axis=1, keepdims=True)
+    one_off = inside.copy()
+    one_off[40] += 1e-6 * odd[40]
+    cases = {
+        "inside": (inside, True),
+        "off-support 1e-11": (inside + 1e-11 * odd, True),
+        "off-support 1e-6": (inside + 1e-6 * odd, False),
+        "on-support 1e-11": (inside + 1e-11 * even, True),
+        "on-support 1e-6": (inside + 1e-6 * even, False),
+        "one row off-support 1e-6": (one_off, False),
+        "off-support alone": (1e-6 * odd, False),
+    }
+    cases.update({f"{name}, zero rows mixed in": (with_zero_rows(gen, stack), expected)
+                  for name, (stack, expected) in cases.items()})
+    cases["zero rows alone"] = (np.zeros((3, 16)), True)
+    for name, (stack, expected) in cases.items():
+        assert space.contains(stack) == (residual_loop(space, stack) <= CONTAIN_TOL) == expected, name
+        assert space.contains(stack.reshape(-1, 4, 4)) == expected, name
+    near = OperatorSubspace.span((inside[:3] + 1e-11 * odd[:3]).reshape(3, 4, 4), 4)
+    far = OperatorSubspace.span((inside[:3] + 1e-6 * odd[:3]).reshape(3, 4, 4), 4)
+    assert contains_subspace(space, near) and not contains_subspace(space, far)
+
+
 def zero_dirac_triple():
     return FiniteTriple(2, [np.eye(2, dtype=complex), np.diag([1.0, 0.0]).astype(complex)], np.zeros((2, 2)))
 
@@ -555,7 +618,8 @@ def test_only_relation_stacks_reach_the_svd_tall(monkeypatch):
     (here the pi(Omega^2) generators and the junk images) goes to the SVD as its
     square QR triangle, so during form_report and product_check the only SVD
     inputs that tall are the relation stacks R, one per triple, whose thin U the
-    junk needs. Each R arrives with only its columns that are not exactly zero."""
+    junk needs. Each R arrives with only its rows and columns that are not
+    exactly zero."""
     shapes = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda m, *a, **k: shapes.append(np.shape(m)) or svd(m, *a, **k))
@@ -567,8 +631,8 @@ def test_only_relation_stacks_reach_the_svd_tall(monkeypatch):
     relations = []
     for t in (t1, t2, product_triple(t1, t2)):
         rel = relation_stack(t)
-        assert rel.shape[1] == t.dim_h**2 and not rel.any(axis=0).all()
-        relations.append((len(t.algebra_basis) ** 2, int(np.count_nonzero(rel.any(axis=0)))))
+        assert rel.shape[1] == t.dim_h**2 and not rel.any(axis=0).all() and not rel.any(axis=1).all()
+        relations.append((int(np.count_nonzero(rel.any(axis=1))), int(np.count_nonzero(rel.any(axis=0)))))
     assert sorted(shape for shape in shapes if shape[0] >= 2 * shape[1]) == sorted(relations)
 
 
@@ -596,7 +660,8 @@ def assert_matches_full_width(m, scale, left):
     """``_svd_cut`` against the full-width reference: the same rank and the same
     span (mutual containment), orthonormal rows that own their data, exact zeros
     in every column of ``m`` that is exactly zero; with ``left``, also the same
-    column space of U, with orthonormal columns."""
+    column space of U, with orthonormal columns and exact zeros in every row of
+    ``m`` that is exactly zero."""
     n = m.shape[1]
     u, rows = _svd_cut(m, scale, left)
     ref_u, ref_rows = full_width_svd_cut(m, scale) if left else (None, full_width_orthonormal_rows(m, scale))
@@ -606,6 +671,7 @@ def assert_matches_full_width(m, scale, left):
     assert subspaces_equal(OperatorSubspace(n, rows), OperatorSubspace(n, ref_rows))
     if left:
         assert u.shape == ref_u.shape and u.base is None and orthonormal_rows_of(u.T)
+        assert np.all(u[~m.any(axis=1)] == 0)
         assert subspaces_equal(OperatorSubspace(len(m), u.T), OperatorSubspace(len(m), ref_u.T))
     else:
         assert u is None
@@ -666,20 +732,26 @@ def test_svd_cut_matches_full_width_in_a_product_check(monkeypatch):
     core=st.integers(0, 12),
     extra_rows=st.integers(0, 30),
     pad=st.integers(1, 12),
+    row_pad=st.integers(0, 40),
     seed=st.integers(0, 2**32 - 1),
     magnitude=st.sampled_from([1e-20, 1e-5, 1.0, 1e10, 1e20]),
     explicit_scale=st.booleans(),
     left=st.booleans(),
 )
-def test_svd_cut_of_zero_padded_stacks_matches_full_width(core, extra_rows, pad, seed, magnitude, explicit_scale, left):
-    """A graded random stack with zero columns put in at random places, short or
-    tall, at any magnitude, with the default cut and with an explicit ``scale``
-    that drops its small singular values; ``core = 0`` is all zero."""
+def test_svd_cut_of_zero_padded_stacks_matches_full_width(
+    core, extra_rows, pad, row_pad, seed, magnitude, explicit_scale, left
+):
+    """A graded random stack with zero columns and zero rows put in at random
+    places, short or tall, at any magnitude, with the default cut and with an
+    explicit ``scale`` that drops its small singular values; ``core = 0`` is all
+    zero. With ``left``, U is exactly zero on the zero rows."""
     rows = core // 2 + 1 + extra_rows
-    m = np.zeros((rows, core + pad), dtype=complex)
+    m = np.zeros((rows + row_pad, core + pad), dtype=complex)
     if core:
-        place = np.sort(np.random.default_rng(seed).permutation(core + pad)[:core])
-        m[:, place] = magnitude * _graded_stack(rows, core, seed)
+        gen = np.random.default_rng(seed)
+        place = np.sort(gen.permutation(core + pad)[:core])
+        height = np.sort(gen.permutation(rows + row_pad)[:rows])
+        m[np.ix_(height, place)] = magnitude * _graded_stack(rows, core, seed)
     top = np.linalg.svd(m, compute_uv=False)[0] if m.size else 0.0
     assert_matches_full_width(m, 1e7 * top if explicit_scale else None, left)
 
@@ -711,23 +783,60 @@ def test_matrix_case_dims_on_benchmark_shapes(p, q, klass):
     assert rep.dim_omega2 == rep.dim_pi_omega2 - rep.dim_junk == expected
 
 
-def test_form_space_bases_own_their_data(monkeypatch):
-    """Every basis that _forms and product_check build is its own array: a view of
-    the kept rows would keep the whole thin SVD factor alive."""
+def recorded_subspaces(monkeypatch, build):
+    """Every subspace built while ``build()`` runs, by the checked constructor
+    or from ``_svd_cut``'s rows (``OperatorSubspace._of_rows``)."""
     built = []
-    init = OperatorSubspace.__init__
+    init, of_rows = OperatorSubspace.__init__, OperatorSubspace._of_rows
 
     def record(self, *args):
         init(self, *args)
         built.append(self)
 
+    def record_rows(rows):
+        space = of_rows(rows)
+        built.append(space)
+        return space
+
     monkeypatch.setattr(OperatorSubspace, "__init__", record)
+    monkeypatch.setattr(OperatorSubspace, "_of_rows", record_rows)
+    build()
+    monkeypatch.undo()
+    return built
+
+
+def test_form_space_bases_own_their_data(monkeypatch):
+    """Every basis that _forms and product_check build, by the checked
+    constructor or from ``_svd_cut``'s rows, is its own array: a view of the
+    kept rows would keep the whole thin SVD factor alive."""
     t1 = matrix_case_triple(2, 2, np.diag([1.0, 2.0]))
     t2 = matrix_case_triple(2, 1, [[0.6], [0.8j]])
-    _forms(t1)
-    product_check(t1, t2)
+    built = recorded_subspaces(monkeypatch, lambda: (_forms(t1), product_check(t1, t2)))
     assert len(built) > 10
     assert all(space.basis.base is None for space in built)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: [form_report(make()) for make in JUNK_FIXTURES.values()],
+        lambda: [form_report(rotated(make(), seed=3)) for make in JUNK_FIXTURES.values()],
+        lambda: product_check(matrix_case_triple(2, 2, 0.7 * UNITARY2), matrix_case_triple(2, 1, [[0.6j], [0.8]])),
+        lambda: product_check(
+            rotated(matrix_case_triple(2, 1, [[0.6], [0.8j]]), seed=5), matrix_case_triple(2, 2, np.diag([1.0, 2.0j]))
+        ),
+    ],
+    ids=["form-reports", "rotated-form-reports", "product-check", "rotated-product-check"],
+)
+def test_spans_cut_by_svd_are_orthonormal(monkeypatch, build):
+    """The spans taken from ``_svd_cut``'s rows skip the constructor's Gram
+    check; every basis form_report and product_check build, those included,
+    has orthonormal rows within the check's 1e-10."""
+    built = recorded_subspaces(monkeypatch, build)
+    assert len(built) > 10
+    for space in built:
+        gram = space.basis @ space.basis.conj().T
+        assert np.linalg.norm(gram - np.eye(space.dim)) <= 1e-10
 
 
 def test_form_report_projector_properties():
