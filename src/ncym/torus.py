@@ -63,11 +63,15 @@ each product to one of two array kernels (``_takes_box``).  The dense-box
 kernel takes products of more than ``_VECTOR_CUTOFF`` pairs of terms whose
 box work is at most ``_DENSE_WORK_PER_PAIR`` per pair and whose coefficients
 are all finite.  It is a twisted convolution (``_dense_box_kernel``) that
-gives s1 a * b + s2 b * a in one call: row 0 of P is zero, so both cocycles
-split into a factor that varies along axis 0 and one that depends only on
-the tails, a's terms are grouped by their tail (r_1..r_{n-1}) into one
-Toeplitz gather, each side is one 2-d matmul of that gather with b's dense
-box, and one bincount adds every group into the output box.  A product and
+gives s1 a * b + s2 b * a in one call.  a's terms are grouped by their tail
+offset (r_1..r_{n-1}), only the offsets that hold a term, and each side is
+one 2-d matmul whose product is the output box itself: a's Toeplitz window
+along axis 0 (output row; group, row of b) times b's box shifted along the
+tail to each group's offset, both strided views of zero-padded arrays.  Row
+0 of P is zero, so each cocycle factor goes on one of the two operands or,
+for b * a's factor that pairs the output row with the output tail, on the
+output box; both sides keep a's grouping.  The tail factors are exactly 1,
+and are not formed, unless P has a nonzero column among 1..n-2.  A product and
 its swap of the opposite sign in the same entry, as in every q = 1
 commutator, run as one call; each entry's calls are added into one dense
 array over their union box (``_box_sums``), whose cells become the element.
@@ -102,6 +106,7 @@ import math
 from types import MappingProxyType
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import IndexOutOfRange, ThetaMismatch
 
@@ -430,18 +435,20 @@ def inner_sum(pairs) -> complex:
 #: kernels compute the same sums up to rounding.
 _VECTOR_CUTOFF = 512
 
-#: The dense-box kernel runs while its work per pair of terms is at most this;
-#: its work is the output box's cell count plus the multiply-adds of one side's
-#: Toeplitz matmul, which also bound the size of every array it builds.  Above
-#: it the pairwise kernel runs, whose time and memory follow the pair count.
-#: Descent's products need 3-30 per pair, where the dense kernel, output
-#: conversion included, takes a median 1/18 of the pairwise kernel's time for
-#: one product and 1/27 for a commutator (seed-5001 descent products, 2-core Xeon VM, one
-#: BLAS thread).  Box cells alone are not enough: a 100-term diagonal times a
-#: 2x200 strip has 0.75 cells but 101 multiply-adds per pair, and the dense
-#: kernel takes 4.7x the pairwise kernel's time there.  One far-out term (say
-#: U^(0,10**6) next to a dense patch) makes the box millions of cells for a
-#: few thousand pairs.
+#: The dense-box kernel runs while its work (``_dense_box_work``) per pair of
+#: terms is at most this; above it the pairwise kernel runs, whose time and
+#: memory follow the pair count.  The work bounds every array the dense kernel
+#: builds, and the limit is where the two kernels' times cross.  Timed with its
+#: output conversion, on one BLAS thread, over discs of fill 0.1 to 1, sparse
+#: one-row strips times discs and diagonals times two-row strips, the dense
+#: kernel is the faster on every product of up to 16 per pair, and its median
+#: time ratio to the pairwise kernel passes 1 between 24 and 48 per pair.  Box
+#: cells alone are not enough: a one-row strip of 160 terms 5 apart times a
+#: radius-10 disc has 0.34 cells but 54 units of work per pair, and the dense
+#: kernel takes about 1.8x the pairwise kernel's time there (1.2x on 81 such
+#: terms, 30 per pair), as its matmul runs b's shifted box across the whole
+#: output tail.  One far-out term (say U^(0,10**6) next to a dense patch) makes
+#: the box millions of cells for a few thousand pairs.
 _DENSE_WORK_PER_PAIR = 32
 
 
@@ -564,8 +571,12 @@ def _exponents(w, s):
 
 
 def _phases(x):
-    """e(x) for an array of exponents, with x reduced mod 1 first."""
-    return np.exp(2j * math.pi * np.mod(x, 1.0))
+    """e(x) for an array of exponents, with x reduced mod 1 first.
+
+    x - floor(x) is np.mod(x, 1.0) bit for bit (both round the exact
+    fractional part once) at a fraction of its cost.
+    """
+    return np.exp(2j * math.pi * (x - np.floor(x)))
 
 
 def _cmul(x, y):
@@ -662,93 +673,129 @@ def _boxes(ra, rb):
 
 
 def _dense_box_work(terms_a: int, bounds) -> int:
-    """Output box cells plus an upper bound on the multiply-adds of one side of
-    ``_dense_box_kernel``.
+    """Output box cells plus groups x (b's extent along axis 0) x the larger of
+    (output extent along axis 0) x (b's tail cells) and the output tail cells.
 
-    ``bounds`` are the operands' ``_boxes``.  Each side's matmul does
-    (groups) x (output extent along axis 0) x (cells of b's box)
-    multiply-adds, and a has at most min(terms, tail cells of its box)
-    groups.  A commutator does it twice on the same arrays, so the bound
-    also limits the size of each array that either side builds.
+    ``bounds`` are the operands' ``_boxes``; a has at most min(terms, tail
+    cells of its box) groups.  The first of the two is a bound on the
+    multiply-adds of one side's matmul that meet b's box rather than the
+    zeros around it, the second the size of one side's right operand, b's
+    box shifted to every group.  The first also bounds the left operand and
+    a's padded rows; b's padded rows are at most twice the output box, and
+    every other array at most the output box or the right operand.  A
+    commutator builds the b * a operands only after the a * b ones are
+    freed, so this also bounds the memory of a call.
     """
     _, ext_a, _, ext_b = bounds
-    cells = math.prod(x + y - 1 for x, y in zip(ext_a, ext_b))
+    ext = [x + y - 1 for x, y in zip(ext_a, ext_b)]
     groups = min(terms_a, math.prod(ext_a[1:]))
-    return cells + groups * (ext_a[0] + ext_b[0] - 1) * math.prod(ext_b)
+    per_row = max(ext[0] * math.prod(ext_b[1:]), math.prod(ext[1:]))
+    return math.prod(ext) + groups * ext_b[0] * per_row
 
 
 def _dense_box_kernel(th: ThetaMatrix, ra, ca, rb, cb, bounds, s1: int, s2: int):
     """s1 (a * b) + s2 (b * a) over the dense output box of a * b, s1 -1 or 1 and s2 -1, 0 or 1.
 
     ``bounds`` are the operands' ``_boxes``; the result is the box's complex
-    cells as an array of extent ext_a + ext_b - 1 in Fortran order (axis 0
-    fastest), its cell 0 at lo_a + lo_b.  Only a's terms are grouped, by
-    their tail rho (r = (r_0, rho)); b's box B is dense.  Row 0 of P is zero,
-    so w = r P depends only on rho, v = (s P)_0 only on s's tail, and
-    u = sum_{m >= 1} r_m (s P)_m only on the two tails:
+    cells as an array of extent ext_a + ext_b - 1, its cell 0 at
+    lo_a + lo_b.  Write r = lo_a + (x, m) for a's terms and s = lo_b + (j, c)
+    for b's, with x and j offsets along axis 0 and m and c offsets in the
+    tail boxes, so that the output cell is (i, t) = (x + j, m + c).  a's
+    groups are the tail offsets m that hold a term.  Each side is one 2-d
+    matmul whose product is the output box (i, t) itself, summed over
+    (group, j): the left operand is a's Toeplitz window, a[i - j, m] at
+    (i; m, j), a strided view of a zero-padded array times a phase, and the
+    right one is b's box shifted along the tail by m, b[j, t - m] at
+    (m, j; t), a strided view of a zero-padded copy.  In C order a shift by
+    m adds m's flat offset in the output tail, so a group's shift is one
+    slide of b's row.
 
-        sigma(r, s) = e(w_0 s_0) e(w_tail . s_tail),  sigma(s, r) = e(r_0 v + u).
+    Row 0 of P is zero, so w = r P depends only on m, and with
+    omega(y) = sum_{k >= 1} y_k P[k][0], linear in the tail y of a
+    multi-index, v_0 = (s P)_0 = omega(lo_b + c):
 
-    Both sides share a's Toeplitz gather T0 (group, output row i, row j of B)
-    and each is one 2-d matmul: a * b is (T0 . e(w_0 s_0)) @ B, then times
-    e(w_tail . s_tail); b * a is T0 @ (B . e(-j v)), then times e(i v),
-    e(lo_a0 v) and e(u), where r_0 = lo_a0 + i - j.  One table e(k v),
-    k < ext_0, gives e(i v) and, conjugated, e(-j v).  The offsets i and j
-    are box-relative, so the large lo_a0 v is one exponent, not the
-    difference of two.  One bincount adds every group into the output box.
+        sigma(r, s) = e(w_0 s_0) e(w_tail . s_tail),
+        sigma(s, r) = e(v_0 r_0) e(u),  u = sum_{k >= 1} r_k (s P)_k.
+
+    a * b takes e(w_0 (lo_b0 + j)) on the left operand.  b * a keeps a's
+    grouping: with r_0 = lo_a0 + i - j and v_0 = omega(lo_b + t) - omega(m),
+    e(v_0 r_0) is e(v_0 (lo_a0 - j)) on b's terms, e(-omega(m) i) on the left
+    operand and e(omega(lo_b + t) i) on the output box.  The offsets i and j
+    are box-relative, so the large lo_a0 v_0 is one exponent, not the
+    difference of two.  The factors of the tail, e(w_tail . s_tail) and e(u),
+    go on the right operands, and only for P's nonzero columns 1 .. n - 2:
+    with none, as for every n = 2, they are exactly 1 and are left out.
+    Every array the kernel builds is bounded by ``_dense_box_work``.
     """
-    n = th.n
-    loa, ext_a, lob, ext_b = (np.array(x, dtype=np.int64) for x in bounds)
-    ext = ext_a + ext_b - 1
-    rows0, b0, cells_b = ext[0], ext_b[0], math.prod(ext_b[1:])
-    # output cells are numbered with axis 0 fastest
-    stride = np.cumprod(np.concatenate(([1], ext[:-1])))
-    dense_b = np.zeros(tuple(ext_b), dtype=complex)
-    dense_b[tuple((rb - lob).T)] = cb
-    dense_b = dense_b.reshape(b0, cells_b)
-    # b's tail cells in C order: offsets in b's box, and multi-indices with s_0 = 0
-    b_cells = np.indices(ext_b[1:]).reshape(n - 1, cells_b).T
-    s_tail = np.zeros((cells_b, n), dtype=np.int64)
-    s_tail[:, 1:] = b_cells + lob[1:]
+    n, p = th.n, th._pair_mat
+    ext = [x + y - 1 for x, y in zip(bounds[1], bounds[3])]
+    rows0, b0, tail = ext[0], bounds[3][0], math.prod(ext[1:])
+    lo_a, lo_b = (np.array(x, dtype=np.int64) for x in bounds[::2])
+    # C-order strides of the tail axes in a's box and in the output box
+    stride_a = np.array([math.prod(bounds[1][k + 1 :]) for k in range(1, n)], dtype=np.int64)
+    stride = np.array([math.prod(ext[k + 1 :]) for k in range(1, n)], dtype=np.int64)
 
-    tail_keys = (ra[:, 1:] - loa[1:]) @ stride[1:]
-    _, first, group = np.unique(tail_keys, return_index=True, return_inverse=True)
-    n_groups = len(first)
-    r_tail = ra.take(first, 0)  # one term per group; its tail is the group's
-    r_tail[:, 0] = 0
-    # rows[g, i] = a's coefficient at r_0 = lo_a0 + i in group g; the extra last
-    # column stays zero and pads the Toeplitz gather
-    rows = np.zeros((n_groups, ext_a[0] + 1), dtype=complex)
-    rows[group.reshape(-1), ra[:, 0] - loa[0]] = ca
-    lag = np.arange(rows0)[:, None] - np.arange(b0)[None, :]
-    lag[(lag < 0) | (lag >= ext_a[0])] = ext_a[0]
-    toeplitz = rows[:, lag]  # (group, i, j)
+    # a's groups: the tail offsets that hold a term, in C order
+    key = (ra[:, 1:] - lo_a[1:]) @ stride_a
+    held = np.zeros(math.prod(bounds[1][1:]), dtype=bool)
+    held[key] = True
+    group = (held.cumsum() - 1).take(key)
+    groups = int(held.sum())
+    first = np.empty(groups, dtype=np.int64)
+    first[group] = np.arange(len(ra))
+    r = ra.take(first, 0)  # one term per group; its tail is the group's
+    m = r[:, 1:] - lo_a[1:]
+    shift = m @ stride  # ascending, as the groups are in C order
+    # padded[x + b0 - 1, g] = a's coefficient at offset x along axis 0 in group g,
+    # so that toeplitz[i, g, j] = padded[i - j + b0 - 1, g], zero off a's rows
+    padded = np.zeros((rows0 + b0 - 1, groups), dtype=complex)
+    padded[ra[:, 0] - lo_a[0] + b0 - 1, group] = ca
+    step, across = padded.strides
+    toeplitz = as_strided(padded, (rows0, groups, b0), (step, across, step))[:, :, ::-1]
+    last = int(shift[-1])
+    at_b = (rb[:, 0] - lo_b[0], last + (rb[:, 1:] - lo_b[1:]) @ stride)
+    t = np.indices(ext[1:]).reshape(n - 1, tail)  # each output tail cell's offsets
 
-    w = _cocycle_rows(th, r_tail)
-    left = toeplitz * _phases(np.outer(w[:, 0], lob[0] + np.arange(b0)))[:, None, :]
-    conv = (left.reshape(-1, b0) @ dense_b).reshape(n_groups, rows0, cells_b)
-    conv *= _phases(_exponents(w[:, None, :], s_tail[None, :, :]))[:, None, :]
+    def shifted(values):
+        """right[g, j, t] = the value of b's term at (j, t - shift[g]), zero off b."""
+        row = np.zeros((b0, last + tail), dtype=complex)
+        row[at_b] = values
+        # slides[k, j, t] = row[j, k + t]: b's row j shifted by last - k
+        slides = as_strided(row, (last + 1, b0, tail), (row.strides[1], row.strides[0], row.strides[1]))
+        return slides[last - shift]
+
+    def tail_phases(terms):
+        """e(sum of y * s_k) over (y, k) in ``terms``, y per group and s_k the
+        index entry k of b's term at (group, output tail cell)."""
+        x = 0.0
+        for y, k in terms:
+            x = x + y[:, None] * (lo_b[k] + t[k - 1] - m[:, k - 1, None])
+        return _phases(x)[:, None, :]
+
+    def side(left_phase, right):
+        left = np.multiply(toeplitz, left_phase, out=np.empty((rows0, groups, b0), dtype=complex))
+        return left.reshape(rows0, -1) @ right.reshape(-1, tail)
+
+    tails = [k for k in range(1, n - 1) if p[:, k].any()]
+    w = _cocycle_rows(th, r)
+    right = shifted(cb)
+    if tails:
+        right *= tail_phases([(w[:, k], k) for k in tails])
+    # the signs ride on the left operands' phases: a multiply by -1 is exact
+    out = side(s1 * _phases(np.outer(w[:, 0], lo_b[0] + np.arange(b0))), right)
     if s2:
-        w = _cocycle_rows(th, s_tail)
-        table = _phases(np.arange(rows0)[:, None] * w[:, 0])  # e(k v); rows0 >= b0
-        ba = (toeplitz.reshape(-1, b0) @ (dense_b * table[:b0].conj())).reshape(n_groups, rows0, cells_b)
-        ba *= table
-        ba *= _phases(loa[0] * w[:, 0] + _exponents(w[None, :, :], r_tail[:, None, :]))[:, None, :]
-        (np.add if s2 == s1 else np.subtract)(conv, ba, out=conv)
-        del ba  # at most one side's array lives through the scatter
-    if s1 < 0:
-        np.negative(conv, out=conv)
-
-    cell = (
-        np.arange(rows0)[None, :, None]
-        + tail_keys.take(first)[:, None, None]
-        + (b_cells @ stride[1:])[None, None, :]
-    ).reshape(-1)
-    volume = math.prod(int(x) for x in ext)
-    out = np.empty(volume, dtype=complex)
-    out.real = np.bincount(cell, weights=conv.real.reshape(-1), minlength=volume)
-    out.imag = np.bincount(cell, weights=conv.imag.reshape(-1), minlength=volume)
-    return out.reshape(tuple(ext), order="F")
+        del right  # at most one side's operands live at a time
+        v = _cocycle_rows(th, rb)[:, 0]
+        right = shifted(cb * _phases(v * (lo_a[0] - (rb[:, 0] - lo_b[0]))))
+        if tails:
+            right *= tail_phases([(r[:, k] * p[l, k], l) for k in tails for l in range(k + 1, n) if p[l, k]])
+        i = np.arange(rows0)
+        ba = side(s2 * _phases(np.outer(i, -_cocycle_rows(th, r - lo_a)[:, 0]))[:, :, None], right)
+        cells = np.zeros((tail, n), dtype=np.int64)  # lo_b + t, for omega(lo_b + t)
+        cells[:, 1:] = t.T + lo_b[1:]
+        ba *= _phases(np.outer(i, _cocycle_rows(th, cells)[:, 0]))
+        out += ba
+    return out.reshape(ext)
 
 
 def _box_sums(th: ThetaMatrix, products) -> list:
@@ -785,7 +832,7 @@ def _box_sums(th: ThetaMatrix, products) -> list:
             _box_element(th, l, _dense_box_kernel(th, *terms, bounds, s1, s2))
             for (terms, bounds, s1, s2), (l, _) in zip(calls, boxes)
         ]
-    total = np.zeros(ext, dtype=complex, order="F")
+    total = np.zeros(ext, dtype=complex)
     for (terms, bounds, s1, s2), (l, e) in zip(calls, boxes):
         at = tuple(slice(x - y, x - y + z) for x, y, z in zip(l, lo, e))
         total[at] += _dense_box_kernel(th, *terms, bounds, s1, s2)

@@ -480,14 +480,58 @@ def test_box_kernel_on_far_out_patches(n, radius):
         assert coeff_distance(box_kernel(a, b, 1, -1), want) <= signed_sum_tolerance(zero, products)
 
 
+def test_box_kernel_on_a_product_theta():
+    """The n = 4 theta of a product torus, the one theta with n > 2 that the
+    CLI builds: P's tail column 1 is zero and column 2 is not, so the tail
+    phases run on column 2 alone.  Dense cubes at the origin and 10**6 out,
+    in every pairing: a * b and the commutator stay within the loop's bound."""
+    gen = sampling.rng(65)
+    th = product_theta(sampling.random_theta(2, gen), sampling.random_theta(2, gen))
+    p = th._pair_mat
+    assert not p[:, 1].any() and p[:, 2].any()
+    zero = TorusElement.zero(th)
+    cube = list(itertools.product(range(-1, 2), repeat=4))
+    patches = [
+        TorusElement(th, {tuple(centre + x for x in r): complex(gen.normal(), gen.normal()) for r in cube})
+        for centre in (0, 10**6)
+    ]
+    for a, b in itertools.product(patches, repeat=2):
+        assert torus._takes_box(*torus._operand_terms(a, b))
+        for signs, products in [((1, 0), [(a, b, False)]), ((1, -1), [(a, b, False), (b, a, True)])]:
+            want = literal_signed_sum(zero, products)
+            assert coeff_distance(box_kernel(a, b, *signs), want) <= signed_sum_tolerance(zero, products)
+
+
+@pytest.mark.parametrize("n,radius", [(2, 4), (3, 2), (4, 1)])
+def test_box_commutator_is_exactly_zero_at_theta_zero(n, radius):
+    """At theta = 0 every phase is e(0) = 1, and both sides of the commutator
+    run on a's grouping with the same arithmetic, so a * b - b * a from one
+    kernel call is zero in every cell, not merely small."""
+    gen = sampling.rng(66 + n)
+    th = ThetaMatrix.zeros(n)
+    a, b = (
+        TorusElement(th, {r: complex(gen.normal(), gen.normal()) for r in itertools.product(span, repeat=n)})
+        for span in (range(-radius, radius + 1), range(0, radius + 2))
+    )
+    ra, ca, rb, cb = ops = torus._operand_terms(a, b)
+    assert torus._takes_box(*ops)
+    box = torus._dense_box_kernel(th, *ops, torus._boxes(ra, rb), 1, -1)
+    assert box.shape == (3 * radius + 2,) * n
+    assert (box == 0.0).all()
+
+
 def test_box_kernel_memory_follows_its_work(theta2):
     """The kernel's arrays stay within a fixed multiple of 16 bytes (one
     complex) per unit of ``_dense_box_work``, for one product and for the
-    commutator: on two dense discs, and on a disc times a one-row strip,
-    where the matmul's output is about the whole work."""
+    commutator: on two dense discs; on a disc times a one-row strip; and on
+    a one-row strip of 81 terms 5 apart times a disc, where a's groups are
+    only the tail offsets that hold a term, and b's box shifted to each of
+    them spans the output's whole tail."""
     gen = sampling.rng(70)
     strip = TorusElement(theta2, {(0, j): complex(gen.normal(), gen.normal()) for j in range(-300, 301)})
-    for a, b in [(disc(theta2, 12, gen), disc(theta2, 10, gen)), (disc(theta2, 20, gen), strip)]:
+    pairs = [(disc(theta2, 12, gen), disc(theta2, 10, gen)), (disc(theta2, 20, gen), strip)]
+    sparse = TorusElement(theta2, {(0, 5 * k): complex(gen.normal(), gen.normal()) for k in range(81)})
+    for a, b in pairs + [(sparse, disc(theta2, 10, gen))]:
         ops = torus._operand_terms(a, b)
         bounds = torus._takes_box(*ops)
         assert bounds
