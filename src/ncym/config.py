@@ -76,9 +76,6 @@ class _Node:
         value = self.read(key, lambda v: _is_finite(v) and above < v, want, default)
         return None if value is None else float(value)
 
-    def flag(self, key, default=_REQUIRED):
-        return self.read(key, lambda v: isinstance(v, bool), "true or false", default)
-
     def object(self, key, optional=False):
         """The object at key as a node; an optional one may be absent or null, read as None."""
         default = None if optional else _REQUIRED
@@ -120,7 +117,7 @@ def _field(default=_REQUIRED, **bounds):
 
 def _read_fields(cls, node, **given):
     """``cls`` with each field not ``given`` read from ``node`` by its annotated type."""
-    readers = {"int": _Node.int, "float": _Node.number, "bool": _Node.flag}
+    readers = {"int": _Node.int, "float": _Node.number}
     for f in fields(cls):
         if f.name not in given:
             given[f.name] = readers[f.type](node, f.name, f.default, **f.metadata)
@@ -153,7 +150,6 @@ class TorusModule:
 @dataclass(frozen=True)
 class TorusYm:
     module: TorusModule
-    compat_tol: float  # payload tolerances.compat, relative to max_j ||p A_j p||_1
     # accepted and unused: the compatibility verdict is exact, not sampled
     seed: int = _field(0, lo=0)
     samples: int = _field(100, lo=1)
@@ -343,13 +339,6 @@ def _triple(parent, key):
     return TripleRef()
 
 
-def _torus_ym(node) -> TorusYm:
-    module = _module(node, "theta", "q", "connection", "proj")
-    tols = node.object("tolerances", optional=True)
-    compat = ym.COMPAT_TOL if tols is None else tols.number("compat", ym.COMPAT_TOL, above=0)
-    return _read_fields(TorusYm, node, module=module, compat_tol=compat)
-
-
 def _finite_forms(node) -> FiniteForms | None:
     which = node.choice("triple", "case")
     if which == "case":
@@ -364,7 +353,9 @@ def _constants(node) -> Constants:
 
 
 _READERS = {
-    "torus_ym": _torus_ym,
+    "torus_ym": lambda node: _read_fields(
+        TorusYm, node, module=_module(node, "theta", "q", "connection", "proj")
+    ),
     "torus_minimize": lambda node: _read_fields(
         TorusMinimize, node, module=_module(node, "theta", "q", "connection", "proj")
     ),

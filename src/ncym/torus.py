@@ -301,9 +301,6 @@ class TorusElement:
         """A read-only {multi-index tuple: complex} dict, in index order, built on each access."""
         return MappingProxyType(dict(zip(map(tuple, self.indices.tolist()), self.values.tolist())))
 
-    def support(self):
-        return set(map(tuple, self.indices.tolist()))
-
     def l1(self) -> float:
         """Sum of coefficient moduli."""
         return float(np.abs(self.values).sum())
@@ -485,7 +482,8 @@ def signed_sums(entries) -> list:
                 continue
             bounds = _takes_box(a.indices, a.values, b.indices, b.values)
             if bounds:
-                box.append((a, b, negate, _operand_terms(a, b), bounds))
+                _check_sums(a.indices, b.indices)
+                box.append((a, b, negate, bounds))
             else:
                 pairwise.append((e, a.indices, -a.values if negate else a.values, b.indices, b.values))
         boxed.append(box)
@@ -506,12 +504,6 @@ def _check_sums(ra, rb) -> None:
             f"multi-index entries up to {reach_a} and {reach_b} in magnitude: "
             f"their sums may exceed {_INDEX_LIMIT}"
         )
-
-
-def _operand_terms(a: TorusElement, b: TorusElement):
-    """(ra, ca, rb, cb) of two nonempty operands, after ``_check_sums``."""
-    _check_sums(a.indices, b.indices)
-    return a.indices, a.values, b.indices, b.values
 
 
 def _takes_box(ra, ca, rb, cb):
@@ -801,25 +793,25 @@ def _dense_box_kernel(th: ThetaMatrix, ra, ca, rb, cb, bounds, s1: int, s2: int)
 def _box_sums(th: ThetaMatrix, products) -> list:
     """Elements whose sum is the sum of one entry's dense-box products.
 
-    ``products`` are the entry's (a, b, negate, terms, bounds), in order, where
-    ``terms`` are ``_operand_terms`` and ``bounds`` from ``_takes_box``.  A
-    product whose swap (b, a) of the opposite sign comes later in the entry
-    runs as one ``_dense_box_kernel`` call with it (every q = 1 commutator
-    term is such a pair); any other runs alone.  The calls' boxes are added
+    ``products`` are the entry's (a, b, negate, bounds), in order, with
+    ``bounds`` from ``_takes_box``.  A product whose swap (b, a) of the
+    opposite sign comes later in the entry runs as one ``_dense_box_kernel``
+    call with it (every q = 1 commutator term is such a pair); any other
+    runs alone.  The calls' boxes are added
     into one array over the union of their output boxes: one element.  Only
     when that union has more cells than the calls' summed
     ``_dense_box_work`` (boxes far apart) is each call's box an element of
     its own instead.
     """
     calls, waiting = [], {}
-    for a, b, negate, terms, bounds in products:
+    for a, b, negate, bounds in products:
         sign = -1 if negate else 1
         swapped = waiting.get((id(b), id(a), not negate))
         if swapped:
             calls[swapped.pop(0)][3] = sign
         else:
             waiting.setdefault((id(a), id(b), negate), []).append(len(calls))
-            calls.append([terms, bounds, sign, 0])
+            calls.append([(a.indices, a.values, b.indices, b.values), bounds, sign, 0])
     boxes = []
     for _, (loa, ext_a, lob, ext_b), _, _ in calls:
         boxes.append(([x + y for x, y in zip(loa, lob)], [x + y - 1 for x, y in zip(ext_a, ext_b)]))

@@ -163,8 +163,7 @@ class TorusMatrix:
         return sum(a.norm_sq() for row in self.entries for a in row)
 
     def is_constant(self) -> bool:
-        zero_idx = (0,) * self.theta.n
-        return all(a.support() <= {zero_idx} for row in self.entries for a in row)
+        return all(not a.indices.any() for row in self.entries for a in row)
 
 
 def _plus_commutators(jobs) -> list:
@@ -314,30 +313,19 @@ class Perturbation:
 
 @dataclass
 class AdditivityReport:
+    """What ``additivity_report`` finds; xi and eta are the factors' ``curvature_tau_sum``."""
+
     ym_product: float
     ym1: float
     ym2: float
     alpha_tau: float
     beta_tau: float
     defect: float
-    xi: complex
-    eta: complex
+    xi_re: float
+    xi_im: float
+    eta_re: float
+    eta_im: float
     cross_term: float
-
-    def to_payload(self) -> dict:
-        return {
-            "ym_product": self.ym_product,
-            "ym1": self.ym1,
-            "ym2": self.ym2,
-            "alpha_tau": self.alpha_tau,
-            "beta_tau": self.beta_tau,
-            "defect": self.defect,
-            "xi_re": self.xi.real,
-            "xi_im": self.xi.imag,
-            "eta_re": self.eta.real,
-            "eta_im": self.eta.imag,
-            "cross_term": self.cross_term,
-        }
 
 
 @dataclass
@@ -445,8 +433,8 @@ def compatibility_deviation(c: Connection) -> float:
     return worst
 
 
-def compatibility_bound(c: Connection, tol: float = COMPAT_TOL) -> float:
-    """tol times max_j of the l1 norm of p A_j p (p = 1 on a free module).
+def compatibility_bound(c: Connection) -> float:
+    """``COMPAT_TOL`` times max_j of the l1 norm of p A_j p (p = 1 on a free module).
 
     The largest ``compatibility_deviation`` judged compatible.  It scales with
     the potentials, as the rounding in a skew potential's deviation does, so
@@ -458,7 +446,7 @@ def compatibility_bound(c: Connection, tol: float = COMPAT_TOL) -> float:
         if c.proj is not None:
             a = c.proj.p @ a @ c.proj.p
         scale = max(scale, a.l1())
-    return tol * scale
+    return COMPAT_TOL * scale
 
 
 def grassmannian_connection(theta: ThetaMatrix, scalars) -> Connection:
@@ -512,11 +500,10 @@ def _inverse_laplacian(m: TorusMatrix) -> TorusMatrix:
 class DescentTrace(list):
     """YM at the start and after each accepted step of ``minimize``, with why it stopped.
 
-    ``reason`` is ``converged`` (gradient norm at most ``grad_tol``),
-    ``no_decrease`` (the line search found no step that lowers YM) or
-    ``max_iters``.  ``gradient_norms[k]`` is the unpreconditioned gradient norm
-    at the k-th iterate; a run stopped at ``max_iters`` has not differentiated
-    its last iterate, so there it is one entry shorter than the trace.
+    ``reason`` is ``converged`` (gradient norm at most ``grad_tol``), else
+    ``max_iters`` (``max_iters`` steps taken) or ``no_decrease`` (the line
+    search found no step that lowers YM).  ``gradient_norms[k]`` is the
+    unpreconditioned gradient norm at the k-th iterate, one per trace value.
     ``steps[k]`` is the step t from iterate k to k + 1.
     """
 
@@ -588,9 +575,10 @@ def minimize(
     direction; the raw gradient spreads the support until memory runs out).  YM
     along the line A - t d is a quartic in t (``line_quartic``); the step is
     its least positive stationary point, and the candidate skew_part(A - t d)
-    is accepted only if its YM is strictly below the current one.  Iteration
-    stops once the (unpreconditioned) gradient norm falls under ``grad_tol``,
-    when no step lowers YM, or after ``max_iters`` steps.
+    is accepted only if its YM is strictly below the current one.  Every
+    iterate is differentiated, the last one too: iteration stops once the
+    (unpreconditioned) gradient norm falls under ``grad_tol``, else after
+    ``max_iters`` steps or when no step lowers YM.
 
     A candidate's curvature is F0 - t F1 + t^2 F2 from ``line_quartic``'s
     terms, installed as its memo before ``ym_value`` reads it, so it costs no
@@ -623,11 +611,9 @@ def minimize(
     trace = DescentTrace([f0], "max_iters")
     it = 0
     while True:
-        reason = "max_iters" if it == max_iters else None
-        if reason is None:
-            g = ym_gradient(c)
-            gn = g.norm()
-            reason = "converged" if gn <= grad_tol else None
+        g = ym_gradient(c)
+        gn = g.norm()
+        reason = "converged" if gn <= grad_tol else "max_iters" if it == max_iters else None
         if reason is None:
             d = [skew_part(_inverse_laplacian(m)) for m in g.components]
             coeffs, terms = line_quartic(c, d)
@@ -661,8 +647,7 @@ def minimize(
             c._curvature, assembled = None, False
             f0 = trace[-1] = sum(hs_inner(m, m).real for m in curvature(c).values())
             continue
-        if reason != "max_iters":
-            trace.gradient_norms.append(gn)
+        trace.gradient_norms.append(gn)
         if reason is not None:
             trace.reason = reason
             break
@@ -733,7 +718,9 @@ def additivity_report(c1: Connection, c2: Connection) -> AdditivityReport:
     xi = curvature_tau_sum(c1)
     eta = curvature_tau_sum(c2)
     cross = 2.0 * (xi.conjugate() * eta).real
-    return AdditivityReport(ym_product, ym1, ym2, alpha_tau, beta_tau, defect, xi, eta, cross)
+    return AdditivityReport(
+        ym_product, ym1, ym2, alpha_tau, beta_tau, defect, xi.real, xi.imag, eta.real, eta.imag, cross
+    )
 
 
 def subadditivity_check(rep: AdditivityReport) -> bool:

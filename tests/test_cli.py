@@ -79,9 +79,10 @@ def test_validate_not_json_and_bad_kind():
 
 
 def test_validate_negative_tolerance():
+    # the compatibility tolerance is yangmills.COMPAT_TOL: a payload bound is an unknown field
     conf = torus_ym_config(tolerances={"compat": -1.0})
     diags = cfg.validate(json.dumps(conf))
-    assert any(d.path == "/payload/tolerances/compat" for d in diags)
+    assert [(d.path, d.message) for d in diags] == [("/payload/tolerances", "unknown field")]
 
 
 def test_run_torus_ym_report():
@@ -225,6 +226,8 @@ def test_run_torus_minimize_unconverged(options, reason):
     res = cli.run(spec)["results"]
     assert res["stop_reason"] == reason
     assert len(res["steps"]) == res["iterations"] == len(res["trace"]) - 1
+    assert len(res["gradient_norms"]) == len(res["trace"])
+    assert res["terminal_gradient_norm"] == res["gradient_norms"][-1]
     final, _ = ym.minimize(cli._connection(spec.spec.module), **options)
     assert res["terminal_gradient_norm"] == pytest.approx(ym.gradient_norm(final), rel=1e-12)
     assert res["terminal_gradient_norm"] > spec.spec.grad_tol
@@ -411,7 +414,8 @@ def run_and_capture(tmp_path, capsys, conf, *extra):
             },
             "/payload/gamma/tr_d1",
         ),
-        (torus_ym_config(tolerances={"compat": math.inf}), "/payload/tolerances/compat"),
+        # no payload field bounds compatibility, so a non-finite bound is refused unread
+        (torus_ym_config(tolerances={"compat": math.inf}), "/payload/tolerances"),
         # an integer past the float range: float() of it would overflow
         (
             torus_ym_config(connection={"random": {"seed": 7, "amplitude": 10**400}}),
@@ -438,7 +442,8 @@ def test_nonfinite_numbers_rejected(tmp_path, capsys, conf, path):
     assert [d.path for d in cfg.validate(json.dumps(conf))] == [path]
     code, err = run_and_capture(tmp_path, capsys, conf)
     assert code == 1
-    assert len(err) == 1 and err[0].startswith(f"error: {path}: must be a finite number")
+    message = "unknown field" if path == "/payload/tolerances" else "must be a finite number"
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: {message}")
 
 
 @pytest.mark.parametrize(
@@ -484,7 +489,8 @@ def test_nonfinite_numbers_rejected(tmp_path, capsys, conf, path):
             "/payload/samples",
         ),
         (torus_minimize_config(max_iter=1), [], "/payload/max_iter"),
-        (torus_ym_config(tolerances={"compat": 1e-10, "rel": 1e-3}), [], "/payload/tolerances/rel"),
+        # the compatibility tolerance is yangmills.COMPAT_TOL, not a payload field
+        (torus_ym_config(tolerances={"compat": 1e-10, "rel": 1e-3}), [], "/payload/tolerances"),
         (dict(torus_ym_config(), outputpath="rep.json"), [], "/outputpath"),
         (
             torus_ym_config(connection=explicit_potential({"r": [1, 0], "re": "x", "im": 0.0})),

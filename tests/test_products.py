@@ -134,7 +134,7 @@ def test_additivity_and_cross_term_random(seed):
     assert abs(rep.defect) <= 1e-9 * (1.0 + rep.ym_product)
     assert abs(rep.defect - rep.cross_term) <= 1e-9
     # tau proxies of curvature coordinates vanish on torus connections
-    assert abs(rep.xi) < 1e-10 and abs(rep.eta) < 1e-10
+    assert abs(complex(rep.xi_re, rep.xi_im)) < 1e-10 and abs(complex(rep.eta_re, rep.eta_im)) < 1e-10
 
 
 def test_subadditivity_sweep():

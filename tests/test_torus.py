@@ -414,7 +414,7 @@ def test_array_kernels_match_dict_loop(pair):
     tol = kernel_tolerance(a, b)
     assert coeff_distance(a * b, ref) <= tol
     if a.coeffs and b.coeffs:
-        ra, ca, rb, cb = torus._operand_terms(a, b)
+        ra, ca, rb, cb = a.indices, a.values, b.indices, b.values
         # both kernels run on every pair here, whatever a * b would choose
         (pairs,) = torus._pairwise_kernel(a.theta, [TorusElement.zero(a.theta)], [(0, ra, ca, rb, cb)])
         assert coeff_distance(pairs, ref) <= tol
@@ -437,7 +437,7 @@ def test_array_kernels_match_dict_loop(pair):
 
 def box_kernel(a, b, s1, s2):
     """s1 a * b + s2 b * a by one call of the dense-box kernel, as an element."""
-    ra, ca, rb, cb = ops = torus._operand_terms(a, b)
+    ra, ca, rb, cb = ops = a.indices, a.values, b.indices, b.values
     bounds = torus._boxes(ra, rb)
     box = torus._dense_box_kernel(a.theta, *ops, bounds, s1, s2)
     return torus._box_element(a.theta, [x + y for x, y in zip(bounds[0], bounds[2])], box)
@@ -474,7 +474,7 @@ def test_box_kernel_on_far_out_patches(n, radius):
     zero = TorusElement.zero(th)
     patches = [ball(th, radius, centre, gen) for centre in (0, 10**6, -(10**6))]
     for a, b in itertools.product(patches, repeat=2):
-        assert torus._takes_box(*torus._operand_terms(a, b))
+        assert torus._takes_box(a.indices, a.values, b.indices, b.values)
         products = [(a, b, False), (b, a, True)]
         want = literal_signed_sum(zero, products)
         assert coeff_distance(box_kernel(a, b, 1, -1), want) <= signed_sum_tolerance(zero, products)
@@ -496,7 +496,7 @@ def test_box_kernel_on_a_product_theta():
         for centre in (0, 10**6)
     ]
     for a, b in itertools.product(patches, repeat=2):
-        assert torus._takes_box(*torus._operand_terms(a, b))
+        assert torus._takes_box(a.indices, a.values, b.indices, b.values)
         for signs, products in [((1, 0), [(a, b, False)]), ((1, -1), [(a, b, False), (b, a, True)])]:
             want = literal_signed_sum(zero, products)
             assert coeff_distance(box_kernel(a, b, *signs), want) <= signed_sum_tolerance(zero, products)
@@ -513,7 +513,7 @@ def test_box_commutator_is_exactly_zero_at_theta_zero(n, radius):
         TorusElement(th, {r: complex(gen.normal(), gen.normal()) for r in itertools.product(span, repeat=n)})
         for span in (range(-radius, radius + 1), range(0, radius + 2))
     )
-    ra, ca, rb, cb = ops = torus._operand_terms(a, b)
+    ra, ca, rb, cb = ops = a.indices, a.values, b.indices, b.values
     assert torus._takes_box(*ops)
     box = torus._dense_box_kernel(th, *ops, torus._boxes(ra, rb), 1, -1)
     assert box.shape == (3 * radius + 2,) * n
@@ -532,7 +532,7 @@ def test_box_kernel_memory_follows_its_work(theta2):
     pairs = [(disc(theta2, 12, gen), disc(theta2, 10, gen)), (disc(theta2, 20, gen), strip)]
     sparse = TorusElement(theta2, {(0, 5 * k): complex(gen.normal(), gen.normal()) for k in range(81)})
     for a, b in pairs + [(sparse, disc(theta2, 10, gen))]:
-        ops = torus._operand_terms(a, b)
+        ops = a.indices, a.values, b.indices, b.values
         bounds = torus._takes_box(*ops)
         assert bounds
         work = torus._dense_box_work(len(ops[0]), bounds)
@@ -791,10 +791,10 @@ def dict_pass_signed_sum(base, products):
     for a, b, negate in products:
         if not a.coeffs or not b.coeffs:
             continue
-        ra, ca, rb, cb = ops = torus._operand_terms(a, b)
+        ra, ca, rb, cb = ops = a.indices, a.values, b.indices, b.values
         bounds = torus._takes_box(*ops)
         if bounds:
-            boxed.append((a, b, negate, ops, bounds))
+            boxed.append((a, b, negate, bounds))
         else:
             pairwise.append((ra, -ca if negate else ca, rb, cb))
     out = base
@@ -837,7 +837,7 @@ def test_mul_on_the_box_is_the_box_kernel_bit_for_bit(n, radius):
     th = sampling.random_theta(n, gen)
     cube = list(itertools.product(range(-radius, radius + 1), repeat=n))
     a, b = (TorusElement(th, {r: complex(gen.normal(), gen.normal()) for r in cube}) for _ in range(2))
-    assert torus._takes_box(*torus._operand_terms(a, b))
+    assert torus._takes_box(a.indices, a.values, b.indices, b.values)
     assert bits(a * b) == bits(box_kernel(a, b, 1, 0))
 
 

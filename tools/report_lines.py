@@ -41,24 +41,9 @@ A step is the least positive stationary point of the line-search quartic
 YM(A - t d).  Near a critical point that quartic is flat: its coefficients
 c1 (from -2 Re tau(F0* F1)) and c2 are sums of terms much larger than
 themselves, so their rounding error, relative to them, grows as the
-gradient shrinks, and the root moves with it.  Computing a commutator's two
-dense-box products in one array, and dropping values under
-``CANONICAL_EPS`` once per entry rather than once per product, moved late
-steps by up to 1.66e-8 of their value (seeds 5001 and 777013), while every
-other float stayed within 1.8e-15 of its scale: late in a descent the
-curvature's coefficients are near 1e-15, so which of them fall under the
-drop changes with the order.  The same kernel with a drop per product moved
-them by at most 4.2e-10.  Assembling each line-search candidate's curvature
-as F0 - t F1 + t^2 F2 from the quartic's terms, rather than by star
-products, moved late steps by up to 5.2e-9 of their value (28 of them at
-seeds 5001 and 777013), the gradient norms by up to 8.1e-15 of
-``gradient_norms[0]``, and left every report that is not ``torus_minimize``
-byte-identical.  Computing each side of a dense-box call as one matmul into
-the output box, with the cocycle split between its two operands and the
-output box, moved steps by at most 2.4e-15 of their value, the gradient
-norms by 1.0e-16 of ``gradient_norms[0]`` and the trace by 5.3e-19 of
-``trace[0]`` (the 14 ``torus_minimize`` lines at seeds 5001 and 777013),
-and left the other 260 lines byte-identical.
+gradient shrinks, and the root moves with it.  Late in a descent the
+curvature's coefficients are also near ``CANONICAL_EPS``, so which of them
+are dropped as below it changes with the summation order.
 """
 
 from __future__ import annotations
