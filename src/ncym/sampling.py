@@ -1,8 +1,9 @@
 """Seeded random draws of thetas and torus elements: random connections and test oracles.
 
 All randomness flows through numpy's PCG64 generator seeded from an explicit
-integer; ``spawn`` hands out independent child streams so concurrent sweeps
-stay reproducible.
+integer.  Nothing in the library calls ``spawn``; it stays only because the
+benchmark's tracer in ``perfbench/`` wraps it, until that tracer stops
+naming it (ROADMAP item 1).
 """
 
 from __future__ import annotations

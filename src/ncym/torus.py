@@ -54,16 +54,18 @@ sorted.
 Star-product kernels
 --------------------
 Every star product and every sum of star products has one entry point,
-``signed_sums``: it takes the entries of one or more sums base + sum of -+
-a_k * b_k and returns them all.  A single product ``a * b``
-(``TorusElement.__mul__``) is the one entry zero + a * b, a matrix
-product ``@`` is one call over its q^2 entries, and ``yangmills`` forms the
-curvature, the gradient and the line-search terms the same way.  It sends
-each product to one of two array kernels (``_takes_box``).  The dense-box
-kernel takes products of more than ``_VECTOR_CUTOFF`` pairs of terms whose
-box work is at most ``_DENSE_WORK_PER_PAIR`` per pair and whose coefficients
-are all finite.  It is a twisted convolution (``_dense_box_kernel``) that
-gives s1 a * b + s2 b * a in one call.  a's terms are grouped by their tail
+``signed_sums``: it takes the entries of one or more sums base + sum of
+terms s1 a_k * b_k + s2 b_k * a_k, each term one signed product (s2 = 0)
+or a commutator, and returns them all.  A single product ``a * b``
+(``TorusElement.__mul__``) is the one entry zero + a * b, and
+``yangmills._matrix_sums`` forms the entries of a matrix product ``@``, of
+the curvature, the gradient and the line-search terms, one call for all of
+them.  It sends each term to one of two array kernels (``_takes_box``, one
+judgement per term).  The dense-box kernel takes a term when a * b has
+more than ``_VECTOR_CUTOFF`` pairs of terms, box work at most
+``_DENSE_WORK_PER_PAIR`` per pair and only finite coefficients.  It is a
+twisted convolution (``_dense_box_kernel``) that gives
+s1 a * b + s2 b * a in one call.  a's terms are grouped by their tail
 offset (r_1..r_{n-1}), only the offsets that hold a term, and each side is
 one 2-d matmul whose product is the output box itself: a's Toeplitz window
 along axis 0 (output row; group, row of b) times b's box shifted along the
@@ -71,21 +73,20 @@ tail to each group's offset, both strided views of zero-padded arrays.  Row
 0 of P is zero, so each cocycle factor goes on one of the two operands or,
 for b * a's factor that pairs the output row with the output tail, on the
 output box; both sides keep a's grouping.  The tail factors are exactly 1,
-and are not formed, unless P has a nonzero column among 1..n-2.  A product and
-its swap of the opposite sign in the same entry, as in every q = 1
-commutator, run as one call; each entry's calls are added into one dense
-array over their union box (``_box_sums``), whose cells become the element.
-Its cost follows the boxes, not the pair count.  Every other product (few
-pairs, a far-out term that makes the box huge, a non-finite coefficient)
-runs the pairwise kernel (``_pairwise_kernel``), one pass over the pairwise
-products of all the entries: the pairs are gathered from the concatenated
-term arrays by index arithmetic, their exponents and phases are whole-array
-operations, and each entry's base terms lead its pairs into one
-``_groups`` of the pass by (entry, output key), so each sum starts from its
-base coefficient and adds the pairs in pass order, the order of the
-pair-by-pair dict loop that the tests keep as the reference, and has its
-bits; its time and memory follow the pair count.  Each entry's dense-box sum
-is added to it after the pass.  The kernels do their index arithmetic in
+and are not formed, unless P has a nonzero column among 1..n-2.  Each term
+is one call; each entry's calls are added into one dense array over their
+union box (``_box_sums``), whose cells become the element.  The box's
+cost follows the boxes, not the pair count.  Every other term (few pairs,
+a far-out term that makes the box huge, a non-finite coefficient) runs the
+pairwise kernel (``_pairwise_kernel``) as a * b and then b * a, in one
+pass over the pairwise products of all the entries: the pairs are gathered
+from the concatenated term arrays by index arithmetic, their exponents and
+phases are whole-array operations, and each entry's base terms lead its
+pairs into one ``_groups`` of the pass by (entry, output key), so each sum
+starts from its base coefficient and adds the pairs in pass order, the
+order of the pair-by-pair dict loop that the tests keep as the reference,
+and has its bits; its time and memory follow the pair count.  Each entry's
+dense-box sum is added to it after the pass.  The kernels do their index arithmetic in
 int64, so a product whose index sums could leave it raises
 ``IndexOutOfRange``.
 
@@ -241,7 +242,7 @@ class TorusElement:
         """The star product with an element, the one entry zero + self * other of
         ``signed_sums``; any other operand is a scalar that scales."""
         if isinstance(other, TorusElement):
-            return signed_sums([(TorusElement.zero(self.theta), [(self, other, False)])])[0]
+            return signed_sums([(TorusElement.zero(self.theta), [(self, other, 1, 0)])])[0]
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -450,42 +451,47 @@ _DENSE_WORK_PER_PAIR = 32
 
 
 def signed_sums(entries) -> list:
-    """[base + sum of (-1 if negate else 1) a * b] for each (base, [(a, b, negate), ...]) entry.
+    """[base + sum of s1 a * b + s2 b * a] for each (base, [(a, b, s1, s2), ...]) entry.
 
-    The one entry point of the star-product kernels: a single product, the
-    entries of a matrix product and those of one or more sums of
-    commutators, as ``yangmills.curvature``, ``ym_gradient`` and
-    ``line_quartic`` form them.  A product with an empty operand adds
-    nothing.  ``_takes_box`` picks each product's kernel.  Those for the
-    pairwise kernel, of every entry, run as one pass in which each entry's
-    base terms lead its pairs; a negated one enters it with its left
-    coefficients negated, which is exact.  Then each entry's dense-box
-    products are summed by ``_box_sums``, a product and its swap of the
-    opposite sign in one kernel call, all of them in one dense array, and
-    that sum is added to the entry; an entry that is still empty takes the
-    sum as it is.  As in the pass, ``CANONICAL_EPS`` drops sums, not each
-    product's values: once in the entry's box sum and once in the add.  An
-    entry without products is its base.  Every base and operand shares one
-    theta.  ``IndexOutOfRange`` if an entry of r + s could leave int64.
+    s1 is -1 or 1 and s2 -1, 0 or 1: a term is one signed product (s2 = 0)
+    or, with s2 = -s1, a commutator, the unit of ``_dense_box_kernel``.  The
+    one entry point of the star-product kernels: a single product, and the
+    entries of matrix products and of sums of commutators, as
+    ``yangmills._matrix_sums`` forms them.  A term with an empty operand
+    adds nothing.  ``_takes_box`` picks each term's kernel once, on a's
+    grouping.  The terms for the pairwise kernel, of every entry, run as one
+    pass in which each entry's base terms lead its pairs: a term adds a * b
+    and then, if s2 is nonzero, b * a, a negative sign entering as the left
+    coefficients negated, which is exact.  Then each entry's dense-box terms
+    are summed by ``_box_sums``, one kernel call each, all of them in one
+    dense array, and that sum is added to the entry; an entry that is still
+    empty takes the sum as it is.  As in the pass, ``CANONICAL_EPS`` drops
+    sums, not each product's values: once in the entry's box sum and once in
+    the add.  An entry without terms is its base.  Every base and operand
+    shares one theta.  ``IndexOutOfRange`` if an entry of r + s could leave
+    int64.
     """
     if not entries:
         return []
     first = entries[0][0]
     pairwise, boxed = [], []
-    for e, (base, products) in enumerate(entries):
+    for e, (base, terms) in enumerate(entries):
         first._check(base)
         box = []
-        for a, b, negate in products:
+        for a, b, s1, s2 in terms:
             base._check(a)
             a._check(b)
             if not len(a.values) or not len(b.values):
                 continue
-            bounds = _takes_box(a.indices, a.values, b.indices, b.values)
+            ops = (a.indices, a.values, b.indices, b.values)
+            bounds = _takes_box(*ops)
             if bounds:
                 _check_sums(a.indices, b.indices)
-                box.append((a, b, negate, bounds))
+                box.append((ops, bounds, s1, s2))
             else:
-                pairwise.append((e, a.indices, -a.values if negate else a.values, b.indices, b.values))
+                pairwise.append((e, a.indices, -a.values if s1 < 0 else a.values, b.indices, b.values))
+                if s2:
+                    pairwise.append((e, b.indices, -b.values if s2 < 0 else b.values, a.indices, a.values))
         boxed.append(box)
     th = first.theta
     bases = [base for base, _ in entries]
@@ -507,16 +513,16 @@ def _check_sums(ra, rb) -> None:
 
 
 def _takes_box(ra, ca, rb, cb):
-    """The operands' ``_boxes`` when a product runs the dense box rather than
-    the pairwise kernel, None when it does not.
+    """The operands' ``_boxes`` when a term s1 a * b + s2 b * a runs the dense
+    box rather than the pairwise kernel, None when it does not.
 
     It does when there are more than ``_VECTOR_CUTOFF`` pairs, its work is at
     most ``_DENSE_WORK_PER_PAIR`` per pair and every coefficient is finite (it
     multiplies each coefficient by the box's empty cells, and NaN * 0 would
-    spread NaN outside the product's support).  The rule is per product: a
-    commutator's two products are judged apart, and fuse into one kernel call
-    only when both take the box; its swap b * a then costs what a * b does,
-    on a's grouping.
+    spread NaN outside the product's support).  The work is a * b's, on a's
+    grouping, and b * a keeps that grouping at that cost, so one judgement
+    routes both products of a commutator: they run as one kernel call or
+    both pairwise.
     """
     pairs = len(ca) * len(cb)
     if pairs > _VECTOR_CUTOFF and np.isfinite(ca).all() and np.isfinite(cb).all():
@@ -790,44 +796,33 @@ def _dense_box_kernel(th: ThetaMatrix, ra, ca, rb, cb, bounds, s1: int, s2: int)
     return out.reshape(ext)
 
 
-def _box_sums(th: ThetaMatrix, products) -> list:
-    """Elements whose sum is the sum of one entry's dense-box products.
+def _box_sums(th: ThetaMatrix, terms) -> list:
+    """Elements whose sum is the sum of one entry's dense-box terms.
 
-    ``products`` are the entry's (a, b, negate, bounds), in order, with
-    ``bounds`` from ``_takes_box``.  A product whose swap (b, a) of the
-    opposite sign comes later in the entry runs as one ``_dense_box_kernel``
-    call with it (every q = 1 commutator term is such a pair); any other
-    runs alone.  The calls' boxes are added
-    into one array over the union of their output boxes: one element.  Only
-    when that union has more cells than the calls' summed
-    ``_dense_box_work`` (boxes far apart) is each call's box an element of
-    its own instead.
+    ``terms`` are the entry's (ops, bounds, s1, s2), in order: ops the
+    operands' (ra, ca, rb, cb) and ``bounds`` their ``_boxes`` from
+    ``_takes_box``, each term one ``_dense_box_kernel`` call of
+    s1 a * b + s2 b * a.  The calls' boxes are added into one array over the
+    union of their output boxes: one element.  Only when that union has more
+    cells than the calls' summed ``_dense_box_work`` (boxes far apart) is
+    each call's box an element of its own instead.
     """
-    calls, waiting = [], {}
-    for a, b, negate, bounds in products:
-        sign = -1 if negate else 1
-        swapped = waiting.get((id(b), id(a), not negate))
-        if swapped:
-            calls[swapped.pop(0)][3] = sign
-        else:
-            waiting.setdefault((id(a), id(b), negate), []).append(len(calls))
-            calls.append([(a.indices, a.values, b.indices, b.values), bounds, sign, 0])
     boxes = []
-    for _, (loa, ext_a, lob, ext_b), _, _ in calls:
+    for _, (loa, ext_a, lob, ext_b), _, _ in terms:
         boxes.append(([x + y for x, y in zip(loa, lob)], [x + y - 1 for x, y in zip(ext_a, ext_b)]))
     lo = [min(x) for x in zip(*(l for l, _ in boxes))]
     hi = [max(x) for x in zip(*([y + z for y, z in zip(l, e)] for l, e in boxes))]
     ext = [h - l for h, l in zip(hi, lo)]
-    work = sum(_dense_box_work(len(terms[0]), bounds) for terms, bounds, _, _ in calls)
+    work = sum(_dense_box_work(len(ops[0]), bounds) for ops, bounds, _, _ in terms)
     if math.prod(ext) > work:
         return [
-            _box_element(th, l, _dense_box_kernel(th, *terms, bounds, s1, s2))
-            for (terms, bounds, s1, s2), (l, _) in zip(calls, boxes)
+            _box_element(th, l, _dense_box_kernel(th, *ops, bounds, s1, s2))
+            for (ops, bounds, s1, s2), (l, _) in zip(terms, boxes)
         ]
     total = np.zeros(ext, dtype=complex)
-    for (terms, bounds, s1, s2), (l, e) in zip(calls, boxes):
+    for (ops, bounds, s1, s2), (l, e) in zip(terms, boxes):
         at = tuple(slice(x - y, x - y + z) for x, y, z in zip(l, lo, e))
-        total[at] += _dense_box_kernel(th, *terms, bounds, s1, s2)
+        total[at] += _dense_box_kernel(th, *ops, bounds, s1, s2)
     return [_box_element(th, lo, total)]
 
 

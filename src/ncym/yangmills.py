@@ -126,20 +126,11 @@ class TorusMatrix:
         return TorusMatrix(self.theta, [[a.scale(z) for a in row] for row in self.entries])
 
     def __matmul__(self, other):
-        """Entry (i, j) is the sum over k of entries[i][k] * other[k][j].
-
-        All q^2 entries are one ``signed_sums`` call, so their pairwise
-        products run as one pass.  A product with an empty operand adds
-        nothing, so a block-diagonal operand costs no star products off its
-        blocks.  Each entry is summed in the pass's order, not the literal
-        sum's, and equals the literal sum from zero up to rounding.
-        """
-        self._check(other)
-        zero = TorusElement.zero(self.theta)
-        cols = list(zip(*other.entries))
-        entries = [(zero, [(a, b, False) for a, b in zip(arow, col)]) for arow in self.entries for col in cols]
-        sums = iter(signed_sums(entries))
-        return TorusMatrix(self.theta, [[next(sums) for _ in cols] for _ in self.entries])
+        """Entry (i, j) is the sum over k of entries[i][k] * other[k][j]: the
+        one ``_matrix_sums`` job (zero, [(self, other, 0)]), so its q^2
+        entries are one ``signed_sums`` call and each equals the literal sum
+        from zero up to rounding."""
+        return _matrix_sums([(TorusMatrix.zeros(self.theta, self.q), [(self, other, 0)])])[0]
 
     def dagger(self):
         """Conjugate transpose composed with the torus involution."""
@@ -166,30 +157,36 @@ class TorusMatrix:
         return all(not a.indices.any() for row in self.entries for a in row)
 
 
-def _plus_commutators(jobs) -> list:
-    """[base + sum of the commutators [x, y] over pairs] for each (base, pairs) job.
+def _matrix_sums(jobs) -> list:
+    """[base + sum of the terms] for each (base, [(x, y, s), ...]) job, where a
+    term is x @ y for s = 0 and the commutator [x, y] = x @ y - y @ x for s = -1.
 
-    Entry (r, s) of a job is base[r][s] plus the signed products
-    x[r][k] y[k][s] and -y[r][k] x[k][s] of every pair in turn, each k
-    ascending: the terms of the literal base + (x @ y) - (y @ x) + ...  The
-    entries of all the jobs are one ``signed_sums`` call, so their pairwise
-    products run as one pass; each entry is summed in that order, so not in
-    the literal's, and equals it up to rounding.
+    Entry (i, j) of a job is base[i][j] plus, term by term, the products
+    x[i][k] y[k][j] over k ascending and then, for a commutator, the products
+    -y[i][k] x[k][j]: the terms of the literal base + (x @ y) - (y @ x) + ...
+    On a diagonal entry the two products of k = i are one ``signed_sums``
+    term x[i][i] y[i][i] + s y[i][i] x[i][i], in the place of the first.  A
+    product with an empty operand adds nothing, so a block-diagonal operand
+    costs no star products off its blocks.  The entries of all the jobs are
+    one ``signed_sums`` call, so their pairwise products run as one pass;
+    each entry is summed in that order, so not in the literal's, and equals
+    it up to rounding.
     """
     entries = []
-    for base, pairs in jobs:
-        for x, y in pairs:
+    for base, terms in jobs:
+        for x, y, _ in terms:
             base._check(x)
             base._check(y)
         q = base.q
-        for r in range(q):
-            for s in range(q):
+        for i in range(q):
+            for j in range(q):
                 products = []
-                for x, y in pairs:
+                for x, y, s in terms:
                     xe, ye = x.entries, y.entries
-                    products += [(xe[r][k], ye[k][s], False) for k in range(q)]
-                    products += [(ye[r][k], xe[k][s], True) for k in range(q)]
-                entries.append((base.entries[r][s], products))
+                    products += [(xe[i][k], ye[k][j], 1, s if i == j == k else 0) for k in range(q)]
+                    if s:
+                        products += [(ye[i][k], xe[k][j], s, 0) for k in range(q) if not i == j == k]
+                entries.append((base.entries[i][j], products))
     sums = iter(signed_sums(entries))
     return [
         TorusMatrix(base.theta, [[next(sums) for _ in range(base.q)] for _ in range(base.q)])
@@ -353,9 +350,9 @@ def curvature(c: Connection) -> dict:
     """{(i, j): F_ij} for i < j, computed by the first call and kept on ``c``.
 
     F_ij = delta_i(A_j) - delta_j(A_i) + [A_i, A_j].  The commutators of all
-    the components are one ``_plus_commutators`` call: each entry is summed
-    over the 2q products of its commutator, and the pairwise products of
-    every entry of every component run as one pass.
+    the components are one ``_matrix_sums`` call: each entry is summed over
+    the 2q products of its commutator, and the pairwise products of every
+    entry of every component run as one pass.
 
     minimize evaluates ym_value at each candidate, then takes the gradient and
     the line-search quartic at the accepted one, so the memo spares two
@@ -369,8 +366,8 @@ def curvature(c: Connection) -> dict:
         jobs = []
         for i, j in keys:
             ai, aj = c.A[i - 1], c.A[j - 1]
-            jobs.append((aj.derive(i) - ai.derive(j), [(ai, aj)]))
-        c._curvature = dict(zip(keys, _plus_commutators(jobs)))
+            jobs.append((aj.derive(i) - ai.derive(j), [(ai, aj, -1)]))
+        c._curvature = dict(zip(keys, _matrix_sums(jobs)))
     return c._curvature
 
 
@@ -388,9 +385,9 @@ def ym_gradient(c: Connection) -> Perturbation:
 
     G_k = sum_{j != k} delta_j(F_kj) + sum_{j != k} [A_j, F_kj], cut to p G_k p
     on a projected module.  The derivative terms are summed first; then the
-    commutators of all the components are one ``_plus_commutators`` call:
-    each entry is summed over the 2q(n - 1) products of its commutators, and
-    the pairwise products of every entry of every G_k run as one pass.
+    commutators of all the components are one ``_matrix_sums`` call: each
+    entry is summed over the 2q(n - 1) products of its commutators, and the
+    pairwise products of every entry of every G_k run as one pass.
     """
     f = curvature(c)
     jobs = []
@@ -402,9 +399,9 @@ def ym_gradient(c: Connection) -> Perturbation:
                 continue
             fkj = f[(k, j)] if k < j else -f[(j, k)]
             acc = acc + fkj.derive(j)
-            brackets.append((c.A[j - 1], fkj))
+            brackets.append((c.A[j - 1], fkj, -1))
         jobs.append((acc, brackets))
-    comps = _plus_commutators(jobs)
+    comps = _matrix_sums(jobs)
     if c.proj is not None:
         p = c.proj.p
         comps = [p @ acc @ p for acc in comps]
@@ -520,8 +517,8 @@ def line_quartic(c: Connection, d) -> tuple:
     F_ij(A - t d) = F0 - t F1 + t^2 F2 with F0 the (memoised) curvature of ``c``,
     F1 = delta_i d_j - delta_j d_i + [A_i, d_j] + [d_i, A_j] and F2 = [d_i, d_j];
     six ``hs_inner`` per pair i < j give the coefficients (c0, ..., c4).  The F1
-    and F2 of every pair are one ``_plus_commutators`` call: each entry of F1
-    is summed over the 4q products of its two commutators, each entry of F2
+    and F2 of every pair are one ``_matrix_sums`` call: each entry of F1 is
+    summed over the 4q products of its two commutators, each entry of F2
     over 2q, and the pairwise products of all of them run as one pass.
     ``minimize`` builds each candidate's curvature from ``terms``.
     """
@@ -529,9 +526,9 @@ def line_quartic(c: Connection, d) -> tuple:
     jobs = []
     for i, j in f0s:
         ai, aj, di, dj = c.A[i - 1], c.A[j - 1], d[i - 1], d[j - 1]
-        jobs.append((dj.derive(i) - di.derive(j), [(ai, dj), (di, aj)]))
-        jobs.append((TorusMatrix.zeros(c.theta, c.q), [(di, dj)]))
-    sums = iter(_plus_commutators(jobs))
+        jobs.append((dj.derive(i) - di.derive(j), [(ai, dj, -1), (di, aj, -1)]))
+        jobs.append((TorusMatrix.zeros(c.theta, c.q), [(di, dj, -1)]))
+    sums = iter(_matrix_sums(jobs))
     terms = {key: (next(sums), next(sums)) for key in f0s}
     c0 = c1 = c2 = c3 = c4 = 0.0
     for key, f0 in f0s.items():

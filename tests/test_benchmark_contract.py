@@ -126,13 +126,16 @@ def _literal_matmul(x, y):
 
 
 def _literal_commutators(jobs):
-    """base + (x @ y) - (y @ x) + ... per job, with ``@`` spelled as element
-    ``*`` and ``+``: the expressions ``_plus_commutators`` replaced, each star
-    product of them counted by the tracer at ``TorusElement.__mul__``."""
+    """base + (x @ y) - (y @ x) + ... per job of (x, y, s) terms, x @ y for
+    s = 0 and [x, y] for s = -1, with ``@`` spelled as element ``*`` and
+    ``+``: the expressions ``_matrix_sums`` replaced, each star product of
+    them counted by the tracer at ``TorusElement.__mul__``."""
     out = []
-    for base, pairs in jobs:
-        for x, y in pairs:
-            base = base + _literal_matmul(x, y) - _literal_matmul(y, x)
+    for base, terms in jobs:
+        for x, y, s in terms:
+            base = base + _literal_matmul(x, y)
+            if s:
+                base = base - _literal_matmul(y, x)
         out.append(base)
     return out
 
@@ -142,10 +145,11 @@ def test_torus_product_work_and_kernel_boundary(monkeypatch):
     values and differentiates only its two factors.  Every product that
     reaches a star-product kernel came through exactly one of
     ``TorusElement.__mul__`` with an element operand (where the tracer counts
-    ``torus.star``) and ``signed_sums`` (the commutators of curvature and
-    gradient), and ``signed_sums`` takes the products and pairs of the literal
-    ``@`` expressions it replaced, which the tracer counts through ``*`` when
-    ``@`` is spelled with it.
+    ``torus.star``) and ``signed_sums`` (the matrix products and the
+    commutators of curvature and gradient), and ``signed_sums`` takes the
+    products and pairs of the literal ``@`` expressions it replaced, a term
+    s1 a * b + s2 b * a with s2 nonzero counting as two, which the tracer
+    counts through ``*`` when ``@`` is spelled with it.
     Each ``signed_sums`` call runs at most one pairwise pass."""
     torus = ncym.torus
     route, kernel_products = [], []  # open entry points; (entry points, kernel, products) per kernel call
@@ -187,9 +191,11 @@ def test_torus_product_work_and_kernel_boundary(monkeypatch):
     # a dense-box call computes s1 a * b + s2 b * a: one product per nonzero sign
     box_products = lambda *args: (args[-2] != 0) + (args[-1] != 0)  # noqa: E731
     monkeypatch.setattr(torus, "_dense_box_kernel", reached(torus._dense_box_kernel, "box", box_products))
-    signed_sums = entered(
-        "sum", torus.signed_sums, lambda entries: [(a, b) for _, products in entries for a, b, _ in products]
-    )
+
+    def products_of_terms(entries):
+        return [p for _, terms in entries for a, b, _, s2 in terms for p in [(a, b)] + ([(b, a)] if s2 else [])]
+
+    signed_sums = entered("sum", torus.signed_sums, products_of_terms)
     tracer = _traced_torus_product(monkeypatch, signed_sums=signed_sums)
     assert tracer.calls["yangmills.product_connection"] == 1
     assert tracer.calls["yangmills.ym_value"] == 3
@@ -207,7 +213,7 @@ def test_torus_product_work_and_kernel_boundary(monkeypatch):
     assert by_route["sum"] > 0
     assert passes_per_sum and max(passes_per_sum) == 1
 
-    literal = _traced_torus_product(monkeypatch, _plus_commutators=_literal_commutators)
+    literal = _traced_torus_product(monkeypatch, _matrix_sums=_literal_commutators)
     star_pairs = tracer.counters.get("torus.star.pairs", 0)
     summed_pairs = sum(len(a.coeffs) * len(b.coeffs) for a, b in summed)
     assert literal.calls[tracing.STAR] == tracer.calls.get(tracing.STAR, 0) + len(nonempty(summed))

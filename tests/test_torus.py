@@ -24,7 +24,7 @@ from ncym import (
 )
 from ncym import sampling, torus
 from ncym.torus import signed_sums
-from ncym.yangmills import TorusMatrix, _inverse_laplacian, line_quartic
+from ncym.yangmills import TorusMatrix, _inverse_laplacian, _matrix_sums, line_quartic
 
 COEFF_TOL = 1e-12
 
@@ -427,7 +427,7 @@ def test_array_kernels_match_dict_loop(pair):
         bounds = torus._boxes(ra, rb)
         if torus._dense_box_work(len(ra), bounds) <= 10**6:
             swapped = star_product_loop(b, a)
-            commutator = [(a, b, False), (b, a, True)]
+            commutator = [(a, b, 1, -1)]
             for signs, want, bound in [
                 ((1, 0), ref, tol),
                 ((1, -1), ref - swapped, signed_sum_tolerance(TorusElement.zero(a.theta), commutator)),
@@ -475,9 +475,9 @@ def test_box_kernel_on_far_out_patches(n, radius):
     patches = [ball(th, radius, centre, gen) for centre in (0, 10**6, -(10**6))]
     for a, b in itertools.product(patches, repeat=2):
         assert torus._takes_box(a.indices, a.values, b.indices, b.values)
-        products = [(a, b, False), (b, a, True)]
-        want = literal_signed_sum(zero, products)
-        assert coeff_distance(box_kernel(a, b, 1, -1), want) <= signed_sum_tolerance(zero, products)
+        terms = [(a, b, 1, -1)]
+        want = literal_signed_sum(zero, terms)
+        assert coeff_distance(box_kernel(a, b, 1, -1), want) <= signed_sum_tolerance(zero, terms)
 
 
 def test_box_kernel_on_a_product_theta():
@@ -497,9 +497,10 @@ def test_box_kernel_on_a_product_theta():
     ]
     for a, b in itertools.product(patches, repeat=2):
         assert torus._takes_box(a.indices, a.values, b.indices, b.values)
-        for signs, products in [((1, 0), [(a, b, False)]), ((1, -1), [(a, b, False), (b, a, True)])]:
-            want = literal_signed_sum(zero, products)
-            assert coeff_distance(box_kernel(a, b, *signs), want) <= signed_sum_tolerance(zero, products)
+        for signs in [(1, 0), (1, -1)]:
+            terms = [(a, b, *signs)]
+            want = literal_signed_sum(zero, terms)
+            assert coeff_distance(box_kernel(a, b, *signs), want) <= signed_sum_tolerance(zero, terms)
 
 
 @pytest.mark.parametrize("n,radius", [(2, 4), (3, 2), (4, 1)])
@@ -611,22 +612,27 @@ def test_index_sums_at_the_int64_limit(theta2, terms):
 # -- signed sums against the literal sum of loop products -----------------------
 
 
-def signed_sum(base, products):
-    """The one entry base + sum of -+ a * b, by ``signed_sums``."""
-    (out,) = signed_sums([(base, products)])
+def signed_sum(base, terms):
+    """The one entry base + sum of s1 a * b + s2 b * a, by ``signed_sums``."""
+    (out,) = signed_sums([(base, terms)])
     return out
 
 
-def literal_signed_sum(base, products):
-    """base + sum of -+ a * b over (a, b, negate), product by product through the dict loop."""
+def signed_products(terms):
+    """(a, b, sign) per signed product of the terms (a, b, s1, s2): a * b, then b * a if s2 is nonzero."""
+    return [p for a, b, s1, s2 in terms for p in [(a, b, s1)] + ([(b, a, s2)] if s2 else [])]
+
+
+def literal_signed_sum(base, terms):
+    """base + sum of s1 a * b + s2 b * a over (a, b, s1, s2), product by product through the dict loop."""
     out = base
-    for a, b, negate in products:
+    for a, b, sign in signed_products(terms):
         prod = star_product_loop(a, b)
-        out = out - prod if negate else out + prod
+        out = out - prod if sign < 0 else out + prod
     return out
 
 
-def signed_sum_tolerance(base, products):
+def signed_sum_tolerance(base, terms):
     """Rounding bound, fixed from float64, for signed_sum against ``literal_signed_sum``.
 
     ``kernel_tolerance`` for each product; 1e-13 |base|_1, because the pass
@@ -635,26 +641,30 @@ def signed_sum_tolerance(base, products):
     |a|_1 |b|_1; and ``CANONICAL_EPS`` per product, because the literal sum
     drops each product's values under it and the pass only those of the sum.
     """
-    return 1e-13 * base.l1() + sum(kernel_tolerance(a, b) + CANONICAL_EPS for a, b, _ in products)
+    return 1e-13 * base.l1() + sum(kernel_tolerance(a, b) + CANONICAL_EPS for a, b, _ in signed_products(terms))
+
+
+#: the signs s1 and s2 of a term s1 a * b + s2 b * a
+FIRST_SIGN, SECOND_SIGN = st.sampled_from([-1, 1]), st.sampled_from([-1, 0, 1])
 
 
 @st.composite
 def signed_sum_cases(draw):
-    """(base, [(a, b, negate), ...]): one to four products over the theta of ``operand_pairs``."""
+    """(base, [(a, b, s1, s2), ...]): one to four terms over the theta of ``operand_pairs``."""
     a, b = draw(operand_pairs())
     theta = a.theta
-    products = [(a, b, draw(st.booleans()))]
+    terms = [(a, b, draw(FIRST_SIGN), draw(SECOND_SIGN))]
     for _ in range(draw(st.integers(0, 3))):
-        products.append((draw_element(draw, theta), draw_element(draw, theta), draw(st.booleans())))
-    return draw_element(draw, theta), products
+        terms.append((draw_element(draw, theta), draw_element(draw, theta), draw(FIRST_SIGN), draw(SECOND_SIGN)))
+    return draw_element(draw, theta), terms
 
 
 @settings(max_examples=300, deadline=None)
 @given(signed_sum_cases())
 def test_signed_sum_matches_literal_sum(case):
-    base, products = case
-    got = signed_sum(base, products)
-    assert coeff_distance(got, literal_signed_sum(base, products)) <= signed_sum_tolerance(base, products)
+    base, terms = case
+    got = signed_sum(base, terms)
+    assert coeff_distance(got, literal_signed_sum(base, terms)) <= signed_sum_tolerance(base, terms)
 
 
 def test_base_index_past_int64_raises_at_construction(theta2):
@@ -689,23 +699,23 @@ def test_signed_sum_mixes_box_and_pairwise_products(theta2, monkeypatch):
     small, small2 = disc(theta2, 1, gen), disc(theta2, 2, gen)
     base = disc(theta2, 3, gen)
     empty = TorusElement.zero(theta2)
-    products = [(big, big2, False), (small, small2, True), (empty, big, False), (big2, big, True), (small2, small, False)]
+    terms = [(big, big2, 1, -1), (small, small2, -1, 0), (empty, big, 1, 0), (small2, small, 1, 0)]
     calls = count_kernel_calls(monkeypatch)
-    got = signed_sum(base, products)
-    # the two small products in one pass, the two large ones, a commutator,
-    # in one call of the dense box
+    got = signed_sum(base, terms)
+    # the two small products in one pass, the commutator of the two large
+    # ones in one call of the dense box
     assert calls == {"pairwise": [2], "box": 1}
-    assert coeff_distance(got, literal_signed_sum(base, products)) <= signed_sum_tolerance(base, products)
+    assert coeff_distance(got, literal_signed_sum(base, terms)) <= signed_sum_tolerance(base, terms)
 
 
 def test_signed_sum_of_a_box_commutator_is_one_kernel_call(theta2, monkeypatch):
     gen = sampling.rng(41)
     a, b, base = disc(theta2, 6, gen), disc(theta2, 5, gen), disc(theta2, 2, gen)
     calls = count_kernel_calls(monkeypatch)
-    products = [(a, b, False), (b, a, True)]
-    got = signed_sum(base, products)
+    terms = [(a, b, 1, -1)]
+    got = signed_sum(base, terms)
     assert calls == {"pairwise": [], "box": 1}
-    assert coeff_distance(got, literal_signed_sum(base, products)) <= signed_sum_tolerance(base, products)
+    assert coeff_distance(got, literal_signed_sum(base, terms)) <= signed_sum_tolerance(base, terms)
 
 
 def test_signed_sum_of_far_apart_box_products_converts_each_box(theta2, monkeypatch):
@@ -716,17 +726,74 @@ def test_signed_sum_of_far_apart_box_products_converts_each_box(theta2, monkeypa
     near = [ball(theta2, 3, 0, gen) for _ in range(2)]
     far = [ball(theta2, 3, 10**6, gen) for _ in range(2)]
     base = disc(theta2, 2, gen)
-    products = [(near[0], near[1], False), (far[0], far[1], True), (near[1], near[0], True), (far[1], far[0], False)]
+    terms = [(near[0], near[1], 1, -1), (far[0], far[1], -1, 1)]
     calls = count_kernel_calls(monkeypatch)
     tracemalloc.start()
     try:
-        got = signed_sum(base, products)
+        got = signed_sum(base, terms)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert calls == {"pairwise": [], "box": 2}
     assert peak < 4 * 2**20
-    assert coeff_distance(got, literal_signed_sum(base, products)) <= signed_sum_tolerance(base, products)
+    assert coeff_distance(got, literal_signed_sum(base, terms)) <= signed_sum_tolerance(base, terms)
+
+
+def box_signs(monkeypatch):
+    """[(s1, s2) per dense-box kernel call], filled as the kernel runs."""
+    signs, box = [], torus._dense_box_kernel
+
+    def recorded(*args):
+        signs.append(args[-2:])
+        return box(*args)
+
+    monkeypatch.setattr(torus, "_dense_box_kernel", recorded)
+    return signs
+
+
+def test_one_routing_decision_per_commutator_term(theta2, monkeypatch):
+    """A commutator term is judged once, on a's grouping.  A one-row strip
+    of 40 terms 5 apart times a radius-4 disc is 38 units of box work per
+    pair, so both products of the strip's commutator with the disc run
+    pairwise; the disc times the strip is 9 per pair, so the disc's
+    commutator with the strip is one fused box call."""
+    gen = sampling.rng(53)
+    strip = TorusElement(theta2, {(0, 5 * k): complex(gen.normal(), gen.normal()) for k in range(40)})
+    blob, base = disc(theta2, 4, gen), disc(theta2, 2, gen)
+    assert not torus._takes_box(strip.indices, strip.values, blob.indices, blob.values)
+    assert torus._takes_box(blob.indices, blob.values, strip.indices, strip.values)
+    calls = count_kernel_calls(monkeypatch)
+    signs = box_signs(monkeypatch)
+    for a, b, pairwise, fused in [(strip, blob, [2], []), (blob, strip, [], [(1, -1)])]:
+        calls["pairwise"].clear()
+        signs.clear()
+        terms = [(a, b, 1, -1)]
+        got = signed_sum(base, terms)
+        assert calls["pairwise"] == pairwise and signs == fused
+        assert coeff_distance(got, literal_signed_sum(base, terms)) <= signed_sum_tolerance(base, terms)
+
+
+def test_matrix_sum_bits_do_not_depend_on_shared_elements(theta2, monkeypatch):
+    """The commutator of q = 2 matrices [[u, v], [v, u]] and [[v, u], [u, v]]
+    makes the same kernel calls, and has the same bits, whether the entries
+    share two element objects or are equal copies: terms come from matrix
+    positions, never from matching operands by identity.  Only the k = i
+    products of the two diagonal entries are fused commutators."""
+    gen = sampling.rng(54)
+    u, v = disc(theta2, 6, gen), disc(theta2, 5, gen)
+    calls = count_kernel_calls(monkeypatch)
+    signs = box_signs(monkeypatch)
+    runs = []
+    for same in (True, False):
+        el = (lambda e: e) if same else (lambda e: TorusElement(theta2, dict(e.coeffs)))
+        x = TorusMatrix(theta2, [[el(u), el(v)], [el(v), el(u)]])
+        y = TorusMatrix(theta2, [[el(v), el(u)], [el(u), el(v)]])
+        calls["pairwise"].clear()
+        signs.clear()
+        (got,) = _matrix_sums([(TorusMatrix.zeros(theta2, 2), [(x, y, -1)])])
+        runs.append((list(calls["pairwise"]), list(signs), [bits(e) for row in got.entries for e in row]))
+    assert runs[0] == runs[1]
+    assert [s for s in runs[0][1] if s[1]] == [(1, -1)] * 2
 
 
 @pytest.mark.parametrize("radius", [1, 6])
@@ -734,15 +801,15 @@ def test_signed_sum_of_one_product_is_mul(theta2, radius):
     gen = sampling.rng(42)
     a, b = disc(theta2, radius, gen), disc(theta2, radius, gen)
     zero = TorusElement.zero(theta2)
-    assert list(signed_sum(zero, [(a, b, False)]).coeffs.items()) == list((a * b).coeffs.items())
-    assert signed_sum(zero, [(a, b, True)]).coeffs == (-(a * b)).coeffs
+    assert list(signed_sum(zero, [(a, b, 1, 0)]).coeffs.items()) == list((a * b).coeffs.items())
+    assert signed_sum(zero, [(a, b, -1, 0)]).coeffs == (-(a * b)).coeffs
 
 
 def test_signed_sum_of_no_products_is_base(theta2):
     base = disc(theta2, 2, sampling.rng(43))
     empty = TorusElement.zero(theta2)
     assert signed_sum(base, []) is base
-    assert signed_sum(base, [(empty, base, False), (base, empty, True)]).coeffs == base.coeffs
+    assert signed_sum(base, [(empty, base, 1, 0), (base, empty, -1, 1)]).coeffs == base.coeffs
     assert signed_sum(empty, []).coeffs == {}
 
 
@@ -750,13 +817,13 @@ def test_nan_coefficient_survives_signed_sum(theta2):
     gen = sampling.rng(44)
     finite_a, b, c, base = (disc(theta2, 1, gen) for _ in range(4))
     a = TorusElement(theta2, {**finite_a.coeffs, (1, 0): complex(math.nan, 0.0)})
-    products = [(a, b, True), (c, b, False)]
-    got, ref = signed_sum(base, products), literal_signed_sum(base, products)
+    terms = [(a, b, -1, 0), (c, b, 1, 0)]
+    got, ref = signed_sum(base, terms), literal_signed_sum(base, terms)
     assert set(got.coeffs) == set(ref.coeffs)
     nan_keys = {r for r, v in got.coeffs.items() if cmath.isnan(v)}
     assert nan_keys and nan_keys == {r for r, v in ref.coeffs.items() if cmath.isnan(v)}
     finite = [r for r in got.coeffs if r not in nan_keys]
-    tol = signed_sum_tolerance(base, [(finite_a, b, True), (c, b, False)])
+    tol = signed_sum_tolerance(base, [(finite_a, b, -1, 0), (c, b, 1, 0)])
     assert max(abs(got.coeffs[r] - ref.coeffs[r]) for r in finite) <= tol
 
 
@@ -768,35 +835,36 @@ def test_signed_sum_index_past_int64_raises_as_mul(theta2):
         with pytest.raises(IndexOutOfRange) as via_mul:
             left * right
         with pytest.raises(IndexOutOfRange) as via_sum:
-            signed_sum(one, [(one, one, False), (left, right, True)])
+            signed_sum(one, [(one, one, 1, 0), (left, right, -1, 0)])
         assert str(via_sum.value) == str(via_mul.value)
 
 
 # -- several entries in one pass against the per-entry dict pass ----------------
 
 
-def dict_pass_signed_sum(base, products):
-    """base + sum of -+ a * b with the pairwise products summed by a dict pass.
+def dict_pass_signed_sum(base, terms):
+    """base + sum of s1 a * b + s2 b * a with the pairwise products summed by a dict pass.
 
     The pairwise kernel as it was before it grouped pairs by sorting, one
-    entry at a time: the pairs of the entry's pairwise products, gathered
-    product by product, then added one by one into a copy of base's dict in
-    that order; the dense-box products, summed by the library's own
-    per-entry box step ``_box_sums``, are then added.  The reference that
-    ``signed_sums`` must match bit for bit, values and key order, whatever
-    other entries share its pass.
+    entry at a time: the pairs of the entry's pairwise products, a term's
+    a * b and then its b * a, gathered product by product, then added one by
+    one into a copy of base's dict in that order; the dense-box terms,
+    summed by the library's own per-entry box step ``_box_sums``, are then
+    added.  The reference that ``signed_sums`` must match bit for bit,
+    values and key order, whatever other entries share its pass.
     """
     th = base.theta
     pairwise, boxed = [], []
-    for a, b, negate in products:
+    for a, b, s1, s2 in terms:
         if not a.coeffs or not b.coeffs:
             continue
-        ra, ca, rb, cb = ops = a.indices, a.values, b.indices, b.values
+        ops = a.indices, a.values, b.indices, b.values
         bounds = torus._takes_box(*ops)
         if bounds:
-            boxed.append((a, b, negate, bounds))
+            boxed.append((ops, bounds, s1, s2))
         else:
-            pairwise.append((ra, -ca if negate else ca, rb, cb))
+            for x, y, sign in signed_products([(a, b, s1, s2)]):
+                pairwise.append((x.indices, -x.values if sign < 0 else x.values, y.indices, y.values))
     out = base
     if pairwise:
         vals, keys = [], []
@@ -851,8 +919,8 @@ def test_entry_bits_do_not_depend_on_the_pass(n):
     zero = TorusElement.zero(th)
     for _ in range(100):
         a, b, c, d = (sampling.random_element(th, gen, radius=3, terms=t) for t in (1, 4, 3, 4))
-        (alone,) = signed_sums([(zero, [(a, b, False)])])
-        _, shared = signed_sums([(zero, [(c, d, False)]), (zero, [(a, b, False)])])
+        (alone,) = signed_sums([(zero, [(a, b, 1, 0)])])
+        _, shared = signed_sums([(zero, [(c, d, 1, 0)]), (zero, [(a, b, 1, 0)])])
         assert bits(alone) == bits(shared)
 
 
@@ -873,7 +941,7 @@ def box_element(draw, theta):
 
 @st.composite
 def signed_sums_entries(draw):
-    """[(base, [(a, b, negate), ...]), ...]: one to five entries over one theta.
+    """[(base, [(a, b, s1, s2), ...]), ...]: one to five entries over one theta.
 
     Operands are drawn, empty, far (their codes need the row sort) or dense
     cubes (their products take the box); a drawn one may carry a NaN.  Bases
@@ -891,19 +959,15 @@ def signed_sums_entries(draw):
     entries = []
     for _ in range(draw(st.integers(1, 5))):
         base = (far_element if draw(st.booleans()) else draw_element)(draw, theta)
-        products = [(operand(), operand(), draw(st.booleans())) for _ in range(draw(st.integers(0, 4)))]
-        if draw(st.booleans()) and products:
-            # the same operands again, the other way round: a commutator's terms
-            a, b, negate = products[0]
-            products.append((b, a, not negate))
-        entries.append((base, products))
+        terms = [(operand(), operand(), draw(FIRST_SIGN), draw(SECOND_SIGN)) for _ in range(draw(st.integers(0, 4)))]
+        entries.append((base, terms))
     return entries
 
 
 #: at theta = 0 the pair (-1 - 0j) * 1 is -1 - 0j, at a key the zero base
 #: lacks: the loop sums it from zero, which turns its -0.0 part into +0.0
 FLAT = ThetaMatrix.zeros(2)
-NEGATIVE_ZERO_PART = [(TorusElement.zero(FLAT), [(TorusElement(FLAT, {(0, 0): complex(-1.0, -0.0)}), TorusElement.one(FLAT), False)])]
+NEGATIVE_ZERO_PART = [(TorusElement.zero(FLAT), [(TorusElement(FLAT, {(0, 0): complex(-1.0, -0.0)}), TorusElement.one(FLAT), 1, 0)])]
 
 
 @settings(max_examples=200, deadline=None)
@@ -920,8 +984,8 @@ def test_signed_sums_sort_rows_past_the_code_limit(theta2, monkeypatch):
     gen = sampling.rng(46)
     small, other = disc(theta2, 1, gen), disc(theta2, 1, gen)
     far = TorusElement(theta2, {(2**61, -(2**61)): 1.5 - 0.5j, (-(2**61), 0): 2j, (0, 2**61): -1.0})
-    entries = [(small, [(far, small, False), (small, far, True)]), (other, [(small, other, False)]), (far, [])]
-    keys = [(r[0] + s[0], r[1] + s[1]) for a, b, _ in entries[0][1] for r in a.coeffs for s in b.coeffs]
+    entries = [(small, [(far, small, 1, -1)]), (other, [(small, other, 1, 0)]), (far, [])]
+    keys = [(r[0] + s[0], r[1] + s[1]) for a, b, _ in signed_products(entries[0][1]) for r in a.coeffs for s in b.coeffs]
     volume = math.prod(max(k[m] for k in keys) - min(k[m] for k in keys) + 1 for m in range(2))
     assert len(entries) * volume >= torus._CODE_LIMIT
     calls = count_kernel_calls(monkeypatch)

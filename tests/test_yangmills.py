@@ -182,7 +182,7 @@ def assert_matmul_is_the_dict_pass(x, y):
     got, literal = x @ y, literal_matmul(x, y)
     for i in range(x.q):
         for j in range(x.q):
-            products = [(x.entries[i][k], y.entries[k][j], False) for k in range(x.q)]
+            products = [(x.entries[i][k], y.entries[k][j], 1, 0) for k in range(x.q)]
             assert bits(got.entries[i][j]) == bits(dict_pass_signed_sum(zero, products))
             assert coeff_distance(got.entries[i][j], literal.entries[i][j]) <= signed_sum_tolerance(zero, products)
 
