@@ -43,10 +43,11 @@ One storage
 An element is a read-only int64 (terms, n) index array, its rows strictly
 increasing in lexicographic order, and a read-only complex coefficient
 array.  The dict constructor sorts and checks its input once (an index entry
-past +-(2^63 - 1) raises ``IndexOutOfRange``); ``coeffs`` is a read-only dict
-built on demand.  ``_kept`` is the one place that drops values under
-``CANONICAL_EPS`` (NaN is kept) and ``_groups`` the one grouping of index
-rows, used by sums, the pairwise kernel and ``inner_sum``.  Other operations
+that is not an integer raises ``ValueError``, one past +-(2^63 - 1)
+``IndexOutOfRange``); ``coeffs`` is a read-only dict built on demand.
+``_kept`` is the one place that drops values under ``CANONICAL_EPS`` (NaN
+is kept) and ``_groups`` the one grouping of index rows, used by sums,
+``signed_sums`` and ``inner_sum``.  Other operations
 keep rows sorted: the adjoint negates and reverses them, ``tensor_embed``
 puts a's rows, repeated, beside b's, tiled, and a box's cells in C order are
 sorted.
@@ -74,21 +75,20 @@ tail to each group's offset, both strided views of zero-padded arrays.  Row
 for b * a's factor that pairs the output row with the output tail, on the
 output box; both sides keep a's grouping.  The tail factors are exactly 1,
 and are not formed, unless P has a nonzero column among 1..n-2.  Each term
-is one call; each entry's calls are added into one dense array over their
-union box (``_box_sums``), whose cells become the element.  The box's
-cost follows the boxes, not the pair count.  Every other term (few pairs,
-a far-out term that makes the box huge, a non-finite coefficient) runs the
-pairwise kernel (``_pairwise_kernel``) as a * b and then b * a, in one
-pass over the pairwise products of all the entries: the pairs are gathered
-from the concatenated term arrays by index arithmetic, their exponents and
-phases are whole-array operations, and each entry's base terms lead its
-pairs into one ``_groups`` of the pass by (entry, output key), so each sum
-starts from its base coefficient and adds the pairs in pass order, the
-order of the pair-by-pair dict loop that the tests keep as the reference,
-and has its bits; its time and memory follow the pair count.  Each entry's
-dense-box sum is added to it after the pass.  The kernels do their index arithmetic in
-int64, so a product whose index sums could leave it raises
-``IndexOutOfRange``.
+is one call, whose box is read in C order less the cells under
+``CANONICAL_EPS``; its cost follows the box, not the pair count.  Every
+other term (few pairs, a far-out term that makes the box huge, a non-finite
+coefficient) runs the pairwise kernel (``_pairwise_kernel``) as a * b and
+then b * a, in one pass over the pairwise products of all the entries: the
+pairs are gathered from the concatenated term arrays by index arithmetic,
+and their exponents and phases are whole-array operations; its time and
+memory follow the pair count.  One ``_summed`` grouping by (entry, output
+key) then sums every entry once: its base's terms, then its pairs in pass
+order, then its box cells in term order, so each sum starts from its base
+coefficient and adds the pairs in the order of the pair-by-pair dict loop
+that the tests keep as the reference, and has its bits.  The kernels do
+their index arithmetic in int64, so a product whose index sums could leave
+it raises ``IndexOutOfRange``.
 
 ``product_theta`` returns the same object for the same factors as its last
 call, so every entry of a product connection shares one product theta and
@@ -104,6 +104,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from types import MappingProxyType
 
 import numpy as np
@@ -176,12 +177,19 @@ class TorusElement:
 
     def __init__(self, theta: ThetaMatrix, coeffs: dict):
         """From a {multi-index: coefficient} dict; ``ValueError`` for a multi-index
-        whose length is not n, ``IndexOutOfRange`` for an entry past +-(2^63 - 1)."""
+        whose length is not n or with an entry that is not an integer (a float
+        such as 1.0 included: an entry must have ``__index__``),
+        ``IndexOutOfRange`` for an entry past +-(2^63 - 1)."""
         n, m = theta.n, len(coeffs)
         flat = list(itertools.chain.from_iterable(coeffs))
         if len(flat) != m * n:
             bad = next(r for r in coeffs if len(r) != n)
             raise ValueError(f"multi-index {bad} has length != {n}")
+        try:
+            flat = list(map(operator.index, flat))
+        except TypeError:
+            bad = next(r for r in coeffs if not all(hasattr(x, "__index__") for x in r))
+            raise ValueError(f"multi-index {bad} has an entry that is not an integer") from None
         check_index(flat)
         keys = sorted(coeffs)  # tuples of integers sort lexicographically
         vals = np.fromiter(map(coeffs.__getitem__, keys), dtype=complex, count=m)
@@ -206,7 +214,7 @@ class TorusElement:
 
     @classmethod
     def monomial(cls, theta: ThetaMatrix, r, coeff=1.0) -> "TorusElement":
-        return cls(theta, {tuple(int(x) for x in r): complex(coeff)})
+        return cls(theta, {tuple(r): complex(coeff)})
 
     @classmethod
     def generator(cls, theta: ThetaMatrix, j: int) -> "TorusElement":
@@ -450,6 +458,9 @@ _VECTOR_CUTOFF = 512
 _DENSE_WORK_PER_PAIR = 32
 
 
+# inf and NaN coefficients carry through, as in Python's complex arithmetic;
+# callers that need finite results check them
+@np.errstate(over="ignore", invalid="ignore")
 def signed_sums(entries) -> list:
     """[base + sum of s1 a * b + s2 b * a] for each (base, [(a, b, s1, s2), ...]) entry.
 
@@ -459,25 +470,24 @@ def signed_sums(entries) -> list:
     entries of matrix products and of sums of commutators, as
     ``yangmills._matrix_sums`` forms them.  A term with an empty operand
     adds nothing.  ``_takes_box`` picks each term's kernel once, on a's
-    grouping.  The terms for the pairwise kernel, of every entry, run as one
-    pass in which each entry's base terms lead its pairs: a term adds a * b
-    and then, if s2 is nonzero, b * a, a negative sign entering as the left
-    coefficients negated, which is exact.  Then each entry's dense-box terms
-    are summed by ``_box_sums``, one kernel call each, all of them in one
-    dense array, and that sum is added to the entry; an entry that is still
-    empty takes the sum as it is.  As in the pass, ``CANONICAL_EPS`` drops
-    sums, not each product's values: once in the entry's box sum and once in
-    the add.  An entry without terms is its base.  Every base and operand
-    shares one theta.  ``IndexOutOfRange`` if an entry of r + s could leave
-    int64.
+    grouping.  The pairwise terms of every entry run as one
+    ``_pairwise_kernel`` pass: a term adds a * b and then, if s2 is nonzero,
+    b * a, a negative sign entering as the left coefficients negated, which
+    is exact.  Each dense-box term is one kernel call, its box read in C
+    order.  One ``_summed`` grouping by (entry, output key) then sums every
+    entry: its base's terms, then its pairs in pass order, then its box
+    terms' cells in term order, so each sum starts from the base coefficient.
+    ``CANONICAL_EPS`` drops each box's cells as the box is read and each
+    entry's sums once, not each pair.  An entry without terms is its base.
+    Every base and operand shares one theta.  ``IndexOutOfRange`` if an
+    entry of r + s could leave int64.
     """
     if not entries:
         return []
     first = entries[0][0]
-    pairwise, boxed = [], []
+    pair_entries, products, boxed = [], [], []
     for e, (base, terms) in enumerate(entries):
         first._check(base)
-        box = []
         for a, b, s1, s2 in terms:
             base._check(a)
             a._check(b)
@@ -487,18 +497,48 @@ def signed_sums(entries) -> list:
             bounds = _takes_box(*ops)
             if bounds:
                 _check_sums(a.indices, b.indices)
-                box.append((ops, bounds, s1, s2))
+                boxed.append((e, ops, bounds, s1, s2))
             else:
-                pairwise.append((e, a.indices, -a.values if s1 < 0 else a.values, b.indices, b.values))
+                pair_entries.append(e)
+                products.append((a.indices, -a.values if s1 < 0 else a.values, b.indices, b.values))
                 if s2:
-                    pairwise.append((e, b.indices, -b.values if s2 < 0 else b.values, a.indices, a.values))
-        boxed.append(box)
+                    pair_entries.append(e)
+                    products.append((b.indices, -b.values if s2 < 0 else b.values, a.indices, a.values))
     th = first.theta
-    bases = [base for base, _ in entries]
-    outs = _pairwise_kernel(th, bases, pairwise) if pairwise else bases
-    for e, box in enumerate(boxed):
-        for part in _box_sums(th, box) if box else ():
-            outs[e] = outs[e] + part if len(outs[e].values) else part
+    outs = [base for base, _ in entries]
+    held = set(pair_entries)
+    sizes = [len(ca) * len(cb) for _, ca, _, cb in products]
+    # (entry per row, rows, values) of the pass's pairs and then of each box's cells
+    parts = [(np.repeat(pair_entries, sizes), *_pairwise_kernel(th, products))] if products else []
+    for e, ops, bounds, s1, s2 in boxed:
+        box = _dense_box_kernel(th, *ops, bounds, s1, s2)
+        cells = box.ravel()
+        kept = _kept(cells)
+        if len(kept):
+            held.add(e)
+            lo = np.array([x + y for x, y in zip(bounds[0], bounds[2])], dtype=np.int64)
+            rows = np.stack(np.unravel_index(kept, box.shape), axis=1) + lo
+            parts.append((np.full(len(kept), e), rows, cells.take(kept)))
+    if not held:
+        return outs
+    held = sorted(held)
+    lead = [outs[e] for e in held]
+    counts = [len(x.values) for x in lead]
+    entry = np.concatenate([np.repeat(held, counts)] + [e for e, _, _ in parts])
+    rows = np.concatenate([x.indices for x in lead] + [r for _, r, _ in parts])
+    # the keys one index column per row, after the entry: the reductions in
+    # ``_groups`` then run along contiguous rows
+    keys = np.concatenate((entry[None, :], rows.T))
+    head, sums = _summed(keys, np.concatenate([x.values for x in lead] + [v for _, _, v in parts]))
+    # the dict loop of the tests starts a key that base lacks from zero, which
+    # differs from starting at its first pair only in the sign of a zero part:
+    # adding +0.0 to such a sum does the same
+    pairs_at = sum(counts)
+    sums[(head >= pairs_at) & (head < pairs_at + sum(sizes))] += 0.0
+    bounds = np.searchsorted(entry.take(head), held + [len(outs)]).tolist()
+    rows = rows.take(head, 0)
+    for e, lo, hi in zip(held, bounds, bounds[1:]):
+        outs[e] = _element(th, rows[lo:hi], sums[lo:hi])
     return outs
 
 
@@ -593,30 +633,19 @@ def _cmul(x, y):
     return out
 
 
-# inf and NaN coefficients carry through, as in Python's complex arithmetic;
-# callers that need finite results check them
-@np.errstate(over="ignore", invalid="ignore")
-def _pairwise_kernel(th: ThetaMatrix, bases, products) -> list:
-    """Each entry's base plus the sum of its products, given as (entry, ra, ca, rb, cb).
+def _pairwise_kernel(th: ThetaMatrix, products):
+    """(rows, values): every pair of terms of the products (ra, ca, rb, cb), r + s and its value.
 
-    ``products`` is in entry order.  The pairs of all the products, product by
-    product and each in the order of the pair-by-pair dict loop kept in the
-    tests, are gathered from the concatenated term arrays by index
-    arithmetic, so the number of numpy calls does not grow with the number
-    of products or entries.  Their exponents, phases and complex products
-    (``_cmul``) are whole-array operations.  Each entry with products puts
-    its base's terms ahead of its pairs, and ``_summed`` groups them all by
-    (entry, key), the entry as the leading digit: each sum starts from its
-    base coefficient and adds the pairs one by one in pass order, the loop's
-    order, so it has the loop's bits (only which NaN survives an add of two
-    NaNs may differ).  The loop
-    starts a key that base lacks from zero, which differs from starting at
-    the first pair only in the sign of a zero part: adding +0.0 to such a
-    sum does the same.  Time and memory follow the pair count.  For one
-    product this is the loop's arithmetic, except for the order of the
-    exponent's sum and numpy's exp in place of cmath's.
+    The pairs, product by product and each in the order of the pair-by-pair
+    dict loop kept in the tests, are gathered from the concatenated term
+    arrays by index arithmetic, so the number of numpy calls does not grow
+    with the number of products.  Their exponents, phases and complex
+    products (``_cmul``) are whole-array operations; ``signed_sums`` sums
+    them.  Time and memory follow the pair count.  For one product this is
+    the loop's arithmetic, except for the order of the exponent's sum and
+    numpy's exp in place of cmath's.
     """
-    es, ras, cas, rbs, cbs = zip(*products)
+    ras, cas, rbs, cbs = zip(*products)
     ra, ca, rb, cb = (np.concatenate(x) for x in (ras, cas, rbs, cbs))
     try:
         _check_sums(ra, rb)
@@ -635,24 +664,7 @@ def _pairwise_kernel(th: ThetaMatrix, bases, products) -> list:
     left, right = ca[ia], cb[ib]
     # ``take`` gathers whole rows at once, where indexing copies them one by one
     w, r, s = _cocycle_rows(th, ra).take(ia, 0), ra.take(ia, 0), rb.take(ib, 0)
-    vals = _cmul(_cmul(left, right), _phases(_exponents(w, s)))
-
-    held = list(dict.fromkeys(es))  # the entries with products, in order
-    lead = [bases[e] for e in held]
-    counts = [len(x.values) for x in lead]
-    entry = np.concatenate((np.repeat(held, counts), np.repeat(es, na * nb)))
-    rows = np.concatenate([x.indices for x in lead] + [r + s])
-    # the keys one index column per row, after the entry: the reductions in
-    # ``_groups`` then run along contiguous rows
-    keys = np.concatenate((entry[None, :], rows.T))
-    first, sums = _summed(keys, np.concatenate([x.values for x in lead] + [vals]))
-    sums[first >= sum(counts)] += 0.0
-    bounds = np.searchsorted(entry.take(first), held + [len(bases)]).tolist()
-    rows = rows.take(first, 0)
-    outs = list(bases)
-    for e, lo, hi in zip(held, bounds, bounds[1:]):
-        outs[e] = _element(th, rows[lo:hi], sums[lo:hi])
-    return outs
+    return r + s, _cmul(_cmul(left, right), _phases(_exponents(w, s)))
 
 
 def _boxes(ra, rb):
@@ -794,44 +806,6 @@ def _dense_box_kernel(th: ThetaMatrix, ra, ca, rb, cb, bounds, s1: int, s2: int)
         ba *= _phases(np.outer(i, _cocycle_rows(th, cells)[:, 0]))
         out += ba
     return out.reshape(ext)
-
-
-def _box_sums(th: ThetaMatrix, terms) -> list:
-    """Elements whose sum is the sum of one entry's dense-box terms.
-
-    ``terms`` are the entry's (ops, bounds, s1, s2), in order: ops the
-    operands' (ra, ca, rb, cb) and ``bounds`` their ``_boxes`` from
-    ``_takes_box``, each term one ``_dense_box_kernel`` call of
-    s1 a * b + s2 b * a.  The calls' boxes are added into one array over the
-    union of their output boxes: one element.  Only when that union has more
-    cells than the calls' summed ``_dense_box_work`` (boxes far apart) is
-    each call's box an element of its own instead.
-    """
-    boxes = []
-    for _, (loa, ext_a, lob, ext_b), _, _ in terms:
-        boxes.append(([x + y for x, y in zip(loa, lob)], [x + y - 1 for x, y in zip(ext_a, ext_b)]))
-    lo = [min(x) for x in zip(*(l for l, _ in boxes))]
-    hi = [max(x) for x in zip(*([y + z for y, z in zip(l, e)] for l, e in boxes))]
-    ext = [h - l for h, l in zip(hi, lo)]
-    work = sum(_dense_box_work(len(ops[0]), bounds) for ops, bounds, _, _ in terms)
-    if math.prod(ext) > work:
-        return [
-            _box_element(th, l, _dense_box_kernel(th, *ops, bounds, s1, s2))
-            for (ops, bounds, s1, s2), (l, _) in zip(terms, boxes)
-        ]
-    total = np.zeros(ext, dtype=complex)
-    for (ops, bounds, s1, s2), (l, e) in zip(terms, boxes):
-        at = tuple(slice(x - y, x - y + z) for x, y, z in zip(l, lo, e))
-        total[at] += _dense_box_kernel(th, *ops, bounds, s1, s2)
-    return [_box_element(th, lo, total)]
-
-
-def _box_element(th: ThetaMatrix, lo, box) -> TorusElement:
-    """The element whose coefficients are the cells of a box from lo; in C order they are sorted."""
-    cells = box.ravel()
-    kept = _kept(cells)
-    rows = np.stack(np.unravel_index(kept, box.shape), axis=1) + np.array(lo, dtype=np.int64)
-    return TorusElement._raw(th, rows, cells.take(kept))
 
 
 @functools.lru_cache(maxsize=1)

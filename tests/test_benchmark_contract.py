@@ -150,7 +150,8 @@ def test_torus_product_work_and_kernel_boundary(monkeypatch):
     products and pairs of the literal ``@`` expressions it replaced, a term
     s1 a * b + s2 b * a with s2 nonzero counting as two, which the tracer
     counts through ``*`` when ``@`` is spelled with it.
-    Each ``signed_sums`` call runs at most one pairwise pass."""
+    Each ``signed_sums`` call runs at most one pairwise pass, which forms the
+    pairs of all its pairwise products, and one dense-box call per box term."""
     torus = ncym.torus
     route, kernel_products = [], []  # open entry points; (entry points, kernel, products) per kernel call
     star_entries, summed = [], []  # (a, b) per element product a * b and per product given to signed_sums
@@ -186,7 +187,7 @@ def test_torus_product_work_and_kernel_boundary(monkeypatch):
         lambda a, b: star(a, b) if isinstance(b, torus.TorusElement) else element_mul(a, b),
     )
     monkeypatch.setattr(
-        torus, "_pairwise_kernel", reached(torus._pairwise_kernel, "pairwise", lambda th, bases, ps: len(ps))
+        torus, "_pairwise_kernel", reached(torus._pairwise_kernel, "pairwise", lambda th, ps: len(ps))
     )
     # a dense-box call computes s1 a * b + s2 b * a: one product per nonzero sign
     box_products = lambda *args: (args[-2] != 0) + (args[-1] != 0)  # noqa: E731

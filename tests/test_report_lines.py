@@ -117,8 +117,10 @@ def test_compare_command(reports, tmp_path, capsys):
     old.write_text("\n".join(lines(reports)) + "\n")
     new.write_text("\n".join(lines(edited(reports, "torus_product.json", lambda res: res.update(ym1=0.0)))) + "\n")
     assert report_lines.main(["--compare", str(old), str(old), "--bound", "1e-13"]) == 0
+    assert capsys.readouterr().out.endswith("\n4 lines, 4 byte-identical, 0 failures, bound 1e-13\n")
     assert report_lines.main(["--compare", str(old), str(new), "--bound", "1e-13"]) == 1
     out = capsys.readouterr().out
     assert "torus_product\tym1\tym_product\t" in out and "FAIL configs/torus_product.json: results.ym1" in out
+    assert out.endswith("\n4 lines, 3 byte-identical, 1 failures, bound 1e-13\n")
     with pytest.raises(SystemExit):
         report_lines.main(["--compare", str(old), str(new)])

@@ -5,6 +5,7 @@ import itertools
 import math
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -414,9 +415,10 @@ def test_array_kernels_match_dict_loop(pair):
     tol = kernel_tolerance(a, b)
     assert coeff_distance(a * b, ref) <= tol
     if a.coeffs and b.coeffs:
-        ra, ca, rb, cb = a.indices, a.values, b.indices, b.values
+        ra, rb = a.indices, b.indices
         # both kernels run on every pair here, whatever a * b would choose
-        (pairs,) = torus._pairwise_kernel(a.theta, [TorusElement.zero(a.theta)], [(0, ra, ca, rb, cb)])
+        with mock.patch.object(torus, "_takes_box", lambda *ops: None):
+            pairs = a * b
         assert coeff_distance(pairs, ref) <= tol
         if not any(v for row in a.theta.entries for v in row):
             # no phases at theta = 0: the pairwise kernel does the loop's arithmetic
@@ -435,12 +437,24 @@ def test_array_kernels_match_dict_loop(pair):
                 assert coeff_distance(box_kernel(a, b, *signs), want) <= bound
 
 
+def box_cells(th, ops, bounds, s1, s2):
+    """(rows, values): the cells of one dense-box kernel call in C order, less those under the drop.
+
+    ``ops`` are (ra, ca, rb, cb) and ``bounds`` their ``_boxes``; the box's
+    cell 0 is at lo_a + lo_b.
+    """
+    box = torus._dense_box_kernel(th, *ops, bounds, s1, s2)
+    cells = box.ravel()
+    kept = torus._kept(cells)
+    lo = np.array([x + y for x, y in zip(bounds[0], bounds[2])], dtype=np.int64)
+    return np.stack(np.unravel_index(kept, box.shape), axis=1) + lo, cells.take(kept)
+
+
 def box_kernel(a, b, s1, s2):
     """s1 a * b + s2 b * a by one call of the dense-box kernel, as an element."""
-    ra, ca, rb, cb = ops = a.indices, a.values, b.indices, b.values
-    bounds = torus._boxes(ra, rb)
-    box = torus._dense_box_kernel(a.theta, *ops, bounds, s1, s2)
-    return torus._box_element(a.theta, [x + y for x, y in zip(bounds[0], bounds[2])], box)
+    ops = a.indices, a.values, b.indices, b.values
+    rows, vals = box_cells(a.theta, ops, torus._boxes(a.indices, b.indices), s1, s2)
+    return TorusElement._raw(a.theta, rows, vals)
 
 
 def disc(theta, radius, gen):
@@ -680,9 +694,9 @@ def count_kernel_calls(monkeypatch):
     calls = {"pairwise": [], "box": 0}
     pairwise, box = torus._pairwise_kernel, torus._dense_box_kernel
 
-    def counted_pairwise(th, bases, products):
+    def counted_pairwise(th, products):
         calls["pairwise"].append(len(products))
-        return pairwise(th, bases, products)
+        return pairwise(th, products)
 
     def counted_box(*args):
         calls["box"] += 1
@@ -719,9 +733,9 @@ def test_signed_sum_of_a_box_commutator_is_one_kernel_call(theta2, monkeypatch):
 
 
 def test_signed_sum_of_far_apart_box_products_converts_each_box(theta2, monkeypatch):
-    """Two commutators whose boxes lie 10**6 apart are two kernel calls; their
-    union box would be 10**12 cells, so each call's box is converted on its
-    own, in memory that follows the boxes."""
+    """Two commutators whose boxes lie 10**6 apart are two kernel calls, and
+    each call's box is read on its own: memory follows the boxes, not the
+    10**12 cells of a box around both."""
     gen = sampling.rng(47)
     near = [ball(theta2, 3, 0, gen) for _ in range(2)]
     far = [ball(theta2, 3, 10**6, gen) for _ in range(2)]
@@ -843,15 +857,16 @@ def test_signed_sum_index_past_int64_raises_as_mul(theta2):
 
 
 def dict_pass_signed_sum(base, terms):
-    """base + sum of s1 a * b + s2 b * a with the pairwise products summed by a dict pass.
+    """base + sum of s1 a * b + s2 b * a, summed by a dict pass.
 
     The pairwise kernel as it was before it grouped pairs by sorting, one
     entry at a time: the pairs of the entry's pairwise products, a term's
-    a * b and then its b * a, gathered product by product, then added one by
-    one into a copy of base's dict in that order; the dense-box terms,
-    summed by the library's own per-entry box step ``_box_sums``, are then
-    added.  The reference that ``signed_sums`` must match bit for bit,
-    values and key order, whatever other entries share its pass.
+    a * b and then its b * a, gathered product by product, are added one by
+    one into a copy of base's dict in that order, a key that the dict lacks
+    starting from zero; then each dense-box term's cells (``box_cells``), in
+    term order, a key that the dict lacks taking its cell as it is.  The
+    reference that ``signed_sums`` must match bit for bit, values and key
+    order, whatever other entries share its pass.
     """
     th = base.theta
     pairwise, boxed = [], []
@@ -865,7 +880,7 @@ def dict_pass_signed_sum(base, terms):
         else:
             for x, y, sign in signed_products([(a, b, s1, s2)]):
                 pairwise.append((x.indices, -x.values if sign < 0 else x.values, y.indices, y.values))
-    out = base
+    coeffs = dict(base.coeffs)
     if pairwise:
         vals, keys = [], []
         w = torus._cocycle_rows(th, np.concatenate([p[0] for p in pairwise]))
@@ -875,13 +890,13 @@ def dict_pass_signed_sum(base, terms):
             phases = torus._phases(torus._exponents(wa[:, None, :], rb[None, :, :]))
             vals += torus._cmul(torus._cmul(ca[:, None], cb[None, :]), phases).reshape(-1).tolist()
             keys += map(tuple, (ra[:, None, :] + rb[None, :, :]).reshape(-1, th.n).tolist())
-        coeffs = dict(base.coeffs)
         for key, v in zip(keys, vals):
             coeffs[key] = coeffs.get(key, 0j) + v
-        out = TorusElement(th, coeffs)
-    for part in torus._box_sums(th, boxed) if boxed else ():
-        out = out + part
-    return out
+    for term in boxed:
+        rows, vals = box_cells(th, *term)
+        for key, v in zip(map(tuple, rows.tolist()), vals.tolist()):
+            coeffs[key] = coeffs[key] + v if key in coeffs else v
+    return TorusElement(th, coeffs)
 
 
 def bits(el):
@@ -899,8 +914,8 @@ def bits(el):
 @pytest.mark.parametrize("n,radius", [(2, 3), (3, 1), (4, 1)])
 def test_mul_on_the_box_is_the_box_kernel_bit_for_bit(n, radius):
     """A single product that takes the box is the box kernel's one-sided
-    output as it is, values and key order: its entry, still empty, takes the
-    box's sum without adding it to zero."""
+    output as it is, values and key order: each cell is alone in its group
+    of the entry's sum, and a lone value keeps its bits."""
     gen = sampling.rng(49 + n)
     th = sampling.random_theta(n, gen)
     cube = list(itertools.product(range(-radius, radius + 1), repeat=n))
@@ -995,6 +1010,67 @@ def test_signed_sums_sort_rows_past_the_code_limit(theta2, monkeypatch):
     assert got[2] is far
 
 
+def count_groupings(monkeypatch):
+    """[calls]: the number of ``_summed`` groupings, filled as they run."""
+    calls, summed = [0], torus._summed
+
+    def counted(*args):
+        calls[0] += 1
+        return summed(*args)
+
+    monkeypatch.setattr(torus, "_summed", counted)
+    return calls
+
+
+def test_one_grouping_per_signed_sums_call(theta2, monkeypatch):
+    """Every entry of a call is summed by one ``_summed`` grouping, whatever
+    mix of box and pairwise terms its entries hold: a base with a box
+    commutator and a pairwise product, a box alone on a base, two boxes on
+    zero, pairwise products alone, and no terms; and the calls of one kind."""
+    gen = sampling.rng(55)
+    big, big2 = disc(theta2, 6, gen), disc(theta2, 5, gen)
+    small, small2, base = disc(theta2, 1, gen), disc(theta2, 2, gen), disc(theta2, 3, gen)
+    zero = TorusElement.zero(theta2)
+    mixed = [
+        (base, [(big, big2, 1, -1), (small, small2, -1, 0)]),
+        (small, [(big2, big, 1, 0)]),
+        (zero, [(big, big2, -1, 1), (big2, big, 1, 0)]),
+        (small2, [(small, small2, 1, 1)]),
+        (base, []),
+    ]
+    calls = count_kernel_calls(monkeypatch)
+    groupings = count_groupings(monkeypatch)
+    for entries, kernels in [
+        (mixed, {"pairwise": [3], "box": 4}),
+        (mixed[1:3], {"pairwise": [], "box": 3}),
+        (mixed[3:], {"pairwise": [2], "box": 0}),
+    ]:
+        calls.update(pairwise=[], box=0)
+        groupings[0] = 0
+        got = signed_sums(entries)
+        assert calls == kernels and groupings == [1]
+        assert [bits(x) for x in got] == [bits(dict_pass_signed_sum(*entry)) for entry in entries]
+    groupings[0] = 0
+    assert signed_sums(mixed[4:])[0] is base and groupings == [0]
+
+
+def test_entry_whose_box_cells_all_drop_is_its_base(theta2):
+    """A box product whose every cell falls under ``CANONICAL_EPS`` adds
+    nothing: on an empty base with no pairs, alone or beside other entries,
+    the entry comes out as its base."""
+    gen = sampling.rng(56)
+    tiny, tiny2 = (disc(theta2, r, gen).scale(1e-10) for r in (6, 5))
+    assert torus._takes_box(tiny.indices, tiny.values, tiny2.indices, tiny2.values)
+    assert not (tiny * tiny2).coeffs
+    zero, base, small = TorusElement.zero(theta2), disc(theta2, 2, gen), disc(theta2, 1, gen)
+    (alone,) = signed_sums([(zero, [(tiny, tiny2, 1, -1)])])
+    assert bits(alone) == []
+    entries = [(zero, [(tiny, tiny2, 1, 0)]), (base, [(tiny2, tiny, -1, 1)]), (zero, [(small, base, 1, 0)])]
+    got = signed_sums(entries)
+    assert bits(got[0]) == [] and bits(got[1]) == bits(base)
+    assert [bits(x) for x in got] == [bits(dict_pass_signed_sum(*entry)) for entry in entries]
+
+
 def test_one_pairwise_pass_per_curvature_gradient_and_quartic(monkeypatch):
     """Every entry of every component, of F1 and F2 for every pair, and of a
     matrix product shares one pass."""
@@ -1013,6 +1089,18 @@ def test_one_pairwise_pass_per_curvature_gradient_and_quartic(monkeypatch):
 
 
 # -- construction and the canonical form -------------------------------------------
+
+
+def test_non_integer_index_entry_raises(theta2):
+    """An entry that is not an integer is refused, not truncated: 0.5 and 0.9
+    would both become 0 and give two equal index rows."""
+    for coeffs in [{(0.5, 0): 1.0, (0.9, 0): 2.0}, {(1.0, 0): 1.0}, {(0, "1"): 1.0}]:
+        with pytest.raises(ValueError, match="not an integer"):
+            TorusElement(theta2, coeffs)
+    with pytest.raises(ValueError, match="not an integer"):
+        TorusElement.monomial(theta2, (0.5, 0))
+    exact = TorusElement(theta2, {(np.int64(2), 0): 1.0, (True, -3): 2.0})
+    assert list(exact.coeffs) == [(1, -3), (2, 0)]
 
 
 def test_index_past_int64_raises_on_every_call(theta2):

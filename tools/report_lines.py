@@ -31,7 +31,9 @@ list lengths) must be equal.  Each result float is compared against the scale
 that ``FIELD_SCALES`` names for it, taken from the old report:
 ``|new - old| / scale`` must be at most the bound, which is stated on the
 command line before the comparison is run.  The worst ratio is printed per
-field; the exit status is 0 when everything holds and 1 otherwise.
+field, then each failure, then one summary line: how many lines there are,
+how many of them are byte-identical and how many failures; the exit status
+is 0 when everything holds and 1 otherwise.
 
 A change to the summation order of the torus kernels is gated with two
 bounds, both stated before measuring: at ``--bound 1e-13`` only
@@ -164,7 +166,8 @@ def _compare_main(old_path: Path, new_path: Path, bound: float) -> int:
         print(f"{kind}\t{field}\t{name}\t{ratio:.3g}")
     for message in messages:
         print(f"FAIL {message}")
-    print(f"{len(new_lines)} lines, {len(messages)} failures, bound {bound:g}")
+    identical = sum(a == b for a, b in zip(old_lines, new_lines))
+    print(f"{len(new_lines)} lines, {identical} byte-identical, {len(messages)} failures, bound {bound:g}")
     return 1 if messages else 0
 
 
