@@ -33,10 +33,6 @@ CONVENTIONS = {
 }
 
 
-#: what ``yangmills.COMPAT_TOL`` multiplies in ``yangmills.compatibility_bound``
-COMPAT_SCALE = "max_j ||p A_j p||_1"
-
-
 def _connection(m: cfg.TorusModule) -> ym.Connection:
     proj = None if m.proj is None else ym.Projection(m.proj)
     rnd = m.connection
@@ -67,7 +63,7 @@ def _run_torus_ym(spec: cfg.TorusYm):
     if c.proj is not None:
         results["projection_idempotency_defect"] = c.proj.defect
     checks = {"compatible": deviation <= ym.compatibility_bound(c)}
-    return results, checks, {"compat": ym.COMPAT_TOL, "compat_relative_to": COMPAT_SCALE}
+    return results, checks, {"compat": ym.COMPAT_TOL, "compat_relative_to": ym.COMPAT_SCALE}
 
 
 def _run_torus_minimize(spec: cfg.TorusMinimize):
@@ -88,7 +84,7 @@ def _run_torus_minimize(spec: cfg.TorusMinimize):
     }
     checks = {
         "compatible_start": deviation <= ym.compatibility_bound(start),
-        "converged": results["terminal_gradient_norm"] <= spec.grad_tol,
+        "converged": trace.reason == "converged",
         "monotone_trace": all(b <= a for a, b in zip(trace, trace[1:])),
     }
     return results, checks, {"grad_tol": spec.grad_tol}

@@ -34,8 +34,8 @@ stack that is not exactly zero. In an even triple about half of every form
 stack's columns are zero (1-forms are odd, pi(Omega^2) and the junk even),
 and many rows of R and of the products of basis elements are; the rule is
 "exactly zero", not parity, so an odd triple or a grading that is not
-diagonal just finds fewer, and a stack with no zero row or column takes the
-plain full-size path.
+diagonal just finds fewer, and a stack with no zero row or column is
+factorised and projected whole.
 
 - Ranks are decided by SVD with relative threshold ``RANK_TOL``, in one
   routine (``_svd_cut``) that factorises only the nonzero rows and columns
@@ -206,14 +206,13 @@ class OperatorSubspace:
     @cached_property
     def _support(self):
         """(order, width, basis*, basis): the columns with the basis's nonzero
-        ones first, how many those are, and the basis on them conjugate
-        transposed and as it is. ``order`` is ``None`` when no column is zero."""
+        ones first, each part in ascending order, how many nonzero ones there
+        are, and the basis on them conjugate transposed and as it is."""
         live = self.basis.any(axis=0)
-        cols = _nonzero(live)
-        if cols is None:
-            return None, self.ambient_dim, self.basis.conj().T, self.basis
-        compact = self.basis[:, cols]
-        return np.concatenate([cols, (~live).nonzero()[0]]), len(cols), compact.conj().T, compact
+        order = np.argsort(~live, kind="stable")
+        width = int(live.sum())
+        compact = self.basis[:, order[:width]]
+        return order, width, compact.conj().T, compact
 
     def contains(self, stack) -> bool:
         """Whether every operator of ``stack`` has projection residual at most ``CONTAIN_TOL``.
@@ -229,21 +228,19 @@ class OperatorSubspace:
         """``contains`` for the given rows (``None``: all) of the 2-d array ``vecs``.
 
         On a column where the basis is exactly zero the residual is the vector
-        itself. So each vector's columns are put in ``_support``'s order, its
-        part on the basis's nonzero columns is replaced by the projection
-        residual there, and one norm is taken over that and the other columns'
-        entries as they are: the hypot of the two parts' norms, neither taken
-        by a difference. A norm of the other part taken as
-        ||v||^2 - ||v_in||^2 would cancel, and the rounding of the two squares
-        alone can exceed ``CONTAIN_TOL``^2.
+        itself. So the rows are copied out of ``vecs`` with their columns in
+        ``_support``'s order, the part of the copy on the basis's nonzero
+        columns is replaced in place by the projection residual there, and one
+        norm is taken over that and the other columns' entries as they are:
+        the hypot of the two parts' norms, neither taken by a difference. A
+        norm of the other part taken as ||v||^2 - ||v_in||^2 would cancel, and
+        the rounding of the two squares alone can exceed ``CONTAIN_TOL``^2.
+        ``vecs`` itself is not written.
         """
         order, width, basis_h, basis = self._support
-        if rows is None and order is None:
-            residual = vecs - (vecs @ basis_h) @ basis
-        else:
-            residual = vecs[_block(rows, order)]
-            inside = residual[:, :width]
-            inside -= (inside @ basis_h) @ basis
+        residual = vecs[_block(rows, order)]
+        inside = residual[:, :width]
+        inside -= (inside @ basis_h) @ basis
         return bool(np.all(np.linalg.norm(residual, axis=1) <= CONTAIN_TOL))
 
     def matrices(self, dim_h: int) -> np.ndarray:
@@ -425,10 +422,11 @@ def omega1_space(t: FiniteTriple) -> OperatorSubspace:
     return OperatorSubspace._of_rows(t._relations.right)
 
 
-def pi_omega2_space(t: FiniteTriple, omega1: OperatorSubspace) -> OperatorSubspace:
-    """span{a [D, b] [D, c]} = span{omega [D, c] : omega in Omega^1}, given Omega^1 of t."""
-    coms = t._relations.commutators
-    return OperatorSubspace.span(_pair_products(omega1.matrices(t.dim_h), coms), t.dim_h)
+def pi_omega2_space(t: FiniteTriple) -> OperatorSubspace:
+    """span{a [D, b] [D, c]} = span{omega [D, c] : omega in Omega^1}, with
+    Omega^1 the row space of R that ``omega1_space`` also reads."""
+    d, rel = t.dim_h, t._relations
+    return OperatorSubspace.span(_pair_products(rel.right.reshape(-1, d, d), rel.commutators), d)
 
 
 def junk_space(t: FiniteTriple) -> OperatorSubspace:
@@ -453,8 +451,7 @@ def junk_space(t: FiniteTriple) -> OperatorSubspace:
 
 def _forms(t: FiniteTriple):
     """Omega^1, pi(Omega^2) and junk of t; ``InvalidTriple`` if the junk escapes pi(Omega^2)."""
-    omega1 = omega1_space(t)
-    pi2, junk = pi_omega2_space(t, omega1), junk_space(t)
+    omega1, pi2, junk = omega1_space(t), pi_omega2_space(t), junk_space(t)
     if not contains_subspace(pi2, junk):
         raise InvalidTriple("junk space escaped pi(Omega^2); rank tolerances inconsistent")
     return omega1, pi2, junk

@@ -52,6 +52,8 @@ from .torus import ThetaMatrix, TorusElement, inner_sum, product_theta, signed_s
 
 IDEMPOTENCY_TOL = 1e-12
 COMPAT_TOL = 1e-10
+#: what ``COMPAT_TOL`` multiplies in ``compatibility_bound``, as reports name it
+COMPAT_SCALE = "max_j ||p A_j p||_1"
 SUBADDITIVITY_SLACK = 1e-9
 
 log = logging.getLogger(__name__)
@@ -233,6 +235,11 @@ class Projection:
         self.defect = defect
 
 
+def _cut(proj: Projection | None, m: TorusMatrix) -> TorusMatrix:
+    """p m p on the corner module that ``proj`` cuts out, ``m`` itself on a free module."""
+    return m if proj is None else proj.p @ m @ proj.p
+
+
 class Connection:
     """nabla_j = delta_j + A_j on A_Theta^q (or the corner cut by proj).
 
@@ -401,11 +408,7 @@ def ym_gradient(c: Connection) -> Perturbation:
             acc = acc + fkj.derive(j)
             brackets.append((c.A[j - 1], fkj, -1))
         jobs.append((acc, brackets))
-    comps = _matrix_sums(jobs)
-    if c.proj is not None:
-        p = c.proj.p
-        comps = [p @ acc @ p for acc in comps]
-    return Perturbation(comps)
+    return Perturbation([_cut(c.proj, acc) for acc in _matrix_sums(jobs)])
 
 
 def gradient_norm(c: Connection) -> float:
@@ -423,26 +426,21 @@ def compatibility_deviation(c: Connection) -> float:
     """
     worst = 0.0
     for a in c.A:
-        m = a + a.dagger()
-        if c.proj is not None:
-            m = c.proj.p @ m @ c.proj.p
-        worst = max(worst, m.l1())
+        worst = max(worst, _cut(c.proj, a + a.dagger()).l1())
     return worst
 
 
 def compatibility_bound(c: Connection) -> float:
     """``COMPAT_TOL`` times max_j of the l1 norm of p A_j p (p = 1 on a free module).
 
-    The largest ``compatibility_deviation`` judged compatible.  It scales with
-    the potentials, as the rounding in a skew potential's deviation does, so
-    the verdict does not depend on their scale; it is 0 for A = 0, whose
-    deviation is exactly 0.
+    The largest ``compatibility_deviation`` judged compatible; reports name
+    the max it multiplies ``COMPAT_SCALE``.  It scales with the potentials, as
+    the rounding in a skew potential's deviation does, so the verdict does not
+    depend on their scale; it is 0 for A = 0, whose deviation is exactly 0.
     """
     scale = 0.0
     for a in c.A:
-        if c.proj is not None:
-            a = c.proj.p @ a @ c.proj.p
-        scale = max(scale, a.l1())
+        scale = max(scale, _cut(c.proj, a).l1())
     return COMPAT_TOL * scale
 
 
@@ -463,10 +461,7 @@ def random_connection(theta, q, gen, radius=2, terms=4, amplitude=0.1, proj=None
             [sampling.random_element(theta, gen, radius, terms, amplitude) for _ in range(q)]
             for _ in range(q)
         ]
-        m = skew_part(TorusMatrix(theta, rows))
-        if proj is not None:
-            m = proj.p @ m @ proj.p
-        comps.append(m)
+        comps.append(_cut(proj, skew_part(TorusMatrix(theta, rows))))
     return Connection(theta, q, comps, proj)
 
 

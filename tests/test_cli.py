@@ -223,8 +223,10 @@ def test_sample_descents_start_compatible(name):
 )
 def test_run_torus_minimize_unconverged(options, reason):
     spec = cfg.ExperimentConfig("torus_minimize", torus_minimize_config(**options)["payload"])
-    res = cli.run(spec)["results"]
+    report = cli.run(spec)
+    res = report["results"]
     assert res["stop_reason"] == reason
+    assert report["checks"]["converged"] is False
     assert len(res["steps"]) == res["iterations"] == len(res["trace"]) - 1
     assert len(res["gradient_norms"]) == len(res["trace"])
     assert res["terminal_gradient_norm"] == res["gradient_norms"][-1]
