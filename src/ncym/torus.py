@@ -76,7 +76,14 @@ for b * a's factor that pairs the output row with the output tail, on the
 output box; both sides keep a's grouping.  The tail factors are exactly 1,
 and are not formed, unless P has a nonzero column among 1..n-2.  Each term
 is one call, whose box is read in C order less the cells under
-``CANONICAL_EPS``; its cost follows the box, not the pair count.  Every
+``CANONICAL_EPS``; its cost follows the box, not the pair count.  A caller
+that has proved every commutator's operands skew-adjoint says so to
+``signed_sums`` (``_skew``): then (a * b)* = b* * a* = b * a, so a box
+commutator s1 (a * b - b * a) whose output box is centred on 0 is x - x*
+with x = s1 a * b, the kernel's a * b side alone (s2 = 0), and x* is formed
+on the same cells with no grouping (``_minus_adjoint_box``): b * a's shifted
+operand, its phase tables and its matmul are not built.  Skewness is never
+inferred from the values.  Every
 other term (few pairs, a far-out term that makes the box huge, a non-finite
 coefficient) runs the pairwise kernel (``_pairwise_kernel``) as a * b and
 then b * a, in one pass over the pairwise products of all the entries: the
@@ -270,8 +277,7 @@ class TorusElement:
         r, c = self.indices, self.values
         if not len(c):
             return self
-        vals = _cmul(np.conj(c), _phases(_exponents(_cocycle_rows(self.theta, r), r)))
-        return _element(self.theta, -r[::-1], vals[::-1])
+        return _element(self.theta, -r[::-1], _adjoint_values(self.theta, r, c)[::-1])
 
     def trace(self) -> complex:
         """The tracial state: coefficient at the zero multi-index."""
@@ -338,6 +344,55 @@ def _store(el: TorusElement, theta: ThetaMatrix, indices, values) -> TorusElemen
     values.setflags(write=False)
     el.theta, el.indices, el.values = theta, indices, values
     return el
+
+
+def _adjoint_values(th: ThetaMatrix, r, c):
+    """conj(c) sigma(r, r) per term, in r's order and with nothing dropped: the
+    adjoint's coefficient at -r.  The exponent of -r has the bits of r's, as
+    both w = r P and w . r only change sign twice."""
+    return _cmul(np.conj(c), _phases(_exponents(_cocycle_rows(th, r), r)))
+
+
+def _paired_adjoint(a: TorusElement, b: TorusElement):
+    """b*'s coefficients on a's rows, nothing dropped, when a's rows are b's
+    negated and read backwards (b*'s rows); None when they are not."""
+    if a.indices.shape != b.indices.shape or not np.array_equal(a.indices, -b.indices[::-1]):
+        return None
+    return _adjoint_values(b.theta, b.indices, b.values)[::-1]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def skew_entry(a: TorusElement, b: TorusElement) -> TorusElement:
+    """(a - b*) / 2, entry (i, j) of the skew part of a matrix m for a = m_ij
+    and b = m_ji, bit for bit ``(a - b.adjoint()).scale(0.5)``.
+
+    When a's rows are b*'s (``_paired_adjoint``), every row of a meets the
+    row of b* it pairs with, so the difference is elementwise, with no
+    grouping: b*'s values under the drop are the adjoint's dropped terms and
+    subtract as zeros, a - y is the grouped sum a + (-y), and one drop after
+    the halving, which is exact, drops what the sum's and the scale's drops
+    do.  Otherwise the sum is grouped as ``-`` groups it.
+    """
+    a._check(b)
+    y = _paired_adjoint(a, b)
+    if y is None:
+        return (a - b.adjoint()).scale(0.5)
+    star = np.zeros_like(y)  # b* on a's rows, zero where the adjoint drops a term
+    kept = _kept(y)
+    star[kept] = y[kept]
+    return _element(a.theta, a.indices, _cmul(0.5 + 0j, a.values - star))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def skew_residue(a: TorusElement, b: TorusElement):
+    """(max_r |a_r + (b*)_r|, max_r |a_r|) with nothing dropped, or None when
+    a's rows are not b*'s (``_paired_adjoint``): for a = m_ij and b = m_ji,
+    how far entry (i, j) of m + m* is from zero, against the entry's size."""
+    a._check(b)
+    y = _paired_adjoint(a, b)
+    if y is None:
+        return None
+    return float(np.abs(a.values + y).max(initial=0.0)), float(np.abs(a.values).max(initial=0.0))
 
 
 def _kept(vals):
@@ -461,11 +516,17 @@ _DENSE_WORK_PER_PAIR = 32
 # inf and NaN coefficients carry through, as in Python's complex arithmetic;
 # callers that need finite results check them
 @np.errstate(over="ignore", invalid="ignore")
-def signed_sums(entries) -> list:
+def signed_sums(entries, _skew: bool = False) -> list:
     """[base + sum of s1 a * b + s2 b * a] for each (base, [(a, b, s1, s2), ...]) entry.
 
     s1 is -1 or 1 and s2 -1, 0 or 1: a term is one signed product (s2 = 0)
-    or, with s2 = -s1, a commutator, the unit of ``_dense_box_kernel``.  The
+    or, with s2 = -s1, a commutator, the unit of ``_dense_box_kernel``.
+    ``_skew`` says that the caller has proved every commutator's operands
+    skew-adjoint (``yangmills.minimize`` does, for its iterates); then a box
+    commutator whose output box is centred on 0 (``_centred``) is
+    s1 (x - x*) from the kernel's a * b side alone (``_minus_adjoint_box``),
+    equal to the full kernel's up to rounding.  Any other term, and every
+    term of a call without ``_skew``, takes the path below.  The
     one entry point of the star-product kernels: a single product, and the
     entries of matrix products and of sums of commutators, as
     ``yangmills._matrix_sums`` forms them.  A term with an empty operand
@@ -497,7 +558,7 @@ def signed_sums(entries) -> list:
             bounds = _takes_box(*ops)
             if bounds:
                 _check_sums(a.indices, b.indices)
-                boxed.append((e, ops, bounds, s1, s2))
+                boxed.append((e, ops, bounds, s1, s2, _skew and s2 == -s1 and _centred(bounds)))
             else:
                 pair_entries.append(e)
                 products.append((a.indices, -a.values if s1 < 0 else a.values, b.indices, b.values))
@@ -510,8 +571,11 @@ def signed_sums(entries) -> list:
     sizes = [len(ca) * len(cb) for _, ca, _, cb in products]
     # (entry per row, rows, values) of the pass's pairs and then of each box's cells
     parts = [(np.repeat(pair_entries, sizes), *_pairwise_kernel(th, products))] if products else []
-    for e, ops, bounds, s1, s2 in boxed:
-        box = _dense_box_kernel(th, *ops, bounds, s1, s2)
+    for e, ops, bounds, s1, s2, one_side in boxed:
+        if one_side:
+            box = _minus_adjoint_box(th, _dense_box_kernel(th, *ops, bounds, s1, 0))
+        else:
+            box = _dense_box_kernel(th, *ops, bounds, s1, s2)
         cells = box.ravel()
         kept = _kept(cells)
         if len(kept):
@@ -540,6 +604,12 @@ def signed_sums(entries) -> list:
     for e, lo, hi in zip(held, bounds, bounds[1:]):
         outs[e] = _element(th, rows[lo:hi], sums[lo:hi])
     return outs
+
+
+def _centred(bounds) -> bool:
+    """Whether the output box of the operands' ``_boxes`` is centred on 0, so
+    that it holds -r for each of its cells r."""
+    return all(2 * (la + lb) + ea + eb == 2 for la, ea, lb, eb in zip(*bounds))
 
 
 def _check_sums(ra, rb) -> None:
@@ -694,7 +764,8 @@ def _dense_box_work(terms_a: int, bounds) -> int:
     a's padded rows; b's padded rows are at most twice the output box, and
     every other array at most the output box or the right operand.  A
     commutator builds the b * a operands only after the a * b ones are
-    freed, so this also bounds the memory of a call.
+    freed, and a one-side commutator adds only arrays of the output box's
+    size (``_minus_adjoint_box``), so this also bounds the memory of a call.
     """
     _, ext_a, _, ext_b = bounds
     ext = [x + y - 1 for x, y in zip(ext_a, ext_b)]
@@ -806,6 +877,29 @@ def _dense_box_kernel(th: ThetaMatrix, ra, ca, rb, cb, bounds, s1: int, s2: int)
         ba *= _phases(np.outer(i, _cocycle_rows(th, cells)[:, 0]))
         out += ba
     return out.reshape(ext)
+
+
+def _minus_adjoint_box(th: ThetaMatrix, x):
+    """x - x* on a box of cells centred on 0: c(r) = x(r) - conj(x(-r)) sigma(r, r).
+
+    -r is r's cell mirrored in C order, so x(-r) is the box read backwards,
+    and no cell is grouped.  The exponent of sigma(r, r) is w . r with w = r P
+    (``_adjoint_values``'): w depends only on the tail of r, so its first
+    term is omega(tail) r_0, an outer product, and when n > 2 the terms of
+    P's tail columns follow, one per tail cell.  The sum runs in
+    ``_exponents``' order, so each phase, and each cell, has the bits of the
+    adjoint's.
+    """
+    ext = x.shape
+    rows0, tail = ext[0], x.size // ext[0]
+    cells = np.zeros((tail, th.n), dtype=np.int64)  # each tail cell's multi-index, r_0 = 0
+    cells[:, 1:] = np.indices(ext[1:]).reshape(th.n - 1, tail).T - [(e - 1) // 2 for e in ext[1:]]
+    w = _cocycle_rows(th, cells)
+    exponent = (np.arange(rows0) - (rows0 - 1) // 2)[:, None] * w[:, 0]
+    for m in range(1, th.n - 1):
+        exponent = exponent + w[:, m] * cells[:, m]
+    flat = x.reshape(rows0, tail)
+    return (flat - _cmul(np.conj(flat[::-1, ::-1]), _phases(exponent))).reshape(ext)
 
 
 @functools.lru_cache(maxsize=1)

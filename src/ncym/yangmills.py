@@ -29,7 +29,13 @@ is made once, by the first ``curvature`` call.  ``minimize`` alone writes
 the memo of its own iterates: it installs a line-search candidate's
 curvature, assembled from the line terms, before anything reads it, and
 drops an assembled memo for the iterate's own curvature before it stops
-there.  Independent seeds/sweeps can run concurrently.
+there.  ``minimize`` also writes its skew proof (``Connection._skew``) on
+the start, when the relative test ``_relative_skew_residue`` proves the
+potentials skew-adjoint, and on each candidate, a ``skew_part`` by
+construction; the curvature, gradient and line terms of a proved connection
+take the one-side box commutators of ``torus.signed_sums``.  The proof is a
+fact about potentials that never change, so it is never stale.  Independent
+seeds/sweeps can run concurrently.
 """
 
 from __future__ import annotations
@@ -48,7 +54,16 @@ from .errors import (
     NonFiniteValue,
     ShapeMismatch,
 )
-from .torus import ThetaMatrix, TorusElement, inner_sum, product_theta, signed_sums, tensor_embed
+from .torus import (
+    ThetaMatrix,
+    TorusElement,
+    inner_sum,
+    product_theta,
+    signed_sums,
+    skew_entry,
+    skew_residue,
+    tensor_embed,
+)
 
 IDEMPOTENCY_TOL = 1e-12
 COMPAT_TOL = 1e-10
@@ -159,9 +174,12 @@ class TorusMatrix:
         return all(not a.indices.any() for row in self.entries for a in row)
 
 
-def _matrix_sums(jobs) -> list:
+def _matrix_sums(jobs, _skew: bool = False) -> list:
     """[base + sum of the terms] for each (base, [(x, y, s), ...]) job, where a
     term is x @ y for s = 0 and the commutator [x, y] = x @ y - y @ x for s = -1.
+    ``_skew`` says that every commutator's operands are proved skew-adjoint;
+    it goes to ``signed_sums``, whose commutator terms are then the diagonal
+    entries' x[i][i] y[i][i] - y[i][i] x[i][i], commutators of skew elements.
 
     Entry (i, j) of a job is base[i][j] plus, term by term, the products
     x[i][k] y[k][j] over k ascending and then, for a commutator, the products
@@ -189,7 +207,7 @@ def _matrix_sums(jobs) -> list:
                     if s:
                         products += [(ye[i][k], xe[k][j], s, 0) for k in range(q) if not i == j == k]
                 entries.append((base.entries[i][j], products))
-    sums = iter(signed_sums(entries))
+    sums = iter(signed_sums(entries, _skew=_skew))
     return [
         TorusMatrix(base.theta, [[next(sums) for _ in range(base.q)] for _ in range(base.q)])
         for base, _ in jobs
@@ -208,7 +226,39 @@ def hs_inner(x: TorusMatrix, y: TorusMatrix) -> complex:
 
 
 def skew_part(m: TorusMatrix) -> TorusMatrix:
-    return (m - m.dagger()).scale(0.5)
+    """(m - m^dagger) / 2, bit for bit ``(m - m.dagger()).scale(0.5)``: entry
+    (i, j) is ``torus.skew_entry(m_ij, m_ji)``, elementwise when m_ij's rows
+    are the negated reverse of m_ji's."""
+    e = m.entries
+    return TorusMatrix(m.theta, [[skew_entry(e[i][j], e[j][i]) for j in range(m.q)] for i in range(m.q)])
+
+
+#: A potential is proved skew-adjoint when its ``_relative_skew_residue`` is
+#: at most this many ulp (float64 eps).  For a potential that ``skew_part``
+#: made, a_r = (m_r - conj(m_-r) s) / 2 with s the computed sigma(r, r) (the
+#: same bits at r and -r), the residue is a_r + conj(a_-r) s.  To first order
+#: in the unit roundoff u = eps / 2, with complex products good to sqrt(5) u,
+#: differences to u per part, an exact halving and |s|^2 within 2u of 1, it
+#: is (m_r (1 - |s|^2) - z d1 + (m_r - z) d2 - m_r d3 + (z - m_r)(d4 + d5)) / 2
+#: with z = conj(m_-r) s, |d1|, |d3|, |d5| <= sqrt(5) u and |d2|, |d4| <= u.
+#: For m skew up to rounding, as descent's A - t d is, |m_r| and |z| are
+#: |a_r| to first order, and the bound is (3 + 2 sqrt(5)) u |a_r| = 3.74 eps
+#: |a_r|, so 4 ulp of max_r |a_r|.  Far from skew, m can be larger than a;
+#: then a start that reads not skew keeps the full commutator path.
+SKEW_ULPS = 4
+
+
+def _relative_skew_residue(m: TorusMatrix) -> float:
+    """max_r |(m + m^dagger)_r| over max_r |m_r|, every entry and nothing
+    dropped; inf when an entry's rows are not the negated reverse of its
+    adjoint partner's (``torus.skew_residue``), so the support is not
+    symmetric; 0.0 for m = 0."""
+    e = m.entries
+    pairs = [skew_residue(e[i][j], e[j][i]) for i in range(m.q) for j in range(m.q)]
+    if None in pairs:
+        return math.inf
+    worst, scale = np.max(pairs, axis=0)  # NaN carries through
+    return float(worst / scale if scale else worst)
 
 
 class Projection:
@@ -240,10 +290,21 @@ def _cut(proj: Projection | None, m: TorusMatrix) -> TorusMatrix:
     return m if proj is None else proj.p @ m @ proj.p
 
 
+def _same(x: TorusMatrix, y: TorusMatrix) -> bool:
+    """Whether x and y hold the same terms with equal coefficients."""
+    return all(
+        np.array_equal(a.indices, b.indices) and np.array_equal(a.values, b.values)
+        for ra, rb in zip(x.entries, y.entries)
+        for a, b in zip(ra, rb)
+    )
+
+
 class Connection:
     """nabla_j = delta_j + A_j on A_Theta^q (or the corner cut by proj).
 
     A connection is validated once, at construction, and not changed after.
+    ``_skew`` is True once ``minimize`` has proved the potentials skew-adjoint;
+    its curvature, gradient and line terms then take the skew commutators.
     """
 
     def __init__(self, theta: ThetaMatrix, q: int, A, proj: Projection | None = None):
@@ -254,6 +315,15 @@ class Connection:
         self.proj = proj
         self._validate()
         self._curvature = None
+        self._skew = False
+
+    def _compressed(self, A) -> "Connection":
+        """The connection on this module with potentials A that are p-compressed
+        (p A_j p = A_j) for a constant p, so that no check can fail: not validated."""
+        c = object.__new__(Connection)
+        c.theta, c.q, c.n, c.A, c.proj = self.theta, self.q, self.n, tuple(A), self.proj
+        c._curvature, c._skew = None, False
+        return c
 
     def _validate(self):
         if len(self.A) != self.n:
@@ -374,7 +444,7 @@ def curvature(c: Connection) -> dict:
         for i, j in keys:
             ai, aj = c.A[i - 1], c.A[j - 1]
             jobs.append((aj.derive(i) - ai.derive(j), [(ai, aj, -1)]))
-        c._curvature = dict(zip(keys, _matrix_sums(jobs)))
+        c._curvature = dict(zip(keys, _matrix_sums(jobs, _skew=c._skew)))
     return c._curvature
 
 
@@ -408,7 +478,7 @@ def ym_gradient(c: Connection) -> Perturbation:
             acc = acc + fkj.derive(j)
             brackets.append((c.A[j - 1], fkj, -1))
         jobs.append((acc, brackets))
-    return Perturbation([_cut(c.proj, acc) for acc in _matrix_sums(jobs)])
+    return Perturbation([_cut(c.proj, acc) for acc in _matrix_sums(jobs, _skew=c._skew)])
 
 
 def gradient_norm(c: Connection) -> float:
@@ -506,7 +576,7 @@ class DescentTrace(list):
         self.steps = []
 
 
-def line_quartic(c: Connection, d) -> tuple:
+def line_quartic(c: Connection, d, _skew: bool = False) -> tuple:
     """(coeffs, terms): YM(A - t d) = sum_k coeffs[k] t^k, and terms[(i, j)] = (F1, F2).
 
     F_ij(A - t d) = F0 - t F1 + t^2 F2 with F0 the (memoised) curvature of ``c``,
@@ -515,7 +585,8 @@ def line_quartic(c: Connection, d) -> tuple:
     and F2 of every pair are one ``_matrix_sums`` call: each entry of F1 is
     summed over the 4q products of its two commutators, each entry of F2
     over 2q, and the pairwise products of all of them run as one pass.
-    ``minimize`` builds each candidate's curvature from ``terms``.
+    ``minimize`` builds each candidate's curvature from ``terms``, and says
+    by ``_skew`` when it has proved c's potentials and d skew-adjoint.
     """
     f0s = curvature(c)
     jobs = []
@@ -523,7 +594,7 @@ def line_quartic(c: Connection, d) -> tuple:
         ai, aj, di, dj = c.A[i - 1], c.A[j - 1], d[i - 1], d[j - 1]
         jobs.append((dj.derive(i) - di.derive(j), [(ai, dj, -1), (di, aj, -1)]))
         jobs.append((TorusMatrix.zeros(c.theta, c.q), [(di, dj, -1)]))
-    sums = iter(_matrix_sums(jobs))
+    sums = iter(_matrix_sums(jobs, _skew=_skew))
     terms = {key: (next(sums), next(sums)) for key in f0s}
     c0 = c1 = c2 = c3 = c4 = 0.0
     for key, f0 in f0s.items():
@@ -572,16 +643,26 @@ def minimize(
     (unpreconditioned) gradient norm falls under ``grad_tol``, else after
     ``max_iters`` steps or when no step lowers YM.
 
+    The start is proved skew-adjoint when every potential's
+    ``_relative_skew_residue`` is at most ``SKEW_ULPS`` ulp, a test relative
+    to the potentials' size; every candidate is a skew part, so it is proved
+    by construction.  A proved iterate's commutators, in its curvature,
+    gradient and line terms, are formed from one product each
+    (``torus.signed_sums``' ``_skew``).  With a constant p and a start equal
+    to its own cut p A p, every candidate is p-compressed, since mode
+    division and ``skew_part`` commute with p, and is built without
+    ``Connection._validate``.
+
     A candidate's curvature is F0 - t F1 + t^2 F2 from ``line_quartic``'s
     terms, installed as its memo before ``ym_value`` reads it, so it costs no
     star product; an accepted one's gradient and next quartic use it as their
     F0, so rounding carries over between steps.  It is installed only when
-    the iterate's potentials are skew (F0 - t F1 + t^2 F2 is the curvature of
-    A - t d, not of its skew part; every accepted candidate is skew, so only
-    a start may not be), when the quartic predicts that YM at least halves,
-    so that an assembled YM never decides a close comparison, and when the
-    candidate is not the one that the gradient norm's last rate of fall
-    predicts to be the last.  A stop is decided on the iterate's own
+    the iterate's potentials are proved skew (F0 - t F1 + t^2 F2 is the
+    curvature of A - t d, not of its skew part; every accepted candidate is
+    skew, so only a start may not be), when the quartic predicts that YM at
+    least halves, so that an assembled YM never decides a close comparison,
+    and when the candidate is not the one that the gradient norm's last rate
+    of fall predicts to be the last.  A stop is decided on the iterate's own
     curvature: should the loop stop at an iterate whose memo was assembled
     all the same, the memo is dropped, its YM in the trace is taken again
     from its potentials, and the iteration is repeated.  So the stop reason,
@@ -592,13 +673,18 @@ def minimize(
     at the start and after every accepted step (non-increasing by
     construction), the stop reason, the gradient norms and the steps.  One
     DEBUG line per step and one for the stop go to the ``ncym.yangmills``
-    logger.
+    logger; the stop line says whether the start was proved skew, with its
+    relative residue, and so which commutator path ran.
     """
     c = c0
+    residue = float(np.max([_relative_skew_residue(a) for a in c.A], initial=0.0))
+    c._skew = start_skew = residue <= SKEW_ULPS * float(np.finfo(float).eps)
+    # with a constant p, a p-compressed start makes every candidate p-compressed
+    proj = c.proj
+    compressed = proj is None or (proj.p.is_constant() and all(_same(_cut(proj, a), a) for a in c.A))
     f0 = ym_value(c)
     if not math.isfinite(f0):
         raise NonFiniteValue("YM not finite at the starting connection", iteration=0)
-    skew = all(not (a + a.dagger()).l1() for a in c.A)
     assembled = False  # c's memo came from the line terms, not from its potentials
     trace = DescentTrace([f0], "max_iters")
     it = 0
@@ -608,20 +694,20 @@ def minimize(
         reason = "converged" if gn <= grad_tol else "max_iters" if it == max_iters else None
         if reason is None:
             d = [skew_part(_inverse_laplacian(m)) for m in g.components]
-            coeffs, terms = line_quartic(c, d)
+            coeffs, terms = line_quartic(c, d, _skew=c._skew)
             if not all(map(math.isfinite, coeffs)):
                 raise NonFiniteValue(f"line-search quartic not finite at iteration {it}", iteration=it)
             t = _quartic_step(coeffs)
             f1 = math.inf  # stays when no stationary point lies at t > 0: no candidate
             if t is not None:
-                cand = Connection(
-                    c.theta, c.q, [skew_part(a - m.scale(t)) for a, m in zip(c.A, d)], c.proj
-                )
+                A = [skew_part(a - m.scale(t)) for a, m in zip(c.A, d)]
+                cand = c._compressed(A) if compressed else Connection(c.theta, c.q, A, c.proj)
+                cand._skew = True
                 # the gradient norm falls by a near-constant factor per step: at
                 # that rate this candidate is the last, and its stop needs the
                 # curvature of its potentials
                 last = bool(trace.gradient_norms) and gn * gn <= grad_tol * trace.gradient_norms[-1]
-                installed = skew and not last and np.polyval(coeffs[::-1], t) < 0.5 * f0
+                installed = c._skew and not last and np.polyval(coeffs[::-1], t) < 0.5 * f0
                 if installed:
                     cand._curvature = {
                         key: c._curvature[key] - lin.scale(t) + quad.scale(t * t)
@@ -645,11 +731,18 @@ def minimize(
             break
         log.debug("minimize iteration %d: ym %.6e, gradient norm %.3e, step %.6e", it, f0, gn, t)
         c, f0 = cand, f1
-        assembled, skew = installed, True
+        assembled = installed
         trace.append(f0)
         trace.steps.append(t)
         it += 1
-    log.debug("minimize stopped: %s after %d steps, ym %.6e", trace.reason, len(trace.steps), f0)
+    log.debug(
+        "minimize stopped: %s after %d steps, ym %.6e; start %s skew, relative residue %.2e",
+        trace.reason,
+        len(trace.steps),
+        f0,
+        "proved" if start_skew else "not proved",
+        residue,
+    )
     return c, trace
 
 

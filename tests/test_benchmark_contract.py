@@ -125,11 +125,13 @@ def _literal_matmul(x, y):
     return TorusMatrix(x.theta, rows)
 
 
-def _literal_commutators(jobs):
+def _literal_commutators(jobs, _skew=False):
     """base + (x @ y) - (y @ x) + ... per job of (x, y, s) terms, x @ y for
     s = 0 and [x, y] for s = -1, with ``@`` spelled as element ``*`` and
     ``+``: the expressions ``_matrix_sums`` replaced, each star product of
-    them counted by the tracer at ``TorusElement.__mul__``."""
+    them counted by the tracer at ``TorusElement.__mul__``.  ``_skew`` is
+    accepted as ``_matrix_sums`` accepts it; the literal expressions are the
+    same for skew operands."""
     out = []
     for base, terms in jobs:
         for x, y, s in terms:
@@ -158,13 +160,13 @@ def test_torus_product_work_and_kernel_boundary(monkeypatch):
     passes_per_sum = []  # pairwise kernel calls inside each signed_sums call
 
     def entered(name, fn, products_of):
-        def call(*args):
+        def call(*args, **kwargs):
             route.append(name)
             products = products_of(*args)
             (star_entries if name == "star" else summed).extend(products)
             before = len(kernel_products)
             try:
-                return fn(*args)
+                return fn(*args, **kwargs)
             finally:
                 route.pop()
                 if name == "sum":

@@ -25,7 +25,7 @@ from ncym import (
 )
 from ncym import sampling, torus
 from ncym.torus import signed_sums
-from ncym.yangmills import TorusMatrix, _inverse_laplacian, _matrix_sums, line_quartic
+from ncym.yangmills import TorusMatrix, _inverse_laplacian, _matrix_sums, line_quartic, skew_part
 
 COEFF_TOL = 1e-12
 
@@ -1086,6 +1086,143 @@ def test_one_pairwise_pass_per_curvature_gradient_and_quartic(monkeypatch):
         calls.update(pairwise=[], box=0)
         step()
         assert len(calls["pairwise"]) == 1 and calls["box"] == 0
+
+
+# -- skew commutators from one product ---------------------------------------------
+
+
+def skew_ball(th, radius, gen):
+    """(m - m*) / 2 for random coefficients m on the ball of ``radius`` about 0:
+    skew, with a support symmetric about 0, as ``skew_part`` makes potentials."""
+    m = ball(th, radius, 0, gen)
+    return torus.skew_entry(m, m)
+
+
+def one_side_box(th, ops, bounds, s1):
+    """x - x* with x = s1 a * b, the box of the kernel's s2 = 0 call."""
+    return torus._minus_adjoint_box(th, torus._dense_box_kernel(th, *ops, bounds, s1, 0))
+
+
+@pytest.mark.parametrize("n,radius", [(2, 5), (3, 3)])
+def test_one_side_box_matches_the_full_kernel(n, radius):
+    """For skew a and b, (a * b)* = b * a, so x - x* with x = s1 a * b is the
+    commutator s1 (a * b - b * a): every cell within ``kernel_tolerance`` of
+    the full kernel's, for n = 2 and for n = 3, where P's tail column 1 is
+    nonzero and sigma(r, r) takes its tail term."""
+    gen = sampling.rng(70 + n)
+    th = sampling.random_theta(n, gen)
+    assert n == 2 or th._pair_mat[:, 1].any()
+    for _ in range(3):
+        a, b = skew_ball(th, radius, gen), skew_ball(th, radius - 1, gen)
+        ops = a.indices, a.values, b.indices, b.values
+        bounds = torus._boxes(a.indices, b.indices)
+        assert torus._takes_box(*ops) and torus._centred(bounds)
+        for s1 in (1, -1):
+            full = torus._dense_box_kernel(th, *ops, bounds, s1, -s1)
+            assert np.abs(one_side_box(th, ops, bounds, s1) - full).max() <= kernel_tolerance(a, b)
+
+
+@pytest.mark.parametrize("n,radius", [(2, 4), (3, 3)])
+def test_one_side_box_is_x_minus_its_adjoint_bit_for_bit(n, radius):
+    """Each cell of the one-side box has the bits of x(r) - x*(r), x the
+    s2 = 0 kernel's box and x* formed on its cells as ``TorusElement.adjoint``
+    forms it, with nothing dropped."""
+    gen = sampling.rng(72 + n)
+    th = sampling.random_theta(n, gen)
+    a, b = ball(th, radius, 0, gen), ball(th, radius - 1, 0, gen)
+    ops = a.indices, a.values, b.indices, b.values
+    bounds = torus._boxes(a.indices, b.indices)
+    assert torus._takes_box(*ops) and torus._centred(bounds)
+    for s1 in (1, -1):
+        x = torus._dense_box_kernel(th, *ops, bounds, s1, 0)
+        lo = [u + v for u, v in zip(bounds[0], bounds[2])]
+        rows = np.stack(np.unravel_index(np.arange(x.size), x.shape), axis=1) + lo
+        assert (rows == -rows[::-1]).all()
+        cells = x.ravel()
+        want = cells - torus._adjoint_values(th, rows, cells)[::-1]
+        assert torus._minus_adjoint_box(th, x).ravel().tobytes() == want.tobytes()
+
+
+def test_only_flagged_centred_box_commutators_take_one_side(theta2, monkeypatch):
+    """``signed_sums`` takes the one-side path for a box commutator (s2 = -s1)
+    of a call flagged ``_skew`` whose output box is centred on 0, and for
+    nothing else: not unflagged, not off centre, not for a product or
+    s2 = s1, not for a pairwise term.  Every sum stays within the loop's
+    bound."""
+    gen = sampling.rng(75)
+    a, b = skew_ball(theta2, 5, gen), skew_ball(theta2, 4, gen)
+    off, small = ball(theta2, 4, 3, gen), skew_ball(theta2, 1, gen)
+    assert not torus._takes_box(small.indices, small.values, a.indices, a.values)
+    zero = TorusElement.zero(theta2)
+    one_side, real = [], torus._minus_adjoint_box
+    monkeypatch.setattr(torus, "_minus_adjoint_box", lambda th, x: one_side.append(x.shape) or real(th, x))
+    cases = [
+        ([(a, b, 1, -1)], True, 1),
+        ([(b, a, -1, 1)], True, 1),
+        ([(a, b, 1, -1)], False, 0),
+        ([(a, off, 1, -1)], True, 0),
+        ([(a, b, 1, 0)], True, 0),
+        ([(a, b, 1, 1)], True, 0),
+        ([(small, a, 1, -1)], True, 0),
+        ([(a, b, 1, -1), (small, a, -1, 1), (b, a, 1, -1)], True, 2),
+    ]
+    for terms, flag, taken in cases:
+        one_side.clear()
+        (got,) = signed_sums([(zero, terms)], _skew=flag)
+        assert len(one_side) == taken
+        assert coeff_distance(got, literal_signed_sum(zero, terms)) <= signed_sum_tolerance(zero, terms)
+
+
+def near_drop_matrix(th, q, gen, paired):
+    """q x q random entries whose terms have moduli of order 1, from
+    ``CANONICAL_EPS`` to 4 ``CANONICAL_EPS``, or within a few ulp of
+    ``CANONICAL_EPS``, so that the adjoint's phases, the difference and the
+    halving can each drop a term.  Entry (j, i)'s rows are entry (i, j)'s
+    negated when ``paired`` (a diagonal entry's support symmetric about 0),
+    else drawn apart."""
+
+    def keys():
+        return {tuple(int(x) for x in gen.integers(-3, 4, size=th.n)) for _ in range(gen.integers(1, 9))}
+
+    def modulus():
+        kind = gen.integers(3)
+        if kind == 0:
+            return gen.normal()
+        return CANONICAL_EPS * (gen.uniform(1.0, 4.0) if kind == 1 else 1.0 + 2e-16 * gen.integers(4))
+
+    def element(rows):
+        return TorusElement(th, {r: modulus() * cmath.exp(2j * math.pi * gen.random()) for r in rows})
+
+    def negated(rows):
+        return {tuple(-x for x in r) for r in rows}
+
+    entries = [[None] * q for _ in range(q)]
+    for i in range(q):
+        for j in range(i, q):
+            rows = keys()
+            if i == j:
+                entries[i][i] = element(rows | negated(rows) if paired else rows)
+            else:
+                entries[i][j] = element(rows)
+                entries[j][i] = element(negated(rows) if paired else keys())
+    return TorusMatrix(th, entries)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_skew_part_is_the_grouped_difference_bit_for_bit(q):
+    """``skew_part`` has the bits of (m - m^dagger) / 2 through the grouped
+    sum and the scale, on paired supports (the elementwise form) and on
+    supports drawn apart, with terms near ``CANONICAL_EPS``."""
+    gen = sampling.rng(80 + q)
+    forms = {True: 0, False: 0}
+    for k in range(120):
+        th = sampling.random_theta(2 + k % 2, gen)
+        m = near_drop_matrix(th, q, gen, paired=k % 3 != 0)
+        got, want = skew_part(m), (m - m.dagger()).scale(0.5)
+        for i, j in itertools.product(range(q), repeat=2):
+            assert bits(got.entries[i][j]) == bits(want.entries[i][j])
+            forms[torus._paired_adjoint(m.entries[i][j], m.entries[j][i]) is not None] += 1
+    assert min(forms.values()) >= 30
 
 
 # -- construction and the canonical form -------------------------------------------

@@ -2,7 +2,9 @@
 
 import json
 import logging
+import itertools
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -26,11 +28,13 @@ from ncym import (
     ym_gradient,
     ym_value,
 )
-from ncym import cli, config as cfg, sampling, yangmills
+from ncym import cli, config as cfg, sampling, torus, yangmills
 from test_torus import bits, coeff_distance, dict_pass_signed_sum, signed_sum_tolerance
 from ncym.yangmills import (
     COMPAT_TOL,
+    SKEW_ULPS,
     _kron_matrix,
+    _relative_skew_residue,
     compatibility_bound,
     compatibility_deviation,
     hs_inner,
@@ -115,7 +119,9 @@ def test_projected_connection_is_checked_at_construction_only(monkeypatch):
     c = random_connection(th, 2, sampling.rng(31), radius=1, proj=proj)
     calls = []  # entries per signed_sums call
     real = yangmills.signed_sums
-    monkeypatch.setattr(yangmills, "signed_sums", lambda entries: calls.append(len(entries)) or real(entries))
+    monkeypatch.setattr(
+        yangmills, "signed_sums", lambda entries, **kw: calls.append(len(entries)) or real(entries, **kw)
+    )
     ym = ym_value(c)
     assert ym > 0.0 and calls == [4]  # one pair i < j, q^2 entries
     assert ym_value(c) == ym and calls == [4]
@@ -719,6 +725,7 @@ def test_assembled_curvature_matches_direct_at_every_iterate(name, monkeypatch):
         distance = sum((assembled[key] - direct[key]).l1() for key in direct)
         assert distance <= ASSEMBLED_CURVATURE_RTOL * ref
     fresh = Connection(c.theta, c.q, c.A, c.proj)
+    fresh._skew = c._skew  # the skew proof minimize wrote on c: the same commutator path
     assert all((curvature(c)[key] - m).l1() == 0.0 for key, m in curvature(fresh).items())
     assert trace[-1] == ym_value(fresh)
     assert trace.gradient_norms[-1] == gradient_norm(fresh) <= options.get("grad_tol", 1e-8)
@@ -771,7 +778,9 @@ def test_minimize_takes_candidate_curvature_from_the_line_terms(monkeypatch):
     c0 = _descent_start(5000)
     calls = []
     real_sums, real_ym = yangmills.signed_sums, yangmills.ym_value
-    monkeypatch.setattr(yangmills, "signed_sums", lambda entries: calls.append(len(entries)) or real_sums(entries))
+    monkeypatch.setattr(
+        yangmills, "signed_sums", lambda entries, **kw: calls.append(len(entries)) or real_sums(entries, **kw)
+    )
     evaluated = []
     monkeypatch.setattr(yangmills, "ym_value", lambda c: evaluated.append(c) or real_ym(c))
     _, trace = minimize(c0)
@@ -806,6 +815,124 @@ def test_minimize_logs_each_iteration_at_debug(caplog):
     for r, t in zip(records, trace.steps):
         assert "gradient norm" in r.getMessage() and f"step {t:.6e}" in r.getMessage()
     assert "stopped: max_iters after 3 steps" in records[-1].getMessage()
+
+
+#: the relative residue that proves a potential skew
+SKEW_BOUND = SKEW_ULPS * sys.float_info.epsilon
+
+
+@pytest.mark.parametrize("s", [1e-13, 1e-14])
+def test_a_hermitian_part_reads_not_skew_at_every_scale(s):
+    """theta = 0.3, A_1 = A_2 = s (U^(1,0) - 1.05 U^(-1,0)): A + A* holds
+    -0.05 s at (1, 0) and (-1, 0), 1/21 of max |A| at every s.  At s = 1e-14
+    that is 5e-16 per coefficient, under ``CANONICAL_EPS``, where the trimmed
+    sum a + a* is zero; the relative test reads not skew at both scales, and
+    ``minimize`` writes that on the start."""
+    th = theta2(0.3)
+    a = TorusMatrix(th, [[TorusElement(th, {(1, 0): s, (-1, 0): -1.05 * s})]])
+    assert _relative_skew_residue(a) == pytest.approx(0.05 / 1.05, rel=1e-12)
+    c0 = Connection(th, 1, [a, a])
+    minimize(c0, max_iters=0)
+    assert c0._skew is False
+
+
+def test_library_made_potentials_are_proved_skew_with_margin():
+    """200 ``random_connection`` draws, q = 1 and 2 on n = 2 and 3: every
+    potential's support is symmetric and its relative residue at most half
+    the bound."""
+    for (q, n), k in itertools.product(itertools.product((1, 2), (2, 3)), range(50)):
+        gen = sampling.rng(1000 * q + 100 * n + k)
+        c = random_connection(sampling.random_theta(n, gen), q, gen, radius=2, amplitude=0.1)
+        assert all(_relative_skew_residue(a) <= 0.5 * SKEW_BOUND for a in c.A)
+
+
+def test_one_side_descent_matches_the_full_commutators(monkeypatch):
+    """A start proved skew descends on the one-side box commutators; with the
+    flag withheld from ``signed_sums`` every commutator takes the full kernel.
+    The two descents agree within the bounds of
+    ``test_non_skew_start_descends_as_with_direct_curvatures``."""
+    one_side, real_box = [], torus._minus_adjoint_box
+    monkeypatch.setattr(torus, "_minus_adjoint_box", lambda th, x: one_side.append(1) or real_box(th, x))
+    c0 = _descent_start(5000)
+    c, trace = minimize(c0)
+    assert c0._skew and c._skew and one_side
+    flags, real = [], yangmills.signed_sums
+    monkeypatch.setattr(
+        yangmills, "signed_sums", lambda entries, _skew=False: flags.append(_skew) or real(entries)
+    )
+    one_side.clear()
+    _, full = minimize(_descent_start(5000))
+    assert any(flags) and not one_side
+    monkeypatch.undo()
+    assert (trace.reason, len(trace)) == (full.reason, len(full)) == ("converged", len(trace))
+    assert all(abs(a - b) <= 1e-12 * full[0] for a, b in zip(trace, full))
+    assert all(abs(a - b) <= 1e-6 * b for a, b in zip(trace.steps, full.steps))
+    scale = full.gradient_norms[0]
+    assert all(abs(a - b) <= 1e-12 * scale for a, b in zip(trace.gradient_norms, full.gradient_norms))
+
+
+def _projected_random_start():
+    th = theta2(0.3)
+    proj = Projection(TorusMatrix.from_scalar_matrix(th, [[0.5, -0.5j], [0.5j, 0.5]]))
+    return random_connection(th, 2, sampling.rng(12), radius=1, amplitude=0.2, proj=proj), {"max_iters": 20}
+
+
+def _uncompressed_start():
+    """A skew start on the corner of p = diag(1, 0) that keeps the module but
+    is not p-compressed: its (2, 2) entry is nonzero."""
+    th = theta2(0.3)
+    proj = Projection(TorusMatrix.from_scalar_matrix(th, [[1.0, 0.0], [0.0, 0.0]]))
+    gen = sampling.rng(13)
+    x, y = (m - m.adjoint() for m in (sampling.random_element(th, gen, 1, 4, 0.2) for _ in "xy"))
+    z = TorusElement.zero(th)
+    a1 = TorusMatrix(th, [[x, z], [z, y]])
+    return Connection(th, 2, [a1, TorusMatrix.zeros(th, 2)], proj), {"max_iters": 5}
+
+
+@pytest.mark.parametrize(
+    "start, compressed",
+    [
+        (lambda: _config_start("torus_minimize_projected.json"), True),
+        (_projected_random_start, True),
+        (_uncompressed_start, False),
+    ],
+    ids=["config", "random", "not-compressed"],
+)
+def test_candidates_are_validated_only_when_not_proved_compressed(start, compressed, monkeypatch):
+    """With a constant p and a p-compressed start, every candidate is
+    p-compressed: ``minimize`` builds them without ``Connection._validate``,
+    which would have passed on each.  A start that is not p-compressed has
+    every candidate validated."""
+    c0, options = start()
+    validated, real_validate = [], Connection._validate
+    monkeypatch.setattr(Connection, "_validate", lambda c: validated.append(c) or real_validate(c))
+    made, real_compressed = [], Connection._compressed
+    monkeypatch.setattr(
+        Connection, "_compressed", lambda c, A: made.append(real_compressed(c, A)) or made[-1]
+    )
+    _, trace = minimize(c0, **options)
+    monkeypatch.undo()
+    assert len(trace.steps) >= 1
+    if compressed:
+        assert validated == [] and len(made) >= len(trace.steps)
+        for cand in made:
+            real_validate(cand)
+    else:
+        assert made == [] and len(validated) >= len(trace.steps)
+
+
+def test_minimize_stop_line_says_whether_the_start_was_proved_skew(caplog):
+    """The DEBUG stop line names the commutator path: whether the start was
+    proved skew, and its relative residue."""
+    with caplog.at_level(logging.DEBUG, logger="ncym"):
+        minimize(_descent_start(26), max_iters=1)
+        minimize(_parsed_start(NON_SKEW_START)[0], max_iters=1)
+    stops = [r.getMessage() for r in caplog.records if "minimize stopped" in r.getMessage()]
+    assert len(stops) == 2
+    assert "; start proved skew, relative residue " in stops[0]
+    assert "; start not proved skew, relative residue " in stops[1]
+    residues = [float(line.rsplit(" ", 1)[1]) for line in stops]
+    assert residues[0] <= SKEW_BOUND < residues[1]
 
 
 def test_degenerate_one_torus():
