@@ -83,7 +83,13 @@ commutator s1 (a * b - b * a) whose output box is centred on 0 is x - x*
 with x = s1 a * b, the kernel's a * b side alone (s2 = 0), and x* is formed
 on the same cells with no grouping (``_minus_adjoint_box``): b * a's shifted
 operand, its phase tables and its matmul are not built.  Skewness is never
-inferred from the values.  Every
+inferred from the values.  That path builds no phase table per call: it
+reads one table of sigma(r, r) per theta (``_sigma_table``), on the
+smallest box centred on 0 that holds every one-side output box since theta
+last changed.  x*'s phases are its slice and, for n = 2, a * b's left
+phases e(w_0 s_0) are a gather from it, as both are e(r_0 (P[1][0] r_1))
+at integer cells; every phase has the bits it has when formed directly.
+Unflagged calls form their phase tables per call.  Every
 other term (few pairs, a far-out term that makes the box huge, a non-finite
 coefficient) runs the pairwise kernel (``_pairwise_kernel``) as a * b and
 then b * a, in one pass over the pairwise products of all the entries: the
@@ -103,7 +109,9 @@ the theta checks between them are identity checks.
 
 All operations are pure functions of their inputs and values are never
 mutated after construction, so anything here may run concurrently on shared
-elements.
+elements.  The one module state that they change, the sigma(r, r) slot, is
+a tuple replaced whole by one assignment and its table is never written, so
+a concurrent call reads a whole table for its own theta (``_sigma_table``).
 """
 
 from __future__ import annotations
@@ -525,7 +533,8 @@ def signed_sums(entries, _skew: bool = False) -> list:
     skew-adjoint (``yangmills.minimize`` does, for its iterates); then a box
     commutator whose output box is centred on 0 (``_centred``) is
     s1 (x - x*) from the kernel's a * b side alone (``_minus_adjoint_box``),
-    equal to the full kernel's up to rounding.  Any other term, and every
+    equal to the full kernel's up to rounding, its phases read from one
+    sigma(r, r) table per theta (``_sigma_table``).  Any other term, and every
     term of a call without ``_skew``, takes the path below.  The
     one entry point of the star-product kernels: a single product, and the
     entries of matrix products and of sums of commutators, as
@@ -557,7 +566,7 @@ def signed_sums(entries, _skew: bool = False) -> list:
             ops = (a.indices, a.values, b.indices, b.values)
             bounds = _takes_box(*ops)
             if bounds:
-                _check_sums(a.indices, b.indices)
+                _check_sums(_reach(*bounds[:2]), _reach(*bounds[2:]))
                 boxed.append((e, ops, bounds, s1, s2, _skew and s2 == -s1 and _centred(bounds)))
             else:
                 pair_entries.append(e)
@@ -573,7 +582,8 @@ def signed_sums(entries, _skew: bool = False) -> list:
     parts = [(np.repeat(pair_entries, sizes), *_pairwise_kernel(th, products))] if products else []
     for e, ops, bounds, s1, s2, one_side in boxed:
         if one_side:
-            box = _minus_adjoint_box(th, _dense_box_kernel(th, *ops, bounds, s1, 0))
+            sigma = _sigma_table(th, [(ea + eb - 2) // 2 for ea, eb in zip(bounds[1], bounds[3])])
+            box = _minus_adjoint_box(th, _dense_box_kernel(th, *ops, bounds, s1, 0, sigma=sigma))
         else:
             box = _dense_box_kernel(th, *ops, bounds, s1, s2)
         cells = box.ravel()
@@ -612,9 +622,15 @@ def _centred(bounds) -> bool:
     return all(2 * (la + lb) + ea + eb == 2 for la, ea, lb, eb in zip(*bounds))
 
 
-def _check_sums(ra, rb) -> None:
-    """``IndexOutOfRange`` if an entry of r + s, r a row of ra and s one of rb, could leave int64."""
-    reach_a, reach_b = (int(np.abs(r).max()) for r in (ra, rb))
+def _reach(lo, ext) -> int:
+    """The largest magnitude of an entry in the box of least multi-index ``lo``
+    and extents ``ext``, lists of Python ints as ``_boxes`` gives them."""
+    return max(max(abs(x), abs(x + e - 1)) for x, e in zip(lo, ext))
+
+
+def _check_sums(reach_a: int, reach_b: int) -> None:
+    """``IndexOutOfRange`` if an entry of r + s could leave int64, r's entries
+    at most ``reach_a`` and s's at most ``reach_b`` in magnitude."""
     if reach_a + reach_b > _INDEX_LIMIT:
         raise IndexOutOfRange(
             f"multi-index entries up to {reach_a} and {reach_b} in magnitude: "
@@ -718,10 +734,10 @@ def _pairwise_kernel(th: ThetaMatrix, products):
     ras, cas, rbs, cbs = zip(*products)
     ra, ca, rb, cb = (np.concatenate(x) for x in (ras, cas, rbs, cbs))
     try:
-        _check_sums(ra, rb)
+        _check_sums(int(np.abs(ra).max()), int(np.abs(rb).max()))
     except IndexOutOfRange:  # raised again by the first product whose sums may leave int64
         for x, y in zip(ras, rbs):
-            _check_sums(x, y)
+            _check_sums(int(np.abs(x).max()), int(np.abs(y).max()))
     na = np.array([len(c) for c in cas])
     nb = np.array([len(c) for c in cbs])
     # each left term takes its product's right terms in order: a block of
@@ -766,6 +782,9 @@ def _dense_box_work(terms_a: int, bounds) -> int:
     commutator builds the b * a operands only after the a * b ones are
     freed, and a one-side commutator adds only arrays of the output box's
     size (``_minus_adjoint_box``), so this also bounds the memory of a call.
+    The sigma(r, r) table that a one-side commutator reads outlives the
+    call, but is bounded by the largest one-side output box for the current
+    theta (``_sigma_table``).
     """
     _, ext_a, _, ext_b = bounds
     ext = [x + y - 1 for x, y in zip(ext_a, ext_b)]
@@ -774,7 +793,7 @@ def _dense_box_work(terms_a: int, bounds) -> int:
     return math.prod(ext) + groups * ext_b[0] * per_row
 
 
-def _dense_box_kernel(th: ThetaMatrix, ra, ca, rb, cb, bounds, s1: int, s2: int):
+def _dense_box_kernel(th: ThetaMatrix, ra, ca, rb, cb, bounds, s1: int, s2: int, *, sigma=None):
     """s1 (a * b) + s2 (b * a) over the dense output box of a * b, s1 -1 or 1 and s2 -1, 0 or 1.
 
     ``bounds`` are the operands' ``_boxes``; the result is the box's complex
@@ -806,7 +825,12 @@ def _dense_box_kernel(th: ThetaMatrix, ra, ca, rb, cb, bounds, s1: int, s2: int)
     difference of two.  The factors of the tail, e(w_tail . s_tail) and e(u),
     go on the right operands, and only for P's nonzero columns 1 .. n - 2:
     with none, as for every n = 2, they are exactly 1 and are left out.
-    Every array the kernel builds is bounded by ``_dense_box_work``.
+    Every array the kernel builds is bounded by ``_dense_box_work``, and
+    each is built only where it is read: t for the tail factors and b * a,
+    w for the tail factors and a * b's left phases.  A one-side commutator
+    of ``signed_sums`` passes its ``_sigma_table`` as ``sigma``: for n = 2
+    the left phases are then read from it (``_sigma_left``) when their
+    cells lie in it.
     """
     n, p = th.n, th._pair_mat
     ext = [x + y - 1 for x, y in zip(bounds[1], bounds[3])]
@@ -835,7 +859,9 @@ def _dense_box_kernel(th: ThetaMatrix, ra, ca, rb, cb, bounds, s1: int, s2: int)
     toeplitz = as_strided(padded, (rows0, groups, b0), (step, across, step))[:, :, ::-1]
     last = int(shift[-1])
     at_b = (rb[:, 0] - lo_b[0], last + (rb[:, 1:] - lo_b[1:]) @ stride)
-    t = np.indices(ext[1:]).reshape(n - 1, tail)  # each output tail cell's offsets
+    tails = [k for k in range(1, n - 1) if p[:, k].any()]
+    if tails or s2:
+        t = np.indices(ext[1:]).reshape(n - 1, tail)  # each output tail cell's offsets
 
     def shifted(values):
         """right[g, j, t] = the value of b's term at (j, t - shift[g]), zero off b."""
@@ -857,13 +883,15 @@ def _dense_box_kernel(th: ThetaMatrix, ra, ca, rb, cb, bounds, s1: int, s2: int)
         left = np.multiply(toeplitz, left_phase, out=np.empty((rows0, groups, b0), dtype=complex))
         return left.reshape(rows0, -1) @ right.reshape(-1, tail)
 
-    tails = [k for k in range(1, n - 1) if p[:, k].any()]
-    w = _cocycle_rows(th, r)
     right = shifted(cb)
-    if tails:
-        right *= tail_phases([(w[:, k], k) for k in tails])
+    phase = None if sigma is None or n != 2 else _sigma_left(sigma, bounds, r[:, 1])
+    if phase is None:
+        w = _cocycle_rows(th, r)
+        if tails:
+            right *= tail_phases([(w[:, k], k) for k in tails])
+        phase = _phases(np.outer(w[:, 0], lo_b[0] + np.arange(b0)))
     # the signs ride on the left operands' phases: a multiply by -1 is exact
-    out = side(s1 * _phases(np.outer(w[:, 0], lo_b[0] + np.arange(b0))), right)
+    out = side(s1 * phase, right)
     if s2:
         del right  # at most one side's operands live at a time
         v = _cocycle_rows(th, rb)[:, 0]
@@ -883,23 +911,83 @@ def _minus_adjoint_box(th: ThetaMatrix, x):
     """x - x* on a box of cells centred on 0: c(r) = x(r) - conj(x(-r)) sigma(r, r).
 
     -r is r's cell mirrored in C order, so x(-r) is the box read backwards,
-    and no cell is grouped.  The exponent of sigma(r, r) is w . r with w = r P
+    and no cell is grouped.  sigma(r, r) is the box's slice of
+    ``_sigma_table``, each cell with the bits of the adjoint's phase.
+    """
+    half = [(e - 1) // 2 for e in x.shape]
+    top, table = _sigma_table(th, half)
+    sigma = table[tuple(slice(t - h, t + h + 1) for t, h in zip(top, half))]
+    return x - _cmul(np.conj(np.flip(x)), sigma)
+
+
+#: The last sigma(r, r) table, (theta, half-extents, read-only table), or None;
+#: ``_sigma_table`` reads it and replaces it whole.
+_sigma_slot = None
+
+
+def _sigma_table(th: ThetaMatrix, half):
+    """(top, table): sigma(r, r) on the box of cells centred on 0 with
+    half-extents ``top``, cell r at r + top, where top holds ``half``
+    elementwise.
+
+    The table is the last call's when theta is equal to its theta and its
+    box holds this one; otherwise it is built on the box of the
+    elementwise max of both half-extents for the same theta, or of
+    ``half`` for another theta, and replaces the last one.  So for one
+    theta it is the smallest centred box that holds every box asked for
+    since theta last changed: up to that box's 16 bytes per cell, kept
+    after the call.  Each cell depends only on theta and r, so a slice has
+    the bits of a table built on the slice's own box.
+
+    The exponent of sigma(r, r) is w . r with w = r P
     (``_adjoint_values``'): w depends only on the tail of r, so its first
     term is omega(tail) r_0, an outer product, and when n > 2 the terms of
     P's tail columns follow, one per tail cell.  The sum runs in
-    ``_exponents``' order, so each phase, and each cell, has the bits of the
-    adjoint's.
+    ``_exponents``' order, so each phase has the bits of the adjoint's.
+
+    Threads: a call reads ``_sigma_slot`` once and uses that tuple or the
+    one it builds, which it stores by one assignment; a stored table is
+    never written, so concurrent calls each read a whole table for their
+    own theta, and a table lost to a concurrent store is only built again.
     """
-    ext = x.shape
-    rows0, tail = ext[0], x.size // ext[0]
+    global _sigma_slot
+    slot = _sigma_slot
+    if slot is not None and slot[0] == th:
+        if all(h <= t for h, t in zip(half, slot[1])):
+            return slot[1:]
+        half = [max(h, t) for h, t in zip(half, slot[1])]
+    ext = [2 * h + 1 for h in half]
+    rows0, tail = ext[0], math.prod(ext[1:])
     cells = np.zeros((tail, th.n), dtype=np.int64)  # each tail cell's multi-index, r_0 = 0
-    cells[:, 1:] = np.indices(ext[1:]).reshape(th.n - 1, tail).T - [(e - 1) // 2 for e in ext[1:]]
+    cells[:, 1:] = np.indices(ext[1:]).reshape(th.n - 1, tail).T - half[1:]
     w = _cocycle_rows(th, cells)
-    exponent = (np.arange(rows0) - (rows0 - 1) // 2)[:, None] * w[:, 0]
+    exponent = (np.arange(rows0) - half[0])[:, None] * w[:, 0]
     for m in range(1, th.n - 1):
         exponent = exponent + w[:, m] * cells[:, m]
-    flat = x.reshape(rows0, tail)
-    return (flat - _cmul(np.conj(flat[::-1, ::-1]), _phases(exponent))).reshape(ext)
+    table = _phases(exponent).reshape(ext)
+    table.setflags(write=False)
+    slot = _sigma_slot = (th, tuple(half), table)
+    return slot[1:]
+
+
+def _sigma_left(sigma, bounds, tails):
+    """For n = 2, a * b's left phases e(w_0 (lo_b0 + j)), w_0 = P[1][0] r_1
+    for each group tail r_1 in ``tails``, as (group, j), read from the
+    sigma(r, r) table ``sigma`` (``_sigma_table``'s); None when one of
+    their cells lies outside it.
+
+    For n = 2 the exponent of sigma(r, r) is r_0 (P[1][0] r_1), and the
+    phase is w_0 s_0 at s_0 = lo_b0 + j: the cell (lo_b0 + j, r_1), with
+    its bits, as a product of two floats does not depend on their order.
+    The rows are b's range along axis 0 and the columns a's tails, so the
+    cells lie in the box when a's range along axis 0 and b's tail hold 0,
+    as the supports of skew operands do.
+    """
+    (h0, h1), table = sigma
+    lo_a, ext_a, lo_b, ext_b = bounds
+    if -h0 <= lo_b[0] and lo_b[0] + ext_b[0] <= h0 + 1 and -h1 <= lo_a[1] and lo_a[1] + ext_a[1] <= h1 + 1:
+        return table[lo_b[0] + h0 : lo_b[0] + h0 + ext_b[0]].take(tails + h1, axis=1).T
+    return None
 
 
 @functools.lru_cache(maxsize=1)

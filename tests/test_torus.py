@@ -1,9 +1,11 @@
 """Algebra laws of the twisted Fourier arithmetic, against independent oracles."""
 
 import cmath
+import concurrent.futures
 import itertools
 import math
 import struct
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -1171,6 +1173,106 @@ def test_only_flagged_centred_box_commutators_take_one_side(theta2, monkeypatch)
         (got,) = signed_sums([(zero, terms)], _skew=flag)
         assert len(one_side) == taken
         assert coeff_distance(got, literal_signed_sum(zero, terms)) <= signed_sum_tolerance(zero, terms)
+
+
+def sigma_direct(th, half):
+    """sigma(r, r) on the box centred on 0 of half-extents ``half``, in C
+    order, formed as ``TorusElement.adjoint`` forms each term's phase."""
+    ext = [2 * h + 1 for h in half]
+    rows = np.stack(np.unravel_index(np.arange(math.prod(ext)), ext), axis=1) - half
+    return torus._phases(torus._exponents(torus._cocycle_rows(th, rows), rows))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sigma_table_slices_are_the_direct_phases_and_grow_only_for_larger_boxes(n, monkeypatch):
+    """Each ``_sigma_table`` slice has the bits of sigma(r, r) formed
+    directly on its own box.  The table is built again for another theta
+    and grown to the elementwise max for a box it does not hold (counted
+    as ``_phases`` calls), and a box it holds builds nothing."""
+    gen = sampling.rng(90 + n)
+    th, other = sampling.random_theta(n, gen), sampling.random_theta(n, gen)
+    assert n == 2 or th._pair_mat[:, 1:-1].any()
+    small, wider, inside = [1] * n, [3] + [0] * (n - 1), [2] + [1] * (n - 1)
+    steps = [  # (theta, half-extents, the table's half-extents, builds so far)
+        (th, small, small, 1),
+        (th, wider, [3] + [1] * (n - 1), 2),  # larger on axis 0, smaller on the tail
+        (th, inside, [3] + [1] * (n - 1), 2),
+        (other, inside, inside, 3),
+        (th, small, small, 4),
+    ]
+    want = [sigma_direct(theta, half).tobytes() for theta, half, _, _ in steps]
+    builds, real = [], torus._phases
+    monkeypatch.setattr(torus, "_phases", lambda x: builds.append(x.shape) or real(x))
+    monkeypatch.setattr(torus, "_sigma_slot", None)
+    for (theta, half, top, built), direct in zip(steps, want):
+        got_top, table = torus._sigma_table(theta, half)
+        assert list(got_top) == top and len(builds) == built and not table.flags.writeable
+        cut = table[tuple(slice(t - h, t + h + 1) for t, h in zip(top, half))]
+        assert np.ascontiguousarray(cut).tobytes() == direct
+
+
+def test_gathered_left_phases_are_the_direct_table(theta2, monkeypatch):
+    """For n = 2, a * b's left phases read from the sigma(r, r) table have
+    the bits of e(w_0 (lo_b0 + j)) formed directly, signed by s1 = 1 or -1
+    as the kernel signs them, on cells whose phase is exactly 1 too (where
+    -table would differ from -1 * table in the sign of a zero imaginary
+    part).  Cells outside the table give None.  Through the kernel, skew
+    operands (whose cells lie in the table) give the box without the table
+    bit for bit."""
+    monkeypatch.setattr(torus, "_sigma_slot", None)
+    sigma = torus._sigma_table(theta2, (6, 5))
+    tails = np.array([-5, -2, 0, 3, 5])
+    rows = np.zeros((len(tails), 2), dtype=np.int64)
+    rows[:, 1] = tails
+    w0 = torus._cocycle_rows(theta2, rows)[:, 0]
+    for lo_b0, b0 in [(-6, 13), (-2, 5), (0, 1)]:
+        bounds = ([0, -5], [1, 11], [lo_b0, 0], [b0, 1])
+        direct = torus._phases(np.outer(w0, lo_b0 + np.arange(b0)))
+        assert (direct == 1).any()
+        for s1 in (1, -1):
+            got = s1 * torus._sigma_left(sigma, bounds, tails)
+            assert got.tobytes() == (s1 * direct).tobytes()
+        assert (-1 * direct).tobytes() != (-direct).tobytes()
+    for bounds in [([0, -5], [1, 11], [-7, 0], [3, 1]), ([0, -5], [1, 11], [5, 0], [3, 1]), ([0, -6], [1, 3], [0, 0], [1, 1])]:
+        assert torus._sigma_left(sigma, bounds, tails) is None
+    gen = sampling.rng(93)
+    a, b = skew_ball(theta2, 5, gen), skew_ball(theta2, 3, gen)
+    ops = a.indices, a.values, b.indices, b.values
+    bounds = torus._boxes(a.indices, b.indices)
+    sigma = torus._sigma_table(theta2, [(x + y - 2) // 2 for x, y in zip(bounds[1], bounds[3])])
+    assert torus._sigma_left(sigma, bounds, np.unique(a.indices[:, 1])) is not None
+    for s1 in (1, -1):
+        with_table = torus._dense_box_kernel(theta2, *ops, bounds, s1, 0, sigma=sigma)
+        assert with_table.tobytes() == torus._dense_box_kernel(theta2, *ops, bounds, s1, 0).tobytes()
+
+
+def test_flagged_sums_on_two_thetas_in_threads_match_serial_runs():
+    """Threads running flagged ``signed_sums`` calls for two thetas in turn,
+    whose boxes grow and shrink, share the one sigma(r, r) slot: every
+    result has the bits of the same call run alone."""
+    gen = sampling.rng(94)
+    thetas = [sampling.random_theta(2, gen) for _ in range(2)]
+    entries = {}
+    for t, th in enumerate(thetas):
+        for size, (ra, rb) in enumerate([(5, 4), (3, 3), (6, 2)]):
+            a, b = skew_ball(th, ra, gen), skew_ball(th, rb, gen)
+            assert torus._takes_box(a.indices, a.values, b.indices, b.values)
+            entries[t, size] = (TorusElement.zero(th), [(a, b, 1, -1)])
+    jobs = [(k % 2, k // 2 % 3) for k in range(60)]  # the thetas alternate
+
+    def run(job):
+        return bits(signed_sums([entries[job]], _skew=True)[0])
+
+    alone = {job: run(job) for job in entries}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(run, job) for job in jobs]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [alone[job] for job in jobs]
 
 
 def near_drop_matrix(th, q, gen, paired):
