@@ -37,20 +37,27 @@ and many rows of R and of the products of basis elements are; the rule is
 diagonal just finds fewer, and a stack with no zero row or column is
 factorised and projected whole.
 
-- Ranks are decided by SVD with relative threshold ``RANK_TOL``, in one
-  routine (``_svd_cut``) that factorises only the nonzero rows and columns
-  and puts the kept rows of V* back into the full width, and U into the full
-  height. A span of a block with at least twice as many rows as columns
-  (the pi(Omega^2) generators, the junk images) takes the SVD of its
-  triangular QR factor, which has the same row space and singular values; R
-  keeps its own thin SVD, whose U the junk needs. These bases are
-  orthonormal by construction and skip the public constructor's Gram check.
+- Ranks are decided at relative threshold ``RANK_TOL``, in one routine
+  (``_svd_cut``) that works only on the nonzero rows and columns and puts
+  the kept rows of V* back into the full width, and U into the full height.
+  A span of a block with at least twice as many rows as columns (the
+  pi(Omega^2) generators, the junk images) is first offered to an exact
+  certificate (``_full_rank_proved``: a square block of pivot rows whose
+  smallest singular value clears the threshold by a rounding margin). A
+  proved block keeps every column, and its span is their unit coordinate
+  rows with no factorisation; any other takes the SVD of its triangular QR
+  factor, which has the same row space and singular values. R keeps its own
+  thin SVD, whose U the junk needs. These bases are orthonormal by
+  construction and skip the public constructor's Gram check.
 - The junk projection P - U (U* P) is formed on U's nonzero rows and P's
   nonzero columns; every other entry of P passes through as it is.
 - A stack lies in a subspace when each projection residual is at most
   ``CONTAIN_TOL`` (one projection per stack, ``OperatorSubspace.contains``).
   Its zero operators are dropped, the residual is projected on the basis's
   nonzero columns, and the stack's other columns enter its norm as they are.
+  On a basis of unit coordinate rows (entries 1, -1, i, -i: the proved
+  spans, and spans such as the matrix units') that residual is exactly 0 on
+  finite entries, so it is taken without projecting, with the same verdict.
   Subspace equality is mutual containment.
 
 ``FiniteTriple`` checks closure under adjoint and product, and commutation
@@ -134,11 +141,15 @@ def _svd_cut(m: np.ndarray, scale: float | None = None, left: bool = False):
     whole, and an all-zero one spans nothing.
 
     Without ``left``, a block with at least twice as many rows as columns is
-    first reduced to the triangular factor T of m = Q T, which has the row
-    space and the singular values of ``m``; the SVD of the square T then
-    never forms the tall thin U. LAPACK's complex divide-and-conquer SVD
-    takes this same QR step itself once the rows exceed about 17/9 of the
-    columns, so at a ratio of 2 or more ``vh`` and ``s`` are bit for bit those
+    first offered to ``_full_rank_proved``. When that proves the cut keeps
+    every column, the span is all of the block's columns and the kept rows
+    are their unit coordinate rows, in ascending column order, with no
+    factorisation of the block. Otherwise the block is reduced to the
+    triangular factor T of m = Q T, which has the row space and the singular
+    values of ``m``; the SVD of the square T then never forms the tall thin
+    U. LAPACK's complex divide-and-conquer SVD takes this same QR step itself
+    once the rows exceed about 17/9 of the columns, so at a ratio of 2 or
+    more ``vh`` and ``s`` of a block that is not proved are bit for bit those
     of the direct SVD of the block. Below that ratio they can differ by a
     rotation within degenerate singular values, so shorter blocks go to the
     SVD as they are.
@@ -149,6 +160,11 @@ def _svd_cut(m: np.ndarray, scale: float | None = None, left: bool = False):
         u = np.zeros((m.shape[0], 0), dtype=complex) if left else None
         return u, np.zeros((0, m.shape[1]), dtype=complex)
     if not left and kept.shape[0] >= 2 * kept.shape[1]:
+        if _full_rank_proved(kept, scale):
+            n = kept.shape[1]
+            full_vh = np.zeros((n, m.shape[1]), dtype=complex)
+            full_vh[np.arange(n), np.arange(n) if cols is None else cols] = 1
+            return None, full_vh
         kept = np.linalg.qr(kept, mode="r")
     u, s, vh = np.linalg.svd(kept, full_matrices=False)
     rank = int(np.sum(s > RANK_TOL * (s[0] if scale is None else scale)))
@@ -161,6 +177,58 @@ def _svd_cut(m: np.ndarray, scale: float | None = None, left: bool = False):
     return full_u, full_vh
 
 
+def _full_rank_proved(m: np.ndarray, scale: float | None) -> bool:
+    """Whether the r x c block ``m`` (no zero row or column, r >= 2c) is proved,
+    without factorising it, to keep all c singular values at ``_svd_cut``'s
+    threshold, RANK_TOL times ``scale`` or the largest singular value s[0].
+
+    Take the row holding each column's largest-modulus entry. If those c rows
+    are distinct they form a square block P of ``m``, and three facts bound
+    the cut that factorising ``m`` would make:
+
+    - sigma_min(m) >= sigma_min(P), since ||m x|| >= ||P x|| for every x when
+      P's rows are some of m's;
+    - s[0] = ||m||_2 <= ||m||_F =: F;
+    - rounding. QR and SVD are backward stable, so each singular value that
+      ``_svd_cut`` computes from QR and SVD is that of m + E with
+      ||E||_F <= e1 F, and the computed sigma_min(P) that of P + E' with
+      ||E'||_F <= e2 ||P||_F <= e2 F; by Weyl each is within e1 F, resp.
+      e2 F, of the exact value. Householder QR gives e1 <= g(rc) + g(c^2)
+      and the SVD of P e2 <= g(c^2) (Higham, *Accuracy and Stability of
+      Numerical Algorithms*, Thm 19.4 and ch. 19-20), with g(k) = 4 k u =
+      2 k eps, u the unit roundoff. As c^2 <= rc / 2, e1 + e2 <= 4 rc eps;
+      the rounding of F's sum of squares (rc u) and RANK_TOL times e1 (the
+      excess of the computed s[0] over F) fit in as much again.
+
+    So the computed smallest singular value of ``m`` is at least
+    sigma_P - (e1 + e2) F, for the computed sigma_P, and its threshold at
+    most RANK_TOL (scale or F (1 + e1)): every column is kept when
+
+        sigma_P > RANK_TOL * (scale or F) + 8 r c eps F,
+
+    with F as computed. F and sigma_P are taken on ``m`` times the power of
+    two that brings its largest modulus into [1/2, 1), exactly (``scale`` by
+    the same power), so F, the norm of r c moduli below 1, neither overflows
+    nor underflows, whatever the scale of ``m``. A block with a non-finite
+    entry (or a modulus that overflows) is never proved, so the factorising
+    path meets it as before.
+    """
+    r, c = m.shape
+    modulus = np.abs(m)
+    top = modulus.max()
+    if not np.isfinite(top):
+        return False
+    pivots = modulus.argmax(axis=0)
+    if len(set(pivots.tolist())) < c:
+        return False
+    power = -np.frexp(top)[1]
+    fro = np.linalg.norm(np.ldexp(modulus, power, out=modulus))
+    pivot_block = np.ldexp(np.ascontiguousarray(m[pivots]).view(float), power).view(complex)
+    sigma = np.linalg.svd(pivot_block, compute_uv=False)[-1]
+    bound = fro if scale is None else np.ldexp(scale, power)
+    return bool(sigma > RANK_TOL * bound + 8 * r * c * np.finfo(float).eps * fro)
+
+
 def _orthonormal_rows(m: np.ndarray, scale: float | None = None) -> np.ndarray:
     """Orthonormal basis (as rows) of the row space of the 2-d array ``m``, cut by ``_svd_cut``."""
     return _svd_cut(m, scale)[1]
@@ -169,19 +237,29 @@ def _orthonormal_rows(m: np.ndarray, scale: float | None = None) -> np.ndarray:
 class OperatorSubspace:
     """Subspace of the operator space, held as an orthonormal row basis.
 
-    The public constructor checks that the rows are orthonormal; the spans
-    this module cuts by ``_svd_cut`` are orthonormal by construction and are
-    made by ``_of_rows`` without the check.
+    The public constructor takes a 2-d basis and checks that its rows are
+    orthonormal, to 1e-10 in the Frobenius norm of Gram - 1; a basis with a
+    non-finite entry fails that check, and any other shape is a
+    ``ValueError`` too. The spans this module cuts by ``_svd_cut`` are
+    orthonormal by construction and are made by ``_of_rows`` without the
+    check. A basis whose rows are unit coordinate rows (one nonzero entry
+    each, exactly 1, -1, i or -i) is tested for containment without
+    projecting (``_holds``).
     """
 
     def __init__(self, ambient_dim: int, basis: np.ndarray):
         basis = np.asarray(basis, dtype=complex)
         if basis.size == 0:
             basis = np.zeros((0, ambient_dim), dtype=complex)
+        if basis.ndim != 2:
+            raise ValueError(f"basis must be 2-d, got shape {basis.shape}")
         if basis.shape[1] != ambient_dim:
             raise ValueError("basis vectors have wrong ambient dimension")
-        gram = basis @ basis.conj().T
-        if basis.shape[0] and np.linalg.norm(gram - np.eye(basis.shape[0])) > 1e-10:
+        # a non-finite entry makes the defect inf or NaN, which compares false:
+        # the test is that the defect is small, not that it is not large
+        with np.errstate(invalid="ignore", over="ignore"):
+            defect = np.linalg.norm(basis @ basis.conj().T - np.eye(basis.shape[0]))
+        if basis.shape[0] and not defect <= 1e-10:
             raise ValueError("basis is not orthonormal")
         self.ambient_dim = ambient_dim
         self.basis = basis
@@ -205,14 +283,20 @@ class OperatorSubspace:
 
     @cached_property
     def _support(self):
-        """(order, width, basis*, basis): the columns with the basis's nonzero
-        ones first, each part in ascending order, how many nonzero ones there
-        are, and the basis on them conjugate transposed and as it is."""
+        """(order, width, basis*, basis, coordinate): the columns with the
+        basis's nonzero ones first, each part in ascending order, how many
+        nonzero ones there are, the basis on them conjugate transposed and as
+        it is, and whether its rows are unit coordinate rows (one nonzero
+        entry each, exactly 1, -1, i or -i)."""
         live = self.basis.any(axis=0)
         order = np.argsort(~live, kind="stable")
         width = int(live.sum())
         compact = self.basis[:, order[:width]]
-        return order, width, compact.conj().T, compact
+        # no row is zero (the rows are orthonormal), so dim nonzero real and
+        # imaginary parts, all of modulus 1, are one per row
+        parts = np.abs(np.ascontiguousarray(compact).view(float))
+        coordinate = bool(np.count_nonzero(parts) == self.dim == np.count_nonzero(parts == 1))
+        return order, width, compact.conj().T, compact, coordinate
 
     def contains(self, stack) -> bool:
         """Whether every operator of ``stack`` has projection residual at most ``CONTAIN_TOL``.
@@ -236,11 +320,22 @@ class OperatorSubspace:
         norm of the other part taken as ||v||^2 - ||v_in||^2 would cancel, and
         the rounding of the two squares alone can exceed ``CONTAIN_TOL``^2.
         ``vecs`` itself is not written.
+
+        For unit coordinate rows the projection v (B* B) on the basis's
+        columns is v itself with no rounding: each product with an entry 0,
+        1, -1, i or -i is exact, and each sum adds exact zeros to one term.
+        So the residual there is exactly 0 for a finite entry, and it is
+        taken as the entry times 0 without the two GEMMs. A non-finite entry
+        times 0 is NaN, as its projection residual is (inf - inf), so the
+        row's norm and the verdict are bit for bit the projection's.
         """
-        order, width, basis_h, basis = self._support
+        order, width, basis_h, basis, coordinate = self._support
         residual = vecs[_block(rows, order)]
         inside = residual[:, :width]
-        inside -= (inside @ basis_h) @ basis
+        if coordinate:
+            inside *= 0
+        else:
+            inside -= (inside @ basis_h) @ basis
         return bool(np.all(np.linalg.norm(residual, axis=1) <= CONTAIN_TOL))
 
     def matrices(self, dim_h: int) -> np.ndarray:

@@ -35,6 +35,7 @@ from ncym.finite import (
     OperatorSubspace,
     _embedded_legs,
     _forms,
+    _full_rank_proved,
     _orthogonal,
     _orthonormal_rows,
     _pair_products,
@@ -284,6 +285,85 @@ def test_contains_on_partial_support_matches_per_vector_reference():
     kept = [near.basis.copy(), far.basis.copy()]
     assert contains_subspace(space, near) and not contains_subspace(space, far)
     assert all(map(np.array_equal, (near.basis, far.basis), kept))
+
+
+def coordinate_space(gen, width, dim):
+    """A subspace spanned by ``dim`` unit coordinate rows of the given width,
+    each scaled by 1, -1, i or -i, made by the checked constructor."""
+    basis = np.zeros((dim, width), dtype=complex)
+    basis[np.arange(dim), np.sort(gen.permutation(width)[:dim])] = gen.choice([1, -1, 1j, -1j], size=dim)
+    return OperatorSubspace(width, basis)
+
+
+def projection_verdicts(space, stack):
+    """``_holds`` per row and for the whole stack on the projection path, whatever the basis."""
+    projected = OperatorSubspace._of_rows(space.basis)
+    projected.__dict__["_support"] = space._support[:4] + (False,)
+    return [projected._holds(row[None]) for row in stack], projected._holds(stack)
+
+
+def test_coordinate_rows_are_recognised_exactly():
+    """Unit coordinate rows (entries 1, -1, i, -i) take the coordinate path;
+    rows with an entry of modulus 1 that is not one of these, an entry one ulp
+    off 1, or two nonzero entries do not."""
+    gen = np.random.default_rng(29)
+    assert coordinate_space(gen, 9, 4)._support[4]
+    assert OperatorSubspace(4, np.diag([1, -1, 1j, -1j])[[0, 1, 3]])._support[4]
+    for rows in (
+        [[0.6 + 0.8j, 0, 0, 0]],
+        [[np.nextafter(1.0, 2.0), 0, 0, 0]],
+        [[1, 0, 0, 0], [0, 0.6, 0.8, 0]],
+    ):
+        assert not OperatorSubspace._of_rows(np.array(rows, dtype=complex).reshape(-1, 4))._support[4]
+
+
+@pytest.mark.parametrize("magnitude", [1e-300, 1.0, 1e8, 1e300])
+def test_coordinate_containment_matches_the_projection(magnitude):
+    """On a coordinate basis, containment gives the projection path's verdict,
+    row by row and for the whole stack: stacks in the span at every magnitude,
+    parts off it of 1e-11, 1e-6 and within four ulp of CONTAIN_TOL, and NaN, inf
+    and -inf inside the basis's columns or outside them. A finite row's residual
+    is exact on both paths, so the verdicts agree even at the tolerance."""
+    gen = np.random.default_rng(31)
+    space = coordinate_space(gen, 16, 6)
+    support = space.basis.any(axis=0)
+    inside = magnitude * (gen.normal(size=(12, 6)) + 1j * gen.normal(size=(12, 6))) @ space.basis
+    odd = unit_rows(gen, 12, ~support)
+    cases = {"inside": (inside, True), "off 1e-11": (inside + 1e-11 * odd, True), "off 1e-6": (inside + 1e-6 * odd, False)}
+    for ulps in (-4, 4):
+        edge = inside + CONTAIN_TOL * (1 + ulps * np.finfo(float).eps) * odd
+        cases[f"edge {ulps} ulp"] = (edge, None)
+    in_column, out_column = np.flatnonzero(support)[2], np.flatnonzero(~support)[3]
+    for bad in (np.nan, np.inf, -np.inf, complex(1.0, np.nan)):
+        for where, column in (("in", in_column), ("out", out_column)):
+            stack = inside.copy()
+            stack[5, column] = bad
+            cases[f"{bad} {where}"] = (stack, False)
+    for name, (stack, expected) in cases.items():
+        kept = stack.copy()
+        with np.errstate(invalid="ignore"):
+            rows, whole = projection_verdicts(space, stack)
+            assert [space._holds(row[None]) for row in stack] == rows, name
+            assert space._holds(stack) == whole == space.contains(stack), name
+        assert expected is None or whole == expected, name
+        assert np.array_equal(stack, kept, equal_nan=True), name  # the residual is taken on a copy
+
+
+def test_operator_subspace_rejects_non_finite_and_misshapen_bases():
+    """The checked constructor raises ValueError for a basis with NaN or inf
+    anywhere (the Gram defect is then NaN or inf, which a test of "defect too
+    large" lets through) and for a basis that is not 2-d."""
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 0.0)):
+        for column in (0, 3):
+            basis = np.eye(4, dtype=complex)[:2]
+            basis[0, column] = bad
+            with pytest.raises(ValueError, match="not orthonormal"):
+                OperatorSubspace(4, basis)
+    for misshapen in ([1.0, 0.0, 0.0, 0.0], np.eye(4)[None, :2]):
+        with pytest.raises(ValueError, match="2-d"):
+            OperatorSubspace(4, misshapen)
+    assert OperatorSubspace(4, [[0.0, 1.0, 0.0, 0.0]]).dim == 1
+    assert OperatorSubspace(4, []).dim == 0
 
 
 def zero_dirac_triple():
@@ -569,18 +649,25 @@ def test_classify_mirrored_and_errors():
 
 
 def test_form_report_takes_one_relation_svd(monkeypatch):
-    """Omega^1 and the junk share the triple's one SVD of R: building a triple takes
-    one SVD (the span of its basis), its form report three (R, pi(Omega^2) and the
-    junk images), and the triple keeps copies of only the kept singular vectors."""
-    calls = []
+    """Omega^1 and the junk share the triple's one factorisation of R: over a
+    triple's construction and two form reports, R's nonzero block reaches the
+    SVD once, with its singular vectors; Omega^1 is the kept rows of that SVD
+    and the junk reads its kept columns of U, and the triple keeps copies of
+    only the kept singular vectors."""
+    inputs = []
     svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    monkeypatch.setattr(
+        np.linalg, "svd", lambda m, *a, **k: inputs.append((np.array(m), k.get("compute_uv", True))) or svd(m, *a, **k)
+    )
     t = matrix_case_triple(2, 1, [[0.6], [0.8j]])
-    built = len(calls)
     form_report(t)
-    assert (built, len(calls) - built) == (1, 3)
+    form_report(t)
+    rel = relation_stack(t)
+    block = rel[rel.any(axis=1)][:, rel.any(axis=0)]
+    assert [uv for m, uv in inputs if m.shape == block.shape and np.array_equal(m, block)] == [True]
     relations = t._relations
     assert relations.left.base is None and relations.right.base is None
+    assert omega1_space(t).basis is relations.right
     assert relations.right.shape[0] == omega1_space(t).dim == relations.left.shape[1]
 
 
@@ -615,6 +702,133 @@ def test_orthonormal_rows_of_tall_stacks_match_direct_svd(rows, cols):
     assert _orthonormal_rows(np.zeros((rows, cols), dtype=complex)).shape == (0, cols)
 
 
+def proved_stack(rows, cols, seed):
+    """A complex rows x cols stack of full column rank whose column j has its
+    largest entry, 3, in row ``pivots[j]`` (distinct rows, at random), on top
+    of a random part of spectral norm at most 1: (stack, pivots). Its pivot
+    block is 3 + (a part of norm <= 1), so sigma_min of it is at least 2."""
+    gen = np.random.default_rng(seed)
+    left = np.linalg.qr(gen.standard_normal((rows, cols)) + 1j * gen.standard_normal((rows, cols)))[0]
+    right = np.linalg.qr(gen.standard_normal((cols, cols)) + 1j * gen.standard_normal((cols, cols)))[0]
+    m = (left * gen.uniform(0.5, 1.0, cols)) @ right.conj().T
+    pivots = gen.permutation(rows)[:cols]
+    m[pivots, np.arange(cols)] += 3.0
+    return m, pivots
+
+
+def counted(monkeypatch, name):
+    """A list that gets one entry per ``np.linalg.<name>`` call from here on."""
+    calls = []
+    real = getattr(np.linalg, name)
+    monkeypatch.setattr(np.linalg, name, lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+def direct_rank(m, scale=None):
+    """The number of singular values of ``m`` the direct SVD keeps at the cut of ``_svd_cut``."""
+    s = np.linalg.svd(m, compute_uv=False)
+    return int(np.sum(s > RANK_TOL * (s[0] if scale is None else scale)))
+
+
+@pytest.mark.parametrize("rows,cols", [(4, 2), (18, 9), (50, 10), (100, 5), (361, 19)])
+def test_full_rank_tall_stacks_are_proved_at_every_scale(monkeypatch, rows, cols):
+    """A tall stack of full column rank, at every magnitude from 1e-300 to 1e300,
+    with the default cut and with explicit scales, keeps every column without a
+    QR: its rows are exactly the unit coordinate rows of its columns, in
+    ascending order, in the full width (zero columns put in at random places
+    stay out), and the direct SVD keeps the same rank. A scale so large that
+    the direct SVD keeps nothing is factorised and keeps nothing."""
+    base, _ = proved_stack(rows, cols, seed=rows * cols)
+    width = cols + 3
+    place = np.sort(np.random.default_rng(rows).permutation(width)[:cols])
+    magnitudes = [1e-300, 1e-20, 1e-10, 1.0, 1e10, 1e20, 1e300]
+    qr_calls = counted(monkeypatch, "qr")
+    for magnitude in magnitudes:
+        m = np.zeros((rows, width), dtype=complex)
+        m[:, place] = magnitude * base
+        top = np.linalg.svd(m, compute_uv=False)[0]
+        for scale in (None, top, 1e3 * top):
+            assert direct_rank(m, scale) == cols, (magnitude, scale)
+            kept = _orthonormal_rows(m, scale)
+            assert np.array_equal(kept, np.eye(width, dtype=complex)[place]), (magnitude, scale)
+            assert kept.base is None
+        if magnitude < 1e300:  # 1e12 times the top would overflow
+            assert direct_rank(m, 1e12 * top) == 0 == len(_orthonormal_rows(m, 1e12 * top)), magnitude
+    assert len(qr_calls) == len(magnitudes) - 1
+
+
+def test_proof_demands_the_rounding_margin():
+    """A pivot block whose smallest singular value clears RANK_TOL F by half the
+    margin 8 r c eps F is not proved; by twice the margin it is (F the
+    Frobenius norm of the stack, r x c its shape)."""
+    rows, cols = 16, 4
+    tail = 1e-14 * np.random.default_rng(5).standard_normal((rows - cols, cols))
+    for share, proved in ((0.5, False), (2.0, True)):
+        m = np.vstack([np.diag([1.0] * (cols - 1) + [0.0]), tail]).astype(complex)
+        fro = np.linalg.norm(m)
+        m[cols - 1, cols - 1] = RANK_TOL * fro + share * 8 * rows * cols * np.finfo(float).eps * fro
+        assert np.linalg.svd(m[:cols], compute_uv=False)[-1] == m[cols - 1, cols - 1].real
+        assert _full_rank_proved(m, None) == proved, share
+
+
+@pytest.mark.parametrize("scale", [None, 1.0], ids=["default-cut", "explicit-scale"])
+@pytest.mark.parametrize("factor,proved", [(3.0, True), (1.0, False), (0.3, False)])
+def test_rank_cut_near_the_threshold_matches_direct_svd(monkeypatch, factor, proved, scale):
+    """Full-rank tall stacks whose smallest singular value is 3, 1 and 0.3 times
+    RANK_TOL s[0] keep the rank that the direct SVD keeps (at 1 either rank can
+    be the direct one, as the tail lifts it by about 1e-17). When the pivot block
+    holds the singular values themselves (a diagonal over a 1e-14 tail), the
+    proof is taken at 3 times the threshold and not at 1 or 0.3 (QR runs); the
+    same singular values in random bases keep the direct rank whichever path
+    they take."""
+    cols = 4
+    gen = np.random.default_rng(int(10 * factor))
+    sv = np.array([1.0] * (cols - 1) + [factor * RANK_TOL])
+    tail = 1e-14 * (gen.standard_normal((3 * cols, cols)) + 1j * gen.standard_normal((3 * cols, cols)))
+    pivoted = np.vstack([np.diag(sv).astype(complex), tail])
+    left = np.linalg.qr(gen.standard_normal((4 * cols, cols)) + 1j * gen.standard_normal((4 * cols, cols)))[0]
+    right = np.linalg.qr(gen.standard_normal((cols, cols)) + 1j * gen.standard_normal((cols, cols)))[0]
+    rotated = (left * sv) @ right.conj().T
+    qr_calls = counted(monkeypatch, "qr")
+    kept = _orthonormal_rows(pivoted, scale)
+    assert len(kept) == direct_rank(pivoted, scale)
+    assert factor == 1.0 or len(kept) == (cols if factor > 1 else cols - 1)
+    assert (qr_calls == []) == proved
+    if proved:
+        assert np.array_equal(kept, np.eye(cols, dtype=complex))
+    assert len(_orthonormal_rows(rotated, scale)) == direct_rank(rotated, scale)
+
+
+def test_pivot_collision_falls_back_to_the_factorisation(monkeypatch):
+    """Two columns whose largest entries sit in one row leave no square pivot
+    block, so a well-conditioned full-rank stack is factorised after all with
+    no SVD spent on pivots: one QR and one SVD, the direct SVD's rank and
+    span, rows that are not coordinate rows."""
+    m, pivots = proved_stack(40, 6, seed=3)
+    m[pivots[1], 0] = 10.0
+    qr_calls, svd_calls = counted(monkeypatch, "qr"), counted(monkeypatch, "svd")
+    assert not _full_rank_proved(m, None) and svd_calls == []  # no SVD of a pivot block
+    kept = _orthonormal_rows(m)
+    assert len(qr_calls) == len(svd_calls) == 1
+    assert len(kept) == direct_rank(m) == 6
+    assert subspaces_equal(OperatorSubspace(6, kept), OperatorSubspace(6, np.eye(6)))
+    assert not np.array_equal(kept, np.eye(6))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_non_finite_tall_stacks_are_not_proved(bad):
+    """A tall stack with a non-finite entry is never proved full rank, so it
+    reaches the factorisation and raises there what the factorising path raises."""
+    m, _ = proved_stack(20, 5, seed=1)
+    m[7, 2] = bad
+    assert not _full_rank_proved(m, None) and not _full_rank_proved(m, 1.0)
+    with np.errstate(all="ignore"):
+        with pytest.raises(np.linalg.LinAlgError):
+            full_width_orthonormal_rows(m)
+        with pytest.raises(np.linalg.LinAlgError):
+            _orthonormal_rows(m)
+
+
 def relation_stack(t):
     """The triple's relation stack R = vec(b_i [D, c_j]), formed as ``FiniteTriple._relations`` forms it."""
     dirac, basis = _unit_scaled(t.D), t._unit_basis
@@ -623,8 +837,9 @@ def relation_stack(t):
 
 def test_only_relation_stacks_reach_the_svd_tall(monkeypatch):
     """Every span of a stack with at least twice as many rows as nonzero columns
-    (here the pi(Omega^2) generators and the junk images) goes to the SVD as its
-    square QR triangle, so during form_report and product_check the only SVD
+    (here the pi(Omega^2) generators and the junk images) is proved full rank
+    with the SVD of a square pivot block or goes to the SVD as its square QR
+    triangle, so during form_report and product_check the only SVD
     inputs that tall are the relation stacks R, one per triple, whose thin U the
     junk needs. Each R arrives with only its rows and columns that are not
     exactly zero."""
