@@ -212,21 +212,30 @@ def _full_rank_proved(m: np.ndarray, scale: float | None) -> bool:
     nor underflows, whatever the scale of ``m``. A block with a non-finite
     entry (or a modulus that overflows) is never proved, so the factorising
     path meets it as before.
+
+    A column j with sqrt(c) max_i |m_ij| at most half the right-hand side
+    refuses the block before any pivot is chosen: sigma_min(P) <= ||P e_j||
+    <= sqrt(c) max_i |m_ij| for any pivot rows, the computed sigma_P is
+    within e2 F <= 2 c^2 eps F of it, and the right-hand side is at least
+    16 c^2 eps F, so no pivot SVD is spent on a block that cannot be proved.
     """
     r, c = m.shape
     modulus = np.abs(m)
     top = modulus.max()
     if not np.isfinite(top):
         return False
+    power = -np.frexp(top)[1]
+    fro = np.linalg.norm(np.ldexp(modulus, power, out=modulus))
+    bound = fro if scale is None else np.ldexp(scale, power)
+    margin = RANK_TOL * bound + 8 * r * c * np.finfo(float).eps * fro
+    if np.sqrt(c) * modulus.max(axis=0).min() <= margin / 2:
+        return False
     pivots = modulus.argmax(axis=0)
     if len(set(pivots.tolist())) < c:
         return False
-    power = -np.frexp(top)[1]
-    fro = np.linalg.norm(np.ldexp(modulus, power, out=modulus))
     pivot_block = np.ldexp(np.ascontiguousarray(m[pivots]).view(float), power).view(complex)
     sigma = np.linalg.svd(pivot_block, compute_uv=False)[-1]
-    bound = fro if scale is None else np.ldexp(scale, power)
-    return bool(sigma > RANK_TOL * bound + 8 * r * c * np.finfo(float).eps * fro)
+    return bool(sigma > margin)
 
 
 def _orthonormal_rows(m: np.ndarray, scale: float | None = None) -> np.ndarray:

@@ -83,13 +83,14 @@ commutator s1 (a * b - b * a) whose output box is centred on 0 is x - x*
 with x = s1 a * b, the kernel's a * b side alone (s2 = 0), and x* is formed
 on the same cells with no grouping (``_minus_adjoint_box``): b * a's shifted
 operand, its phase tables and its matmul are not built.  Skewness is never
-inferred from the values.  That path builds no phase table per call: it
-reads one table of sigma(r, r) per theta (``_sigma_table``), on the
-smallest box centred on 0 that holds every one-side output box since theta
-last changed.  x*'s phases are its slice and, for n = 2, a * b's left
-phases e(w_0 s_0) are a gather from it, as both are e(r_0 (P[1][0] r_1))
-at integer cells; every phase has the bits it has when formed directly.
-Unflagged calls form their phase tables per call.  Every
+inferred from the values.  That path builds no phase table per call: each
+theta keeps one table of sigma(r, r) (``_sigma_table``, formed as the
+adjoint forms its phases, ``_self_phases``), on the smallest box centred on
+0 that holds every one-side output box asked for on that theta, and each
+commutator looks it up once.  x*'s phases are its slice and, for n = 2,
+a * b's left phases e(w_0 s_0) are a gather from it, as both are
+e(r_0 (P[1][0] r_1)) at integer cells; every phase has the bits it has when
+formed directly.  Unflagged calls form their phase tables per call.  Every
 other term (few pairs, a far-out term that makes the box huge, a non-finite
 coefficient) runs the pairwise kernel (``_pairwise_kernel``) as a * b and
 then b * a, in one pass over the pairwise products of all the entries: the
@@ -109,9 +110,9 @@ the theta checks between them are identity checks.
 
 All operations are pure functions of their inputs and values are never
 mutated after construction, so anything here may run concurrently on shared
-elements.  The one module state that they change, the sigma(r, r) slot, is
+elements.  The one state that they change, a theta's sigma(r, r) table, is
 a tuple replaced whole by one assignment and its table is never written, so
-a concurrent call reads a whole table for its own theta (``_sigma_table``).
+a concurrent call reads a whole table (``_sigma_table``).
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ _INDEX_LIMIT = 2**63 - 1
 class ThetaMatrix:
     """Real skew-symmetric n x n deformation matrix."""
 
-    __slots__ = ("n", "entries", "_pair_mat")
+    __slots__ = ("n", "entries", "_pair_mat", "_sigma")
 
     def __init__(self, entries):
         rows = tuple(tuple(float(v) + 0.0 for v in row) for row in entries)
@@ -161,6 +162,8 @@ class ThetaMatrix:
         # the one cocycle: P[k][m] = theta[m][k] for m < k, else 0, and
         # sigma(r, s) = e(r P s^T)
         self._pair_mat = np.tril(np.array(rows).reshape(n, n).T, -1)
+        # (half-extents, read-only table) of sigma(r, r), or None: ``_sigma_table``'s
+        self._sigma = None
 
     @classmethod
     def zeros(cls, n: int) -> "ThetaMatrix":
@@ -354,11 +357,17 @@ def _store(el: TorusElement, theta: ThetaMatrix, indices, values) -> TorusElemen
     return el
 
 
+def _self_phases(th: ThetaMatrix, r):
+    """sigma(r, r) = e(w . r), w = r P, for each row of the int64 (terms, n)
+    index array r: the one expression of the involution's phase."""
+    return _phases(_exponents(_cocycle_rows(th, r), r))
+
+
 def _adjoint_values(th: ThetaMatrix, r, c):
     """conj(c) sigma(r, r) per term, in r's order and with nothing dropped: the
     adjoint's coefficient at -r.  The exponent of -r has the bits of r's, as
     both w = r P and w . r only change sign twice."""
-    return _cmul(np.conj(c), _phases(_exponents(_cocycle_rows(th, r), r)))
+    return _cmul(np.conj(c), _self_phases(th, r))
 
 
 def _paired_adjoint(a: TorusElement, b: TorusElement):
@@ -533,8 +542,9 @@ def signed_sums(entries, _skew: bool = False) -> list:
     skew-adjoint (``yangmills.minimize`` does, for its iterates); then a box
     commutator whose output box is centred on 0 (``_centred``) is
     s1 (x - x*) from the kernel's a * b side alone (``_minus_adjoint_box``),
-    equal to the full kernel's up to rounding, its phases read from one
-    sigma(r, r) table per theta (``_sigma_table``).  Any other term, and every
+    equal to the full kernel's up to rounding, its phases read from theta's
+    sigma(r, r) table (``_sigma_table``), looked up once and handed to the
+    kernel and to ``_minus_adjoint_box``.  Any other term, and every
     term of a call without ``_skew``, takes the path below.  The
     one entry point of the star-product kernels: a single product, and the
     entries of matrix products and of sums of commutators, as
@@ -582,8 +592,10 @@ def signed_sums(entries, _skew: bool = False) -> list:
     parts = [(np.repeat(pair_entries, sizes), *_pairwise_kernel(th, products))] if products else []
     for e, ops, bounds, s1, s2, one_side in boxed:
         if one_side:
-            sigma = _sigma_table(th, [(ea + eb - 2) // 2 for ea, eb in zip(bounds[1], bounds[3])])
-            box = _minus_adjoint_box(th, _dense_box_kernel(th, *ops, bounds, s1, 0, sigma=sigma))
+            half = [(ea + eb - 2) // 2 for ea, eb in zip(bounds[1], bounds[3])]
+            sigma = top, table = _sigma_table(th, half)
+            x = _dense_box_kernel(th, *ops, bounds, s1, 0, sigma=sigma)
+            box = _minus_adjoint_box(x, table[tuple(slice(t - h, t + h + 1) for t, h in zip(top, half))])
         else:
             box = _dense_box_kernel(th, *ops, bounds, s1, s2)
         cells = box.ravel()
@@ -782,9 +794,9 @@ def _dense_box_work(terms_a: int, bounds) -> int:
     commutator builds the b * a operands only after the a * b ones are
     freed, and a one-side commutator adds only arrays of the output box's
     size (``_minus_adjoint_box``), so this also bounds the memory of a call.
-    The sigma(r, r) table that a one-side commutator reads outlives the
-    call, but is bounded by the largest one-side output box for the current
-    theta (``_sigma_table``).
+    The sigma(r, r) table that a one-side commutator reads lives as long as
+    its theta, and is bounded by the largest one-side output box asked for
+    on that theta (``_sigma_table``).
     """
     _, ext_a, _, ext_b = bounds
     ext = [x + y - 1 for x, y in zip(ext_a, ext_b)]
@@ -907,67 +919,44 @@ def _dense_box_kernel(th: ThetaMatrix, ra, ca, rb, cb, bounds, s1: int, s2: int,
     return out.reshape(ext)
 
 
-def _minus_adjoint_box(th: ThetaMatrix, x):
-    """x - x* on a box of cells centred on 0: c(r) = x(r) - conj(x(-r)) sigma(r, r).
+def _minus_adjoint_box(x, sigma):
+    """x - x* on a box of cells centred on 0: c(r) = x(r) - conj(x(-r)) sigma(r, r),
+    with ``sigma`` the box's slice of ``_sigma_table``.
 
     -r is r's cell mirrored in C order, so x(-r) is the box read backwards,
-    and no cell is grouped.  sigma(r, r) is the box's slice of
-    ``_sigma_table``, each cell with the bits of the adjoint's phase.
+    and no cell is grouped.
     """
-    half = [(e - 1) // 2 for e in x.shape]
-    top, table = _sigma_table(th, half)
-    sigma = table[tuple(slice(t - h, t + h + 1) for t, h in zip(top, half))]
     return x - _cmul(np.conj(np.flip(x)), sigma)
 
 
-#: The last sigma(r, r) table, (theta, half-extents, read-only table), or None;
-#: ``_sigma_table`` reads it and replaces it whole.
-_sigma_slot = None
-
-
 def _sigma_table(th: ThetaMatrix, half):
-    """(top, table): sigma(r, r) on the box of cells centred on 0 with
-    half-extents ``top``, cell r at r + top, where top holds ``half``
-    elementwise.
+    """(top, table): sigma(r, r) (``_self_phases``) on the box of cells centred
+    on 0 with half-extents ``top``, cell r at r + top, where top holds
+    ``half`` elementwise.
 
-    The table is the last call's when theta is equal to its theta and its
-    box holds this one; otherwise it is built on the box of the
-    elementwise max of both half-extents for the same theta, or of
-    ``half`` for another theta, and replaces the last one.  So for one
-    theta it is the smallest centred box that holds every box asked for
-    since theta last changed: up to that box's 16 bytes per cell, kept
-    after the call.  Each cell depends only on theta and r, so a slice has
-    the bits of a table built on the slice's own box.
+    The table is kept on theta (``ThetaMatrix._sigma``): it is theta's last
+    one when that box holds this one, and otherwise built on the box of the
+    elementwise max of both half-extents and kept in its place.  So it is
+    the smallest centred box that holds every box asked for on theta: up to
+    that box's 16 bytes per cell, as long as theta lives.  Each cell is
+    sigma(r, r) of its own row, so a slice has the bits of a table built on
+    the slice's own box, and of the adjoint's phase.
 
-    The exponent of sigma(r, r) is w . r with w = r P
-    (``_adjoint_values``'): w depends only on the tail of r, so its first
-    term is omega(tail) r_0, an outer product, and when n > 2 the terms of
-    P's tail columns follow, one per tail cell.  The sum runs in
-    ``_exponents``' order, so each phase has the bits of the adjoint's.
-
-    Threads: a call reads ``_sigma_slot`` once and uses that tuple or the
-    one it builds, which it stores by one assignment; a stored table is
-    never written, so concurrent calls each read a whole table for their
-    own theta, and a table lost to a concurrent store is only built again.
+    Threads: ``th._sigma`` is read once and replaced whole by one
+    assignment, and a stored table is never written, so concurrent calls
+    each read a whole table; one lost to a concurrent store is built again.
     """
-    global _sigma_slot
-    slot = _sigma_slot
-    if slot is not None and slot[0] == th:
-        if all(h <= t for h, t in zip(half, slot[1])):
-            return slot[1:]
-        half = [max(h, t) for h, t in zip(half, slot[1])]
+    kept = th._sigma
+    if kept is not None:
+        if all(h <= t for h, t in zip(half, kept[0])):
+            return kept
+        half = [max(h, t) for h, t in zip(half, kept[0])]
     ext = [2 * h + 1 for h in half]
-    rows0, tail = ext[0], math.prod(ext[1:])
-    cells = np.zeros((tail, th.n), dtype=np.int64)  # each tail cell's multi-index, r_0 = 0
-    cells[:, 1:] = np.indices(ext[1:]).reshape(th.n - 1, tail).T - half[1:]
-    w = _cocycle_rows(th, cells)
-    exponent = (np.arange(rows0) - half[0])[:, None] * w[:, 0]
-    for m in range(1, th.n - 1):
-        exponent = exponent + w[:, m] * cells[:, m]
-    table = _phases(exponent).reshape(ext)
+    cells = np.indices(ext, dtype=np.int64).reshape(th.n, -1).T - half
+    table = _self_phases(th, cells).reshape(ext)
     table.setflags(write=False)
-    slot = _sigma_slot = (th, tuple(half), table)
-    return slot[1:]
+    th._sigma = kept = (tuple(half), table)
+    return kept
 
 
 def _sigma_left(sigma, bounds, tails):

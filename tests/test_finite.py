@@ -829,6 +829,78 @@ def test_non_finite_tall_stacks_are_not_proved(bad):
             _orthonormal_rows(m)
 
 
+def pivot_proof_reference(m, scale):
+    """``_full_rank_proved`` as it was before the column refusal: every block
+    with distinct pivot rows is decided by its pivot block's SVD."""
+    r, c = m.shape
+    modulus = np.abs(m)
+    top = modulus.max()
+    if not np.isfinite(top):
+        return False
+    pivots = modulus.argmax(axis=0)
+    if len(set(pivots.tolist())) < c:
+        return False
+    power = -np.frexp(top)[1]
+    fro = np.linalg.norm(np.ldexp(modulus, power, out=modulus))
+    pivot_block = np.ldexp(np.ascontiguousarray(m[pivots]).view(float), power).view(complex)
+    sigma = np.linalg.svd(pivot_block, compute_uv=False)[-1]
+    bound = fro if scale is None else np.ldexp(scale, power)
+    return bool(sigma > RANK_TOL * bound + 8 * r * c * np.finfo(float).eps * fro)
+
+
+def proof_verdicts(m, scale):
+    """(``_full_rank_proved``'s verdict, its number of SVDs, the reference's verdict)."""
+    with pytest.MonkeyPatch.context() as patch:
+        svd_calls = counted(patch, "svd")
+        proved = _full_rank_proved(m, scale)
+    return proved, len(svd_calls), pivot_proof_reference(m, scale)
+
+
+def test_column_refusal_keeps_every_verdict_on_benchmark_shapes(monkeypatch):
+    """Every block offered to the proof while the form reports of the
+    benchmark's two-block shapes and a product check are formed gets the
+    reference's verdict, and a refused block spends no SVD: the
+    rank-deficient junk images are refused by a column below the margin."""
+    blocks = []
+    proof = finite._full_rank_proved
+    monkeypatch.setattr(finite, "_full_rank_proved", lambda m, scale: blocks.append((m.copy(), scale)) or proof(m, scale))
+    for p, q, klass in BENCHMARK_FORM_SHAPES:
+        form_report(matrix_case_triple(p, q, benchmark_coupling(p, q, klass)))
+    product_check(matrix_case_triple(2, 2, np.diag([1.0, 2.0])), matrix_case_triple(2, 1, [[0.6], [0.8j]]))
+    monkeypatch.undo()
+    verdicts = [proof_verdicts(m, scale) for m, scale in blocks]
+    assert all(proved == reference for proved, _, reference in verdicts)
+    assert all(svds == 0 for proved, svds, _ in verdicts if not proved)
+    assert {proved for proved, _, _ in verdicts} == {True, False}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cols=st.integers(2, 12),
+    rows_per_col=st.integers(2, 5),
+    column=st.integers(0, 11),
+    exponent=st.integers(-30, -8),
+    magnitude=st.sampled_from([1e-200, 1e-10, 1.0, 1e10, 1e200]),
+    explicit_scale=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_column_refusal_keeps_every_verdict_on_a_tiny_column(
+    cols, rows_per_col, column, exponent, magnitude, explicit_scale, seed
+):
+    """A full-rank stack with one of its columns scaled by 10^exponent, at any
+    magnitude: the verdict is the reference's, and a column under the
+    rounding margin alone (10^-17 of the others, whose pivots are at least 2)
+    is refused with no SVD."""
+    m, _ = proved_stack(rows_per_col * cols, cols, seed)
+    m[:, column % cols] *= 10.0**exponent
+    m *= magnitude
+    scale = 1e3 * np.abs(m).max() if explicit_scale else None
+    proved, svds, reference = proof_verdicts(m, scale)
+    assert proved == reference
+    if exponent <= -17:
+        assert not proved and svds == 0
+
+
 def relation_stack(t):
     """The triple's relation stack R = vec(b_i [D, c_j]), formed as ``FiniteTriple._relations`` forms it."""
     dirac, basis = _unit_scaled(t.D), t._unit_basis
@@ -989,17 +1061,21 @@ BENCHMARK_FORM_SHAPES = [
 ]
 
 
+def benchmark_coupling(p, q, klass):
+    """A random p x q coupling of the coupling class: a Gaussian block for
+    case 2, orthonormal columns of the larger side times a scale otherwise."""
+    gen = np.random.default_rng([p, q, klass])
+    if klass == 2:
+        return gen.normal(size=(p, q)) + 1j * gen.normal(size=(p, q))
+    cols, _ = np.linalg.qr(gen.normal(size=(max(p, q), min(p, q))))
+    return gen.uniform(0.5, 2.0) * (cols if p >= q else cols.T)
+
+
 @pytest.mark.parametrize("p,q,klass", BENCHMARK_FORM_SHAPES)
 def test_matrix_case_dims_on_benchmark_shapes(p, q, klass):
     """dim Omega^2 is p^2 + q^2 in case 1, 0 in case 2 and min(p, q)^2 in case 3
-    on random couplings of each class: a Gaussian block for case 2, orthonormal
-    columns of the larger side times a scale otherwise."""
-    gen = np.random.default_rng([p, q, klass])
-    if klass == 2:
-        mu = gen.normal(size=(p, q)) + 1j * gen.normal(size=(p, q))
-    else:
-        cols, _ = np.linalg.qr(gen.normal(size=(max(p, q), min(p, q))))
-        mu = gen.uniform(0.5, 2.0) * (cols if p >= q else cols.T)
+    on random couplings of each class (``benchmark_coupling``)."""
+    mu = benchmark_coupling(p, q, klass)
     assert classify_matrix_case(p, q, mu) is MatrixCase(f"Case{klass}")
     expected = {1: p * p + q * q, 2: 0, 3: min(p, q) ** 2}[klass]
     rep = form_report(matrix_case_triple(p, q, mu))

@@ -1100,9 +1100,17 @@ def skew_ball(th, radius, gen):
     return torus.skew_entry(m, m)
 
 
+def minus_adjoint_box(th, x):
+    """x - x* on the box x centred on 0, its phases the box's slice of theta's
+    sigma(r, r) table, as ``signed_sums`` cuts it."""
+    half = [(e - 1) // 2 for e in x.shape]
+    top, table = torus._sigma_table(th, half)
+    return torus._minus_adjoint_box(x, table[tuple(slice(t - h, t + h + 1) for t, h in zip(top, half))])
+
+
 def one_side_box(th, ops, bounds, s1):
     """x - x* with x = s1 a * b, the box of the kernel's s2 = 0 call."""
-    return torus._minus_adjoint_box(th, torus._dense_box_kernel(th, *ops, bounds, s1, 0))
+    return minus_adjoint_box(th, torus._dense_box_kernel(th, *ops, bounds, s1, 0))
 
 
 @pytest.mark.parametrize("n,radius", [(2, 5), (3, 3)])
@@ -1142,7 +1150,7 @@ def test_one_side_box_is_x_minus_its_adjoint_bit_for_bit(n, radius):
         assert (rows == -rows[::-1]).all()
         cells = x.ravel()
         want = cells - torus._adjoint_values(th, rows, cells)[::-1]
-        assert torus._minus_adjoint_box(th, x).ravel().tobytes() == want.tobytes()
+        assert minus_adjoint_box(th, x).ravel().tobytes() == want.tobytes()
 
 
 def test_only_flagged_centred_box_commutators_take_one_side(theta2, monkeypatch):
@@ -1188,7 +1196,8 @@ def test_sigma_table_slices_are_the_direct_phases_and_grow_only_for_larger_boxes
     """Each ``_sigma_table`` slice has the bits of sigma(r, r) formed
     directly on its own box.  The table is built again for another theta
     and grown to the elementwise max for a box it does not hold (counted
-    as ``_phases`` calls), and a box it holds builds nothing."""
+    as ``_phases`` calls), and a box it holds builds nothing.  Each theta
+    keeps its own table: another theta's does not evict it."""
     gen = sampling.rng(90 + n)
     th, other = sampling.random_theta(n, gen), sampling.random_theta(n, gen)
     assert n == 2 or th._pair_mat[:, 1:-1].any()
@@ -1198,12 +1207,11 @@ def test_sigma_table_slices_are_the_direct_phases_and_grow_only_for_larger_boxes
         (th, wider, [3] + [1] * (n - 1), 2),  # larger on axis 0, smaller on the tail
         (th, inside, [3] + [1] * (n - 1), 2),
         (other, inside, inside, 3),
-        (th, small, small, 4),
+        (th, small, [3] + [1] * (n - 1), 3),
     ]
     want = [sigma_direct(theta, half).tobytes() for theta, half, _, _ in steps]
     builds, real = [], torus._phases
     monkeypatch.setattr(torus, "_phases", lambda x: builds.append(x.shape) or real(x))
-    monkeypatch.setattr(torus, "_sigma_slot", None)
     for (theta, half, top, built), direct in zip(steps, want):
         got_top, table = torus._sigma_table(theta, half)
         assert list(got_top) == top and len(builds) == built and not table.flags.writeable
@@ -1211,7 +1219,43 @@ def test_sigma_table_slices_are_the_direct_phases_and_grow_only_for_larger_boxes
         assert np.ascontiguousarray(cut).tobytes() == direct
 
 
-def test_gathered_left_phases_are_the_direct_table(theta2, monkeypatch):
+def test_each_theta_keeps_its_own_sigma_table(monkeypatch):
+    """A one-side commutator on theta A, then on theta B, then on A again:
+    the third lookup returns A's table, the same array, so it builds nothing."""
+    gen = sampling.rng(95)
+    calls = []
+    for _ in range(2):
+        th = sampling.random_theta(2, gen)
+        a, b = skew_ball(th, 5, gen), skew_ball(th, 4, gen)
+        calls.append((TorusElement.zero(th), [(a, b, 1, -1)]))
+    tables, real = [], torus._sigma_table
+    monkeypatch.setattr(torus, "_sigma_table", lambda th, half: tables.append(real(th, half)) or tables[-1])
+    first_lookups = []
+    for entry in calls + calls[:1]:
+        tables.clear()
+        signed_sums([entry], _skew=True)
+        first_lookups.append(tables[0][1])
+    first, other, again = first_lookups
+    assert again is first and other is not first
+
+
+def test_one_table_lookup_per_one_side_commutator(theta2, monkeypatch):
+    """A flagged ``signed_sums`` call with k one-side box commutators looks
+    theta's sigma(r, r) table up k times: once per commutator, for the
+    kernel and for x*."""
+    gen = sampling.rng(96)
+    a, b, c = (skew_ball(theta2, radius, gen) for radius in (5, 4, 3))
+    zero = TorusElement.zero(theta2)
+    entries = [(zero, [(a, b, 1, -1), (b, c, -1, 1)]), (zero, [(c, a, 1, -1)])]
+    lookups, real = [], torus._sigma_table
+    monkeypatch.setattr(torus, "_sigma_table", lambda th, half: lookups.append(half) or real(th, half))
+    one_side, real_box = [], torus._minus_adjoint_box
+    monkeypatch.setattr(torus, "_minus_adjoint_box", lambda *args: one_side.append(1) or real_box(*args))
+    signed_sums(entries, _skew=True)
+    assert len(one_side) == 3 and len(lookups) == 3
+
+
+def test_gathered_left_phases_are_the_direct_table(theta2):
     """For n = 2, a * b's left phases read from the sigma(r, r) table have
     the bits of e(w_0 (lo_b0 + j)) formed directly, signed by s1 = 1 or -1
     as the kernel signs them, on cells whose phase is exactly 1 too (where
@@ -1219,7 +1263,6 @@ def test_gathered_left_phases_are_the_direct_table(theta2, monkeypatch):
     part).  Cells outside the table give None.  Through the kernel, skew
     operands (whose cells lie in the table) give the box without the table
     bit for bit."""
-    monkeypatch.setattr(torus, "_sigma_slot", None)
     sigma = torus._sigma_table(theta2, (6, 5))
     tails = np.array([-5, -2, 0, 3, 5])
     rows = np.zeros((len(tails), 2), dtype=np.int64)
@@ -1248,8 +1291,8 @@ def test_gathered_left_phases_are_the_direct_table(theta2, monkeypatch):
 
 def test_flagged_sums_on_two_thetas_in_threads_match_serial_runs():
     """Threads running flagged ``signed_sums`` calls for two thetas in turn,
-    whose boxes grow and shrink, share the one sigma(r, r) slot: every
-    result has the bits of the same call run alone."""
+    whose boxes grow and shrink, grow each theta's sigma(r, r) table from
+    none: every result has the bits of the same call run alone."""
     gen = sampling.rng(94)
     thetas = [sampling.random_theta(2, gen) for _ in range(2)]
     entries = {}
@@ -1264,6 +1307,8 @@ def test_flagged_sums_on_two_thetas_in_threads_match_serial_runs():
         return bits(signed_sums([entries[job]], _skew=True)[0])
 
     alone = {job: run(job) for job in entries}
+    for th in thetas:
+        th._sigma = None
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
