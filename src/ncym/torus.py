@@ -47,10 +47,17 @@ that is not an integer raises ``ValueError``, one past +-(2^63 - 1)
 ``IndexOutOfRange``); ``coeffs`` is a read-only dict built on demand.
 ``_kept`` is the one place that drops values under ``CANONICAL_EPS`` (NaN
 is kept) and ``_groups`` the one grouping of index rows, used by sums,
-``signed_sums`` and ``inner_sum``.  Other operations
-keep rows sorted: the adjoint negates and reverses them, ``tensor_embed``
-puts a's rows, repeated, beside b's, tiled, and a box's cells in C order are
-sorted.
+``signed_sums``, ``skew_entries``, ``derivation_differences`` and
+``inner_sum``.  It sorts one code per row, the row's place in the box of the
+keys: 16 bits when the box has at most 2^16 cells, which numpy's stable
+argsort sorts by radix, else 64.  A stable order is unique, so the groups,
+the sums and their bits do not depend on the code's width.  The batched
+operations group many elements at once, each one's number the leading
+digit of its keys: every skew entry (a - b*) / 2 of a random connection's
+components, and every base delta_i A_j - delta_j A_i of a curvature.  Other
+operations keep rows sorted: the adjoint negates and reverses them,
+``tensor_embed`` puts a's rows, repeated, beside b's, tiled, and a box's
+cells in C order are sorted.
 
 Star-product kernels
 --------------------
@@ -303,12 +310,7 @@ class TorusElement:
         moved = t.nonzero()[0]
         if len(moved) < len(t):
             r, c, t = r.take(moved, 0), c.take(moved), t.take(moved)
-        # (0 + i f) c as Python's complex multiply forms it
-        f = 2.0 * math.pi * t
-        vals = np.empty(len(c), dtype=complex)
-        np.subtract(0.0 * c.real, f * c.imag, out=vals.real)
-        np.add(0.0 * c.imag, f * c.real, out=vals.imag)
-        return TorusElement._raw(self.theta, r, vals)
+        return TorusElement._raw(self.theta, r, _derived(t, c))
 
     def mode_divided(self, w: float) -> "TorusElement":
         """sum_r a_r / (1 + w |r|^2) U^r, real and imaginary parts divided apart."""
@@ -379,25 +381,57 @@ def _paired_adjoint(a: TorusElement, b: TorusElement):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def skew_entry(a: TorusElement, b: TorusElement) -> TorusElement:
-    """(a - b*) / 2, entry (i, j) of the skew part of a matrix m for a = m_ij
-    and b = m_ji, bit for bit ``(a - b.adjoint()).scale(0.5)``.
+def skew_entries(pairs) -> list:
+    """[(a - b*) / 2 for (a, b) in pairs], all over one theta: for a = m_ij
+    and b = m_ji, entry (i, j) of the skew part of a matrix m.  Each is bit
+    for bit ``(a - b.adjoint()).scale(0.5)``, with the adjoint's, the
+    difference's and the halving's drops.
 
     When a's rows are b*'s (``_paired_adjoint``), every row of a meets the
     row of b* it pairs with, so the difference is elementwise, with no
     grouping: b*'s values under the drop are the adjoint's dropped terms and
     subtract as zeros, a - y is the grouped sum a + (-y), and one drop after
-    the halving, which is exact, drops what the sum's and the scale's drops
-    do.  Otherwise the sum is grouped as ``-`` groups it.
+    the halving drops what the difference's and the halving's drops do (a
+    halving never raises a modulus).  The other pairs are one grouping: the
+    adjoint values of all their b's are one array pass, less those that the
+    adjoint drops, and ``_summed`` by (pair, key) adds each key's -b* term
+    to its a term, as ``-`` groups them; then the halving and one drop over
+    all of them.  The adjoint's drop reads the values backwards, as
+    ``adjoint`` does: numpy's modulus of a strided array can differ in the
+    last bit from that of a contiguous one, and decide a term at the drop.
     """
-    a._check(b)
-    y = _paired_adjoint(a, b)
-    if y is None:
-        return (a - b.adjoint()).scale(0.5)
-    star = np.zeros_like(y)  # b* on a's rows, zero where the adjoint drops a term
-    kept = _kept(y)
-    star[kept] = y[kept]
-    return _element(a.theta, a.indices, _cmul(0.5 + 0j, a.values - star))
+    if not pairs:
+        return []
+    first = pairs[0][0]
+    out, rest = [None] * len(pairs), []
+    for k, (a, b) in enumerate(pairs):
+        first._check(a)
+        a._check(b)
+        y = _paired_adjoint(a, b)
+        if y is None:
+            rest.append(k)
+            continue
+        star = np.zeros_like(y)  # b* on a's rows, zero where the adjoint drops a term
+        kept = _kept(y)
+        star[kept] = y[kept]
+        out[k] = _element(a.theta, a.indices, _cmul(0.5 + 0j, a.values - star))
+    if rest:
+        th = first.theta
+        left, right = [pairs[k][0] for k in rest], [pairs[k][1] for k in rest]
+        ids = range(len(rest))
+        rb = np.concatenate([b.indices for b in right])
+        y = _adjoint_values(th, rb, np.concatenate([b.values for b in right]))
+        # the adjoint's drop, on its values read backwards as ``adjoint`` reads
+        # them: np.abs may round a strided read otherwise than a contiguous one
+        kept = len(y) - 1 - _kept(y[::-1])[::-1]
+        entry = np.concatenate(
+            (np.repeat(ids, [len(a.values) for a in left]), np.repeat(ids, [len(b.values) for b in right]).take(kept))
+        )
+        rows = np.concatenate([a.indices for a in left] + [-rb.take(kept, 0)])
+        vals = np.concatenate([a.values for a in left] + [-y.take(kept)])
+        for k, x in zip(rest, _entry_sums(th, ids, entry, rows, vals, 0.5 + 0j)):
+            out[k] = x
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -410,6 +444,52 @@ def skew_residue(a: TorusElement, b: TorusElement):
     if y is None:
         return None
     return float(np.abs(a.values + y).max(initial=0.0)), float(np.abs(a.values).max(initial=0.0))
+
+
+def _derived(t, c):
+    """2 pi i t c per term, for int64 t and complex c: (0 + i f) c with
+    f = 2 pi t, as Python's complex multiply forms it."""
+    f = 2.0 * math.pi * t
+    vals = np.empty(len(c), dtype=complex)
+    np.subtract(0.0 * c.real, f * c.imag, out=vals.real)
+    np.add(0.0 * c.imag, f * c.real, out=vals.imag)
+    return vals
+
+
+def derivation_differences(entries) -> list:
+    """[delta_i x - delta_j y for (x, i, y, j) in entries], all over one
+    theta, each bit for bit ``x.derivation(i) - y.derivation(j)``: the bases
+    of the curvature's entries.
+
+    Every derivative of every entry is one set of array passes (``_derived``
+    on the terms whose index entry is nonzero), delta_j y's values negated,
+    which is exact, and one ``_summed`` grouping by (entry, key) adds each
+    key's -delta_j y term to its delta_i x term, as ``-`` groups them.  A
+    derivative keeps every modulus at or above its operand's, so a lone
+    term is never dropped, and one drop over all the sums drops what each
+    difference's does.
+    """
+    if not entries:
+        return []
+    first = entries[0][0]
+    th = first.theta
+    if not all(1 <= i <= th.n and 1 <= j <= th.n for _, i, _, j in entries):
+        raise IndexOutOfRange(f"derivation index outside 1..{th.n}")
+    ids = range(len(entries))
+    entry, rows, vals = [], [], []
+    for side in (0, 2):
+        els = [e[side] for e in entries]
+        for el in els:
+            first._check(el)
+        counts = [len(el.values) for el in els]
+        r = np.concatenate([el.indices for el in els])
+        t = r[np.arange(len(r)), np.repeat([e[side + 1] - 1 for e in entries], counts)]
+        moved = t.nonzero()[0]
+        v = _derived(t.take(moved), np.concatenate([el.values for el in els]).take(moved))
+        entry.append(np.repeat(ids, counts).take(moved))
+        rows.append(r.take(moved, 0))
+        vals.append(-v if side else v)
+    return _entry_sums(th, ids, np.concatenate(entry), np.concatenate(rows), np.concatenate(vals))
 
 
 def _kept(vals):
@@ -431,21 +511,31 @@ def _element(th: ThetaMatrix, rows, vals) -> TorusElement:
 #: Codes of index rows at or past this are not formed; the rows are sorted instead.
 _CODE_LIMIT = 2**62
 
+#: Key boxes of at most this many cells have 16-bit codes, which numpy's
+#: stable argsort sorts by radix.
+_SHORT_CODE_CELLS = 2**16
+
 
 def _groups(keys):
     """(order, starts): the columns of an int64 (k, m) array in lexicographic
     order by a stable sort, and which sorted positions start a group of equal
     columns.
 
-    The sort is of one int64 code, a column's place in the box of the keys,
-    or of the rows themselves by ``np.lexsort`` when that box has
-    ``_CODE_LIMIT`` cells or more.  It is stable, so each group keeps its
-    columns in input order.
+    The sort is of one code, a column's place in the box of the keys: a
+    uint16 when the box has at most ``_SHORT_CODE_CELLS`` cells, which
+    numpy's stable argsort sorts by radix, else an int64.  When the box has
+    ``_CODE_LIMIT`` cells or more it is of the rows themselves, by
+    ``np.lexsort``.  Every sort is stable, and a stable order is unique, so
+    all three give the same order, and each group keeps its columns in input
+    order.
     """
     lo, hi = keys.min(1), keys.max(1)
     ext = [h - l + 1 for h, l in zip(hi.tolist(), lo.tolist())]  # Python ints: may pass int64
-    if math.prod(ext) < _CODE_LIMIT:
+    cells = math.prod(ext)
+    if cells < _CODE_LIMIT:
         code = np.ravel_multi_index(keys - lo[:, None], ext)
+        if cells <= _SHORT_CODE_CELLS:
+            code = code.astype(np.uint16)
         order = code.argsort(kind="stable")
         code = code.take(order)
         step = code[1:] != code[:-1]
@@ -471,6 +561,32 @@ def _summed(keys, vals):
     rest = ~starts
     np.add.at(sums, starts.cumsum()[rest] - 1, vals[rest])
     return order[starts], sums
+
+
+def _entry_sums(th: ThetaMatrix, ids, entry, rows, vals, factor=None) -> list:
+    """[the element of entry e for e in ids] of the terms (entry, row, value):
+    one ``_summed`` grouping by (entry, row), each sum times ``factor``
+    (``_cmul``) when one is given, then ``_elements``.  ``ids`` ascend and
+    hold every entry."""
+    if not len(vals):
+        return [TorusElement.zero(th) for _ in ids]
+    # the keys one index column per row, after the entry: the reductions in
+    # ``_groups`` then run along contiguous rows
+    head, sums = _summed(np.concatenate((entry[None, :], rows.T)), vals)
+    if factor is not None:
+        sums = _cmul(factor, sums)
+    return _elements(th, ids, entry.take(head), rows.take(head, 0), sums)
+
+
+def _elements(th: ThetaMatrix, ids, entry, rows, vals) -> list:
+    """[the element of entry e for e in ids] of the terms (entry, row, value),
+    sorted by (entry, row) with no key twice, less the values under the drop:
+    one ``_kept`` over all of them.  ``ids`` ascend and hold every entry."""
+    kept = _kept(vals)
+    if len(kept) < len(vals):
+        entry, rows, vals = entry.take(kept), rows.take(kept, 0), vals.take(kept)
+    bounds = np.searchsorted(entry, [*ids, ids[-1] + 1]).tolist()
+    return [TorusElement._raw(th, rows[lo:hi], vals[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _sum(a: TorusElement, b: TorusElement, cb) -> TorusElement:
@@ -513,6 +629,9 @@ def inner_sum(pairs) -> complex:
 #: kernels compute the same sums up to rounding.
 _VECTOR_CUTOFF = 512
 
+#: The (s1, s2) signs of a ``signed_sums`` term.
+_SIGNS = frozenset(itertools.product((-1, 1), (-1, 0, 1)))
+
 #: The dense-box kernel runs while its work (``_dense_box_work``) per pair of
 #: terms is at most this; above it the pairwise kernel runs, whose time and
 #: memory follow the pair count.  The work bounds every array the dense kernel
@@ -550,31 +669,41 @@ def signed_sums(entries, _skew: bool = False) -> list:
     entries of matrix products and of sums of commutators, as
     ``yangmills._matrix_sums`` forms them.  A term with an empty operand
     adds nothing.  ``_takes_box`` picks each term's kernel once, on a's
-    grouping.  The pairwise terms of every entry run as one
+    grouping, for a term of more than ``_VECTOR_CUTOFF`` pairs; a smaller
+    one is pairwise.  The pairwise terms of every entry run as one
     ``_pairwise_kernel`` pass: a term adds a * b and then, if s2 is nonzero,
     b * a, a negative sign entering as the left coefficients negated, which
     is exact.  Each dense-box term is one kernel call, its box read in C
     order.  One ``_summed`` grouping by (entry, output key) then sums every
     entry: its base's terms, then its pairs in pass order, then its box
     terms' cells in term order, so each sum starts from the base coefficient.
-    ``CANONICAL_EPS`` drops each box's cells as the box is read and each
-    entry's sums once, not each pair.  An entry without terms is its base.
-    Every base and operand shares one theta.  ``IndexOutOfRange`` if an
-    entry of r + s could leave int64.
+    ``CANONICAL_EPS`` drops each box's cells as the box is read and the
+    sums once, one ``_kept`` over every entry's, not each pair.  An entry
+    without terms is its base.  Every base and operand shares one theta,
+    compared by identity with the first base's and, only where that fails,
+    by value (``ThetaMismatch``); ``ValueError`` for signs out of the
+    contract above.  ``IndexOutOfRange`` if an entry of r + s could leave
+    int64.
     """
     if not entries:
         return []
     first = entries[0][0]
+    th = first.theta
     pair_entries, products, boxed = [], [], []
     for e, (base, terms) in enumerate(entries):
-        first._check(base)
+        if getattr(base, "theta", None) is not th:
+            first._check(base)
         for a, b, s1, s2 in terms:
-            base._check(a)
-            a._check(b)
-            if not len(a.values) or not len(b.values):
+            if (s1, s2) not in _SIGNS:
+                raise ValueError(f"term signs ({s1}, {s2}): s1 must be -1 or 1 and s2 -1, 0 or 1")
+            if getattr(a, "theta", None) is not th or getattr(b, "theta", None) is not th:
+                first._check(a)
+                first._check(b)
+            pairs = len(a.values) * len(b.values)
+            if not pairs:
                 continue
             ops = (a.indices, a.values, b.indices, b.values)
-            bounds = _takes_box(*ops)
+            bounds = _takes_box(*ops) if pairs > _VECTOR_CUTOFF else None
             if bounds:
                 _check_sums(_reach(*bounds[:2]), _reach(*bounds[2:]))
                 boxed.append((e, ops, bounds, s1, s2, _skew and s2 == -s1 and _centred(bounds)))
@@ -584,7 +713,6 @@ def signed_sums(entries, _skew: bool = False) -> list:
                 if s2:
                     pair_entries.append(e)
                     products.append((b.indices, -b.values if s2 < 0 else b.values, a.indices, a.values))
-    th = first.theta
     outs = [base for base, _ in entries]
     held = set(pair_entries)
     sizes = [len(ca) * len(cb) for _, ca, _, cb in products]
@@ -621,10 +749,8 @@ def signed_sums(entries, _skew: bool = False) -> list:
     # adding +0.0 to such a sum does the same
     pairs_at = sum(counts)
     sums[(head >= pairs_at) & (head < pairs_at + sum(sizes))] += 0.0
-    bounds = np.searchsorted(entry.take(head), held + [len(outs)]).tolist()
-    rows = rows.take(head, 0)
-    for e, lo, hi in zip(held, bounds, bounds[1:]):
-        outs[e] = _element(th, rows[lo:hi], sums[lo:hi])
+    for e, x in zip(held, _elements(th, held, entry.take(head), rows.take(head, 0), sums)):
+        outs[e] = x
     return outs
 
 

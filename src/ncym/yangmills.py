@@ -57,10 +57,11 @@ from .errors import (
 from .torus import (
     ThetaMatrix,
     TorusElement,
+    derivation_differences,
     inner_sum,
     product_theta,
     signed_sums,
-    skew_entry,
+    skew_entries,
     skew_residue,
     tensor_embed,
 )
@@ -80,29 +81,41 @@ class TorusMatrix:
     __slots__ = ("theta", "q", "entries")
 
     def __init__(self, theta: ThetaMatrix, entries):
-        q = len(entries)
-        rows = []
-        for row in entries:
+        """From q rows of q ``TorusElement`` entries over ``theta``, each checked;
+        ``ShapeMismatch`` for anything else."""
+        try:
+            rows = tuple(tuple(row) for row in entries)
+        except TypeError:
+            raise ShapeMismatch("matrix must be a sequence of rows of entries") from None
+        q = len(rows)
+        for row in rows:
             if len(row) != q:
                 raise ShapeMismatch("matrix must be square")
             for e in row:
-                if e.theta != theta:
-                    raise ShapeMismatch("all entries must share the matrix theta")
-            rows.append(tuple(row))
+                if not isinstance(e, TorusElement) or e.theta != theta:
+                    raise ShapeMismatch("all entries must be torus elements over the matrix theta")
         self.theta = theta
         self.q = q
-        self.entries = tuple(rows)
+        self.entries = rows
+
+    @classmethod
+    def _built(cls, theta: ThetaMatrix, rows) -> "TorusMatrix":
+        """The matrix of q rows of q entries over ``theta`` that the library
+        built itself, so that no check can fail: not checked."""
+        m = object.__new__(cls)
+        m.theta, m.q, m.entries = theta, len(rows), tuple(map(tuple, rows))
+        return m
 
     @classmethod
     def zeros(cls, theta, q):
         z = TorusElement.zero(theta)
-        return cls(theta, [[z] * q for _ in range(q)])
+        return cls._built(theta, [[z] * q for _ in range(q)])
 
     @classmethod
     def identity(cls, theta, q):
         z = TorusElement.zero(theta)
         one = TorusElement.one(theta)
-        return cls(theta, [[one if i == j else z for j in range(q)] for i in range(q)])
+        return cls._built(theta, [[one if i == j else z for j in range(q)] for i in range(q)])
 
     @classmethod
     def from_scalar_matrix(cls, theta, scalars) -> "TorusMatrix":
@@ -110,7 +123,7 @@ class TorusMatrix:
         scalars = np.asarray(scalars, dtype=complex)
         q = scalars.shape[0]
         zero_idx = (0,) * theta.n
-        return cls(
+        return cls._built(
             theta,
             [
                 [TorusElement(theta, {zero_idx: scalars[i, j]}) for j in range(q)]
@@ -124,23 +137,23 @@ class TorusMatrix:
 
     def __add__(self, other):
         self._check(other)
-        return TorusMatrix(
+        return TorusMatrix._built(
             self.theta,
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
         )
 
     def __sub__(self, other):
         self._check(other)
-        return TorusMatrix(
+        return TorusMatrix._built(
             self.theta,
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
         )
 
     def __neg__(self):
-        return TorusMatrix(self.theta, [[-a for a in row] for row in self.entries])
+        return TorusMatrix._built(self.theta, [[-a for a in row] for row in self.entries])
 
     def scale(self, z):
-        return TorusMatrix(self.theta, [[a.scale(z) for a in row] for row in self.entries])
+        return TorusMatrix._built(self.theta, [[a.scale(z) for a in row] for row in self.entries])
 
     def __matmul__(self, other):
         """Entry (i, j) is the sum over k of entries[i][k] * other[k][j]: the
@@ -152,12 +165,12 @@ class TorusMatrix:
     def dagger(self):
         """Conjugate transpose composed with the torus involution."""
         q = self.q
-        return TorusMatrix(
+        return TorusMatrix._built(
             self.theta, [[self.entries[j][i].adjoint() for j in range(q)] for i in range(q)]
         )
 
     def derive(self, j: int):
-        return TorusMatrix(self.theta, [[a.derivation(j) for a in row] for row in self.entries])
+        return TorusMatrix._built(self.theta, [[a.derivation(j) for a in row] for row in self.entries])
 
     def tau(self) -> complex:
         """tau_q = tau (x) Trace (un-normalized matrix trace)."""
@@ -209,7 +222,7 @@ def _matrix_sums(jobs, _skew: bool = False) -> list:
                 entries.append((base.entries[i][j], products))
     sums = iter(signed_sums(entries, _skew=_skew))
     return [
-        TorusMatrix(base.theta, [[next(sums) for _ in range(base.q)] for _ in range(base.q)])
+        TorusMatrix._built(base.theta, [[next(sums) for _ in range(base.q)] for _ in range(base.q)])
         for base, _ in jobs
     ]
 
@@ -226,11 +239,20 @@ def hs_inner(x: TorusMatrix, y: TorusMatrix) -> complex:
 
 
 def skew_part(m: TorusMatrix) -> TorusMatrix:
-    """(m - m^dagger) / 2, bit for bit ``(m - m.dagger()).scale(0.5)``: entry
-    (i, j) is ``torus.skew_entry(m_ij, m_ji)``, elementwise when m_ij's rows
-    are the negated reverse of m_ji's."""
-    e = m.entries
-    return TorusMatrix(m.theta, [[skew_entry(e[i][j], e[j][i]) for j in range(m.q)] for i in range(m.q)])
+    """(m - m^dagger) / 2, bit for bit ``(m - m.dagger()).scale(0.5)``: the one
+    matrix of ``_skew_parts``.  An entry whose rows are the negated reverse of
+    its partner's, as on descent's iterates, is an elementwise difference."""
+    return _skew_parts([m])[0]
+
+
+def _skew_parts(ms) -> list:
+    """[skew_part(m) for m in ms], all over one theta: entry (i, j) of each is
+    (m_ij - m_ji*) / 2, and every entry of every matrix is one
+    ``torus.skew_entries`` call, so the entries whose rows are not the
+    negated reverse of their partner's are summed in one grouping."""
+    pairs = [(m.entries[i][j], m.entries[j][i]) for m in ms for i in range(m.q) for j in range(m.q)]
+    parts = iter(skew_entries(pairs))
+    return [TorusMatrix._built(m.theta, [[next(parts) for _ in range(m.q)] for _ in range(m.q)]) for m in ms]
 
 
 #: A potential is proved skew-adjoint when its ``_relative_skew_residue`` is
@@ -426,10 +448,13 @@ class SplittingReport:
 def curvature(c: Connection) -> dict:
     """{(i, j): F_ij} for i < j, computed by the first call and kept on ``c``.
 
-    F_ij = delta_i(A_j) - delta_j(A_i) + [A_i, A_j].  The commutators of all
-    the components are one ``_matrix_sums`` call: each entry is summed over
-    the 2q products of its commutator, and the pairwise products of every
-    entry of every component run as one pass.
+    F_ij = delta_i(A_j) - delta_j(A_i) + [A_i, A_j].  The bases
+    delta_i(A_j) - delta_j(A_i) of every entry of every component are one
+    ``torus.derivation_differences`` call, one grouping with one drop, each
+    entry with the bits of ``A_j.derive(i) - A_i.derive(j)``.  The
+    commutators of all the components are then one ``_matrix_sums`` call:
+    each entry is summed over the 2q products of its commutator, and the
+    pairwise products of every entry of every component run as one pass.
 
     minimize evaluates ym_value at each candidate, then takes the gradient and
     the line-search quartic at the accepted one, so the memo spares two
@@ -440,10 +465,19 @@ def curvature(c: Connection) -> dict:
     """
     if c._curvature is None:
         keys = [(i, j) for i in range(1, c.n + 1) for j in range(i + 1, c.n + 1)]
-        jobs = []
-        for i, j in keys:
-            ai, aj = c.A[i - 1], c.A[j - 1]
-            jobs.append((aj.derive(i) - ai.derive(j), [(ai, aj, -1)]))
+        cells = [(r, s) for r in range(c.q) for s in range(c.q)]
+        bases = iter(
+            derivation_differences(
+                [(c.A[j - 1].entries[r][s], i, c.A[i - 1].entries[r][s], j) for i, j in keys for r, s in cells]
+            )
+        )
+        jobs = [
+            (
+                TorusMatrix._built(c.theta, [[next(bases) for _ in range(c.q)] for _ in range(c.q)]),
+                [(c.A[i - 1], c.A[j - 1], -1)],
+            )
+            for i, j in keys
+        ]
         c._curvature = dict(zip(keys, _matrix_sums(jobs, _skew=c._skew)))
     return c._curvature
 
@@ -524,15 +558,22 @@ def grassmannian_connection(theta: ThetaMatrix, scalars) -> Connection:
 # -- criticality and descent ---------------------------------------------
 
 def random_connection(theta, q, gen, radius=2, terms=4, amplitude=0.1, proj=None) -> Connection:
-    """Random compatible (skew-adjoint) polynomial connection."""
-    comps = []
-    for _ in range(theta.n):
-        rows = [
-            [sampling.random_element(theta, gen, radius, terms, amplitude) for _ in range(q)]
-            for _ in range(q)
-        ]
-        comps.append(_cut(proj, skew_part(TorusMatrix(theta, rows))))
-    return Connection(theta, q, comps, proj)
+    """Random compatible (skew-adjoint) polynomial connection.
+
+    Every entry of every component is drawn first, in component, row and
+    column order (``sampling.random_element``); then the skew parts of all
+    the components are one ``_skew_parts`` call, each component cut by the
+    projection when there is one.  Each potential has the bits of the
+    component-by-component (m - m^dagger) / 2.
+    """
+    draws = [
+        TorusMatrix._built(
+            theta,
+            [[sampling.random_element(theta, gen, radius, terms, amplitude) for _ in range(q)] for _ in range(q)],
+        )
+        for _ in range(theta.n)
+    ]
+    return Connection(theta, q, [_cut(proj, m) for m in _skew_parts(draws)], proj)
 
 
 def is_critical(c: Connection, tol: float) -> bool:
@@ -556,7 +597,7 @@ def _inverse_laplacian(m: TorusMatrix) -> TorusMatrix:
     frequencies the commutators generate.
     """
     w = 2.0 * (2.0 * math.pi) ** 2
-    return TorusMatrix(m.theta, [[a.mode_divided(w) for a in row] for row in m.entries])
+    return TorusMatrix._built(m.theta, [[a.mode_divided(w) for a in row] for row in m.entries])
 
 
 class DescentTrace(list):
@@ -760,7 +801,7 @@ def _kron_matrix(m1: TorusMatrix, m2: TorusMatrix) -> TorusMatrix:
                 for j2 in range(q2):
                     row.append(tensor_embed(m1.entries[i1][j1], m2.entries[i2][j2]))
             rows.append(row)
-    return TorusMatrix(psi, rows)
+    return TorusMatrix._built(psi, rows)
 
 
 def product_connection(c1: Connection, c2: Connection) -> Connection:

@@ -25,9 +25,9 @@ from ncym import (
     tensor_embed,
     ym_gradient,
 )
-from ncym import sampling, torus
+from ncym import sampling, torus, yangmills
 from ncym.torus import signed_sums
-from ncym.yangmills import TorusMatrix, _inverse_laplacian, _matrix_sums, line_quartic, skew_part
+from ncym.yangmills import TorusMatrix, _inverse_laplacian, _matrix_sums, _skew_parts, line_quartic, skew_part
 
 COEFF_TOL = 1e-12
 
@@ -1012,6 +1012,83 @@ def test_signed_sums_sort_rows_past_the_code_limit(theta2, monkeypatch):
     assert got[2] is far
 
 
+def lexsort_groups(keys):
+    """(order, starts) of ``torus._groups`` from ``np.lexsort`` of the same keys."""
+    order = np.lexsort(keys[::-1])
+    rows = keys.take(order, 1)
+    return order, np.concatenate(([True], (rows[:, 1:] != rows[:, :-1]).any(0)))
+
+
+@pytest.mark.parametrize("cells,extents", [(2**16 - 1, (15, 17, 257)), (2**16, (16, 64, 64)), (2**16 + 1, (65537, 1, 1))])
+def test_short_codes_group_as_lexsort_and_long_codes(cells, extents, monkeypatch):
+    """Key boxes of 2^16 - 1, 2^16 and 2^16 + 1 cells, an entry digit first:
+    with repeated keys and shuffled columns, the 16-bit codes (the first
+    two) and the int64 codes (the third) give the order and starts of
+    ``np.lexsort``, and so do int64 codes forced on the same keys."""
+    assert math.prod(extents) == cells
+    gen = np.random.default_rng(cells)
+    lo = np.array([[0], [-3], [-100]])
+    cols = gen.integers(0, extents, size=(3000, 3)).T + lo
+    cols[:, :2] = np.concatenate((lo, lo + np.array(extents)[:, None] - 1), axis=1)  # the box's corners
+    keys = np.concatenate((cols, cols[:, gen.integers(0, 3000, 1500)]), axis=1)  # repeated keys
+    keys = np.ascontiguousarray(keys[:, gen.permutation(keys.shape[1])])
+    assert math.prod(int(h - l + 1) for l, h in zip(keys.min(1), keys.max(1))) == cells
+    order, starts = torus._groups(keys)
+    want_order, want_starts = lexsort_groups(keys)
+    assert np.array_equal(order, want_order) and np.array_equal(starts, want_starts)
+    assert (~starts).any()
+    monkeypatch.setattr(torus, "_SHORT_CODE_CELLS", 0)
+    long_order, long_starts = torus._groups(keys)
+    assert np.array_equal(long_order, want_order) and np.array_equal(long_starts, want_starts)
+
+
+def test_signed_sums_refuse_out_of_contract_signs(theta2):
+    """s1 must be -1 or 1 and s2 -1, 0 or 1, on the dense box (27 x 22
+    terms) and on the pairwise route (5 x 5 terms) alike: out of that
+    contract the two routes would compute different sums."""
+    gen = sampling.rng(57)
+    wide = TorusElement(theta2, {(i, j): complex(gen.normal(), 1.0) for i in range(-1, 2) for j in range(-4, 5)})
+    narrow = TorusElement(theta2, {(i, j): complex(gen.normal(), 1.0) for i in range(-1, 1) for j in range(-5, 6)})
+    small, small2 = (TorusElement(theta2, {(k, -k + s): gen.normal() + 0j for k in range(5)}) for s in (0, 1))
+    assert torus._takes_box(wide.indices, wide.values, narrow.indices, narrow.values)
+    assert (len(wide.values), len(narrow.values)) == (27, 22) and len(small.values) == len(small2.values) == 5
+    zero = TorusElement.zero(theta2)
+    for a, b in [(wide, narrow), (small, small2)]:
+        for s1, s2 in [(1, 5), (2, 0), (0, 1), (-1, 2), (1, -2), (0.5, 0)]:
+            with pytest.raises(ValueError, match="signs"):
+                signed_sums([(zero, [(a, b, 1, 0)]), (zero, [(a, b, s1, s2)])])
+        for s1, s2 in itertools.product((-1, 1), (-1, 0, 1)):
+            (got,) = signed_sums([(zero, [(a, b, s1, s2)])])
+            assert coeff_distance(got, literal_signed_sum(zero, [(a, b, s1, s2)])) <= 1e-12
+
+
+def test_signed_sums_take_an_equal_theta_and_refuse_another(theta2):
+    """Thetas are compared by identity and, only when that fails, by value:
+    a base or an operand over an equal but distinct ``ThetaMatrix`` is
+    taken, with the bits of the same call over one theta object, and one
+    over another theta raises ``ThetaMismatch``."""
+    gen = sampling.rng(58)
+    twin = ThetaMatrix(theta2.entries)
+    other = ThetaMatrix([[0.0, 0.1], [-0.1, 0.0]])
+    assert twin == theta2 and twin is not theta2
+    base, a, b = (disc(theta2, r, gen) for r in (1, 2, 1))
+
+    def over(th, el):
+        return TorusElement(th, dict(el.coeffs))
+
+    want = [bits(x) for x in signed_sums([(base, [(a, b, 1, -1)]), (base, [(b, a, -1, 0)])])]
+    for k in range(3):
+        for th, fails in [(twin, False), (other, True)]:
+            ops = [base, a, b]
+            ops[k] = over(th, ops[k])
+            entries = [(ops[0], [(ops[1], ops[2], 1, -1)]), (base, [(b, a, -1, 0)])]
+            if fails:
+                with pytest.raises(ThetaMismatch):
+                    signed_sums(entries)
+            else:
+                assert [bits(x) for x in signed_sums(entries)] == want
+
+
 def count_groupings(monkeypatch):
     """[calls]: the number of ``_summed`` groupings, filled as they run."""
     calls, summed = [0], torus._summed
@@ -1097,7 +1174,7 @@ def skew_ball(th, radius, gen):
     """(m - m*) / 2 for random coefficients m on the ball of ``radius`` about 0:
     skew, with a support symmetric about 0, as ``skew_part`` makes potentials."""
     m = ball(th, radius, 0, gen)
-    return torus.skew_entry(m, m)
+    return torus.skew_entries([(m, m)])[0]
 
 
 def minus_adjoint_box(th, x):
@@ -1370,6 +1447,84 @@ def test_skew_part_is_the_grouped_difference_bit_for_bit(q):
             assert bits(got.entries[i][j]) == bits(want.entries[i][j])
             forms[torus._paired_adjoint(m.entries[i][j], m.entries[j][i]) is not None] += 1
     assert min(forms.values()) >= 30
+
+
+def test_skew_parts_of_a_list_are_each_the_grouped_difference_bit_for_bit():
+    """One ``_skew_parts`` call over a list of matrices, q 1 to 3 and n 1 to
+    4, paired and unpaired supports, with an empty entry, a NaN coefficient
+    and terms near ``CANONICAL_EPS``: every entry of every matrix has the
+    bits of (m - m^dagger) / 2 through the grouped sum and the scale."""
+    gen = sampling.rng(84)
+    forms = {True: 0, False: 0}
+    for k in range(24):
+        th = sampling.random_theta(1 + k % 4, gen)
+        ms = []
+        for q in (1, 2, 3):
+            m = near_drop_matrix(th, q, gen, paired=(k + q) % 3 != 0)
+            rows = [list(row) for row in m.entries]
+            if q > 1:
+                rows[0][q - 1] = TorusElement.zero(th)
+                r, c = next(iter(rows[q - 1][0].coeffs.items()))
+                rows[q - 1][0] = TorusElement(th, {**rows[q - 1][0].coeffs, r: complex(math.nan, c.imag)})
+            ms.append(TorusMatrix(th, rows))
+        got = _skew_parts(ms)
+        for m, part in zip(ms, got):
+            want = (m - m.dagger()).scale(0.5)
+            for i, j in itertools.product(range(m.q), repeat=2):
+                assert bits(part.entries[i][j]) == bits(want.entries[i][j])
+                forms[torus._paired_adjoint(m.entries[i][j], m.entries[j][i]) is not None] += 1
+    assert min(forms.values()) >= 30
+
+
+def test_derivation_differences_are_each_difference_bit_for_bit():
+    """``derivation_differences`` over the entries of random matrices, n 1
+    to 4, every (i, j) and (j, i), has the bits of
+    ``x.derivation(i) - y.derivation(j)`` per entry, and of the curvature
+    bases ``aj.derive(i) - ai.derive(j)``.  One key's difference falls
+    under ``CANONICAL_EPS`` and is dropped: the drop is the difference's,
+    after the sum, not the derivatives'."""
+    gen = sampling.rng(85)
+    for n in (1, 2, 3, 4):
+        th = sampling.random_theta(n, gen)
+        ai, aj = (near_drop_matrix(th, 2, gen, paired=n % 2 == 0) for _ in range(2))
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        entries = [(aj.entries[r][s], i, ai.entries[r][s], j) for i, j in pairs for r in range(2) for s in range(2)]
+        got = torus.derivation_differences(entries)
+        assert [bits(x) for x in got] == [bits(x.derivation(i) - y.derivation(j)) for x, i, y, j in entries]
+        for k, (i, j) in enumerate(pairs):
+            want = aj.derive(i) - ai.derive(j)
+            assert [bits(x) for x in got[4 * k : 4 * k + 4]] == [bits(e) for row in want.entries for e in row]
+    one = 0.1 + 0.2j
+    x = TorusElement(th, {(1, 1, 0, 0): one, (1, 2, 0, 0): 1.0})
+    y = TorusElement(th, {(1, 1, 0, 0): one + 3e-17, (2, 1, 0, 0): 1.0})
+    assert 0 < abs(2 * math.pi * 3e-17) < CANONICAL_EPS and (one + 3e-17) != one
+    (diff,) = torus.derivation_differences([(x, 1, y, 2)])
+    assert list(diff.coeffs) == [(1, 2, 0, 0), (2, 1, 0, 0)]
+    assert bits(diff) == bits(x.derivation(1) - y.derivation(2))
+    assert len(x.derivation(1).coeffs) == len(y.derivation(2).coeffs) == 2
+
+
+def test_curvature_bases_are_the_derivative_differences(monkeypatch):
+    """The base of each curvature component that ``curvature`` hands to
+    ``_matrix_sums`` has the bits of ``aj.derive(i) - ai.derive(j)``."""
+    gen = sampling.rng(86)
+    seen = []
+    matrix_sums = yangmills._matrix_sums
+
+    def recorded(jobs, **kwargs):
+        seen.extend(base for base, _ in jobs)
+        return matrix_sums(jobs, **kwargs)
+
+    monkeypatch.setattr(yangmills, "_matrix_sums", recorded)
+    for n, q in [(2, 1), (3, 2), (4, 3)]:
+        c = random_connection(sampling.random_theta(n, gen), q, gen, radius=2, amplitude=0.3)
+        seen.clear()
+        curvature(c)
+        keys = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        assert len(seen) == len(keys)
+        for base, (i, j) in zip(seen, keys):
+            want = c.A[j - 1].derive(i) - c.A[i - 1].derive(j)
+            assert [bits(e) for row in base.entries for e in row] == [bits(e) for row in want.entries for e in row]
 
 
 # -- construction and the canonical form -------------------------------------------

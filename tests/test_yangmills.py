@@ -944,3 +944,41 @@ def test_degenerate_one_torus():
     assert gradient_norm(c) == 0.0
     _, trace = minimize(c)
     assert trace == [0.0]
+
+
+def test_random_connection_is_the_draw_then_skew_loop():
+    """At fixed seeds, ``random_connection`` has the bits of the literal loop:
+    every entry of every component drawn in order, then each component's
+    (m - m^dagger) / 2, cut by the projection when there is one."""
+    for seed, n, q, radius, proj in [
+        (3, 2, 1, 1, None),
+        (4, 2, 2, 2, None),
+        (5, 3, 3, 1, None),
+        (6, 4, 2, 2, None),
+        (7, 2, 2, 1, Projection(TorusMatrix.from_scalar_matrix(theta2(), [[0.5, 0.5], [0.5, 0.5]]))),
+    ]:
+        th = theta2() if proj else sampling.random_theta(n, sampling.rng(seed))
+        got = random_connection(th, q, sampling.rng(seed), radius=radius, amplitude=0.3, proj=proj)
+        gen = sampling.rng(seed)
+        draws = [
+            TorusMatrix(th, [[sampling.random_element(th, gen, radius, 4, 0.3) for _ in range(q)] for _ in range(q)])
+            for _ in range(th.n)
+        ]
+        for a, m in zip(got.A, draws):
+            want = (m - m.dagger()).scale(0.5)
+            if proj:
+                want = proj.p @ want @ proj.p
+            assert [bits(e) for row in a.entries for e in row] == [bits(e) for row in want.entries for e in row]
+
+
+def test_matrix_constructor_refuses_bad_entries_with_shape_mismatch():
+    """The public ``TorusMatrix`` checks its input: an entry that is not a
+    torus element, a row that is not a sequence, an entry over another
+    theta and a row of the wrong length each raise ``ShapeMismatch``."""
+    th = theta2()
+    one, other = TorusElement.one(th), TorusElement.one(theta2(0.1))
+    for rows in ([[1.0]], [one], [[one, one], [one, 2.0]], [[other]], [[one, one], [one, other]], [[one, one], [one]]):
+        with pytest.raises(ShapeMismatch):
+            TorusMatrix(th, rows)
+    assert TorusMatrix(th, [[one]]).entries == ((one,),)
+    assert TorusMatrix(theta2(), [[one]]).q == 1  # an equal theta is the same theta
