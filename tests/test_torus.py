@@ -1019,7 +1019,11 @@ def lexsort_groups(keys):
     return order, np.concatenate(([True], (rows[:, 1:] != rows[:, :-1]).any(0)))
 
 
-@pytest.mark.parametrize("cells,extents", [(2**16 - 1, (15, 17, 257)), (2**16, (16, 64, 64)), (2**16 + 1, (65537, 1, 1))])
+@pytest.mark.parametrize(
+    "cells,extents",
+    [(2**16 - 1, (15, 17, 257)), (2**16, (16, 64, 64)), (2**16 + 1, (65537, 1, 1))],
+    ids=["65535_cells", "65536_cells", "65537_cells"],
+)
 def test_short_codes_group_as_lexsort_and_long_codes(cells, extents, monkeypatch):
     """Key boxes of 2^16 - 1, 2^16 and 2^16 + 1 cells, an entry digit first:
     with repeated keys and shuffled columns, the 16-bit codes (the first
